@@ -32,6 +32,7 @@ import pytest
 from repro.bench.report import format_table
 from repro.core.monitor import EreborFeatures
 from repro.fleet import run_fleet
+from repro.fleet.goldens import SMP_PARAMS, SMP_PINNED
 from repro.hw.isa import INSTR_SIZE, I
 from repro.hw.testbench import KERNEL_CODE_VA, KERNEL_DATA_VA, MicroMachine
 from repro.obs.reqtrace import RequestTraceIndex
@@ -53,16 +54,6 @@ ROUNDS = 3
 FLEET_PARAMS = dict(workload="llama.cpp", clients=8, requests=2,
                     pool_size=8, tenants=8, seed=7, scale=0.1, n_cpus=4,
                     memory_bytes=1024 * MIB, cma_bytes=512 * MIB)
-
-#: pinned per-core-count digests (tests/fleet/test_smp_scaling.py —
-#: both cache arms must reproduce them byte-for-byte)
-SMP_PARAMS = dict(workload="helloworld", clients=4, requests=2,
-                  pool_size=2, tenants=2, seed=2025, scale=1.0)
-SMP_PINNED = {
-    1: "ac56b4d36619825613ca95d6b8798cf6a5b3514014efd23af3e42bd699661e84",
-    2: "b5c4370350c831ad6ec9ac795b5410edbd48cf02f7346793dc197d922da0ae65",
-    4: "b214646e8d839a90c3009b6b798166eb32510827d660194249e7d48a6e5e54ff",
-}
 
 LOOPS = 20_000
 

@@ -29,6 +29,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "src"))
 
 from repro.fleet import run_fleet                      # noqa: E402
+from repro.fleet.goldens import SMP_PARAMS             # noqa: E402
 from repro.obs.ledger import (                         # noqa: E402
     append_history,
     history_entry,
@@ -42,11 +43,7 @@ ROUNDS = 3
 
 #: the cheap deterministic fleet the perf gate replays on every push
 #: (the SMP-pinned helloworld fleet on 2 cores)
-BENCHES = {
-    "fleet-smoke": dict(workload="helloworld", clients=4, requests=2,
-                        pool_size=2, tenants=2, seed=2025, scale=1.0,
-                        n_cpus=2),
-}
+BENCHES = {"fleet-smoke": dict(SMP_PARAMS, n_cpus=2)}
 
 
 def run_bench(name: str) -> dict:

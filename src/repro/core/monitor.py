@@ -83,11 +83,11 @@ class MonitorStats:
     Historically this was an independently-bumped dataclass, which let it
     drift from the :class:`~repro.hw.cycles.CycleClock` event counters the
     benchmark harness reports (``charge_emc`` bumped both). There is now a
-    single source of truth — ``clock.events`` — and this class is a naming
-    view over it, so the two can never diverge (test-enforced).
+    single source of truth — the clock's event ledger — and this class is
+    a naming view over it, so the two can never diverge (test-enforced).
     """
 
-    __slots__ = ("_events",)
+    __slots__ = ("_clock",)
 
     #: attribute → clock event name
     _FIELDS = {
@@ -98,18 +98,16 @@ class MonitorStats:
         "verified_code_blobs": "verified_code_blob",
     }
 
-    def __init__(self, events):
-        self._events = events
+    def __init__(self, clock):
+        self._clock = clock
 
     def __getattr__(self, name: str) -> int:
-        try:
-            return self._events[self._FIELDS[name]]
-        except KeyError:
-            raise AttributeError(name) from None
+        if name not in self._FIELDS:
+            raise AttributeError(name)
+        return self._clock.events[self._FIELDS[name]]
 
     def as_dict(self) -> dict:
-        return {attr: self._events[event]
-                for attr, event in self._FIELDS.items()}
+        return {attr: getattr(self, attr) for attr in self._FIELDS}
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
@@ -169,7 +167,7 @@ class EreborMonitor:
         self.sst_manager = ShadowStackManager(self)
         self.vmmu = NestedMmu(self.phys, self.clock)
         self.ops = MonitorOps(self)
-        self.stats = MonitorStats(self.clock.events)
+        self.stats = MonitorStats(self.clock)
         #: bounded log of security-relevant decisions (an operator /
         #: auditor aid; never consulted by enforcement itself). A ring:
         #: once full the oldest events are overwritten and

@@ -457,8 +457,7 @@ class FleetScheduler:
         payload = session.payloads[session.served]
         core = session.core
         t0 = self.clock.cycles
-        emc0 = self.clock.cpu_events(core).get("emc", 0)
-        exits0 = self.clock.cpu_events(core).get("sandbox_exit", 0)
+        events0 = self.clock.cpu_events(core)
         with self.clock.tracer.span("fleet:request", "fleet",
                                     session=session.name,
                                     tenant=session.tenant,
@@ -481,9 +480,9 @@ class FleetScheduler:
             f"({len(output)} B) via sandbox #{instance.sandbox.sandbox_id}")
         # EMC metering reads the executing core's private event ledger,
         # so concurrent cores never contend on one shared counter
-        request_emc = self.clock.cpu_events(core).get("emc", 0) - emc0
-        request_exits = (self.clock.cpu_events(core).get("sandbox_exit", 0)
-                         - exits0)
+        events = self.clock.cpu_events(core)
+        request_emc = events["emc"] - events0["emc"]
+        request_exits = events["sandbox_exit"] - events0["sandbox_exit"]
         session.emc_used += request_emc
         self.clock.metrics.inc("erebor_fleet_requests_total",
                                tenant=session.tenant)

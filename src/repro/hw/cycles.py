@@ -15,12 +15,12 @@ explicit cycle ledger:
 * all macro results (LMBench, workloads, server throughput) are derived
   from the same constants plus *counted* events — no per-figure tuning.
 
-The clock also keeps per-tag cycle counters and event counters so the
-benchmark harness can regenerate Table 6's exit/EMC rate columns.
+The clock also keeps per-tag cycle and event ledgers, one per execution
+lane, so the benchmark harness can regenerate Table 6's exit/EMC rates.
 
 **SMP accounting.** One machine has one clock, but every logical CPU
 carries its own position on it. Work charged inside an :meth:`~CycleClock.on_cpu`
-scope advances only that core's counter (and its private event ledger);
+scope advances only that core's counter (and lands in that core's lane);
 work charged outside any scope is a *serial section* — it behaves like a
 barrier, synchronizing every core to the current wall position and
 advancing them together. Simulated wall-clock time is therefore the
@@ -42,8 +42,8 @@ from ..obs.trace import NULL_TRACER
 #: Simulated core frequency (Hz); matches the paper's 2.1 GHz Xeon 8570.
 CPU_FREQ_HZ = 2_100_000_000
 
-#: :attr:`CycleClock.tags_by_cpu` lane key for serial-section charges
-#: (and single-core charges outside any :meth:`CycleClock.on_cpu` scope)
+#: lane key for serial-section work (and single-core work outside any
+#: :meth:`CycleClock.on_cpu` scope) in the clock's lane ledgers
 SERIAL_LANE = -1
 
 
@@ -198,6 +198,10 @@ class CycleClock:
     let the harness attribute time (e.g. ``"emc"``, ``"pagefault"``) and
     events let it report rates (Table 6 columns such as ``EMC/s``).
 
+    Each fact is stored once, per lane; :attr:`by_tag`, :attr:`events`
+    and :attr:`busy_by_cpu` are read-only sums over the lanes (copies),
+    while :attr:`cycles` and :attr:`per_cpu` are kept on their own.
+
     The clock also carries the machine's observability sinks: ``tracer``
     (spans/events timestamped in simulated cycles) and ``metrics`` (the
     labelled counter/gauge/histogram registry). Both default to shared
@@ -212,25 +216,17 @@ class CycleClock:
     """
 
     cycles: int = 0
-    by_tag: Counter = field(default_factory=Counter)
-    events: Counter = field(default_factory=Counter)
     tracer: object = NULL_TRACER
     metrics: object = NULL_METRICS
     #: wall position of each logical CPU (index = cpu_id)
     per_cpu: list[int] = field(default_factory=lambda: [0])
-    #: cycles charged while each CPU was the executing core (busy work;
-    #: serial sections are excluded — they belong to no single core)
-    busy_by_cpu: Counter = field(default_factory=Counter)
     #: lane-resolved tag ledgers: executing cpu id (or :data:`SERIAL_LANE`
     #: for serial/barrier sections and single-core unscoped charges) →
-    #: ``{tag: cycles}``. Untagged charges land under ``"untagged"`` here
-    #: (never in :attr:`by_tag`, which keeps its historical contents).
-    #: Maintained in the same branch as the busy accounting, so for every
-    #: cpu lane ``sum(tags_by_cpu[cpu].values()) == busy_by_cpu[cpu]``
-    #: bit-exactly — the conservation invariant the budget ledger
-    #: (:mod:`repro.obs.ledger`) verifies and exports.
+    #: ``{tag: cycles}``. Untagged charges land under ``"untagged"``.
+    #: :attr:`by_tag`, :attr:`busy_by_cpu` and :meth:`cpu_busy` sum it.
     tags_by_cpu: dict = field(default_factory=dict)
-    #: per-CPU event ledgers (only events counted inside an on_cpu scope)
+    #: lane-resolved event ledgers, keyed like :attr:`tags_by_cpu` →
+    #: ``Counter``; :attr:`events` sums them
     events_by_cpu: dict = field(default_factory=dict)
     #: mirror of the monitor's audit-chain head digest (the monitor is
     #: authoritative; this copy lets obs bundles carry the head without
@@ -245,6 +241,12 @@ class CycleClock:
     #: is disabled, so bundles can tell CFG-only from dataflow-proven.
     dataflow_report_digest: str = ""
     _cpu_stack: list = field(default_factory=list, repr=False)
+    #: ``events_by_cpu[SERIAL_LANE]``: a serial-path count is one update
+    _serial_events: Counter = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._serial_events = self.events_by_cpu.setdefault(
+            SERIAL_LANE, Counter())
 
     def ensure_cpus(self, n: int) -> None:
         """Grow the per-CPU ledger to ``n`` cores.
@@ -262,23 +264,15 @@ class CycleClock:
         self.ensure_cpus(cpu_id + 1)
         return _CpuScope(self, cpu_id)
 
-    @property
-    def current_cpu(self) -> int | None:
-        """The executing core, or ``None`` inside a serial section."""
-        return self._cpu_stack[-1] if self._cpu_stack else None
-
     def charge(self, n: int, tag: str | None = None) -> None:
         """Advance the clock by ``n`` cycles, attributing them to ``tag``."""
         if n < 0:
             raise ValueError(f"negative cycle charge: {n}")
         self.cycles += n
-        if tag is not None:
-            self.by_tag[tag] += n
         per = self.per_cpu
         if self._cpu_stack:
             lane = self._cpu_stack[-1]
             per[lane] += n
-            self.busy_by_cpu[lane] += n
         elif len(per) == 1:
             per[0] += n
             lane = SERIAL_LANE
@@ -313,13 +307,39 @@ class CycleClock:
 
     def count(self, event: str, n: int = 1) -> None:
         """Record ``n`` occurrences of a named event (no time charged)."""
-        self.events[event] += n
         if self._cpu_stack:
             cpu = self._cpu_stack[-1]
             ledger = self.events_by_cpu.get(cpu)
             if ledger is None:
                 ledger = self.events_by_cpu[cpu] = Counter()
             ledger[event] += n
+        else:
+            self._serial_events[event] += n
+
+    # -- derived totals: sums over the lane ledgers, fresh copies ------- #
+
+    @property
+    def by_tag(self) -> Counter:
+        """Tag → cycles over every lane; untagged charges are left out."""
+        total = Counter()
+        for tags in self.tags_by_cpu.values():
+            total.update(tags)      # update, not +: keeps zero entries
+        total.pop("untagged", None)
+        return total
+
+    @property
+    def busy_by_cpu(self) -> Counter:
+        """Cycles charged on each CPU lane (the serial lane excluded)."""
+        return Counter({lane: self.cpu_busy(lane) for lane in
+                        self.tags_by_cpu if lane != SERIAL_LANE})
+
+    @property
+    def events(self) -> Counter:
+        """Event name → occurrences over every lane."""
+        total = Counter()
+        for ledger in self.events_by_cpu.values():
+            total.update(ledger)
+        return total
 
     # -- per-CPU reads --------------------------------------------------- #
 
@@ -331,11 +351,11 @@ class CycleClock:
 
     def cpu_busy(self, cpu_id: int) -> int:
         """Cycles charged while ``cpu_id`` was the executing core."""
-        return self.busy_by_cpu.get(cpu_id, 0)
+        return sum(self.tags_by_cpu.get(cpu_id, {}).values())
 
     def cpu_events(self, cpu_id: int) -> Counter:
-        """Event ledger of one core (empty Counter if untouched)."""
-        return self.events_by_cpu.get(cpu_id) or Counter()
+        """Event ledger of one lane; a copy (empty if never counted)."""
+        return Counter(self.events_by_cpu.get(cpu_id, ()))
 
     def cpu_tags(self, lane: int) -> dict:
         """Tag → cycles ledger of one lane (:data:`SERIAL_LANE` for the
@@ -352,21 +372,14 @@ class CycleClock:
         """Simulated serial time at the modelled core frequency."""
         return self.cycles / CPU_FREQ_HZ
 
-    @property
-    def wall_seconds(self) -> float:
-        """Simulated wall-clock time (max over cores) in seconds."""
-        return self.wall_cycles / CPU_FREQ_HZ
-
     def rate_per_second(self, event: str) -> float:
         """Occurrences of ``event`` per simulated second so far."""
-        if self.cycles == 0:
-            return 0.0
-        return self.events[event] / self.seconds
+        return self.snapshot().rate_per_second(event)
 
     def snapshot(self) -> "ClockSnapshot":
         """Capture the current ledger for later interval deltas."""
-        return ClockSnapshot(self.cycles, Counter(self.by_tag),
-                             Counter(self.events), self.wall_cycles)
+        return ClockSnapshot(self.cycles, self.by_tag, self.events,
+                             self.wall_cycles)
 
     def since(self, snap: "ClockSnapshot") -> "ClockSnapshot":
         """Return the delta ledger accumulated since ``snap``."""

@@ -29,6 +29,7 @@ from ..hw.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory, pages_for
 from ..hw.mmu import USER_MODE, AccessContext
 from ..hw.paging import PTE_NX, PTE_P, PTE_U, PTE_W, AddressSpace, make_pte
 from ..obs.metrics import HandleCache, sandbox_label
+from ..obs.ring import RingBuffer
 from ..tdx.module import TdxModule, VMCALL_IO
 from .net import NetStack
 from .ops import NativeOps, PrivilegedOps
@@ -97,6 +98,9 @@ class KernelConfig:
 class GuestKernel:
     """One booted guest kernel instance."""
 
+    #: fault-log ring capacity; ``fault_log.dropped`` counts the overflow
+    FAULT_LOG_CAPACITY = 4096
+
     def __init__(self, phys: PhysicalMemory, clock: CycleClock, cpu: Cpu,
                  tdx: TdxModule | None, *, ops: PrivilegedOps | None = None,
                  config: KernelConfig | None = None):
@@ -115,7 +119,7 @@ class GuestKernel:
         #: what the OS fault handler observed: (pid, va-or-None, write).
         #: va is None when the monitor self-paged the fault (the OS learns
         #: nothing — the controlled-channel defense, §6.1 future work)
-        self.fault_log: list[tuple[int, int | None, bool]] = []
+        self.fault_log = RingBuffer(self.FAULT_LOG_CAPACITY)
         self.tasks: dict[int, Task] = {}
         self._next_pid = 1
         self.current: Task | None = None

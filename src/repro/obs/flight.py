@@ -23,11 +23,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..hw.cycles import SERIAL_LANE
+from .export import cycles_to_us
+from .ledger import capture_ledger, lane_name
 from .ring import RingBuffer
 from .trace import DEFAULT_CAPACITY, SPAN, TraceEvent, Tracer
-
-#: ring key used for records charged in serial sections (no executing CPU)
-SERIAL = -1
 
 
 @dataclass
@@ -53,7 +53,7 @@ class FlightRecorder(Tracer):
                  capacity: int = DEFAULT_CAPACITY):
         super().__init__(clock, capacity=capacity)
         self.config = config or FlightConfig()
-        #: cpu id (SERIAL for serial sections) → bounded recent-event ring
+        #: cpu id (SERIAL_LANE for serial sections) → bounded recent ring
         self.rings: dict[int, RingBuffer[TraceEvent]] = {}
         self.dumps: list[FlightDump] = []
         self.triggers = 0
@@ -70,7 +70,7 @@ class FlightRecorder(Tracer):
         events._buf.append(event)
         cpu = event[8]
         if cpu is None:
-            cpu = SERIAL
+            cpu = SERIAL_LANE
         ring = self.rings.get(cpu)
         if ring is None:
             ring = self.rings[cpu] = RingBuffer(self.config.ring_capacity)
@@ -93,8 +93,6 @@ class FlightRecorder(Tracer):
     # -- freezing -------------------------------------------------------- #
 
     def _freeze(self, reason: str, detail: str) -> "FlightDump":
-        from .ledger import capture_ledger   # late: ledger imports hw.cycles
-
         now = self.clock.cycles
         window_start = max(0, now - self.config.lookback_kcycles * 1000)
         events_by_cpu: dict[int, list[TraceEvent]] = {}
@@ -151,7 +149,7 @@ class FlightDump:
     def to_dict(self) -> dict:
         per_cpu = {}
         for cpu, events in sorted(self.events_by_cpu.items()):
-            key = "serial" if cpu == SERIAL else str(cpu)
+            key = "serial" if cpu == SERIAL_LANE else str(cpu)
             per_cpu[key] = {
                 "events": [e.to_dict() for e in events],
                 "dropped": self.dropped_by_cpu.get(cpu, 0),
@@ -179,20 +177,17 @@ class FlightDump:
 
     def _chrome_events(self) -> list[dict]:
         """Chrome ``trace_event`` view: one thread lane per CPU."""
-        from .export import cycles_to_us   # late: export imports hw.cycles
-
         events: list[dict] = [{
             "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
             "args": {"name": f"erebor-flight:{self.reason}"},
         }]
         lanes = sorted(self.events_by_cpu)
         for cpu in lanes:
-            tid = 0 if cpu == SERIAL else cpu + 1
-            name = "serial" if cpu == SERIAL else f"cpu{cpu}"
+            tid = 0 if cpu == SERIAL_LANE else cpu + 1
             events.append({"name": "thread_name", "ph": "M", "pid": 1,
-                           "tid": tid, "args": {"name": name}})
+                           "tid": tid, "args": {"name": lane_name(cpu)}})
         for cpu in lanes:
-            tid = 0 if cpu == SERIAL else cpu + 1
+            tid = 0 if cpu == SERIAL_LANE else cpu + 1
             for e in self.events_by_cpu[cpu]:
                 args = dict(e.args)
                 args["cycles_begin"] = e.begin
@@ -227,7 +222,7 @@ def utilization_timeline(events_by_cpu: dict[int, list[TraceEvent]],
 
     Busy time is the interval *union* of span events per core (nested
     spans never double-count), clipped to the window. Serial-section
-    records (cpu ``SERIAL``) are excluded: barrier work belongs to no
+    records (cpu ``SERIAL_LANE``) are excluded: barrier work belongs to no
     single core.
     """
     span = max(end - start, 1)
@@ -235,7 +230,7 @@ def utilization_timeline(events_by_cpu: dict[int, list[TraceEvent]],
     width = span / buckets
     timeline: dict[str, list[float]] = {}
     for cpu, events in sorted(events_by_cpu.items()):
-        if cpu == SERIAL:
+        if cpu == SERIAL_LANE:
             continue
         intervals = sorted(
             (max(e.begin, start), min(e.end, end))

@@ -8,16 +8,16 @@ charged is assigned to exactly one named **plane**, per execution lane
 (one lane per logical CPU plus the serial/barrier lane), and the sums are
 verified bit-exactly against the clock's own busy/wall ledgers.
 
-The raw material is :attr:`repro.hw.cycles.CycleClock.tags_by_cpu`, which
-the clock maintains in the same branch as its busy accounting — so the
-invariant
+The raw material is :attr:`repro.hw.cycles.CycleClock.tags_by_cpu`, the
+clock's only per-tag store: a lane's busy value *is* its tag sum, while
+``cycles`` and ``per_cpu`` are separate scalars. So the invariant
 
 * for every cpu lane ``c``:   ``sum(lane_tags[c]) == busy_by_cpu[c]``
 * for the serial lane:        ``sum(lane_tags[SERIAL]) == cycles - Σbusy``
 * over all lanes:             ``Σ == cycles`` (the serial total)
 
-holds *by construction*, and :func:`verify_conservation` re-derives it
-from the exported dict rather than trusting the capture path.
+holds when every charge moved ``cycles`` and one lane together;
+:func:`verify_conservation` re-derives it from the exported dict.
 
 Planes (the taxonomy DESIGN §8 documents; ``TAG_PLANES`` maps the clock's
 charge tags onto it):
@@ -164,7 +164,8 @@ def plane_of(tag: str) -> str:
     return TAG_PLANES.get(tag, "other")
 
 
-def _lane_name(lane: int) -> str:
+def lane_name(lane: int) -> str:
+    """``"serial"`` or ``"cpuN"``: a lane's name in ledgers and dumps."""
     return "serial" if lane == SERIAL_LANE else f"cpu{lane}"
 
 
@@ -205,7 +206,6 @@ def capture_ledger(clock, machine=None) -> dict:
     summary (TLB hit rate, superblock coverage).
     """
     sb_by_lane = _superblock_cycles_by_lane(machine)
-    busy = dict(clock.busy_by_cpu)
     lanes: dict[str, dict] = {}
     planes_total: dict[str, int] = {}
     for lane in sorted(clock.tags_by_cpu):
@@ -221,9 +221,8 @@ def capture_ledger(clock, machine=None) -> dict:
             planes["exec.interpret"] -= carve
             planes["exec.superblock"] = \
                 planes.get("exec.superblock", 0) + carve
-        lane_total = sum(tags.values())
-        lanes[_lane_name(lane)] = {
-            "busy": lane_total if lane == SERIAL_LANE else busy.get(lane, 0),
+        lanes[lane_name(lane)] = {
+            "busy": sum(tags.values()),
             "planes": {k: v for k, v in sorted(planes.items()) if v},
             "tags": dict(sorted(tags.items())),
         }

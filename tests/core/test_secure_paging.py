@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import erebor_boot
 from repro.hw.memory import PAGE_SIZE
+from repro.kernel.kernel import GuestKernel
 from repro.kernel.process import SegmentationFault
 from repro.vm import CvmMachine, MachineConfig, MIB
 
@@ -53,6 +54,21 @@ def test_ordinary_faults_do_expose_addresses(system):
     entries = [e for e in kernel.fault_log if e[0] == sandbox.task.pid]
     addresses = [va for _, va, _ in entries]
     assert addresses == [vma.start + i * PAGE_SIZE for i in range(4)]
+
+
+def test_fault_log_is_a_bounded_ring(monkeypatch):
+    """More faults than the ring holds: the newest stay, the overwritten
+    ones are counted as dropped."""
+    monkeypatch.setattr(GuestKernel, "FAULT_LOG_CAPACITY", 3)
+    system = erebor_boot(CvmMachine(MachineConfig(memory_bytes=512 * MIB)),
+                         cma_bytes=64 * MIB)
+    sandbox, vma = make(system, secure=False)
+    kernel = system.kernel
+    kernel.fault_log.clear()
+    kernel.touch_pages(sandbox.task, vma.start, 8 * PAGE_SIZE, write=True)
+    assert (len(kernel.fault_log), kernel.fault_log.dropped) == (3, 5)
+    assert [va for _, va, _ in kernel.fault_log] == \
+        [vma.start + i * PAGE_SIZE for i in range(5, 8)]
 
 
 def test_secure_pager_installs_real_mappings(system):

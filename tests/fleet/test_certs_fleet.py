@@ -12,10 +12,8 @@ import json
 from repro.certs import serialize_certificate
 from repro.certs.verify import CertificateVerifier
 from repro.fleet import run_fleet
+from repro.fleet.goldens import SMP_PARAMS
 from repro.fleet.loadgen import FleetReport
-
-PARAMS = dict(workload="helloworld", clients=4, requests=2, pool_size=2,
-              tenants=2, seed=2025, scale=1.0)
 
 #: one slot + three clients: every session after the first runs in the
 #: *same* recycled sandbox — the C8 evidence-isolation shape
@@ -31,7 +29,7 @@ def test_seeded_reruns_issue_byte_identical_certificates(tmp_path):
     dirs = []
     for i in range(2):
         out = tmp_path / f"run{i}"
-        report, _ = run_fleet(cert_dir=out, **PARAMS)
+        report, _ = run_fleet(cert_dir=out, **SMP_PARAMS)
         assert len(report.certs) == 4
         dirs.append(out)
     first = sorted(dirs[0].iterdir())
@@ -42,8 +40,8 @@ def test_seeded_reruns_issue_byte_identical_certificates(tmp_path):
 
 
 def test_issuance_cannot_move_the_seeded_report_digest():
-    plain, _ = run_fleet(**PARAMS)
-    certified, _ = run_fleet(certificates=True, **PARAMS)
+    plain, _ = run_fleet(**SMP_PARAMS)
+    certified, _ = run_fleet(certificates=True, **SMP_PARAMS)
     assert certified.digest() == plain.digest()
     # the audit chain is also identical: evidence events are emitted
     # unconditionally, never gated on issuance being armed
@@ -56,7 +54,7 @@ def test_issuance_cannot_move_the_seeded_report_digest():
 
 
 def test_report_certs_map_matches_the_issued_bodies():
-    report, system = run_fleet(certificates=True, **PARAMS)
+    report, system = run_fleet(certificates=True, **SMP_PARAMS)
     certs = system.fleet_certificates
     assert report.certs == {n: c["body_sha256"] for n, c in certs.items()}
     roundtrip = json.loads(report.to_json())
@@ -110,7 +108,7 @@ def test_audit_windows_are_anchored_per_session():
 # --------------------------------------------------------------------------- #
 
 def test_issuance_metrics_count_certificates_and_bytes():
-    report, system = run_fleet(certificates=True, **PARAMS)
+    report, system = run_fleet(certificates=True, **SMP_PARAMS)
     registry = system.machine.clock.metrics
     issued = registry.counter_total("erebor_certs_issued_total")
     assert issued == len(report.certs) == 4

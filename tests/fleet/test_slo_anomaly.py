@@ -16,16 +16,9 @@ from repro.core.mitigations import CACHE_FLUSH_CYCLES, MitigationConfig
 from repro.fleet import AnomalyConfig, SloConfig, run_fleet
 from repro.fleet.__main__ import main as fleet_main
 from repro.fleet.admission import AdmissionConfig, TenantQuota
+from repro.fleet.goldens import SMP_PARAMS, SMP_PINNED
 from repro.fleet.scheduler import AnomalyMonitor
-from repro.hw.cycles import CycleClock
 from repro.vm import CvmMachine, MachineConfig, MIB
-
-PARAMS = dict(workload="helloworld", clients=4, requests=2, pool_size=2,
-              tenants=2, seed=2025, scale=1.0)
-
-#: must match tests/fleet/test_smp_scaling.py — the single-core pin
-PINNED_SINGLE_CORE = \
-    "ac56b4d36619825613ca95d6b8798cf6a5b3514014efd23af3e42bd699661e84"
 
 
 # --------------------------------------------------------------------------- #
@@ -34,7 +27,7 @@ PINNED_SINGLE_CORE = \
 
 def test_tight_slo_breaches_and_fires_the_flight_recorder():
     slo = SloConfig(queue_wait_p95=1, service_p95=1, e2e_p99=1)
-    report, system = run_fleet(slo=slo, flight=True, **PARAMS)
+    report, system = run_fleet(slo=slo, flight=True, **SMP_PARAMS)
     breaches = report.slo["breaches"]
     assert breaches, "1-cycle objectives must breach"
     tenants = {b["tenant"] for b in breaches}
@@ -58,14 +51,14 @@ def test_tight_slo_breaches_and_fires_the_flight_recorder():
 def test_generous_slo_never_breaches():
     slo = SloConfig(queue_wait_p95=10**12, service_p95=10**12,
                     e2e_p99=10**12)
-    report, _ = run_fleet(slo=slo, **PARAMS)
+    report, _ = run_fleet(slo=slo, **SMP_PARAMS)
     assert report.slo["breaches"] == []
     assert report.slo["samples"] > 0           # the plane did observe
 
 
 def test_slo_summary_rides_in_report_only_when_enabled():
-    plain, _ = run_fleet(**PARAMS)
-    armed, _ = run_fleet(slo=SloConfig(service_p95=1), **PARAMS)
+    plain, _ = run_fleet(**SMP_PARAMS)
+    armed, _ = run_fleet(slo=SloConfig(service_p95=1), **SMP_PARAMS)
     assert "slo" not in plain.to_dict()
     assert "breaches" in armed.to_dict()["slo"]
 
@@ -139,7 +132,7 @@ def test_fleet_wide_engine_survives_as_router_default():
 
 
 def test_anomaly_plane_in_fleet_run_observes_without_false_alarms():
-    report, _ = run_fleet(anomaly=AnomalyConfig(), **PARAMS)
+    report, _ = run_fleet(anomaly=AnomalyConfig(), **SMP_PARAMS)
     # homogeneous seeded load: the plane is wired but stays quiet
     assert report.anomaly == {"alerts": [], "armed": []}
     assert "anomaly" in report.to_dict()
@@ -153,7 +146,7 @@ def test_forced_emc_violation_freezes_a_forensic_dump():
     admission = AdmissionConfig(
         queue_depth=4,
         quotas={"tenant-0": TenantQuota(max_emc_per_request=1)})
-    report, system = run_fleet(admission=admission, flight=True, **PARAMS)
+    report, system = run_fleet(admission=admission, flight=True, **SMP_PARAMS)
     assert report.outcomes.get("evicted", 0) > 0
     recorder = system.machine.clock.tracer
     assert recorder.dumps, "the kill path must trigger the recorder"
@@ -182,24 +175,24 @@ def test_forced_emc_violation_freezes_a_forensic_dump():
 # --------------------------------------------------------------------------- #
 
 def test_pinned_digest_unchanged_with_every_plane_armed():
-    plain, _ = run_fleet(**PARAMS)
+    plain, _ = run_fleet(**SMP_PARAMS)
     armed, _ = run_fleet(slo=SloConfig(service_p95=1),
-                         anomaly=AnomalyConfig(), flight=True, **PARAMS)
-    assert plain.digest() == PINNED_SINGLE_CORE
+                         anomaly=AnomalyConfig(), flight=True, **SMP_PARAMS)
+    assert plain.digest() == SMP_PINNED[1]
     # observability reads the clock, never charges it: same digest
-    assert armed.digest() == PINNED_SINGLE_CORE
+    assert armed.digest() == SMP_PINNED[1]
     assert armed.total_cycles == plain.total_cycles
     assert armed.audit_head == plain.audit_head
 
 
 def test_audit_chain_rides_in_every_report():
-    report, system = run_fleet(**PARAMS)
+    report, system = run_fleet(**SMP_PARAMS)
     out = report.to_dict()
     assert out["audit"]["head"] == system.monitor.audit_head
     assert out["audit"]["events"] == system.monitor.audit_seq > 0
     # the head is NOT part of the digest preimage (it fingerprints the
     # same execution); two seeded runs agree on it anyway
-    again, _ = run_fleet(**PARAMS)
+    again, _ = run_fleet(**SMP_PARAMS)
     assert again.audit_head == report.audit_head
 
 

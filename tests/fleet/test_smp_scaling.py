@@ -11,6 +11,7 @@ throughput scaling the whole design exists to deliver.
 import pytest
 
 from repro.fleet import run_fleet
+from repro.fleet.goldens import SMP_PARAMS, SMP_PINNED
 from repro.hw.cycles import CycleClock
 
 # --------------------------------------------------------------------------- #
@@ -68,7 +69,7 @@ def test_per_cpu_event_ledgers_are_private():
         clock.count("emc", 3)
     with clock.on_cpu(1):
         clock.count("emc", 1)
-    clock.count("emc")                    # serial: global ledger only
+    clock.count("emc")                    # serial lane, not a core's
     assert clock.cpu_events(0)["emc"] == 3
     assert clock.cpu_events(1)["emc"] == 1
     assert clock.events["emc"] == 5
@@ -102,37 +103,22 @@ def test_negative_charge_still_rejected():
 # fleet determinism per core count
 # --------------------------------------------------------------------------- #
 
-PARAMS = dict(workload="helloworld", clients=4, requests=2, pool_size=2,
-              tenants=2, seed=2025, scale=1.0)
-
-#: same seed + same core count must reproduce these forever; a change
-#: here means the cycle model or the commit order moved — deliberate
-#: changes must re-pin all three together
-#: (last re-pin: the boot-time CFG verifier charges calibrated
-#: verify:cfg cycles during stage 2, shifting total_cycles)
-PINNED_DIGESTS = {
-    1: "ac56b4d36619825613ca95d6b8798cf6a5b3514014efd23af3e42bd699661e84",
-    2: "b5c4370350c831ad6ec9ac795b5410edbd48cf02f7346793dc197d922da0ae65",
-    4: "b214646e8d839a90c3009b6b798166eb32510827d660194249e7d48a6e5e54ff",
-}
-
-
-@pytest.mark.parametrize("n_cpus", sorted(PINNED_DIGESTS))
+@pytest.mark.parametrize("n_cpus", sorted(SMP_PINNED))
 def test_pinned_digest_per_core_count(n_cpus):
-    report, _ = run_fleet(n_cpus=n_cpus, **PARAMS)
-    assert report.digest() == PINNED_DIGESTS[n_cpus]
+    report, _ = run_fleet(n_cpus=n_cpus, **SMP_PARAMS)
+    assert report.digest() == SMP_PINNED[n_cpus]
 
 
 def test_smp_repeats_are_byte_identical():
-    a, _ = run_fleet(n_cpus=4, **PARAMS)
-    b, _ = run_fleet(n_cpus=4, **PARAMS)
+    a, _ = run_fleet(n_cpus=4, **SMP_PARAMS)
+    b, _ = run_fleet(n_cpus=4, **SMP_PARAMS)
     assert a.to_json() == b.to_json()
     assert a.digest() == b.digest()
 
 
 def test_core_count_changes_the_wall_but_not_the_outputs():
-    r1, _ = run_fleet(n_cpus=1, **PARAMS)
-    r4, _ = run_fleet(n_cpus=4, **PARAMS)
+    r1, _ = run_fleet(n_cpus=1, **SMP_PARAMS)
+    r4, _ = run_fleet(n_cpus=4, **SMP_PARAMS)
     # the same sessions complete with the same results...
     assert r1.outcomes == r4.outcomes
     assert r1.requests_served == r4.requests_served
@@ -179,6 +165,6 @@ def test_core_busy_cycles_reported_and_balanced():
 
 
 def test_single_core_run_matches_legacy_serial_accounting():
-    report, _ = run_fleet(n_cpus=1, **PARAMS)
+    report, _ = run_fleet(n_cpus=1, **SMP_PARAMS)
     assert report.n_cpus == 1
     assert report.serve_wall_cycles == report.serve_cycles

@@ -8,14 +8,9 @@ black-box :class:`~repro.obs.flight.FlightDump` on every trigger.
 
 import json
 
-from repro.hw.cycles import CycleClock
+from repro.hw.cycles import SERIAL_LANE, CycleClock
 from repro.obs.export import chrome_trace, prometheus_text, trace_json
-from repro.obs.flight import (
-    SERIAL,
-    FlightConfig,
-    FlightRecorder,
-    utilization_timeline,
-)
+from repro.obs.flight import FlightConfig, FlightRecorder, utilization_timeline
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import check_flight_dump
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
@@ -47,7 +42,7 @@ def test_events_land_in_the_executing_cpus_ring():
     clock.tracer.event("serial-note", cat="test")   # no CPU scope
     assert [e.name for e in recorder.rings[0]] == ["a"]
     assert [e.name for e in recorder.rings[1]] == ["b"]
-    assert [e.name for e in recorder.rings[SERIAL]] == ["serial-note"]
+    assert [e.name for e in recorder.rings[SERIAL_LANE]] == ["serial-note"]
     # the main ring still sees everything, in commit order
     assert [e.name for e in recorder.events] == ["a", "b", "serial-note"]
 
@@ -165,11 +160,11 @@ def test_utilization_timeline_busy_fractions():
     serial = TraceEvent("s", "t", "span", begin=0, end=1000, depth=0,
                         path=("s",), cpu=None)
     timeline = utilization_timeline({0: [busy], 1: [idle_then_busy],
-                                     SERIAL: [serial]},
+                                     SERIAL_LANE: [serial]},
                                     0, 1000, buckets=2)
     assert timeline["cpus"]["0"] == [1.0, 0.0]
     assert timeline["cpus"]["1"] == [0.0, 1.0]
-    assert str(SERIAL) not in timeline["cpus"]   # barrier work: no lane
+    assert str(SERIAL_LANE) not in timeline["cpus"]   # barrier work: no lane
     assert timeline["bucket_cycles"] == 500.0
 
 

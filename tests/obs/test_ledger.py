@@ -14,6 +14,7 @@ The contract under test (DESIGN §8):
 
 import pytest
 
+from repro.fleet.goldens import SMP_PARAMS, SMP_PINNED
 from repro.fleet.loadgen import run_fleet
 from repro.hw.cycles import SERIAL_LANE, CycleClock
 from repro.obs.ledger import (
@@ -25,18 +26,6 @@ from repro.obs.ledger import (
     verify_conservation,
 )
 from repro.obs.schema import check_ledger
-
-#: pinned digests from tests/fleet/test_smp_scaling.py — the ledger
-#: rides outside the preimage, so these must keep reproducing
-SMP_PINNED = {
-    1: "ac56b4d36619825613ca95d6b8798cf6a5b3514014efd23af3e42bd699661e84",
-    2: "b5c4370350c831ad6ec9ac795b5410edbd48cf02f7346793dc197d922da0ae65",
-    4: "b214646e8d839a90c3009b6b798166eb32510827d660194249e7d48a6e5e54ff",
-}
-
-SMP_PARAMS = dict(workload="helloworld", clients=4, requests=2,
-                  pool_size=2, tenants=2, seed=2025, scale=1.0)
-
 
 # --------------------------------------------------------------------------- #
 # unit-level: the clock's lane-resolved tag ledgers

@@ -24,16 +24,12 @@ from repro.certs import serialize_certificate
 from repro.certs.issue import CertificateIssuer
 from repro.certs.verify import CertificateVerifier
 from repro.fleet import run_fleet
+from repro.fleet.goldens import LLAMA_FLEET_PARAMS
 from repro.obs.reqtrace import RequestTraceIndex
-from repro.vm import MIB
 
-CLIENTS = 8
+CLIENTS = LLAMA_FLEET_PARAMS["clients"]
 _ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = _ROOT / "BENCH_certs.json"
-
-FLEET_PARAMS = dict(workload="llama.cpp", clients=CLIENTS, requests=2,
-                    pool_size=CLIENTS, tenants=CLIENTS, seed=7, scale=0.1,
-                    n_cpus=4, memory_bytes=1024 * MIB, cma_bytes=512 * MIB)
 
 #: alternating bare/certified timing rounds; host cost = min/min ratio
 ROUNDS = 3
@@ -41,7 +37,7 @@ ROUNDS = 3
 
 def _timed_run(**extra):
     t0 = time.perf_counter()
-    report, system = run_fleet(**FLEET_PARAMS, **extra)
+    report, system = run_fleet(**LLAMA_FLEET_PARAMS, **extra)
     return report, system, time.perf_counter() - t0
 
 
@@ -88,10 +84,10 @@ def write_artifact(runs) -> dict:
     verified = sum(bool(verifier.verify(c)) for c in certs.values())
     verify_ms = (time.perf_counter() - t0) * 1000.0
     payload = {
-        "workload": FLEET_PARAMS["workload"],
+        "workload": LLAMA_FLEET_PARAMS["workload"],
         "clients": CLIENTS,
-        "n_cpus": FLEET_PARAMS["n_cpus"],
-        "seed": FLEET_PARAMS["seed"],
+        "n_cpus": LLAMA_FLEET_PARAMS["n_cpus"],
+        "seed": LLAMA_FLEET_PARAMS["seed"],
         "timing_rounds": ROUNDS,
         "certs_issued": len(certs),
         "certs_verified": verified,

@@ -15,31 +15,28 @@ import pytest
 
 from repro.bench.report import format_table
 from repro.fleet import run_fleet
-from repro.vm import MIB
+from repro.fleet.goldens import LLAMA_FLEET_PARAMS
 
-CLIENTS = 8
+CLIENTS = LLAMA_FLEET_PARAMS["clients"]
 CORE_COUNTS = (1, 2, 4, 8)
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_fleet_smp.json"
-
-FLEET_PARAMS = dict(workload="llama.cpp", clients=CLIENTS, requests=2,
-                    pool_size=CLIENTS, tenants=CLIENTS, seed=7, scale=0.1,
-                    memory_bytes=1024 * MIB, cma_bytes=512 * MIB)
 
 
 @pytest.fixture(scope="module")
 def sweep():
     """{n_cpus: FleetReport} for the same offered load at each width."""
-    return {n: run_fleet(n_cpus=n, **FLEET_PARAMS)[0] for n in CORE_COUNTS}
+    return {n: run_fleet(**dict(LLAMA_FLEET_PARAMS, n_cpus=n))[0]
+            for n in CORE_COUNTS}
 
 
 def write_artifact(sweep) -> dict:
     base = sweep[1].serve_wall_cycles
     payload = {
-        "workload": FLEET_PARAMS["workload"],
+        "workload": LLAMA_FLEET_PARAMS["workload"],
         "clients": CLIENTS,
-        "requests_per_client": FLEET_PARAMS["requests"],
-        "pool_size": FLEET_PARAMS["pool_size"],
-        "seed": FLEET_PARAMS["seed"],
+        "requests_per_client": LLAMA_FLEET_PARAMS["requests"],
+        "pool_size": LLAMA_FLEET_PARAMS["pool_size"],
+        "seed": LLAMA_FLEET_PARAMS["seed"],
         "scaling": [
             {
                 "n_cpus": n,
@@ -101,8 +98,8 @@ def test_wall_clock_bounded_by_busiest_core(sweep):
 
 def test_smp_digests_are_deterministic(benchmark):
     def twice():
-        a, _ = run_fleet(n_cpus=4, **FLEET_PARAMS)
-        b, _ = run_fleet(n_cpus=4, **FLEET_PARAMS)
+        a, _ = run_fleet(**LLAMA_FLEET_PARAMS)
+        b, _ = run_fleet(**LLAMA_FLEET_PARAMS)
         return a, b
 
     a, b = benchmark.pedantic(twice, rounds=1, iterations=1)

@@ -30,17 +30,13 @@ import pytest
 
 from repro.bench.report import format_table
 from repro.fleet import AnomalyConfig, SloConfig, run_fleet
+from repro.fleet.goldens import LLAMA_FLEET_PARAMS
 from repro.obs.hostprof import profile_fleet
-from repro.vm import MIB
 
-CLIENTS = 8
+CLIENTS = LLAMA_FLEET_PARAMS["clients"]
 _ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = _ROOT / "BENCH_obs_overhead.json"
 TABLES = _ROOT / "bench_tables.txt"
-
-FLEET_PARAMS = dict(workload="llama.cpp", clients=CLIENTS, requests=2,
-                    pool_size=CLIENTS, tenants=CLIENTS, seed=7, scale=0.1,
-                    n_cpus=4, memory_bytes=1024 * MIB, cma_bytes=512 * MIB)
 
 ARMED_PARAMS = dict(flight=True,
                     slo=SloConfig(queue_wait_p95=10**12,
@@ -59,7 +55,7 @@ MIN_HOSTPROF_COVERAGE = 0.90
 
 def _timed_run(**extra):
     t0 = time.perf_counter()
-    report, system = run_fleet(**FLEET_PARAMS, **extra)
+    report, system = run_fleet(**LLAMA_FLEET_PARAMS, **extra)
     host_seconds = time.perf_counter() - t0
     return report, system, host_seconds
 
@@ -83,7 +79,7 @@ def hostprof():
     """One profiled armed run (kept out of the timing rounds: the probe
     itself costs host time and must not pollute the overhead ratio)."""
     (_, _), profiler = profile_fleet(
-        lambda: run_fleet(**FLEET_PARAMS, **ARMED_PARAMS))
+        lambda: run_fleet(**LLAMA_FLEET_PARAMS, **ARMED_PARAMS))
     return profiler
 
 
@@ -93,10 +89,10 @@ def write_artifact(runs, profiler) -> dict:
     recorder = system.machine.clock.tracer
     hostprof_report = profiler.report()
     payload = {
-        "workload": FLEET_PARAMS["workload"],
+        "workload": LLAMA_FLEET_PARAMS["workload"],
         "clients": CLIENTS,
-        "n_cpus": FLEET_PARAMS["n_cpus"],
-        "seed": FLEET_PARAMS["seed"],
+        "n_cpus": LLAMA_FLEET_PARAMS["n_cpus"],
+        "seed": LLAMA_FLEET_PARAMS["seed"],
         "max_overhead_bound": MAX_OVERHEAD,
         "timing_rounds": ROUNDS,
         "obs_off": {

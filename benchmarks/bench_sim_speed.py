@@ -32,11 +32,10 @@ import pytest
 from repro.bench.report import format_table
 from repro.core.monitor import EreborFeatures
 from repro.fleet import run_fleet
-from repro.fleet.goldens import SMP_PARAMS, SMP_PINNED
+from repro.fleet.goldens import LLAMA_FLEET_PARAMS, SMP_PARAMS, SMP_PINNED
 from repro.hw.isa import INSTR_SIZE, I
 from repro.hw.testbench import KERNEL_CODE_VA, KERNEL_DATA_VA, MicroMachine
 from repro.obs.reqtrace import RequestTraceIndex
-from repro.vm import MIB
 
 _ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = _ROOT / "BENCH_sim_speed.json"
@@ -49,11 +48,6 @@ FLOOR = float(os.environ.get("SIM_SPEED_FLOOR", "5.0"))
 
 #: alternating on/off timing rounds; each arm keeps its fastest round
 ROUNDS = 3
-
-#: the seeded 16-request / 4-core llama fleet (8 clients x 2 requests)
-FLEET_PARAMS = dict(workload="llama.cpp", clients=8, requests=2,
-                    pool_size=8, tenants=8, seed=7, scale=0.1, n_cpus=4,
-                    memory_bytes=1024 * MIB, cma_bytes=512 * MIB)
 
 LOOPS = 20_000
 
@@ -126,12 +120,12 @@ def fleet_timing():
     on = off = None
     for _ in range(ROUNDS):
         t0 = time.perf_counter()
-        report, _ = run_fleet(features=features(False), **FLEET_PARAMS)
+        report, _ = run_fleet(features=features(False), **LLAMA_FLEET_PARAMS)
         host = time.perf_counter() - t0
         if off is None or host < off[1]:
             off = (report, host)
         t0 = time.perf_counter()
-        report, _ = run_fleet(features=features(True), **FLEET_PARAMS)
+        report, _ = run_fleet(features=features(True), **LLAMA_FLEET_PARAMS)
         host = time.perf_counter() - t0
         if on is None or host < on[1]:
             on = (report, host)
@@ -145,7 +139,7 @@ def fleet_fidelity():
     arms = {}
     for name, enabled in (("off", False), ("on", True)):
         report, system = run_fleet(features=features(enabled),
-                                   certificates=True, **FLEET_PARAMS)
+                                   certificates=True, **LLAMA_FLEET_PARAMS)
         index = RequestTraceIndex.from_tracer(system.machine.clock.tracer,
                                               names=report.traces)
         arms[name] = {
@@ -198,9 +192,10 @@ def write_artifact(micro, fleet_timing, fleet_fidelity, smp) -> dict:
             "tlb_hits": machine.cpu.mmu.tlb_hits,
         },
         "fleet": {
-            "params": {k: v for k, v in FLEET_PARAMS.items()
+            "params": {k: v for k, v in LLAMA_FLEET_PARAMS.items()
                        if isinstance(v, (int, float, str))},
-            "requests": FLEET_PARAMS["clients"] * FLEET_PARAMS["requests"],
+            "requests": (LLAMA_FLEET_PARAMS["clients"]
+                         * LLAMA_FLEET_PARAMS["requests"]),
             "host_seconds_off": round(fleet_off_host, 4),
             "host_seconds_on": round(fleet_on_host, 4),
             "speedup": round(fleet_off_host / fleet_on_host, 2),
@@ -246,7 +241,7 @@ def write_artifact(micro, fleet_timing, fleet_fidelity, smp) -> dict:
         host_seconds={"cache_off": fleet_off_host,
                       "cache_on": fleet_on_host},
         meta={"requests": payload["fleet"]["requests"],
-              "n_cpus": FLEET_PARAMS["n_cpus"]}))
+              "n_cpus": LLAMA_FLEET_PARAMS["n_cpus"]}))
     return payload
 
 

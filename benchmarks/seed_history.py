@@ -9,7 +9,7 @@ Two modes:
   Idempotent per bench name: re-seeding skips names already present.
 * ``python benchmarks/seed_history.py --bench fleet-smoke --append`` —
   **append**: re-run the named bench (min-of-3) and append a fresh
-  record. The ``perf-gate`` CI job does this on every push, then runs
+  record. The CI ``perf-gate`` steps do this on every push, then run
   ``python -m repro.obs gate`` so the newest record is compared against
   its committed predecessor: any simulated drift (cycles, plane totals,
   digest) fails the build; host-second regressions past the threshold

@@ -19,6 +19,11 @@ JSON; ``--export bundle`` wraps the run in the full ``repro.obs`` export
 (meta + trace + metrics + profile, schema-checked — the payload the CI
 ``fleet-smoke`` job validates), with the fleet report attached under
 ``meta.fleet``.
+
+``--autoscale`` grows the pool from ``--pool`` slots up to
+``--pool-max`` and never shrinks it below ``--pool``. ``--cert-dir``
+issues one certificate per admitted session and writes the batch after
+the run.
 """
 
 from __future__ import annotations
@@ -30,11 +35,6 @@ import sys
 from .loadgen import run_fleet
 
 EXPORTS = ("report", "bundle")
-
-#: ring capacity when request tracing is requested — a traced fleet run
-#: emits hundreds of thousands of events (the default 1<<17 ring would
-#: drop the oldest sessions and every tree would read "incomplete")
-TRACE_RING_CAPACITY = 1 << 19
 
 
 def _write_flight(args, recorder) -> None:
@@ -75,32 +75,22 @@ def main(argv: list[str] | None = None) -> int:
                              "sessions across (deterministic per count)")
     parser.add_argument("--autoscale", action="store_true",
                         help="demand-driven pool grow/shrink")
-    parser.add_argument("--pool-min", type=int, default=None,
-                        help="autoscale floor (default: --pool)")
     parser.add_argument("--pool-max", type=int, default=None,
-                        help="autoscale ceiling (default: 2x --pool)")
+                        help="autoscale ceiling (default: 2x --pool; the "
+                             "floor is --pool)")
     parser.add_argument("--tenants", type=int, default=2)
     parser.add_argument("--seed", type=int, default=2025)
     parser.add_argument("--scale", type=float, default=0.1)
     parser.add_argument("--slo", action="store_true",
                         help="arm per-tenant latency SLO monitoring "
-                             "(defaults below; any --slo-* flag implies it)")
-    parser.add_argument("--slo-queue-p95", type=int, default=None,
-                        help="queue-wait p95 objective in cycles")
-    parser.add_argument("--slo-service-p95", type=int, default=None,
-                        help="per-request service p95 objective in cycles")
-    parser.add_argument("--slo-e2e-p99", type=int, default=None,
-                        help="submit-to-finish p99 objective in cycles")
+                             "(queue-wait p95 5M, service p95 20M, "
+                             "end-to-end p99 60M cycles)")
     parser.add_argument("--anomaly", action="store_true",
                         help="arm per-tenant EWMA exit/EMC anomaly "
                              "detection (alerts arm §12 mitigations)")
     parser.add_argument("--flight-dump", default=None, metavar="PATH",
                         help="install the flight recorder and write its "
                              "black-box dump(s) to PATH after the run")
-    parser.add_argument("--static-budget", action="store_true",
-                        help="clamp tenant EMC quotas to the boot-time "
-                             "V10 StaticBudget proof (budget-informed "
-                             "admission)")
     parser.add_argument("--violate", action="store_true",
                         help="force a tenant-0 EMC-quota violation "
                              "(eviction) to exercise the trigger path")
@@ -122,9 +112,6 @@ def main(argv: list[str] | None = None) -> int:
                              "published.json golden values) to DIR; verify "
                              "offline with `python -m repro.certs verify "
                              "--dir DIR`")
-    parser.add_argument("--certificates", action="store_true",
-                        help="issue certificates without writing files "
-                             "(hashes ride in the report's `certs` map)")
     parser.add_argument("--hostprof", default=None, metavar="PATH",
                         help="profile host wall-time by simulator "
                              "subsystem during the run; write the report "
@@ -137,30 +124,22 @@ def main(argv: list[str] | None = None) -> int:
                         help="output file (default: stdout)")
     args = parser.parse_args(argv)
 
-    for knob in ("clients", "requests", "pool", "tenants", "cores"):
+    for knob in ("clients", "requests", "pool", "tenants", "cores", "scale"):
         if getattr(args, knob) <= 0:
             parser.error(f"--{knob} must be positive")
+    if args.pool_max is not None and args.pool_max < args.pool:
+        parser.error("--pool-max must be at least --pool")
 
     pool_config = None
     if args.autoscale:
         from .pool import PoolConfig
-        pool_config = PoolConfig(
-            size=args.pool, autoscale=True,
-            min_size=args.pool_min if args.pool_min is not None else args.pool,
-            max_size=(args.pool_max if args.pool_max is not None
-                      else 2 * args.pool))
+        pool_config = PoolConfig(size=args.pool, autoscale=True,
+                                 max_size=args.pool_max or 2 * args.pool)
     slo = None
-    if (args.slo or args.slo_queue_p95 is not None
-            or args.slo_service_p95 is not None
-            or args.slo_e2e_p99 is not None):
+    if args.slo:
         from .scheduler import SloConfig
-        slo = SloConfig(
-            queue_wait_p95=(args.slo_queue_p95
-                            if args.slo_queue_p95 is not None else 5_000_000),
-            service_p95=(args.slo_service_p95
-                         if args.slo_service_p95 is not None else 20_000_000),
-            e2e_p99=(args.slo_e2e_p99
-                     if args.slo_e2e_p99 is not None else 60_000_000))
+        slo = SloConfig(queue_wait_p95=5_000_000, service_p95=20_000_000,
+                        e2e_p99=60_000_000)
     anomaly = None
     if args.anomaly:
         from .scheduler import AnomalyConfig
@@ -177,8 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed, scale=args.scale, n_cpus=args.cores,
         pool_config=pool_config, admission=admission,
         slo=slo, anomaly=anomaly, flight=bool(args.flight_dump),
-        certificates=args.certificates, cert_dir=args.cert_dir,
-        static_budget_admission=args.static_budget)
+        certificates=args.cert_dir is not None)
 
     want_trace = any(flag is not None for flag in
                      (args.trace_request, args.trace_out, args.trace_digests))
@@ -188,9 +166,10 @@ def main(argv: list[str] | None = None) -> int:
         """One instrumented (or plain) fleet run; fills ``state``."""
         if args.export_format == "bundle" or want_trace:
             from ..obs import install
-            from ..obs.trace import DEFAULT_CAPACITY
+            from ..obs.trace import DEFAULT_CAPACITY, REQUEST_TRACE_CAPACITY
 
-            capacity = TRACE_RING_CAPACITY if want_trace else DEFAULT_CAPACITY
+            capacity = (REQUEST_TRACE_CAPACITY if want_trace
+                        else DEFAULT_CAPACITY)
 
             def instrument(machine) -> None:
                 tracer, registry = install(machine.clock, capacity=capacity,
@@ -221,7 +200,9 @@ def main(argv: list[str] | None = None) -> int:
 
     _write_flight(args, state["clock"].tracer)
 
-    if args.cert_dir:
+    if args.cert_dir is not None:
+        from ..certs.issue import write_certificates
+        write_certificates(state["system"].fleet_certificates, args.cert_dir)
         print(f"certificates: {len(report.certs)} issued -> {args.cert_dir} "
               f"(verify: python -m repro.certs verify --dir {args.cert_dir})",
               file=sys.stderr)

@@ -3,7 +3,17 @@
 The one copy every test and bench checks. A change here means the cycle
 model or the commit order moved; re-pin all three together (last re-pin:
 the boot-time CFG verifier's ``verify:cfg`` cycles moved total_cycles).
+Also home to the seeded llama fleet the benches time.
 """
+
+from ..vm import MIB
+
+#: :func:`repro.fleet.run_fleet` arguments of the seeded 16-request,
+#: 4-core llama bench fleet (8 clients x 2 requests)
+LLAMA_FLEET_PARAMS = dict(workload="llama.cpp", clients=8, requests=2,
+                          pool_size=8, tenants=8, seed=7, scale=0.1,
+                          n_cpus=4, memory_bytes=1024 * MIB,
+                          cma_bytes=512 * MIB)
 
 #: :func:`repro.fleet.run_fleet` arguments of the pinned fleet, less n_cpus
 SMP_PARAMS = dict(workload="helloworld", clients=4, requests=2,

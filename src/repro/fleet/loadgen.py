@@ -18,13 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..apps.base import workload as make_workload
 from ..baselines.unikernel import UNIKERNEL_BASE_BYTES, unikernel_footprint
 from ..core.boot import erebor_boot
 from ..hw.cycles import CPU_FREQ_HZ
-from ..obs.trace import gc_batched_recording
+from ..obs.trace import REQUEST_TRACE_CAPACITY, Tracer, gc_batched_recording
 from ..vm import CvmMachine, MachineConfig, MIB
 from .admission import AdmissionConfig, AdmissionController
 from .pool import PoolConfig, WarmPool
@@ -223,24 +223,22 @@ class FleetReport:
 
 
 def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
-              requests: int = 2, pool_size: int = 2, low_watermark: int = 1,
-              tenants: int = 2, seed: int = 2025, scale: float = 0.1,
-              n_cpus: int = 1, queue_depth: int | None = None,
+              requests: int = 2, pool_size: int = 2, tenants: int = 2,
+              seed: int = 2025, scale: float = 0.1, n_cpus: int = 1,
               admission: AdmissionConfig | None = None,
               pool_config: PoolConfig | None = None,
               memory_bytes: int = 768 * MIB, cma_bytes: int = 256 * MIB,
-              instrument=None, system=None, slo=None, anomaly=None,
-              flight=None, certificates: bool = False,
-              cert_dir=None, features=None,
+              instrument=None, slo=None, anomaly=None, flight=None,
+              certificates: bool = False, features=None,
               static_budget_admission: bool = False
               ) -> tuple[FleetReport, object]:
     """Run one multi-tenant fleet; returns ``(report, system)``.
 
     ``instrument`` is called with the freshly built machine before any
-    cycle is charged (the ``repro.obs`` attach point); pass ``system`` to
-    reuse an already-booted CVM instead. ``n_cpus`` spreads sessions over
-    that many simulated cores (deterministic at any count); pass a full
-    ``pool_config`` to turn on demand-driven pool autoscaling.
+    cycle is charged (the ``repro.obs`` attach point). ``n_cpus`` spreads
+    sessions over that many simulated cores (deterministic at any count);
+    pass a full ``pool_config`` to turn on demand-driven pool autoscaling.
+    Without ``admission``, the queue holds up to ``clients`` sessions.
 
     ``slo`` (:class:`~repro.fleet.scheduler.SloConfig`) arms per-tenant
     latency objectives, ``anomaly``
@@ -252,49 +250,42 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
 
     ``certificates`` issues one :mod:`repro.certs` execution certificate
     per admitted session after the fleet drains (arming a request tracer
-    if none is installed); ``cert_dir`` additionally writes the batch —
-    plus the ``published.json`` golden values — to a directory for
-    offline verification, and implies ``certificates``. Issuance signs
-    through the platform authority directly and charges zero simulated
-    cycles, so seeded report digests are identical with it on or off.
+    if none is installed) into ``system.fleet_certificates``;
+    :func:`~repro.certs.issue.write_certificates` puts the batch on disk
+    for offline verification. Issuance charges zero simulated cycles, so
+    seeded report digests are identical with it on or off.
 
     ``features`` (:class:`~repro.core.monitor.EreborFeatures`) is passed
-    through to :func:`~repro.core.boot.erebor_boot` when this call boots
-    its own system — e.g. ``translation_cache=False`` runs the fully
-    interpreted simulator for A/B digest checks.
+    through to :func:`~repro.core.boot.erebor_boot` — e.g.
+    ``translation_cache=False`` runs the fully interpreted simulator for
+    A/B digest checks.
 
     ``static_budget_admission`` plugs the boot-time V10
-    :class:`~repro.analysis.absint.StaticBudget` into the admission
-    config (see :mod:`repro.fleet.admission`): every tenant's EMC quota
-    is clamped to the image's proven per-request bound. Requires a
-    dataflow-verified boot.
+    :class:`~repro.analysis.absint.StaticBudget` into a copy of the
+    admission config (see :mod:`repro.fleet.admission`; the caller's
+    object is not touched): every tenant's EMC quota is clamped to the
+    image's proven per-request bound. Requires a dataflow-verified boot.
     """
     import repro.apps  # noqa: F401  (populates the workload registry)
 
-    certificates = bool(certificates) or cert_dir is not None
-
-    if system is None:
-        machine = CvmMachine(MachineConfig(memory_bytes=memory_bytes,
-                                           seed=seed))
-        if instrument is not None:
-            instrument(machine)
-        if not machine.clock.metrics.enabled:
-            from ..obs.metrics import MetricsRegistry
-            machine.clock.metrics = MetricsRegistry()
-        if flight and not machine.clock.tracer.enabled:
-            from ..obs.flight import FlightConfig, FlightRecorder
-            cfg = flight if isinstance(flight, FlightConfig) else None
-            machine.clock.tracer = FlightRecorder(machine.clock, cfg)
-        system = erebor_boot(machine, cma_bytes=cma_bytes,
-                             features=features)
-    clock = system.machine.clock
+    machine = CvmMachine(MachineConfig(memory_bytes=memory_bytes, seed=seed))
+    if instrument is not None:
+        instrument(machine)
+    clock = machine.clock
+    if not clock.metrics.enabled:
+        from ..obs.metrics import MetricsRegistry
+        clock.metrics = MetricsRegistry()
+    if flight and not clock.tracer.enabled:
+        from ..obs.flight import FlightConfig, FlightRecorder
+        cfg = flight if isinstance(flight, FlightConfig) else None
+        clock.tracer = FlightRecorder(clock, cfg)
+    system = erebor_boot(machine, cma_bytes=cma_bytes, features=features)
 
     # certificates attach the request's causal span tree: arm a tracer
     # before any fleet work if the caller didn't install one (reading
     # the clock only — arming never moves a seeded digest)
     if certificates and not clock.tracer.enabled:
-        from ..obs.trace import Tracer
-        clock.tracer = Tracer(clock, capacity=1 << 19)
+        clock.tracer = Tracer(clock, capacity=REQUEST_TRACE_CAPACITY)
 
     # an armed recorder retains one tuple per record; batch the host
     # collector for the duration so it doesn't rescan the ring hundreds
@@ -303,18 +294,16 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
         work = make_workload(workload, seed=seed, scale=scale)
         template = SandboxTemplate.capture(system, work)
         pool = WarmPool(system, template,
-                        pool_config or PoolConfig(size=pool_size,
-                                                  low_watermark=low_watermark))
+                        pool_config or PoolConfig(size=pool_size))
         pool_size = len(pool.slots)
-        config = admission or AdmissionConfig(
-            queue_depth=queue_depth if queue_depth is not None else clients)
+        config = admission or AdmissionConfig(queue_depth=clients)
         if static_budget_admission:
             report = system.monitor.kernel_dataflow_report
             if report is None:
                 raise ValueError(
                     "static_budget_admission requires a dataflow-verified "
                     "boot (EreborFeatures.dataflow_verifier)")
-            config.static_budget = report.budget
+            config = replace(config, static_budget=report.budget)
         scheduler = FleetScheduler(system, pool, work,
                                    AdmissionController(config), n_cpus=n_cpus,
                                    slo=slo, anomaly=anomaly)
@@ -324,7 +313,7 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
         serve_t0 = clock.cycles
         wall_t0 = clock.wall_cycles
         busy_t0 = [clock.cpu_busy(c) for c in range(scheduler.n_cpus)]
-        cpu0 = system.machine.cpu
+        cpu0 = machine.cpu
         tlb_t0, sb_t0 = cpu0.mmu.tlb_hits, cpu0.tcache.sb_exec
         finished = scheduler.run(sessions)
         serve_cycles = clock.cycles - serve_t0
@@ -394,18 +383,16 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     # plane-attribution budget + translation-cache effectiveness: both
     # read-only on the clock/counters, both outside the digest preimage
     from ..obs.ledger import capture_ledger
-    report.ledger = capture_ledger(clock, system.machine)
+    report.ledger = capture_ledger(clock, machine)
     report.translation = report.ledger.get("translation", {})
     if certificates:
-        from ..certs.issue import CertificateIssuer, write_certificates
+        from ..certs.issue import CertificateIssuer
         issuer = CertificateIssuer(system, workload=workload,
                                    fleet_seed=seed)
         certs = issuer.issue_all(finished, traces=report.traces)
         report.certs = {name: cert["body_sha256"]
                         for name, cert in certs.items()}
         system.fleet_certificates = certs
-        if cert_dir is not None:
-            write_certificates(certs, cert_dir)
     # postmortem handles: callers holding the system can inspect the
     # drained pool's slots (scrub state) and the admission decision log
     system.fleet_pool = pool

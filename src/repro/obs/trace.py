@@ -52,6 +52,11 @@ AUDIT = "audit"        # a monitor audit decision routed through the trace
 #: default ring capacity (events); ~200 bytes/event worst case
 DEFAULT_CAPACITY = 1 << 17
 
+#: ring capacity for request tracing — a traced fleet run emits hundreds
+#: of thousands of events, and the default ring would drop the oldest
+#: sessions so every tree would read "incomplete"
+REQUEST_TRACE_CAPACITY = 1 << 19
+
 #: C-speed constructor used on the hot path (no Python ``__new__`` frame)
 _new_event = tuple.__new__
 

@@ -90,7 +90,7 @@ def test_queue_drains_when_slots_free_up():
 
 
 def test_backpressure_rejects_beyond_queue_depth():
-    report = fleet(queue_depth=1)
+    report = fleet(admission=AdmissionConfig(queue_depth=1))
     assert report.counts["reject"] == 1
     assert report.outcomes == {"completed": 2, "rejected": 1}
     rejected = [s for s in report.sessions if s["outcome"] == "rejected"]
@@ -122,7 +122,7 @@ def test_large_queue_drains_in_fifo_order():
     # one up front, parks 23, and re-admits them strictly FIFO as the
     # slot recycles — nobody is starved, reordered, or double-visited
     report = fleet(clients=24, requests=1, tenants=24, pool_size=1,
-                   seed=9, queue_depth=24)
+                   seed=9, admission=AdmissionConfig(queue_depth=24))
     assert report.counts["admit"] == 1
     assert report.counts["queue"] == 23
     assert report.counts["reject"] == 0

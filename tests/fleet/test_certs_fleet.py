@@ -10,6 +10,7 @@ the previous tenant's secrets or evidence into the next certificate.
 import json
 
 from repro.certs import serialize_certificate
+from repro.certs.issue import write_certificates
 from repro.certs.verify import CertificateVerifier
 from repro.fleet import run_fleet
 from repro.fleet.goldens import SMP_PARAMS
@@ -29,8 +30,9 @@ def test_seeded_reruns_issue_byte_identical_certificates(tmp_path):
     dirs = []
     for i in range(2):
         out = tmp_path / f"run{i}"
-        report, _ = run_fleet(cert_dir=out, **SMP_PARAMS)
+        report, system = run_fleet(certificates=True, **SMP_PARAMS)
         assert len(report.certs) == 4
+        write_certificates(system.fleet_certificates, out)
         dirs.append(out)
     first = sorted(dirs[0].iterdir())
     second = sorted(dirs[1].iterdir())

@@ -100,3 +100,32 @@ def test_fleet_cli_report_and_bundle(tmp_path, capsys):
     bundle = json.loads(bundle_out.read_text())
     check_export(bundle)
     assert bundle["meta"]["fleet"]["requests_served"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scale", "0"],
+    ["--scale", "-1"],
+    ["--pool", "2", "--autoscale", "--pool-max", "1"],
+], ids=["scale-zero", "scale-negative", "pool-max-below-pool"])
+def test_fleet_cli_rejects_invalid_knobs(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        fleet_main(["--workload", "helloworld", *argv])
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_fleet_cli_cert_dir_writes_a_verifiable_batch(tmp_path, capsys):
+    from repro.certs import load_certificate
+    from repro.certs.__main__ import main as certs_main
+
+    cert_dir = tmp_path / "certs"
+    out = tmp_path / "fleet.json"
+    assert fleet_main(["--workload", "helloworld", "--clients", "2",
+                       "--requests", "1", "--tenants", "2", "--scale", "1.0",
+                       "--cert-dir", str(cert_dir), "-o", str(out)]) == 0
+    certs = json.loads(out.read_text())["certs"]
+    assert sorted(certs) == ["client-0", "client-1"]
+    for name, body_sha in certs.items():
+        cert = load_certificate(cert_dir / f"cert-{name}.json")
+        assert cert["body_sha256"] == body_sha, name
+    assert certs_main(["verify", "--dir", str(cert_dir)]) == 0

@@ -98,6 +98,18 @@ def test_fleet_wires_the_boot_proof_into_admission():
     assert report.requests_served == 2
 
 
+def test_static_budget_admission_leaves_the_callers_config_alone():
+    # the proof goes into a copy: a later run with the same config must
+    # not clamp quotas it was never asked to clamp
+    admission = AdmissionConfig()
+    _, system = run_fleet(workload="helloworld", clients=2, requests=1,
+                          seed=11, admission=admission,
+                          static_budget_admission=True)
+    assert admission.static_budget is None
+    used = system.fleet_scheduler.controller.config
+    assert used.static_budget is system.monitor.kernel_dataflow_report.budget
+
+
 def test_tight_budget_evicts_deterministically():
     # one activation per request: the proven per-request ceiling drops
     # to emc_per_activation (a handful), far below what one llama.cpp

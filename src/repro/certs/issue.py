@@ -247,9 +247,11 @@ class CertificateIssuer:
                 continue
             cert = self.issue(session, index)
             certs[session.name] = cert
-            metrics.inc("erebor_certs_issued_total", tenant=session.tenant)
-            metrics.observe("erebor_certs_bytes",
-                            len(serialize_certificate(cert)))
+            if metrics.enabled:   # sizing is a full JSON encode
+                metrics.inc("erebor_certs_issued_total",
+                            tenant=session.tenant)
+                metrics.observe("erebor_certs_bytes",
+                                len(serialize_certificate(cert)))
         return certs
 
 

@@ -84,7 +84,10 @@ class SecureChannel:
                  output_buckets: tuple[int, ...] = (1024, 16384, 262144, 4194304)):
         self.monitor = monitor
         self.sandbox = sandbox
-        self.rng = rng or random.Random(0x5EC0)
+        # a fresh ephemeral DH key per channel: the monitor's first
+        # channel keeps the historical seed, each later one steps past it
+        self.rng = rng or random.Random(0x5EC0 + monitor.channels_opened)
+        monitor.channels_opened += 1
         self.output_buckets = output_buckets
         self.rx: SealedSession | None = None   # client -> monitor
         self.tx: SealedSession | None = None   # monitor -> client

@@ -190,6 +190,8 @@ class EreborMonitor:
         self.kernel_dataflow_report = None
         self.sandboxes: dict[int, "Sandbox"] = {}
         self._next_sandbox_id = 1
+        #: secure channels attached so far; seeds each one's default key RNG
+        self.channels_opened = 0
         self._cpuid_cache: tuple | None = None
         #: (kind, owner) → pre-resolved EMC metric write handles
         self._emc_handles = HandleCache()

@@ -6,10 +6,16 @@ TDX quote's ``report_data`` — see :mod:`repro.core.channel`.
 
 Simulation-grade: parameters and structure are real, but private keys come
 from a caller-supplied deterministic RNG so runs are reproducible.
+
+Key generation raises the fixed generator to a 256-bit exponent, so it
+reads its power from a precomputed fixed-base comb instead of calling
+``pow``: the same integer for about a quarter of the host time. The
+shared secret has a different base every time and stays on ``pow``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -28,6 +34,50 @@ MODP_2048_P = int(
 )
 GENERATOR = 2
 
+#: private exponents are 256-bit (``generate_keypair``)
+PRIVATE_BITS = 256
+#: bits per comb digit; 43 rows of 64 powers cover the private exponent
+COMB_WINDOW = 6
+COMB_ROWS = -(-PRIVATE_BITS // COMB_WINDOW)
+_DIGIT_MASK = (1 << COMB_WINDOW) - 1
+
+
+@functools.cache
+def _comb_table() -> tuple[tuple[int, ...], ...]:
+    """``table[i][d] == pow(GENERATOR, d << (COMB_WINDOW * i), p)``.
+
+    Built once per process on the first key generation (0.78 MiB, 50-85
+    ms on a 2-vCPU x86_64 host), so importing the package or verifying a
+    certificate never pays for it.
+    """
+    rows, base = [], GENERATOR
+    for _ in range(COMB_ROWS):
+        row, power = [1], 1
+        for _ in range(_DIGIT_MASK):
+            power = power * base % MODP_2048_P
+            row.append(power)
+        rows.append(tuple(row))
+        base = power * base % MODP_2048_P   # base ** 64: the next row's
+    return tuple(rows)
+
+
+def fixed_base_pow(exponent: int) -> int:
+    """``pow(GENERATOR, exponent, MODP_2048_P)`` for a private exponent.
+
+    One table lookup and one modular multiplication per nonzero 6-bit
+    digit, instead of a square per bit. Exponents wider than
+    ``COMB_ROWS * COMB_WINDOW`` bits are refused.
+    """
+    if not 0 <= exponent < 1 << (COMB_ROWS * COMB_WINDOW):
+        raise ValueError("exponent outside the comb's range")
+    acc = 1
+    for row in _comb_table():
+        digit = exponent & _DIGIT_MASK
+        if digit:
+            acc = acc * row[digit] % MODP_2048_P
+        exponent >>= COMB_WINDOW
+    return acc
+
 
 class KeyExchangeError(Exception):
     """Peer public value failed validation."""
@@ -41,8 +91,8 @@ class DhKeyPair:
 
 def generate_keypair(rng: random.Random) -> DhKeyPair:
     """Generate an ephemeral keypair from a deterministic RNG."""
-    private = rng.getrandbits(256) | (1 << 255)
-    public = pow(GENERATOR, private, MODP_2048_P)
+    private = rng.getrandbits(PRIVATE_BITS) | (1 << (PRIVATE_BITS - 1))
+    public = fixed_base_pow(private)
     return DhKeyPair(private, public)
 
 

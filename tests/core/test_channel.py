@@ -1,11 +1,13 @@
 """Secure channel tests: attested handshake, sealing, padding, proxy."""
 
+import random
+
 import pytest
 
 from repro.client import AttestationFailure, RemoteClient
 from repro.core import PolicyViolation, erebor_boot, published_measurement
 from repro.core.channel import ClientHello, SecureChannel, UntrustedProxy
-from repro.crypto import AeadError
+from repro.crypto import AeadError, generate_keypair
 from repro.vm import CvmMachine, MachineConfig, MIB
 
 
@@ -146,3 +148,19 @@ def test_two_clients_two_sandboxes_isolated_keys(rig):
     # cross-channel record: client2's record cannot open on channel 1
     with pytest.raises(AeadError):
         channel.deliver_request(client2.seal_request(b"crossed"))
+
+
+def test_each_channel_on_a_monitor_gets_its_own_ephemeral_key(rig):
+    machine, system, sandbox, channel, proxy, client = rig
+    channels = [channel]
+    for i in range(3):
+        sb = system.monitor.create_sandbox(f"svc-{i}",
+                                           confined_budget=8 * MIB)
+        sb.declare_confined(1 * MIB)
+        channels.append(SecureChannel(system.monitor, sb))
+    peer = generate_keypair(random.Random(7))
+    publics = [chan.handshake(ClientHello(peer.public, b"n" * 16)).public
+               for chan in channels]
+    assert len(set(publics)) == len(channels)
+    # the monitor's first channel keeps the historical default key
+    assert publics[0] == generate_keypair(random.Random(0x5EC0)).public

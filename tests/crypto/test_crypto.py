@@ -21,6 +21,13 @@ from repro.crypto import (
     unpad_fixed,
     validate_public,
 )
+from repro.crypto.dh import (
+    COMB_ROWS,
+    COMB_WINDOW,
+    MODP_2048_P,
+    _comb_table,
+    fixed_base_pow,
+)
 
 KEY = b"k" * 32
 NONCE = b"n" * 12
@@ -48,6 +55,55 @@ def test_dh_rejects_degenerate_publics():
             shared_secret(kp, bad)
     with pytest.raises(KeyExchangeError):
         validate_public(1)
+
+
+# the comb's digits over a 256-bit private exponent: 42 full 6-bit
+# windows and a 4-bit top window
+FULL = (1 << COMB_WINDOW) - 1
+ALTERNATING = sum(FULL << (COMB_WINDOW * i) for i in range(0, COMB_ROWS, 2))
+EDGE_EXPONENTS = {
+    "zero": 0,
+    "one": 1,
+    "top-bit-only": 1 << 255,                # every other digit zero
+    "all-ones": (1 << 256) - 1,
+    "full-zero-alternating": ALTERNATING % (1 << 256),
+    "zero-full-alternating": (ALTERNATING << COMB_WINDOW) % (1 << 256),
+    "widest": (1 << (COMB_ROWS * COMB_WINDOW)) - 1,   # all 43 digits full
+}
+
+
+def test_comb_table_rows_are_fixed_base_powers():
+    table = _comb_table()
+    assert len(table) == COMB_ROWS == 43
+    assert all(len(row) == 1 << COMB_WINDOW == 64 for row in table)
+    for i in (0, 1, 21, COMB_ROWS - 1):
+        for d in (0, 1, 2, FULL):
+            assert table[i][d] == pow(2, d << (COMB_WINDOW * i), MODP_2048_P)
+
+
+@pytest.mark.parametrize("exponent", list(EDGE_EXPONENTS.values()),
+                         ids=list(EDGE_EXPONENTS))
+def test_comb_matches_pow_on_edge_windows(exponent):
+    assert fixed_base_pow(exponent) == pow(2, exponent, MODP_2048_P)
+
+
+@pytest.mark.parametrize("exponent", [-1, 1 << (COMB_ROWS * COMB_WINDOW)],
+                         ids=["negative", "one-bit-too-wide"])
+def test_comb_refuses_exponents_outside_its_rows(exponent):
+    with pytest.raises(ValueError):
+        fixed_base_pow(exponent)
+
+
+@given(st.integers(0, (1 << 256) - 1))
+def test_property_comb_matches_pow(exponent):
+    assert fixed_base_pow(exponent) == pow(2, exponent, MODP_2048_P)
+
+
+@given(st.integers(0, 2 ** 64))
+def test_property_keypair_public_is_generator_power(seed):
+    kp = generate_keypair(random.Random(seed))
+    assert kp.private.bit_length() == 256
+    assert kp.public == pow(2, kp.private, MODP_2048_P)
 
 
 def test_transcript_hash_order_and_boundary_sensitive():

@@ -4,11 +4,14 @@
 and ``erebor_certs_bytes`` observes each certificate's serialized size —
 the capacity-planning surface for certificate storage. Neither series
 exists until issuance is armed, so plain runs export byte-identical
-metric snapshots.
+metric snapshots, and a disabled registry never pays for a size.
 """
 
+import repro.certs.issue as issue_module
 from repro.certs import serialize_certificate
+from repro.certs.issue import CertificateIssuer
 from repro.fleet import run_fleet
+from repro.obs.metrics import NULL_METRICS
 
 PARAMS = dict(workload="helloworld", clients=2, requests=1, pool_size=1,
               tenants=2, seed=7, scale=1.0)
@@ -30,8 +33,21 @@ def test_issuance_ticks_both_series_with_exact_values():
     assert report.certs and len(report.certs) == 2
 
 
-def test_series_stay_absent_when_issuance_is_off():
+def test_series_stay_absent_when_issuance_is_off(monkeypatch):
     _, system = run_fleet(**PARAMS)
     registry = system.machine.clock.metrics
     assert registry.counter_total("erebor_certs_issued_total") == 0
     assert "erebor_certs_bytes" not in registry.histograms
+
+    # issuing against a disabled registry never serializes a certificate
+    report, system = run_fleet(certificates=True, **PARAMS)
+    system.machine.clock.metrics = NULL_METRICS
+    calls = []
+    monkeypatch.setattr(issue_module, "serialize_certificate",
+                        lambda cert: calls.append(cert) or "")
+    issuer = CertificateIssuer(system, workload=PARAMS["workload"],
+                               fleet_seed=PARAMS["seed"])
+    certs = issuer.issue_all(system.fleet_scheduler.finished,
+                             traces=report.traces)
+    assert {name: c["body_sha256"] for name, c in certs.items()} == report.certs
+    assert calls == []

@@ -27,8 +27,7 @@ stack. Four pieces:
   bit-exact conservation invariant against the clock's busy/wall
   ledgers.
 * :mod:`repro.obs.diff` — differential run comparator (``python -m
-  repro.obs diff A B``) and the perf-trajectory regression gate over
-  ``BENCH_history.jsonl``.
+  repro.obs diff A B``) and its simulated-divergence gate.
 
 Observability *reads* the clock and never charges it: enabling a tracer
 changes no calibrated number (empty EMC stays 1224 cycles, empty syscall
@@ -89,9 +88,9 @@ __all__ = [
     "check_diff_report", "check_export", "check_flight_dump",
     "check_hostprof_report", "check_ledger", "check_request_trace",
     "collapsed_stacks", "diff_any", "diff_bundles", "diff_digest_maps",
-    "gate_history", "gate_report", "hotspots", "host_planes", "install",
-    "label_key", "mint_trace_id", "parse_label_key", "profile_fleet",
-    "profile_report", "prometheus_text", "run_observed", "sandbox_label",
+    "gate_report", "hotspots", "install", "label_key", "mint_trace_id",
+    "parse_label_key", "profile_fleet", "profile_report",
+    "prometheus_text", "run_observed", "sandbox_label",
     "snapshot_counter_total", "snapshot_delta", "total_attributed",
     "trace_json", "uninstall", "utilization_timeline",
     "verify_conservation", "write_chrome_trace",
@@ -123,11 +122,9 @@ _LAZY = {
     "profile_fleet": ("hostprof", "profile_fleet"),
     "capture_ledger": ("ledger", "capture_ledger"),
     "verify_conservation": ("ledger", "verify_conservation"),
-    "host_planes": ("ledger", "host_planes"),
     "diff_any": ("diff", "diff_any"),
     "diff_bundles": ("diff", "diff_bundles"),
     "diff_digest_maps": ("diff", "diff_digest_maps"),
-    "gate_history": ("diff", "gate_history"),
     "gate_report": ("diff", "gate_report"),
     "check_ledger": ("schema", "check_ledger"),
     "check_diff_report": ("schema", "check_diff_report"),

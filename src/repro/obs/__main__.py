@@ -10,7 +10,6 @@ Examples::
     python -m repro.obs hostprof --workload helloworld -o hostprof.json
     python -m repro.obs diff bundle_a.json bundle_b.json -o report.json
     python -m repro.obs diff a.json b.json --gate
-    python -m repro.obs gate --history BENCH_history.jsonl --warn-only
     python -m repro.obs --list
 
 The ``json`` export is the full bundle (meta + trace + metrics + profile)
@@ -34,6 +33,9 @@ from .schema import check_chrome_trace, check_export
 from .trace import DEFAULT_CAPACITY
 
 EXPORTS = ("json", "chrome", "prometheus", "collapsed", "report")
+
+#: the formats ``hostprof`` mode can write (``report`` is the ranked table)
+HOSTPROF_EXPORTS = ("json", "collapsed", "report")
 
 
 def _workload_names() -> list[str]:
@@ -82,60 +84,12 @@ def _main_diff(argv: list[str]) -> int:
     return 0
 
 
-def _main_gate(argv: list[str]) -> int:
-    """``python -m repro.obs gate`` — perf-trajectory regression gate."""
-    from .diff import HOST_REGRESSION_THRESHOLD, gate_history
-    from .ledger import load_history
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs gate",
-        description="Gate the newest BENCH_history.jsonl record per "
-                    "bench against its predecessor: simulated drift "
-                    "fails, host-seconds regressions past the threshold "
-                    "warn (or fail without --warn-only).")
-    parser.add_argument("--history", default="BENCH_history.jsonl",
-                        help="history JSONL path (default: "
-                             "BENCH_history.jsonl)")
-    parser.add_argument("--bench", default=None,
-                        help="gate only this bench name (default: all)")
-    parser.add_argument("--threshold", type=float,
-                        default=HOST_REGRESSION_THRESHOLD,
-                        help="relative host-seconds regression threshold "
-                             "(default: %(default)s)")
-    parser.add_argument("--warn-only", action="store_true",
-                        help="host regressions warn instead of failing "
-                             "(simulated drift always fails)")
-    parser.add_argument("--out", "-o", default=None,
-                        help="write the verdict JSON here")
-    args = parser.parse_args(argv)
-
-    verdict = gate_history(load_history(args.history), bench=args.bench,
-                           threshold=args.threshold)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(verdict, indent=1, sort_keys=True) + "\n")
-    checked = ", ".join(verdict["checked"]) or "nothing (need >= 2 records)"
-    print(f"perf gate over {args.history}: checked {checked}",
-          file=sys.stderr)
-    for warning in verdict["warnings"]:
-        print(f"gate WARNING: {warning}", file=sys.stderr)
-    for failure in verdict["failures"]:
-        print(f"gate FAILURE: {failure}", file=sys.stderr)
-    if not verdict["ok"]:
-        return 1
-    if verdict["warnings"] and not args.warn_only:
-        return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # diff/gate take their own positionals; dispatch before the run parser
+    # diff takes its own positionals; dispatch before the run parser
     if argv and argv[0] == "diff":
         return _main_diff(argv[1:])
-    if argv and argv[0] == "gate":
-        return _main_gate(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -146,9 +100,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="'flight': run under the flight recorder and "
                              "emit its black-box dump(s); 'hostprof': run "
                              "under the host wall-clock profiler and emit "
-                             "the ranked attribution table (--export json "
-                             "for the full report, collapsed for flamegraph "
-                             "stacks)")
+                             "its attribution (--export json for the full "
+                             "report, collapsed for flamegraph stacks, "
+                             "report for the ranked table)")
     parser.add_argument("--workload", default="helloworld",
                         help="workload name (see --list)")
     parser.add_argument("--setting", default="erebor", choices=SETTINGS,
@@ -170,6 +124,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.list:
         print("\n".join(_workload_names()))
         return 0
+
+    if args.mode == "hostprof" and args.export_format not in HOSTPROF_EXPORTS:
+        parser.error(f"hostprof mode cannot export {args.export_format!r}; "
+                     f"pick from {', '.join(HOSTPROF_EXPORTS)}")
 
     if args.capacity <= 0:
         parser.error(f"--capacity must be positive, got {args.capacity}")
@@ -193,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
             report = profiler.report()
             check_hostprof_report(report)       # self-validate before emit
             text = json.dumps(report, indent=2)
-        else:
+        else:  # report
             text = profiler.render_table() + "\n"
         if args.out:
             with open(args.out, "w") as fh:

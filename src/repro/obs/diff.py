@@ -26,8 +26,8 @@ callers use ``sort_keys=True``). Two same-seed runs must compare clean —
 the ``perf-gate`` CI job asserts on every push.
 
 Host-plane quantities (seconds, TLB hit rates, superblock coverage)
-appear in the report but never flip ``divergent``: they are noise-gated
-by :func:`gate_history` thresholds instead.
+appear in the report but never flip ``divergent``: host timing is
+noisy, so host cost is judged by ``perfbench/run.py``'s paired runs.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ import json
 
 #: report schema version
 DIFF_VERSION = 1
-
-#: default relative host-seconds regression threshold for the gate
-HOST_REGRESSION_THRESHOLD = 0.25
 
 
 # --------------------------------------------------------------------------- #
@@ -229,69 +226,6 @@ def render_report(report: dict, *, limit: int = 10) -> str:
     if seq is not None:
         lines.append(f"  first divergent audit seq: {seq}")
     return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------- #
-# perf-trajectory gate
-# --------------------------------------------------------------------------- #
-
-def gate_history(history: list[dict], *, bench: str | None = None,
-                 threshold: float = HOST_REGRESSION_THRESHOLD) -> dict:
-    """Noise-aware regression gate over ``BENCH_history.jsonl`` records.
-
-    For each bench name, compares the newest record against its
-    predecessor:
-
-    * **simulated drift** — any change in ``cycles``, ``wall_cycles``,
-      any plane total, or the pinned digest — is a hard **failure**
-      (the simulator is deterministic; drift means behaviour changed);
-    * **host regression** — a plane's host seconds growing more than
-      ``threshold`` (relative) — is a **warning** (host timing is
-      noisy; min-of-N sampling bounds but does not remove the noise).
-
-    Returns ``{"ok", "failures": [...], "warnings": [...],
-    "checked": [bench...]}``; ``ok`` is False iff there are failures.
-    """
-    by_bench: dict[str, list[dict]] = {}
-    for entry in history:
-        name = entry.get("bench", "")
-        if bench is not None and name != bench:
-            continue
-        by_bench.setdefault(name, []).append(entry)
-
-    failures: list[str] = []
-    warnings: list[str] = []
-    checked: list[str] = []
-    for name in sorted(by_bench):
-        entries = by_bench[name]
-        if len(entries) < 2:
-            continue
-        prev, cur = entries[-2], entries[-1]
-        checked.append(name)
-        for key in ("cycles", "wall_cycles"):
-            if prev.get(key, 0) != cur.get(key, 0):
-                failures.append(
-                    f"{name}: simulated {key} drifted "
-                    f"{prev.get(key, 0)} -> {cur.get(key, 0)}")
-        for d in _delta_map(prev.get("planes", {}), cur.get("planes", {})):
-            failures.append(f"{name}: plane {d['name']} drifted "
-                            f"{d['a']} -> {d['b']}")
-        if prev.get("digest", "") != cur.get("digest", ""):
-            failures.append(f"{name}: digest drifted "
-                            f"{prev.get('digest', '')[:16]}... -> "
-                            f"{cur.get('digest', '')[:16]}...")
-        host_prev = prev.get("host_seconds", {})
-        host_cur = cur.get("host_seconds", {})
-        for plane in sorted(set(host_prev) | set(host_cur)):
-            was, now = host_prev.get(plane, 0.0), host_cur.get(plane, 0.0)
-            if was > 0 and now > was * (1 + threshold):
-                warnings.append(
-                    f"{name}: host seconds for {plane} regressed "
-                    f"{was:.4f}s -> {now:.4f}s "
-                    f"(+{(now / was - 1) * 100:.1f}% > "
-                    f"{threshold * 100:.0f}%)")
-    return {"ok": not failures, "failures": failures,
-            "warnings": warnings, "checked": checked}
 
 
 def gate_report(report: dict) -> dict:

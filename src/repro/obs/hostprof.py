@@ -284,7 +284,7 @@ class HostProfiler:
         }
 
     def render_table(self, top: int = 10) -> str:
-        """The ranked host-time table (``bench_tables.txt`` format)."""
+        """The ranked host-time table (``--export report`` output)."""
         report = self.report()
         lines = [
             "host-time attribution "

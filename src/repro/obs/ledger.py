@@ -1,4 +1,4 @@
-"""Plane-attribution budget ledger: where every cycle (and second) went.
+"""Plane-attribution budget ledger: where every simulated cycle went.
 
 PR 8's translation cache won 12.6x on the cpu-bound arm but only 1.24x on
 the fleet arm, and the reason ("the demand-fault/macro plane dominates")
@@ -49,8 +49,7 @@ io              network + sealed-channel crypto/copy, libos services
 mitigation      §12 side-channel mitigations
 obs             the observability plane itself — **always 0 simulated
                 cycles** (lint rule D2: obs reads the clock, never
-                spends it); present so the host-seconds view has a
-                first-class slot for tracer-emit cost
+                spends it); present so reports carry an explicit zero
 other           any tag the taxonomy does not know (future charge sites
                 degrade visibly, not silently)
 untagged        charges made with ``tag=None``
@@ -62,9 +61,6 @@ byte-identical whether or not anyone ever looks at the budget.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from ..hw.cycles import CPU_FREQ_HZ, SERIAL_LANE
 
@@ -129,35 +125,6 @@ TAG_PLANES = {
     "mitigation_quantize": "mitigation",
     "untagged": "untagged",
 }
-
-#: host-profiler subsystem label → plane (the host-seconds half of the
-#: budget; see :func:`host_planes`). Labels absent here fall to "other".
-HOST_PLANES = {
-    "cpu:fetch-decode": "exec.interpret",
-    "cpu:run-loop": "exec.interpret",
-    "cpu:superblock": "exec.superblock",
-    "tcache:acquire": "exec.superblock",
-    "tcache:preload": "exec.superblock",
-    "mmu:walk": "mmu",
-    "mmu:leaf-path": "mmu",
-    "mmu:fetch": "mmu",
-    "mmu:read": "mmu",
-    "mmu:write": "mmu",
-    "mmu:touch": "mmu",
-    "emc:gate-dispatch": "emc",
-    "kernel:syscall": "transition",
-    "kernel:page-fault": "fault",
-    "crypto:seal": "io",
-    "crypto:open": "io",
-    "fleet:boot": "sandbox",
-    "fleet:template-capture": "sandbox",
-    "fleet:fork": "sandbox",
-    "pool:scrub": "scrub",
-    "fleet:drive": "sched",
-    "bench:run": "sched",
-    "obs:tracer-emit": "obs",
-}
-
 
 def plane_of(tag: str) -> str:
     """The plane a clock charge tag belongs to (``"other"`` if unknown)."""
@@ -239,7 +206,7 @@ def capture_ledger(clock, machine=None) -> dict:
         "lanes": lanes,
         "planes": {k: v for k, v in sorted(planes_total.items()) if v},
         # obs is structurally zero (D2) but gets its slot so diff reports
-        # and the host-seconds view have a stable key set
+        # have a stable key set
         "obs_cycles": 0,
     }
     ledger["conservation"] = verify_conservation(ledger)
@@ -324,70 +291,3 @@ def translation_summary(machine, ledger: dict | None = None) -> dict:
         if execute:
             coverage = round(planes.get("exec.superblock", 0) / execute, 6)
     return {**tlb, **sb, "superblock_coverage": coverage}
-
-
-def host_planes(hostprof_report: dict) -> dict:
-    """Fold a :meth:`HostProfiler.report` into host seconds per plane.
-
-    Returns ``{"window_s", "attributed_s", "planes": {plane: seconds}}``;
-    subsystems without a :data:`HOST_PLANES` entry land in ``"other"``.
-    """
-    planes: dict[str, float] = {}
-    for row in hostprof_report.get("subsystems", []):
-        plane = HOST_PLANES.get(row.get("name", ""), "other")
-        planes[plane] = planes.get(plane, 0.0) + float(row.get("self_s", 0))
-    return {
-        "window_s": hostprof_report.get("window_s", 0.0),
-        "attributed_s": hostprof_report.get("attributed_s", 0.0),
-        "planes": {k: round(v, 6) for k, v in sorted(planes.items())},
-    }
-
-
-# --------------------------------------------------------------------------- #
-# perf-trajectory history (BENCH_history.jsonl)
-# --------------------------------------------------------------------------- #
-
-def history_entry(bench: str, ledger: dict, *, digest: str = "",
-                  host_seconds: dict | None = None,
-                  meta: dict | None = None) -> dict:
-    """One ``BENCH_history.jsonl`` record: the min-of-N plane summary.
-
-    ``host_seconds`` maps plane (or arm) names to measured host seconds
-    (the noisy half, threshold-gated); everything simulated in the entry
-    is deterministic and must reproduce bit-exactly across commits.
-    """
-    entry = {
-        "bench": bench,
-        "cycles": ledger.get("cycles", 0),
-        "wall_cycles": ledger.get("wall_cycles", 0),
-        "planes": dict(ledger.get("planes", {})),
-        "digest": digest,
-    }
-    if host_seconds:
-        entry["host_seconds"] = {k: round(float(v), 6)
-                                 for k, v in sorted(host_seconds.items())}
-    if meta:
-        entry["meta"] = dict(meta)
-    return entry
-
-
-def append_history(path, entry: dict) -> None:
-    """Append one record to a JSONL history file (created if missing)."""
-    line = json.dumps(entry, sort_keys=True)
-    with open(path, "a") as fh:
-        fh.write(line + "\n")
-
-
-def load_history(path) -> list[dict]:
-    """Parse a JSONL history file into its records (oldest first)."""
-    records: list[dict] = []
-    text = Path(path).read_text()
-    for i, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{i + 1}: bad history line: {exc}")
-    return records

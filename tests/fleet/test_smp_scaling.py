@@ -5,13 +5,14 @@ request work to the executing core's cycle counter; wall-clock time is
 the max over per-CPU clocks. These tests pin the clock semantics, the
 per-core-count determinism contract (same seed + same ``n_cpus`` →
 byte-identical report, with a pinned digest per core count), and the
-throughput scaling the whole design exists to deliver.
+throughput scaling the whole design exists to deliver, on helloworld and on the seeded llama fleet
+at 1, 2, 4 and 8 cores.
 """
 
 import pytest
 
 from repro.fleet import run_fleet
-from repro.fleet.goldens import SMP_PARAMS, SMP_PINNED
+from repro.fleet.goldens import LLAMA_FLEET_PARAMS, SMP_PARAMS, SMP_PINNED
 from repro.hw.cycles import CycleClock
 
 # --------------------------------------------------------------------------- #
@@ -168,3 +169,50 @@ def test_single_core_run_matches_legacy_serial_accounting():
     report, _ = run_fleet(n_cpus=1, **SMP_PARAMS)
     assert report.n_cpus == 1
     assert report.serve_wall_cycles == report.serve_cycles
+
+
+# --------------------------------------------------------------------------- #
+# scaling on the seeded llama fleet (8 forks x 2 requests, 8-slot pool)
+# --------------------------------------------------------------------------- #
+
+#: core count -> floor on wall-clock speedup over one core
+LLAMA_SPEEDUP_FLOORS = {2: 1.8, 4: 3.0, 8: 6.0}
+
+
+@pytest.fixture(scope="module")
+def llama_sweep(llama_report):
+    return {n: llama_report(n) for n in (1, *LLAMA_SPEEDUP_FLOORS)}
+
+
+def test_llama_fleet_scales_with_cores(llama_sweep):
+    base = llama_sweep[1].serve_wall_cycles
+    for n, floor in LLAMA_SPEEDUP_FLOORS.items():
+        speedup = base / llama_sweep[n].serve_wall_cycles
+        assert speedup >= floor, (n, speedup)
+    for report in llama_sweep.values():
+        assert report.outcomes == {"completed": LLAMA_FLEET_PARAMS["clients"]}
+
+
+def test_llama_serial_work_is_conserved_across_widths(llama_sweep):
+    """Adding cores overlaps work; it must not change how much there is."""
+    base = llama_sweep[1].serve_cycles
+    for n, report in llama_sweep.items():
+        # handshake fast-forwards differ slightly; the work is the same
+        # to within 1%
+        assert abs(report.serve_cycles - base) <= base * 0.01, (n, base)
+
+
+def test_llama_wall_clock_bounded_by_busiest_core(llama_sweep):
+    for n, report in llama_sweep.items():
+        busy = report.core_busy_cycles
+        assert len(busy) == n
+        assert report.serve_wall_cycles >= max(busy)
+        # no width serves faster than perfect overlap would allow
+        assert report.serve_wall_cycles * n >= report.serve_cycles * 0.99
+
+
+def test_llama_repeats_are_byte_identical(llama_report):
+    again, _ = run_fleet(**LLAMA_FLEET_PARAMS)
+    first = llama_report(LLAMA_FLEET_PARAMS["n_cpus"])
+    assert again.to_json() == first.to_json()
+    assert again.digest() == first.digest()

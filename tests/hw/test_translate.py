@@ -16,7 +16,13 @@ Two obligations from the design:
   reuse, raw direct-map scribbles on paging structures, shadow-stack
   flag flips and code-byte writes must all miss or fault exactly as a
   fresh page walk would.
+
+* **Speed** — on the CPU-bound path the cache targets, the cache-on arm
+  must be at least ``SPEED_FLOOR`` times faster than the fully
+  interpreted arm, with an identical machine state.
 """
+
+import time
 
 import pytest
 
@@ -455,6 +461,66 @@ def test_self_modifying_store_mid_block():
 
     on = lockstep(setup)
     assert on.cpu.regs["rcx"] == 2
+
+
+# --------------------------------------------------------------------------- #
+# speed: the cache pays for itself on a CPU-bound loop
+# --------------------------------------------------------------------------- #
+
+#: floor on the cache-on speedup (~11x measured on a shared 2-vCPU host)
+SPEED_FLOOR = 5.0
+
+#: alternating off/on timing rounds; each arm keeps its fastest round
+SPEED_ROUNDS = 3
+
+LOOPS = 20_000
+
+LOOP_PROGRAM = [
+    I("movi", "rax", imm=0),              # 0
+    I("movi", "rcx", imm=LOOPS),          # 1
+    I("addi", "rax", imm=1),              # 2: loop body (9 instrs)
+    I("mov", "rbx", "rax"),               # 3
+    I("add", "rbx", "rax"),               # 4
+    I("cmp", "rbx", "rax"),               # 5
+    I("and", "rbx", "rax"),               # 6
+    I("xor", "rdx", "rbx"),               # 7
+    I("nop"),                             # 8
+    I("addi", "rcx", imm=NEG1),           # 9: rcx -= 1
+    I("jnz", imm=at(2)),                  # 10
+    I("hlt"),                             # 11
+]
+
+
+def timed_loop(enabled):
+    """One run of the loop; returns (machine, steps, host seconds)."""
+    m = make_machine(enabled)
+    m.map_data(D)
+    m.load_code(K, LOOP_PROGRAM)
+    m.cpu.rip = K
+    t0 = time.perf_counter()
+    steps = m.cpu.run(max_steps=LOOPS * 12)
+    return m, steps, time.perf_counter() - t0
+
+
+def test_cache_speeds_up_a_cpu_bound_loop_with_identical_state():
+    best = {}
+    for _ in range(SPEED_ROUNDS):
+        for enabled in (False, True):
+            run = timed_loop(enabled)
+            if enabled not in best or run[2] < best[enabled][2]:
+                best[enabled] = run
+    (off, off_steps, off_host), (on, on_steps, on_host) = \
+        best[False], best[True]
+    assert on_steps == off_steps
+    # cycle ledger, registers, rip, flags and memory all agree
+    assert snapshot(on) == snapshot(off)
+    # the fast arm really retired the loop body in superblock bursts
+    assert on.cpu.tcache.sb_exec > 0
+    assert off.cpu.tcache.sb_exec == 0
+    speedup = off_host / on_host
+    assert speedup >= SPEED_FLOOR, (
+        f"cpu-bound speedup {speedup:.2f}x under the {SPEED_FLOOR}x floor "
+        f"(off {off_host:.3f}s, on {on_host:.3f}s)")
 
 
 # --------------------------------------------------------------------------- #

@@ -51,3 +51,14 @@ def test_cli_prometheus_to_stdout(capsys):
                "--export", "prometheus"])
     assert rc == 0
     assert "# TYPE erebor_emc_total counter" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["chrome", "prometheus"])
+def test_cli_hostprof_rejects_formats_it_cannot_write(tmp_path, capsys, fmt):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["hostprof", "--workload", "helloworld", "--export", fmt,
+              "-o", str(out)])
+    assert exc_info.value.code == 2
+    assert f"hostprof mode cannot export {fmt!r}" in capsys.readouterr().err
+    assert not out.exists()

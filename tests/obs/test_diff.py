@@ -1,4 +1,4 @@
-"""Differential run comparator + perf-trajectory gate.
+"""Differential run comparator and its simulated-divergence gate.
 
 The contracts under test (DESIGN §8):
 
@@ -8,13 +8,10 @@ The contracts under test (DESIGN §8):
   deterministic ordering (|delta| desc then name), plane → span →
   tenant localization, and the first divergent audit seq;
 * digest-map mode compares ``{name: digest}`` maps (trace trees);
-* the history gate hard-fails simulated drift and threshold-gates
-  host seconds.
+* ``--gate`` fails any simulated divergence and passes a clean diff.
 """
 
 import json
-
-import pytest
 
 from repro.obs.diff import (
     diff_any,
@@ -22,11 +19,9 @@ from repro.obs.diff import (
     diff_digest_maps,
     dumps_report,
     first_divergent_audit_seq,
-    gate_history,
     gate_report,
     render_report,
 )
-from repro.obs.ledger import append_history, load_history
 from repro.obs.schema import check_diff_report
 
 
@@ -177,79 +172,8 @@ def test_diff_any_dispatches_bundles():
 
 
 # --------------------------------------------------------------------------- #
-# the history gate
+# CLI
 # --------------------------------------------------------------------------- #
-
-def _entry(bench="b", cycles=100, planes=None, digest="d" * 64,
-           host=None):
-    return {"bench": bench, "cycles": cycles, "wall_cycles": cycles,
-            "planes": dict(planes or {"exec.interpret": cycles}),
-            "digest": digest,
-            "host_seconds": dict(host or {"total": 1.0})}
-
-
-def test_gate_history_passes_identical_records():
-    verdict = gate_history([_entry(), _entry()])
-    assert verdict["ok"] and not verdict["warnings"]
-    assert verdict["checked"] == ["b"]
-
-
-def test_gate_history_fails_simulated_drift():
-    verdict = gate_history([_entry(cycles=100), _entry(cycles=101)])
-    assert not verdict["ok"]
-    kinds = " ".join(verdict["failures"])
-    assert "cycles drifted" in kinds
-    assert "plane exec.interpret drifted" in kinds
-
-
-def test_gate_history_fails_digest_drift():
-    verdict = gate_history([_entry(digest="d" * 64),
-                            _entry(digest="e" * 64)])
-    assert not verdict["ok"]
-    assert any("digest drifted" in f for f in verdict["failures"])
-
-
-def test_gate_history_warns_on_host_regression_only():
-    verdict = gate_history([_entry(host={"total": 1.0}),
-                            _entry(host={"total": 2.0})])
-    assert verdict["ok"]            # host noise never hard-fails
-    assert any("regressed" in w for w in verdict["warnings"])
-    # within threshold: silent
-    calm = gate_history([_entry(host={"total": 1.0}),
-                         _entry(host={"total": 1.1})])
-    assert calm["ok"] and not calm["warnings"]
-
-
-def test_gate_history_single_record_is_unchecked():
-    verdict = gate_history([_entry()])
-    assert verdict["ok"] and verdict["checked"] == []
-
-
-def test_gate_history_filters_by_bench():
-    records = [_entry(bench="x", cycles=1), _entry(bench="x", cycles=2),
-               _entry(bench="y"), _entry(bench="y")]
-    assert not gate_history(records, bench="x")["ok"]
-    assert gate_history(records, bench="y")["ok"]
-
-
-# --------------------------------------------------------------------------- #
-# history file round-trip + CLI
-# --------------------------------------------------------------------------- #
-
-def test_history_append_load_roundtrip(tmp_path):
-    path = tmp_path / "hist.jsonl"
-    append_history(path, _entry(cycles=1))
-    append_history(path, _entry(cycles=2))
-    records = load_history(path)
-    assert [r["cycles"] for r in records] == [1, 2]
-
-
-def test_history_rejects_corrupt_lines(tmp_path):
-    path = tmp_path / "hist.jsonl"
-    path.write_text('{"bench": "ok"}\nnot json\n')
-    with pytest.raises(ValueError, match="bad history line"):
-        load_history(path)
-
 
 def test_cli_diff_and_gate(tmp_path, capsys):
     from repro.obs.__main__ import main
@@ -265,10 +189,4 @@ def test_cli_diff_and_gate(tmp_path, capsys):
     assert report["divergent"] is True
     pb.write_text(json.dumps(a))        # now identical
     assert main(["diff", str(pa), str(pb), "--gate"]) == 0
-
-    hist = tmp_path / "hist.jsonl"
-    append_history(hist, _entry(host={"total": 1.0}))
-    append_history(hist, _entry(host={"total": 5.0}))
-    assert main(["gate", "--history", str(hist), "--warn-only"]) == 0
-    assert main(["gate", "--history", str(hist)]) == 1
     capsys.readouterr()

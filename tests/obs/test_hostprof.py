@@ -172,8 +172,8 @@ def test_profile_fleet_attributes_most_of_a_real_run():
     report = profiler.report()
     check_hostprof_report(report)
     # the patch table covers the simulator's hot paths: most of the
-    # window must be attributed (the fleet-scale ≥90% bar is asserted by
-    # benchmarks/bench_obs_overhead.py on the llama fleet)
+    # window must be attributed (the fleet-scale ≥90% bar is asserted on
+    # the armed llama fleet by tests/fleet/test_feature_ab.py)
     assert report["coverage"] >= 0.5
     assert any(row["name"] == "obs:tracer-emit"
                for row in report["subsystems"])

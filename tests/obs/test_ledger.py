@@ -14,14 +14,12 @@ The contract under test (DESIGN §8):
 
 import pytest
 
-from repro.fleet.goldens import SMP_PARAMS, SMP_PINNED
+from repro.fleet.goldens import SMP_PARAMS, SMP_PINNED, SMP_PLANES
 from repro.fleet.loadgen import run_fleet
 from repro.hw.cycles import SERIAL_LANE, CycleClock
 from repro.obs.ledger import (
     TAG_PLANES,
     capture_ledger,
-    history_entry,
-    host_planes,
     translation_summary,
     verify_conservation,
 )
@@ -232,6 +230,8 @@ def test_pinned_digests_survive_ledger_capture(n_cpus):
     report, _ = run_fleet(n_cpus=n_cpus, **SMP_PARAMS)
     assert report.ledger and report.ledger["conservation"]["ok"]
     assert report.digest() == SMP_PINNED[n_cpus]
+    # the simulated-drift pin: a cycle that moves plane fails here by name
+    assert report.ledger["planes"] == SMP_PLANES
     # ledger and translation ride in to_dict() but not the preimage
     assert "ledger" not in report._base_dict()
     assert "translation" not in report._base_dict()
@@ -269,39 +269,6 @@ def test_flight_dump_embeds_a_ledger_snapshot():
     assert dump["ledger"]["conservation"]["ok"]
     assert dump["ledger"]["lanes"]["cpu0"]["planes"] == {
         "exec.interpret": 500}
-
-
-# --------------------------------------------------------------------------- #
-# host-plane folding + history entries
-# --------------------------------------------------------------------------- #
-
-def test_host_planes_folds_subsystem_labels():
-    report = {
-        "window_s": 2.0, "attributed_s": 1.5,
-        "subsystems": [
-            {"name": "cpu:fetch-decode", "self_s": 0.8},
-            {"name": "mmu:walk", "self_s": 0.4},
-            {"name": "mmu:leaf-path", "self_s": 0.1},
-            {"name": "something:new", "self_s": 0.2},
-        ],
-    }
-    folded = host_planes(report)
-    assert folded["planes"]["exec.interpret"] == pytest.approx(0.8)
-    assert folded["planes"]["mmu"] == pytest.approx(0.5)
-    assert folded["planes"]["other"] == pytest.approx(0.2)
-
-
-def test_history_entry_shape():
-    clock = CycleClock()
-    with clock.on_cpu(0):
-        clock.charge(100, "instr")
-    ledger = capture_ledger(clock)
-    entry = history_entry("unit", ledger, digest="d" * 64,
-                          host_seconds={"total": 1.23456789})
-    assert entry["bench"] == "unit"
-    assert entry["cycles"] == 100
-    assert entry["planes"] == {"exec.interpret": 100}
-    assert entry["host_seconds"] == {"total": 1.234568}
 
 
 def test_translation_summary_handles_machines_without_counters():

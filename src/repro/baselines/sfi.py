@@ -132,15 +132,17 @@ def sfi_verify(blob: bytes) -> int:
     return checked
 
 
-def sfi_overhead(workload: list[Instr], region: SfiRegion,
-                 *, data_pages: int = 4) -> tuple[int, int]:
+def sfi_overhead(workload: list[Instr],
+                 region: SfiRegion) -> tuple[int, int]:
     """Execute ``workload`` raw and SFI-instrumented; returns cycle pair.
 
-    Both runs happen in user mode on the micro CPU with the same data
-    region mapped; the delta is pure SFI instrumentation cost — the
-    userspace tax Erebor's design avoids.
+    Both runs happen in user mode on the micro CPU with the same four
+    data pages of the region mapped; the delta is pure SFI
+    instrumentation cost — the userspace tax Erebor's design avoids.
     """
     from ..hw.testbench import MicroMachine, USER_CODE_VA
+
+    data_pages = 4
 
     def run(instrs: list[Instr]) -> int:
         machine = MicroMachine()

@@ -111,18 +111,16 @@ def collect_fig10(requests: int = 12) -> dict:
     return out
 
 
-def collect_results(*, scale: float = 0.5, seed: int = 2025,
-                    lmbench_iterations: int = 120,
-                    server_requests: int = 12) -> dict:
+def collect_results(*, scale: float = 0.5, seed: int = 2025) -> dict:
     """Run the whole evaluation; returns the nested results dict."""
     return {
         "meta": {"scale": scale, "seed": seed,
                  "paper": "Erebor (EuroSys 2025)"},
         "table3": collect_table3(),
         "table4": collect_table4(),
-        "fig8": collect_fig8(lmbench_iterations),
+        "fig8": collect_fig8(),
         "fig9_table6": collect_fig9_table6(scale, seed),
-        "fig10": collect_fig10(server_requests),
+        "fig10": collect_fig10(),
     }
 
 

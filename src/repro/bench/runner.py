@@ -26,7 +26,7 @@ from ..core.boot import EreborSystem, erebor_boot, published_measurement
 from ..core.channel import SecureChannel, UntrustedProxy
 from ..core.monitor import EreborFeatures
 from ..hw.memory import PAGE_SIZE
-from ..kernel.kernel import GuestKernel, KernelConfig
+from ..kernel.kernel import GuestKernel
 from ..libos.libos import DEBUGFS_IN, DEBUGFS_OUT, LibOs
 from ..obs.metrics import (MetricsRegistry, snapshot_counter_total,
                            snapshot_delta)
@@ -90,14 +90,14 @@ class RunResult:
 class WorkloadRunner:
     """Builds a machine per run and drives one client session."""
 
+    #: guest memory and the monitor's CMA reservation of every run
+    MEMORY_BYTES = 768 * MIB
+    CMA_BYTES = 256 * MIB
+
     def __init__(self, *, scale: float = 0.25, seed: int = 2025,
-                 hz: int = 1000, memory_bytes: int = 768 * MIB,
-                 cma_bytes: int = 256 * MIB, instrument=None):
+                 instrument=None):
         self.scale = scale
         self.seed = seed
-        self.hz = hz
-        self.memory_bytes = memory_bytes
-        self.cma_bytes = cma_bytes
         #: optional hook called with each freshly built machine before any
         #: cycle is charged — e.g. repro.obs attaching a tracer at cycle 0
         self.instrument = instrument
@@ -122,8 +122,8 @@ class WorkloadRunner:
     # ------------------------------------------------------------------ #
 
     def _machine(self) -> CvmMachine:
-        machine = CvmMachine(MachineConfig(memory_bytes=self.memory_bytes,
-                                           hz=self.hz, seed=self.seed))
+        machine = CvmMachine(MachineConfig(memory_bytes=self.MEMORY_BYTES,
+                                           seed=self.seed))
         if self.instrument is not None:
             self.instrument(machine)
         if not machine.clock.metrics.enabled:
@@ -280,8 +280,7 @@ class WorkloadRunner:
                     setting: str) -> RunResult:
         machine = self._machine()
         system = erebor_boot(machine, features=features,
-                             cma_bytes=self.cma_bytes,
-                             kernel_config=KernelConfig(hz=self.hz))
+                             cma_bytes=self.CMA_BYTES)
         kernel = system.kernel
         system_task = kernel.spawn("systemd")
         manifest = work.manifest()

@@ -159,7 +159,7 @@ class CertificateIssuer:
             raise CertificateError(
                 "scrub-evidence",
                 f"session {session.name!r} closed without a scrub record "
-                "(pool scrub_verify off?)")
+                "(its slot never went back through WarmPool.release)")
 
         trace_id = session.trace_id
         if trace_id in index.by_trace:

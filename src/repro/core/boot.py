@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..hw.isa import assemble
 from ..kernel.image import SelfImage, build_kernel_image
 from ..kernel.instrument import instrument_image
-from ..kernel.kernel import GuestKernel, KernelConfig
+from ..kernel.kernel import GuestKernel
 from ..tdx.attestation import expected_measurement
 from ..vm import CvmMachine
 from .channel import DEVICE_PATH, EreborDevice
@@ -104,7 +104,6 @@ class EreborSystem:
 def erebor_boot(machine: CvmMachine, *,
                 features: EreborFeatures | None = None,
                 kernel_image: SelfImage | None = None,
-                kernel_config: KernelConfig | None = None,
                 cma_bytes: int | None = None,
                 skip_instrumentation: bool = False,
                 paravisor: bool = False) -> EreborSystem:
@@ -152,8 +151,7 @@ def erebor_boot(machine: CvmMachine, *,
         image = build_kernel_image()
     if not skip_instrumentation:
         image, _ = instrument_image(image)
-    kernel = monitor.verify_and_load_kernel(image.serialize(),
-                                            config=kernel_config)
+    kernel = monitor.verify_and_load_kernel(image.serialize())
 
     # expose the channel device
     device = EreborDevice(monitor)

@@ -79,16 +79,13 @@ class ServerHello:
 class SecureChannel:
     """Monitor-side endpoint bound to one sandbox."""
 
-    def __init__(self, monitor: "EreborMonitor", sandbox: "Sandbox",
-                 rng: random.Random | None = None,
-                 output_buckets: tuple[int, ...] = (1024, 16384, 262144, 4194304)):
+    def __init__(self, monitor: "EreborMonitor", sandbox: "Sandbox"):
         self.monitor = monitor
         self.sandbox = sandbox
         # a fresh ephemeral DH key per channel: the monitor's first
         # channel keeps the historical seed, each later one steps past it
-        self.rng = rng or random.Random(0x5EC0 + monitor.channels_opened)
+        self.rng = random.Random(0x5EC0 + monitor.channels_opened)
         monitor.channels_opened += 1
-        self.output_buckets = output_buckets
         self.rx: SealedSession | None = None   # client -> monitor
         self.tx: SealedSession | None = None   # monitor -> client
         self._partial = bytearray()            # chunked-transfer assembly
@@ -195,7 +192,7 @@ class SecureChannel:
             return None
         with self.monitor.clock.tracer.span("channel:response", "channel",
                                             sandbox=self.sandbox.sandbox_id):
-            bucket = fixed_bucket_for(len(data), self.output_buckets)
+            bucket = fixed_bucket_for(len(data))
             padded = pad_to_fixed(data, bucket)
             self._charge_crypto(len(padded))
             if self.monitor.mitigations is not None:

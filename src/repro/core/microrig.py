@@ -56,7 +56,7 @@ class GateRig:
     """One micro machine with the monitor's gates installed and armed."""
 
     def __init__(self, handlers: dict[int, list[Instr]] | None = None,
-                 *, cet_ibt: bool = True, cet_sst: bool = True, tdx=None,
+                 *, cet_sst: bool = True, tdx=None,
                  n_cpus: int = 1):
         if handlers is None:
             handlers = {
@@ -103,7 +103,7 @@ class GateRig:
             ssp = cet.allocate_shadow_stack(
                 self.machine.phys, self.machine.aspace,
                 SHADOW_STACK_VA + cpu_id * 16 * PAGE_SIZE, 4)
-            cet.arm_cet(cpu, ssp, ibt=cet_ibt, shadow_stack=cet_sst)
+            cet.arm_cet(cpu, ssp, shadow_stack=cet_sst)
             # deprivileged kernel rights
             cpu.msrs[regs.IA32_PKRS] = PKRS_KERNEL
             cpu.regs["rsp"] = 0x60_8000_0000 - 64 - cpu_id * STACK_STRIDE
@@ -115,22 +115,21 @@ class GateRig:
 
     # ------------------------------------------------------------------ #
 
-    def caller_stub(self, call_number: int, rsi: int = 0, rdx: int = 0,
-                    r8: int = 0) -> list[Instr]:
+    def caller_stub(self, call_number: int, rsi: int = 0,
+                    rdx: int = 0) -> list[Instr]:
         """Kernel-side EMC invocation (what an instrumented thunk does)."""
         return [
             I("movi", "rdi", imm=call_number),
             I("movi", "rsi", imm=rsi),
             I("movi", "rdx", imm=rdx),
-            I("movi", "r8", imm=r8),
+            I("movi", "r8", imm=0),
             I("movi", "rax", imm=ENTRY_GATE_VA),
             I("icall", "rax"),
             I("hlt"),
         ]
 
     def run_emc(self, call_number: int = int(EmcCall.NOP), *, rsi: int = 0,
-                rdx: int = 0, r8: int = 0, cpu: Cpu | None = None,
-                caller_va: int | None = None) -> int:
+                rdx: int = 0, cpu: Cpu | None = None) -> int:
         """Execute one EMC from kernel mode; returns the gate-path cycles.
 
         The measurement covers exactly the transition: from the ``icall``
@@ -139,9 +138,8 @@ class GateRig:
         core (per-CPU stacks/PKRS apply).
         """
         cpu = cpu or self.cpu
-        caller_va = caller_va if caller_va is not None else (
-            CALLER_VA + cpu.cpu_id * 0x10000)
-        stub = self.caller_stub(call_number, rsi, rdx, r8)
+        caller_va = CALLER_VA + cpu.cpu_id * 0x10000
+        stub = self.caller_stub(call_number, rsi, rdx)
         self.machine.load_code(caller_va, stub)
         cpu.mode = "kernel"
         cpu.rip = caller_va

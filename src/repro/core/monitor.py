@@ -24,7 +24,7 @@ from ..hw.cycles import Cost
 from ..hw.isa import scan_for_sensitive
 from ..hw.memory import pages_for
 from ..kernel.image import SelfImage
-from ..kernel.kernel import GuestKernel, KernelConfig
+from ..kernel.kernel import GuestKernel
 from ..kernel.ops import PrivilegedOps
 from ..obs.metrics import HandleCache, sandbox_label
 from ..obs.ring import RingBuffer
@@ -333,8 +333,7 @@ class EreborMonitor:
                                              digest.encode())
         return report
 
-    def verify_and_load_kernel(self, image_blob: bytes,
-                               config: KernelConfig | None = None) -> GuestKernel:
+    def verify_and_load_kernel(self, image_blob: bytes) -> GuestKernel:
         """Stage-2 boot: scan + CFG-verify, then boot a deprivileged kernel."""
         if not self.installed:
             raise RuntimeError("monitor not installed (stage 1 incomplete)")
@@ -352,7 +351,7 @@ class EreborMonitor:
 
         from .exits import MonitorExitPath
         kernel = GuestKernel(self.phys, self.clock, self.cpu, self.tdx,
-                             ops=self.ops, config=config)
+                             ops=self.ops)
         kernel.exit_path = MonitorExitPath(self)
         self.kernel = kernel
         self.vmmu.register_aspace(kernel.kernel_aspace)

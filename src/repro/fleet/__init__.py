@@ -32,7 +32,6 @@ from .admission import (
 from .loadgen import FleetReport, LoadGenerator, run_fleet
 from .pool import PoolConfig, PoolSlot, ScrubVerificationError, WarmPool
 from .scheduler import (
-    AnomalyConfig,
     AnomalyMonitor,
     ClientSession,
     FleetScheduler,
@@ -44,7 +43,6 @@ from .template import FleetInstance, SandboxTemplate, TemplateVma
 __all__ = [
     "AdmissionConfig",
     "AdmissionController",
-    "AnomalyConfig",
     "AnomalyMonitor",
     "ClientSession",
     "Decision",

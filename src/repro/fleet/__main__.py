@@ -38,21 +38,14 @@ EXPORTS = ("report", "bundle")
 
 
 def _write_flight(args, recorder) -> None:
-    """Write the flight recorder's dump file (``--flight-dump PATH``).
-
-    A run with no trigger still produces a useful black box: the recorder
-    is asked for one end-of-run dump so the file always exists.
-    """
+    """Write the flight recorder's dump file (``--flight-dump PATH``)."""
     if not args.flight_dump:
         return
     if getattr(recorder, "dumps", None) is None:   # bundle without flight
         return
-    if not recorder.dumps:
-        recorder.trigger("manual", "end-of-run flight dump")
-    payload = {"triggers": recorder.triggers,
-               "dumps": [d.to_dict() for d in recorder.dumps]}
+    from ..obs.flight import flight_payload
     with open(args.flight_dump, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(flight_payload(recorder), fh, indent=2)
         fh.write("\n")
     reasons = ",".join(d.reason for d in recorder.dumps)
     print(f"flight: {len(recorder.dumps)} dump(s) [{reasons}] "
@@ -140,10 +133,6 @@ def main(argv: list[str] | None = None) -> int:
         from .scheduler import SloConfig
         slo = SloConfig(queue_wait_p95=5_000_000, service_p95=20_000_000,
                         e2e_p99=60_000_000)
-    anomaly = None
-    if args.anomaly:
-        from .scheduler import AnomalyConfig
-        anomaly = AnomalyConfig()
     admission = None
     if args.violate:
         from .admission import AdmissionConfig, TenantQuota
@@ -155,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         requests=args.requests, pool_size=args.pool, tenants=args.tenants,
         seed=args.seed, scale=args.scale, n_cpus=args.cores,
         pool_config=pool_config, admission=admission,
-        slo=slo, anomaly=anomaly, flight=bool(args.flight_dump),
+        slo=slo, anomaly=args.anomaly, flight=bool(args.flight_dump),
         certificates=args.cert_dir is not None)
 
     want_trace = any(flag is not None for flag in

@@ -43,10 +43,13 @@ class TenantQuota:
     max_emc_per_request: int = 10_000
 
 
+#: the quota of every tenant without an entry in ``AdmissionConfig.quotas``
+DEFAULT_QUOTA = TenantQuota()
+
+
 @dataclass
 class AdmissionConfig:
     queue_depth: int = 8
-    default_quota: TenantQuota = field(default_factory=TenantQuota)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
     #: V10-proven per-image bounds (None = budget-blind admission)
     static_budget: "StaticBudget | None" = None
@@ -80,7 +83,7 @@ class AdmissionController:
         self.log: list[tuple[str, str, str, str]] = []
 
     def quota_for(self, tenant: str) -> TenantQuota:
-        quota = self.config.quotas.get(tenant, self.config.default_quota)
+        quota = self.config.quotas.get(tenant, DEFAULT_QUOTA)
         budget = self.config.static_budget
         if budget is not None:
             ceiling = budget.max_emc_per_request(

@@ -35,13 +35,15 @@ from .template import SandboxTemplate
 class LoadGenerator:
     """Seeded client population: identities, payloads, per-client secrets."""
 
+    #: seeded random bytes appended to every request payload
+    FILLER_BYTES = 24
+
     def __init__(self, *, clients: int, requests: int, seed: int = 2025,
-                 tenants: int = 2, filler_bytes: int = 24):
+                 tenants: int = 2):
         self.clients = clients
         self.requests = requests
         self.seed = seed
         self.tenants = max(tenants, 1)
-        self.filler_bytes = filler_bytes
 
     def sessions(self) -> list[ClientSession]:
         rng = random.Random(self.seed)
@@ -51,7 +53,7 @@ class LoadGenerator:
                       f"{rng.getrandbits(64):016x}").encode()
             payloads = [
                 secret + b"|req-%d|" % j
-                + bytes(rng.randrange(256) for _ in range(self.filler_bytes))
+                + bytes(rng.randrange(256) for _ in range(self.FILLER_BYTES))
                 for j in range(self.requests)
             ]
             out.append(ClientSession(
@@ -117,9 +119,12 @@ class FleetReport:
     #: simulated cycle went, conservation-verified. OUTSIDE the digest
     #: preimage — capture reads the clock, never moves it
     ledger: dict = field(default_factory=dict)
-    #: translation-cache effectiveness (TLB hit rate, superblock
-    #: coverage): host-plane counters, metrics-only, never digested
-    translation: dict = field(default_factory=dict)
+
+    @property
+    def translation(self) -> dict:
+        """Translation-cache effectiveness (TLB hit rate, superblock
+        coverage) from the ledger: host-plane counters, never digested."""
+        return self.ledger.get("translation", {})
 
     @property
     def throughput_rps(self) -> float:
@@ -172,8 +177,6 @@ class FleetReport:
             out["certs"] = dict(self.certs)
         if self.ledger:
             out["ledger"] = dict(self.ledger)
-        if self.translation:
-            out["translation"] = dict(self.translation)
         return out
 
     def _base_dict(self) -> dict:
@@ -228,7 +231,7 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
               admission: AdmissionConfig | None = None,
               pool_config: PoolConfig | None = None,
               memory_bytes: int = 768 * MIB, cma_bytes: int = 256 * MIB,
-              instrument=None, slo=None, anomaly=None, flight=None,
+              instrument=None, slo=None, anomaly: bool = False, flight=None,
               certificates: bool = False, features=None,
               static_budget_admission: bool = False
               ) -> tuple[FleetReport, object]:
@@ -241,12 +244,12 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     Without ``admission``, the queue holds up to ``clients`` sessions.
 
     ``slo`` (:class:`~repro.fleet.scheduler.SloConfig`) arms per-tenant
-    latency objectives, ``anomaly``
-    (:class:`~repro.fleet.scheduler.AnomalyConfig`) the EWMA exit/EMC
-    detectors, and ``flight`` (:class:`~repro.obs.flight.FlightConfig`
-    or ``True``) installs an always-on flight recorder that freezes a
-    black-box dump on any trigger. All three read the cycle clock but
-    never charge it, so enabling them cannot move a seeded digest.
+    latency objectives, ``anomaly=True`` the EWMA exit/EMC detectors of
+    :class:`~repro.fleet.scheduler.AnomalyMonitor`, and ``flight``
+    (:class:`~repro.obs.flight.FlightConfig` or ``True``) installs an
+    always-on flight recorder that freezes a black-box dump on any
+    trigger. All three read the cycle clock but never charge it, so
+    enabling them cannot move a seeded digest.
 
     ``certificates`` issues one :mod:`repro.certs` execution certificate
     per admitted session after the fleet drains (arming a request tracer
@@ -380,11 +383,10 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     if getattr(recorder, "dumps", None) is not None:
         report.flight = {"triggers": recorder.triggers,
                          "dumps": len(recorder.dumps)}
-    # plane-attribution budget + translation-cache effectiveness: both
-    # read-only on the clock/counters, both outside the digest preimage
+    # plane-attribution budget (translation-cache effectiveness included):
+    # read-only on the clock/counters, outside the digest preimage
     from ..obs.ledger import capture_ledger
     report.ledger = capture_ledger(clock, machine)
-    report.translation = report.ledger.get("translation", {})
     if certificates:
         from ..certs.issue import CertificateIssuer
         issuer = CertificateIssuer(system, workload=workload,

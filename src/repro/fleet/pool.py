@@ -2,12 +2,12 @@
 
 The pool keeps ``size`` forked instances standing. A session acquires a
 free slot, runs, and releases it; release scrubs the slot back to the
-golden template view via :meth:`Sandbox.reset_for_reuse` and — when
-``scrub_verify`` is on — *proves* the scrub by scanning every frame the
-previous client could have written for that client's plaintext (the C8
-no-state-leak claim, enforced per reuse rather than assumed). Slots whose
-sandbox died (kill, eviction) are replaced by fresh forks when the free
-count drops below the low watermark.
+golden template view via :meth:`Sandbox.reset_for_reuse` and *proves*
+the scrub by scanning every frame the previous client could have written
+for that client's plaintext (the C8 no-state-leak claim, enforced per
+reuse rather than assumed). Slots whose sandbox died (kill, eviction)
+are replaced by fresh forks when the free count drops below the low
+watermark.
 
 With ``autoscale`` on, the pool additionally tracks offered load instead
 of staying fixed-size: queue pressure forks new slots *ahead* of demand
@@ -36,8 +36,6 @@ class PoolConfig:
     size: int = 2
     #: refill forks are triggered when free slots drop below this
     low_watermark: int = 1
-    #: scan frames for the previous client's plaintext on every release
-    scrub_verify: bool = True
     #: demand-driven grow/shrink (off: fixed-size, the historical shape)
     autoscale: bool = False
     #: autoscale floor (defaults to ``size``)
@@ -204,17 +202,15 @@ class WarmPool:
         """Recycle a slot: scrub, verify the scrub, restock the pool.
 
         ``patterns`` is the released client's plaintext (requests and
-        responses); with ``scrub_verify`` every frame the client could
-        have dirtied — its private CoW copies (now back in the CMA), its
-        remaining confined frames, and the shared template image — is
-        scanned for them after the reset.
+        responses); every frame the client could have dirtied — its
+        private CoW copies (now back in the CMA), its remaining confined
+        frames, and the shared template image — is scanned for them
+        after the reset.
 
         Returns the *scrub record*: the evidence dict execution
         certificates attach as the departing session's C8 proof
         (``scrub-verify`` for a verified warm reset, ``kill-scrub`` for
-        a dead slot whose kill path already scrubbed, ``reset-only``
-        when verification is configured off — the certificate verifier
-        accepts only the first two).
+        a dead slot whose kill path already scrubbed).
         """
         sandbox = slot.instance.sandbox
         if sandbox.dead:
@@ -233,11 +229,7 @@ class WarmPool:
         self.warm_reset_cycles.append(cycles)
         slot.instance.start_kind = "warm"
         slot.instance.start_cycles = cycles
-        if self.config.scrub_verify:
-            record = self.verify_scrub(slot, frames_before, patterns or [])
-        else:
-            record = {"kind": "reset-only", "sandbox": sandbox.sandbox_id,
-                      "cycle": self.clock.cycles}
+        record = self.verify_scrub(slot, frames_before, patterns or [])
         slot.busy = False
         slot.sessions_served += 1
         self.clock.metrics.observe("erebor_fleet_start_cycles", cycles,

@@ -108,10 +108,6 @@ class SloConfig:
     queue_wait_p95: int | None = None
     service_p95: int | None = None
     e2e_p99: int | None = None
-    window_cycles: int = 2_000_000
-    windows: int = 4
-    #: quantiles are meaningless over a couple of samples; hold fire
-    min_samples: int = 4
 
 
 class SloMonitor:
@@ -132,6 +128,12 @@ class SloMonitor:
         "e2e": ("e2e_p99", 0.99, "p99"),
     }
 
+    #: sliding-window span and ring length of every latency histogram
+    WINDOW_CYCLES = 2_000_000
+    WINDOWS = 4
+    #: quantiles are meaningless over a couple of samples; hold fire
+    MIN_SAMPLES = 4
+
     def __init__(self, clock, config: SloConfig):
         self.clock = clock
         self.config = config
@@ -142,7 +144,7 @@ class SloMonitor:
         clock.metrics.describe_window(
             "erebor_fleet_latency_cycles",
             "Per-tenant fleet latency (windowed, cycles)",
-            window_cycles=config.window_cycles, windows=config.windows)
+            window_cycles=self.WINDOW_CYCLES, windows=self.WINDOWS)
 
     def observe(self, tenant: str, metric: str, value: int) -> None:
         cycle = self.clock.cycles
@@ -151,14 +153,14 @@ class SloMonitor:
         hist = self.hists.get(key)
         if hist is None:
             hist = self.hists[key] = WindowedHistogram(
-                self.config.window_cycles, self.config.windows)
+                self.WINDOW_CYCLES, self.WINDOWS)
         hist.observe(value, cycle)
         self.clock.metrics.observe_window(
             "erebor_fleet_latency_cycles", value, cycle,
             tenant=tenant, metric=metric)
         attr, q, label = self.RULES[metric]
         threshold = getattr(self.config, attr)
-        if threshold is None or hist.count < self.config.min_samples:
+        if threshold is None or hist.count < self.MIN_SAMPLES:
             return
         observed = hist.quantile(q, cycle)
         if observed is None or observed <= threshold:
@@ -190,40 +192,31 @@ class SloMonitor:
                 "breaches": [dict(b) for b in self.breaches]}
 
 
-@dataclass
-class AnomalyConfig:
-    """EWMA anomaly detection over per-request exit/EMC rates."""
-
-    alpha: float = 0.3
-    threshold: float = 3.0
-    min_samples: int = 4
-    #: arm the offending tenant's §12 knobs on its first alert
-    arm: bool = True
-    #: the knobs armed (per tenant, via the monitor's mitigation router)
-    mitigation: MitigationConfig = field(
-        default_factory=lambda: MitigationConfig(
-            flush_on_exit=True, exit_rate_limit_per_sec=2000))
-
-
 class AnomalyMonitor:
     """Per-tenant EWMA baselines over exit and EMC rates.
 
     Every served request feeds two detectors keyed by tenant — sandbox
     exits per request and EMCs per request. A sample far above a
-    tenant's own baseline raises an alert and (when configured) arms
-    that tenant's §12 mitigation knobs through the monitor's
-    :class:`~repro.core.mitigations.TenantMitigationRouter` — the
-    ROADMAP side-channel-budget item's sensing layer. Other tenants keep
+    tenant's own baseline raises an alert and, on the tenant's first
+    alert, arms its §12 mitigation knobs (:attr:`MITIGATION`) through
+    the monitor's :class:`~repro.core.mitigations.TenantMitigationRouter`
+    — the ROADMAP side-channel-budget item's sensing layer. Other tenants keep
     the default (usually absent) engine, so their cycle accounting never
     pays for a noisy neighbour.
     """
 
     METRICS = ("exit_rate", "emc_rate")
+    #: EWMA smoothing, alert threshold (in deviations) and warm-up samples
+    ALPHA = 0.3
+    THRESHOLD = 3.0
+    MIN_SAMPLES = 4
+    #: the knobs armed (per tenant, via the monitor's mitigation router)
+    MITIGATION = MitigationConfig(flush_on_exit=True,
+                                  exit_rate_limit_per_sec=2000)
 
-    def __init__(self, clock, monitor, config: AnomalyConfig):
+    def __init__(self, clock, monitor):
         self.clock = clock
         self.monitor = monitor
-        self.config = config
         self.detectors: dict[tuple[str, str], EwmaDetector] = {}
         self.alerts: list[dict] = []
         self.armed: list[str] = []
@@ -234,8 +227,7 @@ class AnomalyMonitor:
             det = self.detectors.get(key)
             if det is None:
                 det = self.detectors[key] = EwmaDetector(
-                    self.config.alpha, self.config.threshold,
-                    self.config.min_samples)
+                    self.ALPHA, self.THRESHOLD, self.MIN_SAMPLES)
             if det.update(value):
                 self._alert(tenant, metric, value, det)
 
@@ -250,9 +242,9 @@ class AnomalyMonitor:
                                 baseline=round(det.mean, 6))
         self.clock.metrics.inc("erebor_fleet_anomalies_total",
                                tenant=tenant, metric=metric)
-        if self.config.arm and tenant not in self.armed:
+        if tenant not in self.armed:
             router = self.monitor.mitigation_router()
-            router.arm(tenant, self.config.mitigation)
+            router.arm(tenant, self.MITIGATION)
             self.armed.append(tenant)
             self.clock.tracer.event("anomaly:arm", "anomaly",
                                     tenant=tenant, metric=metric)
@@ -271,7 +263,7 @@ class FleetScheduler:
     def __init__(self, system, pool: WarmPool, work,
                  controller: AdmissionController | None = None,
                  *, n_cpus: int = 1, slo: SloConfig | None = None,
-                 anomaly: AnomalyConfig | None = None):
+                 anomaly: bool = False):
         self.system = system
         self.monitor = system.monitor
         self.kernel = system.kernel
@@ -297,7 +289,7 @@ class FleetScheduler:
         #: per-tenant SLO / anomaly planes (None = feature off: no
         #: histograms allocated, no extra metrics series, digests frozen)
         self.slo = SloMonitor(self.clock, slo) if slo else None
-        self.anomaly = (AnomalyMonitor(self.clock, self.monitor, anomaly)
+        self.anomaly = (AnomalyMonitor(self.clock, self.monitor)
                         if anomaly else None)
 
     # ------------------------------------------------------------------ #

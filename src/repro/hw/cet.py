@@ -20,10 +20,6 @@ from .paging import PTE_P, AddressSpace
 TOKEN_BUSY = 1 << 0
 
 
-def supervisor_token(base_va: int, busy: bool = False) -> int:
-    return base_va | (TOKEN_BUSY if busy else 0)
-
-
 def allocate_shadow_stack(phys: PhysicalMemory, aspace: AddressSpace,
                           base_va: int, pages: int, owner: str = "monitor") -> int:
     """Create a shadow-stack region; returns the initial SSP value.
@@ -39,11 +35,12 @@ def allocate_shadow_stack(phys: PhysicalMemory, aspace: AddressSpace,
         frame.is_shadow_stack = True
         frame.materialize()
         aspace.map_page(base_va + i * PAGE_SIZE, fn, PTE_P)
-    # supervisor shadow-stack token lives in the top slot
+    # supervisor shadow-stack token lives in the top slot; a free token
+    # is the stack's own address with the busy bit clear
     token_va = top - 8
     token_fn = aspace.mapped_frame(token_va)
     phys.write_u64((token_fn << 12) + (token_va & (PAGE_SIZE - 1)),
-                   supervisor_token(token_va))
+                   token_va)
     return token_va  # SSP starts just below the token
 
 

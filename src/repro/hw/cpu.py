@@ -405,8 +405,7 @@ class Cpu:
     # interrupt / exception delivery
     # ------------------------------------------------------------------ #
 
-    def deliver(self, vector: int, fault: HardwareFault | None = None,
-                error_code: int = 0) -> None:
+    def deliver(self, vector: int, fault: HardwareFault | None = None) -> None:
         """Vector an event through the current IDT (hardware semantics)."""
         if self.idt is None:
             raise fault or SimulatorError(f"no IDT installed for vector {vector}")

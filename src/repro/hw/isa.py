@@ -103,10 +103,10 @@ def _operand_byte(operand: str | int | None) -> int:
     return REG_INDEX[operand]
 
 
-def _operand_from_byte(b: int, *, as_reg: bool = True) -> str | int | None:
+def _operand_from_byte(b: int) -> str | int | None:
     if b == 0xFF:
         return None
-    if as_reg and b < len(REGISTERS):
+    if b < len(REGISTERS):
         return REGISTERS[b]
     return b
 

@@ -97,13 +97,12 @@ class AddressSpace:
     tables once the system is locked down.
     """
 
-    def __init__(self, phys: PhysicalMemory, name: str = "as", root_fn: int | None = None):
+    def __init__(self, phys: PhysicalMemory, name: str = "as"):
         self.phys = phys
         self.name = name
-        if root_fn is None:
-            root_fn = phys.alloc_frame("pt")
-            phys.frame(root_fn).is_page_table = True
-            phys.frame(root_fn).materialize()
+        root_fn = phys.alloc_frame("pt")
+        phys.frame(root_fn).is_page_table = True
+        phys.frame(root_fn).materialize()
         self.root_fn = root_fn
         #: every page-table frame in this hierarchy (root included)
         self.table_frames: set[int] = {root_fn}

@@ -10,10 +10,10 @@ from .image import (
 )
 from .instrument import InstrumentationReport, instrument_image, instrument_text
 from .kernel import (
-    DEFAULT_HZ,
+    HZ,
+    TIMESLICE_TICKS,
     ExitPath,
     GuestKernel,
-    KernelConfig,
     PF_VECTOR,
     TIMER_VECTOR,
     VE_VECTOR,
@@ -35,12 +35,13 @@ from .process import (
 from .vfs import DebugFsNode, FsError, OpenFile, RegularFile, Vfs
 
 __all__ = [
-    "AnonBacking", "Backing", "DebugFsNode", "DEFAULT_HZ", "ExitPath",
-    "FileBacking", "FsError", "GuestKernel", "InstrumentationReport",
-    "KernelConfig", "NativeOps", "OpenFile", "PF_VECTOR", "PinnedBacking",
+    "AnonBacking", "Backing", "DebugFsNode", "ExitPath",
+    "FileBacking", "FsError", "GuestKernel", "HZ", "InstrumentationReport",
+    "NativeOps", "OpenFile", "PF_VECTOR", "PinnedBacking",
     "PrivilegedOps", "PROT_EXEC", "PROT_READ", "PROT_WRITE", "RegularFile",
     "SEC_EXEC", "SEC_WRITE", "Section", "SegmentationFault", "SelfImage",
-    "SharedBacking", "Task", "TIMER_VECTOR", "VE_VECTOR", "Vfs", "Vma",
+    "SharedBacking", "Task", "TIMER_VECTOR", "TIMESLICE_TICKS", "VE_VECTOR",
+    "Vfs", "Vma",
     "build_kernel_image", "instrument_image", "instrument_text",
     "kernel_entry_stubs",
 ]

@@ -153,18 +153,17 @@ def kernel_entry_stubs() -> list[Instr]:
     ]
 
 
-def build_kernel_image(*, instrumented_text: bytes | None = None,
-                       extra_sections: list[Section] | None = None) -> SelfImage:
+def build_kernel_image(*, extra_sections: list[Section] | None = None
+                       ) -> SelfImage:
     """Package the distribution kernel as a SELF image.
 
-    ``instrumented_text`` substitutes the .text payload (the instrumentation
-    pass uses this); by default the raw, sensitive-instruction-bearing
-    stubs are included — which the monitor's verifier must reject.
+    The .text payload is the raw, sensitive-instruction-bearing stubs —
+    which the monitor's verifier must reject; the instrumentation pass
+    (:func:`~repro.kernel.instrument.instrument_image`) rewrites a copy.
     """
-    text = instrumented_text if instrumented_text is not None else assemble(
-        kernel_entry_stubs())
     sections = [
-        Section(".text", KERNEL_TEXT_VA, text, SEC_EXEC),
+        Section(".text", KERNEL_TEXT_VA, assemble(kernel_entry_stubs()),
+                SEC_EXEC),
         Section(".data", KERNEL_DATA_VA, b"\x00" * 256, SEC_WRITE),
     ]
     if extra_sections:

@@ -19,8 +19,6 @@ when other tasks are runnable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..hw import regs
 from ..hw.cpu import Cpu, Idt
 from ..hw.cycles import CPU_FREQ_HZ, Cost, CycleClock
@@ -49,7 +47,9 @@ TIMER_VECTOR = 32
 VE_VECTOR = 20
 PF_VECTOR = 14
 
-DEFAULT_HZ = 1000
+#: APIC timer frequency and round-robin timeslice of every guest kernel
+HZ = 1000
+TIMESLICE_TICKS = 4
 
 #: interned trace-record names for the kernel's hot paths — dispatch
 #: runs tens of thousands of times per fleet run and must not mint a
@@ -89,12 +89,6 @@ class ExitPath:
         """The scheduler is switching tasks (shadow-stack switch point)."""
 
 
-@dataclass
-class KernelConfig:
-    hz: int = DEFAULT_HZ
-    timeslice_ticks: int = 4
-
-
 class GuestKernel:
     """One booted guest kernel instance."""
 
@@ -102,14 +96,12 @@ class GuestKernel:
     FAULT_LOG_CAPACITY = 4096
 
     def __init__(self, phys: PhysicalMemory, clock: CycleClock, cpu: Cpu,
-                 tdx: TdxModule | None, *, ops: PrivilegedOps | None = None,
-                 config: KernelConfig | None = None):
+                 tdx: TdxModule | None, *, ops: PrivilegedOps | None = None):
         self.phys = phys
         self.clock = clock
         self.cpu = cpu
         self.tdx = tdx
         self.ops = ops or NativeOps(clock, cpu, tdx)
-        self.config = config or KernelConfig()
         self.exit_path = ExitPath()
 
         self.vfs = Vfs()
@@ -125,7 +117,7 @@ class GuestKernel:
         self.current: Task | None = None
         self._run_queue: list[int] = []
 
-        self.tick_period = CPU_FREQ_HZ // self.config.hz
+        self.tick_period = CPU_FREQ_HZ // HZ
         self._next_tick = clock.cycles + self.tick_period
         #: pre-resolved metric write handles for the kernel's hot paths
         #: (ticks, #VE, page faults, syscalls), keyed by label values
@@ -171,7 +163,7 @@ class GuestKernel:
             self.current = task
         return task
 
-    def exit_task(self, task: Task, code: int = 0, *, reap: bool = True) -> None:
+    def exit_task(self, task: Task, code: int = 0) -> None:
         task.state = "dead"
         task.exit_code = code
         if task.pid in self._run_queue:
@@ -179,7 +171,7 @@ class GuestKernel:
         if self.current is task:
             self.current = None
             self._pick_next()
-        if reap and task.kind != "sandbox":
+        if task.kind != "sandbox":
             # sandbox memory is scrubbed by the monitor, not the kernel
             self.reap_task(task)
 
@@ -267,7 +259,7 @@ class GuestKernel:
         for hook in self.tick_hooks:
             hook()
         self._ticks_on_current += 1
-        if self._ticks_on_current >= self.config.timeslice_ticks:
+        if self._ticks_on_current >= TIMESLICE_TICKS:
             self._pick_next()
         self.clock.charge(Cost.IRET, "irq")
         if task is not None:

@@ -58,7 +58,6 @@ class Manifest:
     threads: int = 1
     preload: list[PreloadFile] = field(default_factory=list)
     common: list[CommonSpec] = field(default_factory=list)
-    io_prefault: bool = True
 
 
 class LibOs:
@@ -91,8 +90,7 @@ class LibOs:
             manifest.name, confined_budget=budget, threads=manifest.threads)
         libos = cls(system.kernel, sandbox.task, manifest, sandbox=sandbox)
         # heap: declared + pinned confined memory (service 1)
-        libos.heap_vma = sandbox.declare_confined(
-            manifest.heap_bytes, prefault=manifest.io_prefault)
+        libos.heap_vma = sandbox.declare_confined(manifest.heap_bytes)
         # common regions (models, databases, shared libraries)
         for spec in manifest.common:
             libos.common_vmas[spec.name] = sandbox.attach_common(
@@ -139,9 +137,8 @@ class LibOs:
         libos = cls(kernel, task, manifest)
         libos.heap_vma = kernel.syscall(task, "mmap", manifest.heap_bytes,
                                         PROT_READ | PROT_WRITE)
-        if manifest.io_prefault:
-            kernel.touch_pages(task, libos.heap_vma.start,
-                               manifest.heap_bytes, write=True)
+        kernel.touch_pages(task, libos.heap_vma.start,
+                           manifest.heap_bytes, write=True)
         for spec in manifest.common:
             libos.common_vmas[spec.name] = libos._plain_common(spec)
         for _ in range(manifest.threads - 1):

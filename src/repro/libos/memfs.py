@@ -54,9 +54,8 @@ class MemFs:
     # ------------------------------------------------------------------ #
 
     def preload(self, path: str, data: bytes = b"", *,
-                synthetic_size: int | None = None,
-                read_only: bool = True) -> MemFile:
-        f = MemFile(path, bytearray(data), synthetic_size, read_only)
+                synthetic_size: int | None = None) -> MemFile:
+        f = MemFile(path, bytearray(data), synthetic_size, read_only=True)
         self._files[path] = f
         if data:
             self._libos.charge_data_touch(len(data))

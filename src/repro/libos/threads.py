@@ -37,17 +37,16 @@ class ThreadPool:
         self.size = size
         self.stats = SyncStats()
 
-    def sync(self, waiters: int | None = None) -> None:
-        """One barrier/lock handoff among ``waiters`` threads.
+    def sync(self) -> None:
+        """One barrier/lock handoff among the pool's threads.
 
         The LibOS *always* uses its internal spinlock (§6.2): futex would
         be a covert channel once locked, so Gramine-style emulation spins
         in both the sandboxed and the plain (LibOS-only) configurations —
         every waiter burns cycles instead of sleeping.
         """
-        waiters = waiters if waiters is not None else self.size
         self.stats.sync_points += 1
-        cycles = SPIN_SYNC_CYCLES * max(waiters - 1, 1)
+        cycles = SPIN_SYNC_CYCLES * max(self.size - 1, 1)
         self.stats.spin_cycles += cycles
         self.libos.kernel.clock.charge(cycles, "libos_spin")
         self.libos.kernel.clock.count("libos_spin_sync")

@@ -169,16 +169,8 @@ def main(argv: list[str] | None = None) -> int:
                        flight=args.mode == "flight")
 
     if args.mode == "flight":
-        from .schema import check_flight_dump
-
-        recorder = run.tracer
-        if not recorder.dumps:
-            recorder.trigger("manual", "end-of-run flight dump")
-        dumps = [d.to_dict() for d in recorder.dumps]
-        for dump in dumps:
-            check_flight_dump(dump)             # self-validate before emit
-        text = json.dumps({"triggers": recorder.triggers, "dumps": dumps},
-                          indent=2)
+        from .flight import flight_payload
+        text = json.dumps(flight_payload(run.tracer), indent=2)
     elif args.export_format == "json":
         bundle = export_bundle(run)
         check_export(bundle)                    # self-validate before emit

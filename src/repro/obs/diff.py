@@ -199,8 +199,10 @@ def diff_any(a: dict, b: dict, *, label_a: str = "A",
     return diff_bundles(a, b, label_a=label_a, label_b=label_b)
 
 
-def render_report(report: dict, *, limit: int = 10) -> str:
-    """Human-readable summary of a divergence report (CLI stderr)."""
+def render_report(report: dict) -> str:
+    """Human-readable summary of a divergence report (CLI stderr); each
+    delta section lists its first ten entries."""
+    limit = 10
     lines = []
     verdict = "DIVERGENT" if report.get("divergent") else "identical"
     lines.append(f"obs diff [{report.get('mode')}] "

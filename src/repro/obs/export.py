@@ -30,18 +30,18 @@ def cycles_to_us(cycles: int) -> float:
 # Chrome trace_event
 # --------------------------------------------------------------------------- #
 
-def chrome_trace(tracer: Tracer, *, pid: int = 1, tid: int = 1,
-                 process_name: str = "erebor-sim") -> dict:
+def chrome_trace(tracer: Tracer) -> dict:
     """Render the ring buffer as a Chrome/Perfetto ``trace_event`` dict.
 
-    Events recorded while a logical CPU was executing (``TraceEvent.cpu``
-    set) land on their own thread lane (``tid = cpu + 1 + tid``), so an
-    SMP run renders one swim-lane per core; serial-section events stay on
-    the base ``tid``.
+    Everything lands in process 1. Events recorded while a logical CPU was
+    executing (``TraceEvent.cpu`` set) land on their own thread lane
+    (``tid = cpu + 2``), so an SMP run renders one swim-lane per core;
+    serial-section events stay on the base lane, ``tid = 1``.
     """
+    pid, tid = 1, 1
     events: list[dict] = [{
         "name": "process_name", "ph": "M", "pid": pid, "tid": tid,
-        "args": {"name": process_name},
+        "args": {"name": "erebor-sim"},
     }]
     cpus = sorted({e.cpu for e in tracer.events if e.cpu is not None})
     for cpu in cpus:
@@ -81,9 +81,9 @@ def chrome_trace(tracer: Tracer, *, pid: int = 1, tid: int = 1,
     }
 
 
-def write_chrome_trace(tracer: Tracer, path: str | Path, **kw) -> dict:
+def write_chrome_trace(tracer: Tracer, path: str | Path) -> dict:
     """Write a Perfetto-loadable trace file; returns the dict written."""
-    trace = chrome_trace(tracer, **kw)
+    trace = chrome_trace(tracer)
     Path(path).write_text(json.dumps(trace))
     return trace
 

@@ -27,7 +27,11 @@ from ..hw.cycles import SERIAL_LANE
 from .export import cycles_to_us
 from .ledger import capture_ledger, lane_name
 from .ring import RingBuffer
+from .schema import check_flight_dump
 from .trace import DEFAULT_CAPACITY, SPAN, TraceEvent, Tracer
+
+#: buckets in the per-CPU utilization timeline of each dump
+TIMELINE_BUCKETS = 20
 
 
 @dataclass
@@ -40,8 +44,6 @@ class FlightConfig:
     lookback_kcycles: int = 50
     #: freeze at most this many dumps (later triggers only count)
     max_dumps: int = 4
-    #: buckets in the per-CPU utilization timeline of each dump
-    timeline_buckets: int = 20
 
 
 class FlightRecorder(Tracer):
@@ -110,7 +112,6 @@ class FlightRecorder(Tracer):
             per_cpu_cycles=list(self.clock.per_cpu),
             events_by_cpu=events_by_cpu,
             dropped_by_cpu=dropped_by_cpu,
-            timeline_buckets=self.config.timeline_buckets,
             trace_id=self._trace or "",
             # where the budget stood when the box froze: the postmortem
             # can see which plane was eating the machine at the trigger
@@ -137,7 +138,6 @@ class FlightDump:
     per_cpu_cycles: list[int]
     events_by_cpu: dict[int, list[TraceEvent]]
     dropped_by_cpu: dict[int, int] = field(default_factory=dict)
-    timeline_buckets: int = 20
     #: request trace ID bound when the trigger fired ("" = none bound)
     trace_id: str = ""
     #: plane-attribution budget snapshot at freeze time (repro.obs.ledger)
@@ -171,7 +171,7 @@ class FlightDump:
             "ledger": dict(self.ledger),
             "utilization": utilization_timeline(
                 self.events_by_cpu, self.window_start, self.cycle,
-                buckets=self.timeline_buckets),
+                buckets=TIMELINE_BUCKETS),
             "traceEvents": self._chrome_events(),
         }
 
@@ -213,6 +213,21 @@ class FlightDump:
         payload = self.to_dict()
         Path(path).write_text(json.dumps(payload, indent=2))
         return payload
+
+
+def flight_payload(recorder: FlightRecorder) -> dict:
+    """The black-box file of one run: ``{"triggers", "dumps"}``.
+
+    A run with no trigger still produces a useful black box: the recorder
+    is asked for one end-of-run dump so the payload is never empty. Every
+    dump is schema-checked before it is returned.
+    """
+    if not recorder.dumps:
+        recorder.trigger("manual", "end-of-run flight dump")
+    dumps = [d.to_dict() for d in recorder.dumps]
+    for dump in dumps:
+        check_flight_dump(dump)
+    return {"triggers": recorder.triggers, "dumps": dumps}
 
 
 def utilization_timeline(events_by_cpu: dict[int, list[TraceEvent]],

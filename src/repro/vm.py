@@ -17,9 +17,8 @@ from .hw.cpu import Cpu, CpuEnv
 from .hw.cycles import CycleClock
 from .hw.devices import DmaEngine, VirtualNic
 from .hw.memory import PhysicalMemory
-from .hw.platform import PlatformProfile, TDX, profile
 from .hw.uintr import UintrFabric
-from .kernel.kernel import GuestKernel, KernelConfig
+from .kernel.kernel import GuestKernel
 from .tdx.attestation import AttestationAuthority
 from .tdx.module import TdxModule
 from .tdx.vmm import HostVmm
@@ -33,10 +32,7 @@ class MachineConfig:
     """Knobs mirroring the paper's CVM assignment (8 vCPU, 24 GB)."""
 
     memory_bytes: int = 4 * GIB          # scaled-down default; benches override
-    vcpus: int = 8                        # modelled for thread-level parallelism
-    hz: int = 1000
     td: bool = True                       # confidential (TDX) vs plain guest
-    platform: str = "tdx"
     seed: int = 2025
 
 
@@ -45,7 +41,6 @@ class CvmMachine:
 
     def __init__(self, config: MachineConfig | None = None):
         self.config = config or MachineConfig()
-        self.platform: PlatformProfile = profile(self.config.platform)
         self.rng = random.Random(self.config.seed)
         self.clock = CycleClock()
         self.phys = PhysicalMemory(self.config.memory_bytes)
@@ -65,8 +60,7 @@ class CvmMachine:
 
     def boot_native_kernel(self) -> GuestKernel:
         """Boot an unmodified kernel with direct privileged access."""
-        kernel = GuestKernel(self.phys, self.clock, self.cpu, self.tdx,
-                             config=KernelConfig(hz=self.config.hz))
+        kernel = GuestKernel(self.phys, self.clock, self.cpu, self.tdx)
         kernel.boot()
         self.vmm.interrupt_sink = lambda vector: kernel.pump()
         self.kernel = kernel

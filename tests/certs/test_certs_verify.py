@@ -152,6 +152,46 @@ def test_replay_needs_a_donor_and_unknown_variants_are_errors(batch):
         tamper_certificate(certs["client-1"], "no-such-variant")
 
 
+def test_signed_reset_only_scrub_record_is_not_scrub_evidence(batch,
+                                                              verifier):
+    """A bare reset (no plaintext scan) never certifies C8.
+
+    The record hashes to the committed scrub digest and the platform
+    signs the body, so every earlier check passes; the verifier's record
+    kind check is what rejects it. Certificates are outside input, so
+    the check stays although no pool writes such a record.
+    """
+    from repro.certs import (
+        bind_report_data,
+        body_digest,
+        canonical_json,
+        sha256_hex,
+    )
+    from repro.tdx.attestation import AttestationAuthority, TdReport
+
+    _, certs, _ = batch
+    cert = json.loads(json.dumps(certs["client-1"]))
+    honest = cert["attachments"]["scrub_record"]
+    record = {"kind": "reset-only", "sandbox": honest["sandbox"],
+              "cycle": honest["cycle"]}
+    cert["attachments"]["scrub_record"] = record
+    cert["body"]["scrub"]["digest"] = sha256_hex(canonical_json(record))
+    cert["body_sha256"] = body_digest(cert["body"])
+    quote = cert["quote"]
+    report = TdReport(mrtd=bytes.fromhex(quote["mrtd"]),
+                      rtmrs=tuple(bytes.fromhex(r) for r in quote["rtmrs"]),
+                      report_data=bind_report_data(cert["body_sha256"]))
+    quote["report_data"] = report.report_data.hex()
+    quote["signature"] = AttestationAuthority().sign(report).signature.hex()
+
+    result = verifier.verify(cert)
+    assert not result.ok
+    assert result.code == "scrub-evidence"
+    assert "'reset-only' is not scrub evidence" in result.detail
+    assert {"quote-signature", "body-digest", "quote-binding",
+            "kernel-digest"} <= set(result.checks)
+
+
 # --------------------------------------------------------------------------- #
 # the CLI — and the no-simulator import-purity acceptance check
 # --------------------------------------------------------------------------- #

@@ -5,6 +5,7 @@ import pytest
 from repro.core import erebor_boot
 from repro.hw import cet, regs
 from repro.hw.cet import ShadowStackTokenError
+from repro.kernel import TIMESLICE_TICKS
 from repro.vm import CvmMachine, MachineConfig, MIB
 
 
@@ -90,7 +91,7 @@ def test_scheduler_drives_sst_switches(system):
     kernel.spawn("a")
     kernel.spawn("b")
     before = system.machine.clock.events.get("sst_switch", 0)
-    kernel.advance(kernel.tick_period * kernel.config.timeslice_ticks * 3)
+    kernel.advance(kernel.tick_period * TIMESLICE_TICKS * 3)
     assert system.machine.clock.events["sst_switch"] > before
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.certs.verify import CertificateVerifier
 from repro.core.monitor import EreborFeatures
-from repro.fleet import AnomalyConfig, SloConfig, run_fleet
+from repro.fleet import SloConfig, run_fleet
 from repro.fleet.goldens import (
     LLAMA_FLEET_PARAMS,
     SMP_PARAMS,
@@ -30,7 +30,7 @@ MIN_HOSTPROF_COVERAGE = 0.90
 ARMED_PARAMS = dict(flight=True,
                     slo=SloConfig(queue_wait_p95=10**12,
                                   service_p95=10**12, e2e_p99=10**12),
-                    anomaly=AnomalyConfig())
+                    anomaly=True)
 
 
 def cache(enabled):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 from repro.core import erebor_boot
 from repro.core.mitigations import CACHE_FLUSH_CYCLES, MitigationConfig
-from repro.fleet import AnomalyConfig, SloConfig, run_fleet
+from repro.fleet import SloConfig, run_fleet
 from repro.fleet.__main__ import main as fleet_main
 from repro.fleet.admission import AdmissionConfig, TenantQuota
 from repro.fleet.goldens import SMP_PARAMS, SMP_PINNED
@@ -75,7 +75,7 @@ def _system():
 def test_exit_rate_spike_alerts_and_arms_only_that_tenant():
     system = _system()
     clock = system.machine.clock
-    monitor = AnomalyMonitor(clock, system.monitor, AnomalyConfig())
+    monitor = AnomalyMonitor(clock, system.monitor)
     for _ in range(5):                      # steady baseline, both tenants
         monitor.observe_request("tenant-0", exits=20, emc=10)
         monitor.observe_request("tenant-1", exits=20, emc=10)
@@ -132,7 +132,7 @@ def test_fleet_wide_engine_survives_as_router_default():
 
 
 def test_anomaly_plane_in_fleet_run_observes_without_false_alarms():
-    report, _ = run_fleet(anomaly=AnomalyConfig(), **SMP_PARAMS)
+    report, _ = run_fleet(anomaly=True, **SMP_PARAMS)
     # homogeneous seeded load: the plane is wired but stays quiet
     assert report.anomaly == {"alerts": [], "armed": []}
     assert "anomaly" in report.to_dict()
@@ -177,7 +177,7 @@ def test_forced_emc_violation_freezes_a_forensic_dump():
 def test_pinned_digest_unchanged_with_every_plane_armed():
     plain, _ = run_fleet(**SMP_PARAMS)
     armed, _ = run_fleet(slo=SloConfig(service_p95=1),
-                         anomaly=AnomalyConfig(), flight=True, **SMP_PARAMS)
+                         anomaly=True, flight=True, **SMP_PARAMS)
     assert plain.digest() == SMP_PINNED[1]
     # observability reads the clock, never charges it: same digest
     assert armed.digest() == SMP_PINNED[1]

@@ -4,7 +4,12 @@ import pytest
 
 from repro.hw.cycles import Cost
 from repro.hw.memory import PAGE_SIZE
-from repro.kernel import PROT_READ, PROT_WRITE, SegmentationFault
+from repro.kernel import (
+    PROT_READ,
+    PROT_WRITE,
+    TIMESLICE_TICKS,
+    SegmentationFault,
+)
 from repro.vm import CvmMachine, MachineConfig, MIB
 
 
@@ -92,7 +97,7 @@ def test_scheduler_rotates_between_runnable_tasks(kernel):
     a, b = kernel.spawn("a"), kernel.spawn("b")
     assert kernel.current is a
     # enough ticks to exceed the timeslice
-    kernel.advance(kernel.tick_period * kernel.config.timeslice_ticks)
+    kernel.advance(kernel.tick_period * TIMESLICE_TICKS)
     assert kernel.current is b
     assert kernel.clock.events["context_switch"] >= 1
 

@@ -5,7 +5,11 @@ import json
 import pytest
 
 from repro.obs.__main__ import main
-from repro.obs.schema import check_chrome_trace, check_export
+from repro.obs.schema import (
+    check_chrome_trace,
+    check_export,
+    check_flight_dump,
+)
 
 
 def test_cli_json_export_validates(tmp_path, capsys):
@@ -27,6 +31,22 @@ def test_cli_chrome_export_validates(tmp_path):
                "--export", "chrome", "-o", str(out)])
     assert rc == 0
     check_chrome_trace(json.loads(out.read_text()))
+
+
+def test_cli_flight_writes_a_schema_valid_black_box(tmp_path):
+    out = tmp_path / "flight.json"
+    rc = main(["flight", "--workload", "helloworld", "-o", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"triggers", "dumps"}
+    # a clean helloworld run fires nothing: the writer asks for one
+    # end-of-run dump so the file is never empty
+    assert payload["triggers"] == 1
+    [dump] = payload["dumps"]
+    check_flight_dump(dump)
+    assert dump["reason"] == "manual"
+    assert dump["detail"] == "end-of-run flight dump"
+    assert len(dump["audit_head"]) == 64
 
 
 def test_cli_list_workloads(capsys):

@@ -203,10 +203,10 @@ def test_interpreted_run_has_zero_superblock_plane():
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 4])
 def test_fleet_ledger_conserves_with_all_obs_planes_armed(n_cpus):
-    from repro.fleet.scheduler import AnomalyConfig, SloConfig
+    from repro.fleet.scheduler import SloConfig
     from repro.obs.flight import FlightConfig
     report, system = run_fleet(n_cpus=n_cpus, certificates=True,
-                               slo=SloConfig(), anomaly=AnomalyConfig(),
+                               slo=SloConfig(), anomaly=True,
                                flight=FlightConfig(), **SMP_PARAMS)
     ledger = report.ledger
     check_ledger(ledger)
@@ -248,7 +248,7 @@ def test_translation_summary_surfaces_in_fleet_report():
     if walks:
         assert summary["tlb_hit_rate"] == pytest.approx(
             summary["tlb_hits"] / walks, abs=1e-6)
-    assert report.to_dict()["translation"] == summary
+    assert report.to_dict()["ledger"]["translation"] == summary
 
 
 def test_flight_dump_embeds_a_ledger_snapshot():

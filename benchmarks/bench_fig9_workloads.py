@@ -7,8 +7,6 @@ llama.cpp worst (13.15%) and a geometric mean of ~8.1%; LibOS-only stays
 small (1.7% geomean) except llama's sync-heavy 4.5%.
 """
 
-import math
-
 import pytest
 
 from repro.bench.report import format_table, pct
@@ -17,29 +15,20 @@ PAPER_FULL = {"llama.cpp": 13.15, "yolo": None, "drugbank": None,
               "graphchi": None, "unicorn": None}
 
 
-def overhead(matrix, name, setting) -> float:
-    native = matrix[name]["native"].run_seconds
-    return matrix[name][setting].run_seconds / native - 1.0
+def overheads(section, setting) -> dict:
+    return {name: entry["overhead_vs_native"][setting]
+            for name, entry in section["workloads"].items()}
 
 
-def geomean(values) -> float:
-    return math.exp(sum(math.log(1.0 + v) for v in values) / len(values)) - 1.0
-
-
-def test_print_fig9(benchmark, workload_matrix):
+def test_print_fig9(benchmark, workload_section):
     def build():
         rows = []
-        for name in workload_matrix:
-            rows.append([
-                name,
-                pct(overhead(workload_matrix, name, "libos")),
-                pct(overhead(workload_matrix, name, "mmu")),
-                pct(overhead(workload_matrix, name, "exit")),
-                pct(overhead(workload_matrix, name, "erebor")),
-            ])
-        full = [overhead(workload_matrix, n, "erebor")
-                for n in workload_matrix]
-        rows.append(["geomean", "-", "-", "-", pct(geomean(full))])
+        for name, entry in workload_section["workloads"].items():
+            ovh = entry["overhead_vs_native"]
+            rows.append([name, pct(ovh["libos"]), pct(ovh["mmu"]),
+                         pct(ovh["exit"]), pct(ovh["erebor"])])
+        rows.append(["geomean", "-", "-", "-",
+                     pct(workload_section["geomean_full_erebor"])])
         return format_table(
             "Figure 9: workload runtime overhead vs native "
             "(paper: geomean 8.1%, range 4.5-13.2%, llama worst 13.15%)",
@@ -49,33 +38,32 @@ def test_print_fig9(benchmark, workload_matrix):
     print("\n" + benchmark.pedantic(build, rounds=1, iterations=1))
 
 
-def test_full_erebor_range_matches_paper(benchmark, workload_matrix):
-    full = benchmark.pedantic(
-        lambda: {n: overhead(workload_matrix, n, "erebor")
-                 for n in workload_matrix}, rounds=1, iterations=1)
+def test_full_erebor_range_matches_paper(benchmark, workload_section):
+    full = benchmark.pedantic(lambda: overheads(workload_section, "erebor"),
+                              rounds=1, iterations=1)
     assert 0.03 <= min(full.values()) <= 0.06        # paper floor 4.5%
     assert 0.11 <= max(full.values()) <= 0.15        # paper ceiling 13.2%
     assert max(full, key=full.get) == "llama.cpp"    # llama is worst
-    assert 0.06 <= geomean(list(full.values())) <= 0.10   # paper 8.1%
+    geomean = workload_section["geomean_full_erebor"]
+    assert 0.06 <= geomean <= 0.10                   # paper 8.1%
 
 
-def test_llama_libos_overhead_from_sync(benchmark, workload_matrix):
-    libos = benchmark.pedantic(
-        lambda: {n: overhead(workload_matrix, n, "libos")
-                 for n in workload_matrix}, rounds=1, iterations=1)
+def test_llama_libos_overhead_from_sync(benchmark, workload_section):
+    libos = benchmark.pedantic(lambda: overheads(workload_section, "libos"),
+                               rounds=1, iterations=1)
     assert 0.035 <= libos["llama.cpp"] <= 0.06       # paper: 4.5%
     others = [v for n, v in libos.items() if n != "llama.cpp"]
     assert all(v < 0.02 for v in others)
 
 
-def test_ablations_compose(benchmark, workload_matrix):
+def test_ablations_compose(benchmark, workload_section):
     """MMU-only and Exit-only each sit between LibOS-only and full."""
-    data = benchmark.pedantic(lambda: workload_matrix, rounds=1, iterations=1)
-    for name in data:
-        lib = overhead(data, name, "libos")
-        mmu = overhead(data, name, "mmu")
-        exit_ = overhead(data, name, "exit")
-        full = overhead(data, name, "erebor")
+    data = benchmark.pedantic(lambda: workload_section, rounds=1,
+                              iterations=1)
+    for entry in data["workloads"].values():
+        ovh = entry["overhead_vs_native"]
+        lib, mmu, exit_, full = (ovh["libos"], ovh["mmu"], ovh["exit"],
+                                 ovh["erebor"])
         assert lib <= mmu <= full + 0.005
         assert lib <= exit_ <= full + 0.005
 

@@ -5,13 +5,12 @@ Regenerates the columns: per-second sandbox exit rates (#PF / #Timer /
 and the one-time initialization overhead vs native. Paper bands: exits
 2.2-4.4k/s, EMC tens of k/s, init overhead 11.5-52.7%.
 
-The rate columns are read from the ``repro.obs`` metrics registry the
-runner snapshots around every measurement window (``metric_rate``), not
-recomputed from ad-hoc event counters — the same series ``results.json``
-and the Prometheus exporter carry.
+Every column is read from the Table 6 section that
+``repro.bench.export.fig9_table6`` derives from the workload matrix — the
+same section ``results.json`` carries and ``python -m repro.bench
+table6`` renders. Its rates are the clock's event ledger over each
+measurement window (``RunResult.rate``).
 """
-
-import pytest
 
 from repro.bench.report import format_table, mib, pct
 
@@ -25,27 +24,30 @@ PAPER = {
 }
 
 
-def test_print_table6(benchmark, workload_matrix):
+def table6_rows(section) -> dict:
+    return {name: entry["table6"]
+            for name, entry in section["workloads"].items()}
+
+
+def exits_per_sec(row) -> float:
+    return row["pf_per_sec"] + row["timer_per_sec"] + row["ve_per_sec"]
+
+
+def test_print_table6(benchmark, workload_section):
     def build():
         rows = []
-        for name, runs in workload_matrix.items():
-            r = runs["erebor"]
-            native = runs["native"]
-            init_ovh = r.init_seconds / native.init_seconds - 1.0
-            pf = r.metric_rate("kernel_page_faults_total")
-            timer = r.metric_rate("kernel_timer_ticks_total")
-            ve = r.metric_rate("kernel_ve_total")
+        for name, t6 in table6_rows(workload_section).items():
             rows.append([
                 name,
-                f"{pf:.0f}",
-                f"{timer:.0f}",
-                f"{ve:.0f}",
-                f"{pf + timer + ve:.0f}",
-                f"{r.metric_rate('erebor_emc_total') / 1000:.1f}k",
-                f"{r.run_seconds:.2f}s",
-                mib(r.confined_bytes),
-                mib(r.common_bytes) if r.common_bytes else "-",
-                pct(init_ovh),
+                f"{t6['pf_per_sec']:.0f}",
+                f"{t6['timer_per_sec']:.0f}",
+                f"{t6['ve_per_sec']:.0f}",
+                f"{exits_per_sec(t6):.0f}",
+                f"{t6['emc_per_sec'] / 1000:.1f}k",
+                f"{t6['run_seconds']:.2f}s",
+                mib(t6["confined_bytes"]),
+                mib(t6["common_bytes"]) if t6["common_bytes"] else "-",
+                pct(t6["init_overhead"]),
             ])
         return format_table(
             "Table 6: execution statistics (full Erebor; simulated rates)",
@@ -55,38 +57,36 @@ def test_print_table6(benchmark, workload_matrix):
     print("\n" + benchmark.pedantic(build, rounds=1, iterations=1))
 
 
-def test_exit_rates_in_paper_band(benchmark, workload_matrix):
-    data = benchmark.pedantic(lambda: workload_matrix, rounds=1, iterations=1)
-    for name, runs in data.items():
-        total = runs["erebor"].total_exit_rate
+def test_exit_rates_in_paper_band(benchmark, workload_section):
+    rows = benchmark.pedantic(lambda: table6_rows(workload_section),
+                              rounds=1, iterations=1)
+    for name, t6 in rows.items():
+        total = exits_per_sec(t6)
         assert 1500 <= total <= 7000, (name, total)   # paper: 2.2k-4.4k
 
 
-def test_emc_rates_tens_of_thousands(benchmark, workload_matrix):
-    data = benchmark.pedantic(lambda: workload_matrix, rounds=1, iterations=1)
-    for name, runs in data.items():
-        emc = runs["erebor"].metric_rate("erebor_emc_total")
+def test_emc_rates_tens_of_thousands(benchmark, workload_section):
+    rows = benchmark.pedantic(lambda: table6_rows(workload_section),
+                              rounds=1, iterations=1)
+    for name, t6 in rows.items():
+        emc = t6["emc_per_sec"]
         assert 15_000 <= emc <= 120_000, (name, emc)  # paper: 39.5k-87.6k
-        # registry series and clock event ledger must agree exactly
-        assert emc == pytest.approx(runs["erebor"].rate("emc"))
 
 
-def test_init_overhead_band(benchmark, workload_matrix):
+def test_init_overhead_band(benchmark, workload_section):
     """Paper: one-time initialization costs 11.5-52.7% over native."""
-    data = benchmark.pedantic(lambda: workload_matrix, rounds=1, iterations=1)
-    ovh = {}
-    for name, runs in data.items():
-        ovh[name] = (runs["erebor"].init_seconds
-                     / runs["native"].init_seconds - 1.0)
+    rows = benchmark.pedantic(lambda: table6_rows(workload_section),
+                              rounds=1, iterations=1)
+    ovh = {name: t6["init_overhead"] for name, t6 in rows.items()}
     assert all(0.08 <= v <= 0.60 for v in ovh.values()), ovh
     assert max(ovh, key=ovh.get) == "llama.cpp"  # biggest prefault volume
 
 
-def test_memory_columns_match_manifests(benchmark, workload_matrix):
+def test_memory_columns_match_manifests(benchmark, workload_section):
     from repro.apps.base import workload as make_workload
-    data = benchmark.pedantic(lambda: workload_matrix, rounds=1, iterations=1)
-    for name, runs in data.items():
+    rows = benchmark.pedantic(lambda: table6_rows(workload_section),
+                              rounds=1, iterations=1)
+    for name, t6 in rows.items():
         prof = make_workload(name).profile
-        r = runs["erebor"]
-        assert r.confined_bytes >= prof.heap_bytes
-        assert r.common_bytes == sum(s.size for s in prof.common)
+        assert t6["confined_bytes"] >= prof.heap_bytes
+        assert t6["common_bytes"] == sum(s.size for s in prof.common)

@@ -7,117 +7,97 @@ Usage::
     python -m repro.bench --list
     python -m repro.bench fig9 --scale 0.25
 
-This is a convenience front-end over the same code paths the
-``benchmarks/`` pytest suite drives.
+Each experiment renders the ``results.json`` section that
+:mod:`repro.bench.export` collects and the ``benchmarks/`` pytest suite
+checks; nothing here recomputes a result.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
-from .lmbench import LmbenchSuite
+from .export import (collect_fig8, collect_fig9_table6, collect_fig10,
+                     collect_table3, collect_table4)
 from .report import format_table, mib, pct
-from .runner import WorkloadRunner
-from .servers import FILE_SIZES, ServerBench
-
-WORKLOADS = ("llama.cpp", "yolo", "drugbank", "graphchi", "unicorn")
+from .servers import FILE_SIZES
 
 
-def run_table3(args) -> None:
-    from repro.core.emc import EmcCall
-    from repro.core.microrig import GateRig
-    from repro.hw.cycles import Cost
-    emc = GateRig().run_emc(int(EmcCall.NOP))
-    rows = [["EMC", emc, "1.00x"],
-            ["SYSCALL", Cost.SYSCALL_ROUND_TRIP,
-             f"{Cost.SYSCALL_ROUND_TRIP / emc:.2f}x"],
-            ["TDCALL", Cost.TDCALL_ROUND_TRIP,
-             f"{Cost.TDCALL_ROUND_TRIP / emc:.2f}x"],
-            ["VMCALL", Cost.VMCALL_ROUND_TRIP,
-             f"{Cost.VMCALL_ROUND_TRIP / emc:.2f}x"]]
-    print(format_table("Table 3: privilege transitions (cycles)",
-                       ["call", "cycles", "vs EMC"], rows))
+def render_table3(data: dict) -> str:
+    emc = data["emc_measured"]
+    rows = [["EMC", emc, "1.00x"]]
+    for label, key in (("SYSCALL", "syscall"), ("TDCALL", "tdcall"),
+                       ("VMCALL", "vmcall")):
+        rows.append([label, data[key], f"{data[key] / emc:.2f}x"])
+    return format_table("Table 3: privilege transitions (cycles)",
+                        ["call", "cycles", "vs EMC"], rows)
 
 
-def run_table4(args) -> None:
-    from repro.hw.cycles import Cost
-    rows = [
-        ["MMU", Cost.PTE_WRITE_NATIVE, Cost.EREBOR_MMU],
-        ["CR", Cost.CR_WRITE_NATIVE, Cost.EREBOR_CR],
-        ["SMAP", Cost.STAC_CLAC_NATIVE, Cost.EREBOR_SMAP],
-        ["IDT", Cost.LIDT_NATIVE, Cost.EREBOR_IDT],
-        ["MSR", Cost.WRMSR_SLOW_NATIVE, Cost.EREBOR_MSR],
-        ["GHCI", Cost.TDREPORT_NATIVE, Cost.EREBOR_GHCI],
-    ]
-    print(format_table("Table 4: privileged operations (cycles)",
-                       ["op", "native", "erebor"], rows))
+def render_table4(data: dict) -> str:
+    rows = [[op, c["native"], c["erebor"]] for op, c in data.items()]
+    return format_table("Table 4: privileged operations (cycles)",
+                        ["op", "native", "erebor"], rows)
 
 
-def run_fig8(args) -> None:
-    results = LmbenchSuite(iterations=args.iterations).run_all()
-    rows = [[r.name, f"{r.native_cycles:.0f}", f"{r.erebor_cycles:.0f}",
-             f"{r.ratio:.2f}x", f"{r.emc_per_op:.1f}"] for r in results]
-    print(format_table("Figure 8: LMBench", ["bench", "native", "erebor",
-                                             "overhead", "EMC/op"], rows))
+def render_fig8(data: dict) -> str:
+    rows = [[name, f"{r['native_cycles_per_op']:.0f}",
+             f"{r['erebor_cycles_per_op']:.0f}", f"{r['overhead']:.2f}x",
+             f"{r['emc_per_op']:.1f}"] for name, r in data.items()]
+    return format_table("Figure 8: LMBench", ["bench", "native", "erebor",
+                                              "overhead", "EMC/op"], rows)
 
 
-def run_fig9(args) -> None:
-    runner = WorkloadRunner(scale=args.scale)
+def render_fig9(data: dict) -> str:
     rows = []
-    full = []
-    for name in WORKLOADS:
-        runs = runner.run_all_settings(name)
-        native = runs["native"].run_seconds
-        ovh = {s: runs[s].run_seconds / native - 1 for s in runs}
-        full.append(ovh["erebor"])
+    for name, entry in data["workloads"].items():
+        ovh = entry["overhead_vs_native"]
         rows.append([name, pct(ovh["libos"]), pct(ovh["mmu"]),
                      pct(ovh["exit"]), pct(ovh["erebor"])])
-        print(f"  {name}: done")
-    geo = math.exp(sum(math.log(1 + v) for v in full) / len(full)) - 1
-    rows.append(["geomean", "-", "-", "-", pct(geo)])
-    print(format_table("Figure 9: workload overhead vs native",
-                       ["workload", "LibOS", "MMU", "Exit", "full"], rows))
+    rows.append(["geomean", "-", "-", "-", pct(data["geomean_full_erebor"])])
+    return format_table("Figure 9: workload overhead vs native",
+                        ["workload", "LibOS", "MMU", "Exit", "full"], rows)
 
 
-def run_table6(args) -> None:
-    runner = WorkloadRunner(scale=args.scale)
+def render_table6(data: dict) -> str:
     rows = []
-    for name in WORKLOADS:
-        native = runner.run(name, "native")
-        r = runner.run(name, "erebor")
-        rows.append([name, f"{r.rate('page_fault'):.0f}",
-                     f"{r.rate('timer_interrupt'):.0f}",
-                     f"{r.rate('ve'):.0f}", f"{r.rate('emc') / 1000:.1f}k",
-                     mib(r.confined_bytes),
-                     mib(r.common_bytes) if r.common_bytes else "-",
-                     pct(r.init_seconds / native.init_seconds - 1)])
-    print(format_table("Table 6: execution statistics",
-                       ["program", "#PF/s", "#Timer/s", "#VE/s", "EMC/s",
-                        "conf", "com", "init ovh"], rows))
+    for name, entry in data["workloads"].items():
+        t6 = entry["table6"]
+        rows.append([name, f"{t6['pf_per_sec']:.0f}",
+                     f"{t6['timer_per_sec']:.0f}", f"{t6['ve_per_sec']:.0f}",
+                     f"{t6['emc_per_sec'] / 1000:.1f}k",
+                     mib(t6["confined_bytes"]),
+                     mib(t6["common_bytes"]) if t6["common_bytes"] else "-",
+                     pct(t6["init_overhead"])])
+    return format_table("Table 6: execution statistics",
+                        ["program", "#PF/s", "#Timer/s", "#VE/s", "EMC/s",
+                         "conf", "com", "init ovh"], rows)
 
 
-def run_fig10(args) -> None:
-    bench = ServerBench(requests_per_size=args.requests)
-    series = {k: bench.run_series(k) for k in ("ssh", "nginx")}
+def render_fig10(data: dict) -> str:
+    ssh, nginx = data["ssh"], data["nginx"]
     rows = [[f"{size // 1024}K",
-             f"{series['ssh'].relative_throughput(size):.3f}",
-             f"{series['nginx'].relative_throughput(size):.3f}"]
+             f"{ssh['relative_throughput'][str(size)]:.3f}",
+             f"{nginx['relative_throughput'][str(size)]:.3f}"]
             for size in FILE_SIZES]
-    rows.append(["avg loss", pct(series["ssh"].average_reduction()),
-                 pct(series["nginx"].average_reduction())])
-    print(format_table("Figure 10: server relative throughput",
-                       ["size", "ssh", "nginx"], rows))
+    rows.append(["avg loss", pct(ssh["average_reduction"]),
+                 pct(nginx["average_reduction"])])
+    return format_table("Figure 10: server relative throughput",
+                        ["size", "ssh", "nginx"], rows)
 
 
+def _fig9_table6(args) -> dict:
+    return collect_fig9_table6(args.scale)
+
+
+#: experiment -> (collector of its results.json section, renderer); fig9
+#: and table6 share one collector, so one invocation runs the matrix once
 EXPERIMENTS = {
-    "table3": run_table3,
-    "table4": run_table4,
-    "fig8": run_fig8,
-    "fig9": run_fig9,
-    "table6": run_table6,
-    "fig10": run_fig10,
+    "table3": (lambda args: collect_table3(), render_table3),
+    "table4": (lambda args: collect_table4(), render_table4),
+    "fig8": (lambda args: collect_fig8(args.iterations), render_fig8),
+    "fig9": (_fig9_table6, render_fig9),
+    "table6": (_fig9_table6, render_table6),
+    "fig10": (lambda args: collect_fig10(args.requests), render_fig10),
 }
 
 
@@ -144,8 +124,12 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [e for e in selected if e not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {unknown}")
+    sections: dict = {}
     for name in selected:
-        EXPERIMENTS[name](args)
+        collect, render = EXPERIMENTS[name]
+        if collect not in sections:
+            sections[collect] = collect(args)
+        print(render(sections[collect]))
         print()
     return 0
 

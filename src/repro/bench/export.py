@@ -1,9 +1,15 @@
-"""Machine-readable experiment export (JSON) for plotting/regression.
+"""The paper's experiments, one ``results.json`` section each.
 
-``collect_results`` re-runs the evaluation and returns one nested dict
-with every table/figure's data points; ``export_json`` writes it to disk.
-CI pipelines can diff successive exports to catch calibration drift, and
-the figures can be re-plotted from the JSON without re-simulation.
+Every ``collect_*`` function runs one experiment and returns its section;
+Fig. 9 and Table 6 share one section, derived by :func:`fig9_table6`
+from a single ``{workload: {setting: RunResult}}`` matrix and read only
+from the clock's event ledger. ``python -m repro.bench`` renders these
+sections as tables and the ``benchmarks/`` band checks assert on them, so
+each paper result is computed in exactly one place.
+``collect_results`` gathers every section into one nested dict and
+``export_json`` writes it to disk: CI compares a fresh export against the
+committed ``results.json`` to catch calibration drift, and the figures
+can be re-plotted from the JSON without re-simulation.
 
     python -c "from repro.bench.export import export_json; \
                export_json('results.json', scale=0.5)"
@@ -16,10 +22,8 @@ import math
 from pathlib import Path
 
 from .lmbench import LmbenchSuite
-from .runner import SETTINGS, WorkloadRunner
+from .runner import SETTINGS, RunResult, WorkloadRunner
 from .servers import FILE_SIZES, ServerBench
-
-WORKLOADS = ("llama.cpp", "yolo", "drugbank", "graphchi", "unicorn")
 
 
 def collect_table3() -> dict:
@@ -59,40 +63,40 @@ def collect_fig8(iterations: int = 120) -> dict:
     }
 
 
-def collect_fig9_table6(scale: float = 0.5, seed: int = 2025) -> dict:
-    runner = WorkloadRunner(scale=scale, seed=seed)
+def fig9_table6(matrix: dict[str, dict[str, RunResult]]) -> dict:
+    """The Fig. 9 / Table 6 section of a ``{workload: {setting: run}}``
+    matrix: runtime overhead of every setting vs native, and the full
+    Erebor run's Table 6 rates from the clock's event ledger."""
     out: dict = {"workloads": {}, "settings": list(SETTINGS)}
-    overheads = []
-    for name in WORKLOADS:
-        runs = runner.run_all_settings(name)
+    for name, runs in matrix.items():
         native = runs["native"]
-        entry = {"overhead_vs_native": {}, "table6": {}, "metrics": {}}
-        for setting, result in runs.items():
-            entry["overhead_vs_native"][setting] = (
-                result.run_seconds / native.run_seconds - 1.0)
-            entry["metrics"][setting] = result.metrics
         erebor = runs["erebor"]
-        # Table 6 columns come from the labelled metrics registry the
-        # runner snapshots around the measurement window (not from ad-hoc
-        # event counters); bench_table6_stats.py renders the same series.
-        entry["table6"] = {
-            "pf_per_sec": erebor.metric_rate("kernel_page_faults_total"),
-            "timer_per_sec": erebor.metric_rate("kernel_timer_ticks_total"),
-            "ve_per_sec": erebor.metric_rate("kernel_ve_total"),
-            "emc_per_sec": erebor.metric_rate("erebor_emc_total"),
-            "sandbox_exit_per_sec": erebor.metric_rate(
-                "erebor_sandbox_exits_total"),
-            "run_seconds": erebor.run_seconds,
-            "confined_bytes": erebor.confined_bytes,
-            "common_bytes": erebor.common_bytes,
-            "init_overhead": (erebor.init_seconds / native.init_seconds
-                              - 1.0),
+        out["workloads"][name] = {
+            "overhead_vs_native": {
+                setting: result.run_seconds / native.run_seconds - 1.0
+                for setting, result in runs.items()},
+            "table6": {
+                "pf_per_sec": erebor.rate("page_fault"),
+                "timer_per_sec": erebor.rate("timer_interrupt"),
+                "ve_per_sec": erebor.rate("ve"),
+                "emc_per_sec": erebor.rate("emc"),
+                "sandbox_exit_per_sec": erebor.rate("sandbox_exit"),
+                "run_seconds": erebor.run_seconds,
+                "confined_bytes": erebor.confined_bytes,
+                "common_bytes": erebor.common_bytes,
+                "init_overhead": (erebor.init_seconds / native.init_seconds
+                                  - 1.0),
+            },
         }
-        overheads.append(entry["overhead_vs_native"]["erebor"])
-        out["workloads"][name] = entry
+    full = [entry["overhead_vs_native"]["erebor"]
+            for entry in out["workloads"].values()]
     out["geomean_full_erebor"] = math.exp(
-        sum(math.log(1 + v) for v in overheads) / len(overheads)) - 1.0
+        sum(math.log(1 + v) for v in full) / len(full)) - 1.0
     return out
+
+
+def collect_fig9_table6(scale: float = 0.5, seed: int = 2025) -> dict:
+    return fig9_table6(WorkloadRunner(scale=scale, seed=seed).run_matrix())
 
 
 def collect_fig10(requests: int = 12) -> dict:

@@ -27,12 +27,13 @@ from ..core.channel import SecureChannel, UntrustedProxy
 from ..core.monitor import EreborFeatures
 from ..hw.memory import PAGE_SIZE
 from ..kernel.kernel import GuestKernel
-from ..libos.libos import DEBUGFS_IN, DEBUGFS_OUT, LibOs
-from ..obs.metrics import (MetricsRegistry, snapshot_counter_total,
-                           snapshot_delta)
+from ..libos.libos import DEBUGFS_IN, LibOs
 from ..vm import CvmMachine, MachineConfig, MIB
 
 SETTINGS = ("native", "libos", "mmu", "exit", "erebor")
+
+#: the paper's five §9 programs (Table 5), in Fig. 9 / Table 6 row order
+WORKLOADS = ("llama.cpp", "yolo", "drugbank", "graphchi", "unicorn")
 
 _FEATURES = {
     "mmu": EreborFeatures(mmu_isolation=True, exit_protection=False),
@@ -54,9 +55,6 @@ class RunResult:
     by_tag: dict = field(default_factory=dict)
     confined_bytes: int = 0
     common_bytes: int = 0
-    #: metrics-registry delta over the measurement window (JSON-able
-    #: snapshot: {"counters": ..., "gauges": ..., "histograms": ...})
-    metrics: dict = field(default_factory=dict)
 
     @property
     def run_cycles(self) -> int:
@@ -66,20 +64,6 @@ class RunResult:
         if self.run_seconds <= 0:
             return 0.0
         return self.events.get(event, 0) / self.run_seconds
-
-    def metric_total(self, name: str, **match) -> float:
-        """Sum a counter from the attached metrics snapshot.
-
-        ``match`` filters label values (e.g. ``cls="mmu"``); series missing
-        a matched label are skipped.
-        """
-        return snapshot_counter_total(self.metrics, name, **match)
-
-    def metric_rate(self, name: str, **match) -> float:
-        """Counter total per simulated second of the measurement window."""
-        if self.run_seconds <= 0:
-            return 0.0
-        return self.metric_total(name, **match) / self.run_seconds
 
     @property
     def total_exit_rate(self) -> float:
@@ -108,14 +92,16 @@ class WorkloadRunner:
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting!r}; pick from {SETTINGS}")
         work = make_workload(name, seed=self.seed, scale=self.scale)
-        if setting in ("native",):
-            return self._run_native(work)
-        if setting == "libos":
-            return self._run_libos_plain(work)
-        return self._run_erebor(work, _FEATURES[setting], setting)
+        if setting in _FEATURES:
+            return self._run_erebor(work, _FEATURES[setting], setting)
+        return self._run_plain(work, setting)
 
     def run_all_settings(self, name: str) -> dict[str, RunResult]:
         return {setting: self.run(name, setting) for setting in SETTINGS}
+
+    def run_matrix(self) -> dict[str, dict[str, RunResult]]:
+        """``{workload: {setting: RunResult}}`` over the §9 matrix."""
+        return {name: self.run_all_settings(name) for name in WORKLOADS}
 
     # ------------------------------------------------------------------ #
     # shared pieces
@@ -126,10 +112,6 @@ class WorkloadRunner:
                                            seed=self.seed))
         if self.instrument is not None:
             self.instrument(machine)
-        if not machine.clock.metrics.enabled:
-            # every bench run carries a live registry so Table 6 columns
-            # can be regenerated from labelled metrics (export.py)
-            machine.clock.metrics = MetricsRegistry()
         return machine
 
     def _install_activity_hooks(self, kernel: GuestKernel, work: Workload,
@@ -200,77 +182,40 @@ class WorkloadRunner:
             kernel.touch_pages(rt.task, vma.start, vma.length, write=write)
 
     # ------------------------------------------------------------------ #
-    # native
+    # native and LibOS-only: no monitor
     # ------------------------------------------------------------------ #
 
-    def _run_native(self, work: Workload) -> RunResult:
+    def _run_plain(self, work: Workload, setting: str) -> RunResult:
         machine = self._machine()
         kernel = machine.boot_native_kernel()
         system_task = kernel.spawn("systemd")
         manifest = work.manifest()
         t0 = machine.clock.snapshot()
-        rt = NativeRuntime(kernel, work.name, threads=manifest.threads,
-                           common=manifest.common)
-        heap_va = rt.malloc(manifest.heap_bytes)
-        rt.touch_range(heap_va, manifest.heap_bytes, write=True)
+        if setting == "native":
+            rt = NativeRuntime(kernel, work.name, threads=manifest.threads,
+                               common=manifest.common)
+            heap_va = rt.malloc(manifest.heap_bytes)
+            rt.touch_range(heap_va, manifest.heap_bytes, write=True)
+        else:
+            rt = LibOsRuntime(LibOs.boot_plain(kernel, manifest))
         self._init_common_content(kernel, rt, work)
         rt.compute(work.profile.init_compute_cycles)
         t1 = machine.clock.snapshot()
-        m1 = machine.clock.metrics.snapshot()
 
         self._install_activity_hooks(kernel, work, rt, system_task)
         request = work.default_request()
         kernel.vfs.lookup(DEBUGFS_IN).write_at(0, request)
         got = rt.recv_input()
         output = work.serve(rt, got or request)
-        t2 = machine.clock.snapshot()
 
         delta = machine.clock.since(t1)
-        common = sum(s.size for s in manifest.common)
-        return RunResult(work.name, "native",
+        return RunResult(work.name, setting,
                          init_seconds=machine.clock.since(t0).seconds
                          - delta.seconds,
                          run_seconds=delta.seconds, output=output,
                          events=dict(delta.events), by_tag=dict(delta.by_tag),
                          confined_bytes=manifest.heap_bytes,
-                         common_bytes=common,
-                         metrics=snapshot_delta(
-                             machine.clock.metrics.snapshot(), m1))
-
-    # ------------------------------------------------------------------ #
-    # LibOS-only
-    # ------------------------------------------------------------------ #
-
-    def _run_libos_plain(self, work: Workload) -> RunResult:
-        machine = self._machine()
-        kernel = machine.boot_native_kernel()
-        system_task = kernel.spawn("systemd")
-        manifest = work.manifest()
-        t0 = machine.clock.snapshot()
-        libos = LibOs.boot_plain(kernel, manifest)
-        rt = LibOsRuntime(libos)
-        self._init_common_content(kernel, rt, work)
-        rt.compute(work.profile.init_compute_cycles)
-        t1 = machine.clock.snapshot()
-        m1 = machine.clock.metrics.snapshot()
-
-        self._install_activity_hooks(kernel, work, rt, system_task)
-        request = work.default_request()
-        kernel.vfs.lookup(DEBUGFS_IN).write_at(0, request)
-        got = rt.recv_input()
-        output = work.serve(rt, got or request)
-        t2 = machine.clock.snapshot()
-
-        delta = machine.clock.since(t1)
-        return RunResult(work.name, "libos",
-                         init_seconds=machine.clock.since(t0).seconds
-                         - delta.seconds,
-                         run_seconds=delta.seconds, output=output,
-                         events=dict(delta.events), by_tag=dict(delta.by_tag),
-                         confined_bytes=manifest.heap_bytes,
-                         common_bytes=sum(s.size for s in manifest.common),
-                         metrics=snapshot_delta(
-                             machine.clock.metrics.snapshot(), m1))
+                         common_bytes=sum(s.size for s in manifest.common))
 
     # ------------------------------------------------------------------ #
     # Erebor (full + ablations)
@@ -303,11 +248,9 @@ class WorkloadRunner:
         client.request(proxy, channel, work.default_request())
 
         run_start = machine.clock.snapshot()
-        m1 = machine.clock.metrics.snapshot()
         kernel.current = libos.task
         request = rt.recv_input()
         output = work.serve(rt, request)
-        t2 = machine.clock.snapshot()
         result_blob = client.fetch_result(proxy, channel)
         assert result_blob == output
 
@@ -318,6 +261,4 @@ class WorkloadRunner:
                          run_seconds=delta.seconds, output=output,
                          events=dict(delta.events), by_tag=dict(delta.by_tag),
                          confined_bytes=libos.sandbox.confined_bytes,
-                         common_bytes=sum(s.size for s in manifest.common),
-                         metrics=snapshot_delta(
-                             machine.clock.metrics.snapshot(), m1))
+                         common_bytes=sum(s.size for s in manifest.common))

@@ -4,9 +4,9 @@ This is the quantitative half of ``repro.obs``: where the trace layer
 answers *when*, the registry answers *how many / how much* — per-sandbox
 EMC counts, exit-class breakdowns, page-fault and PKRS-toggle totals,
 syscall latency histograms. It supersedes the old ``MonitorStats``
-dataclass (now a derived view over the clock's event ledger) and the
-benchmark harness's ad-hoc counters: the bench runner snapshots the
-registry around every run and attaches the delta to ``results.json``.
+dataclass (now a derived view over the clock's event ledger). The paper
+tables do not read it: ``results.json`` and Table 6 are derived from the
+clock's event ledger, which the registry's series only partly mirror.
 
 Label sets are stored as canonical ``"k=v,k2=v2"`` strings (sorted by
 key), which keeps snapshots JSON-able with no conversion. Like the

@@ -9,7 +9,9 @@ from repro.bench.export import (
     collect_table3,
     collect_table4,
     export_json,
+    fig9_table6,
 )
+from repro.bench.runner import WorkloadRunner
 
 
 def test_table3_export_matches_paper():
@@ -29,6 +31,24 @@ def test_fig10_export_shape():
     for kind in ("ssh", "nginx"):
         assert len(data[kind]["relative_throughput"]) == 8
         assert 0 < data[kind]["average_reduction"] < 0.2
+
+
+def test_table6_rates_read_the_clock_ledger():
+    """Every Table 6 rate is the clock's event count over the window.
+
+    The helloworld erebor run takes two #VEs, one of them on the network
+    path, which no metrics series counts: a registry-fed column drifts.
+    """
+    runs = WorkloadRunner(scale=1.0).run_all_settings("helloworld")
+    row = fig9_table6({"helloworld": runs})["workloads"]["helloworld"]["table6"]
+    erebor = runs["erebor"]
+    assert erebor.events["ve"] == 2
+    assert row["ve_per_sec"] == erebor.events["ve"] / erebor.run_seconds
+    for column, event in (("pf_per_sec", "page_fault"),
+                          ("timer_per_sec", "timer_interrupt"),
+                          ("emc_per_sec", "emc"),
+                          ("sandbox_exit_per_sec", "sandbox_exit")):
+        assert row[column] == erebor.rate(event), column
 
 
 def test_export_json_roundtrip(tmp_path):

@@ -7,12 +7,7 @@ llama.cpp worst (13.15%) and a geometric mean of ~8.1%; LibOS-only stays
 small (1.7% geomean) except llama's sync-heavy 4.5%.
 """
 
-import pytest
-
-from repro.bench.report import format_table, pct
-
-PAPER_FULL = {"llama.cpp": 13.15, "yolo": None, "drugbank": None,
-              "graphchi": None, "unicorn": None}
+from repro.bench.__main__ import render_fig9
 
 
 def overheads(section, setting) -> dict:
@@ -21,21 +16,10 @@ def overheads(section, setting) -> dict:
 
 
 def test_print_fig9(benchmark, workload_section):
-    def build():
-        rows = []
-        for name, entry in workload_section["workloads"].items():
-            ovh = entry["overhead_vs_native"]
-            rows.append([name, pct(ovh["libos"]), pct(ovh["mmu"]),
-                         pct(ovh["exit"]), pct(ovh["erebor"])])
-        rows.append(["geomean", "-", "-", "-",
-                     pct(workload_section["geomean_full_erebor"])])
-        return format_table(
-            "Figure 9: workload runtime overhead vs native "
-            "(paper: geomean 8.1%, range 4.5-13.2%, llama worst 13.15%)",
-            ["workload", "LibOS-only", "LibOS-MMU", "LibOS-Exit",
-             "full Erebor"], rows)
-
-    print("\n" + benchmark.pedantic(build, rounds=1, iterations=1))
+    """Paper: full-Erebor geomean 8.1%, range 4.5-13.2%, llama.cpp worst
+    at 13.15%."""
+    print("\n" + benchmark.pedantic(lambda: render_fig9(workload_section),
+                                    rounds=1, iterations=1))
 
 
 def test_full_erebor_range_matches_paper(benchmark, workload_section):

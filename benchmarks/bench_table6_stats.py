@@ -12,16 +12,7 @@ table6`` renders. Its rates are the clock's event ledger over each
 measurement window (``RunResult.rate``).
 """
 
-from repro.bench.report import format_table, mib, pct
-
-PAPER = {
-    # workload: (pf/s, timer/s, ve/s, total, emc/s, conf MB, com MB, init %)
-    "llama.cpp": (1800, 900, 1700, 4400, 46900, 501, 4096, 52.7),
-    "yolo": (1200, 1000, 1300, 3500, 77600, 757, 132, 13.3),
-    "drugbank": (500, 500, 1200, 2200, 87600, 814, 400, 28.5),
-    "graphchi": (800, 2700, 700, 4200, 40900, 1340, 0, 36.8),
-    "unicorn": (700, 2300, 900, 3900, 39500, 1254, 0, 31.2),
-}
+from repro.bench.__main__ import render_table6
 
 
 def table6_rows(section) -> dict:
@@ -34,27 +25,21 @@ def exits_per_sec(row) -> float:
 
 
 def test_print_table6(benchmark, workload_section):
-    def build():
-        rows = []
-        for name, t6 in table6_rows(workload_section).items():
-            rows.append([
-                name,
-                f"{t6['pf_per_sec']:.0f}",
-                f"{t6['timer_per_sec']:.0f}",
-                f"{t6['ve_per_sec']:.0f}",
-                f"{exits_per_sec(t6):.0f}",
-                f"{t6['emc_per_sec'] / 1000:.1f}k",
-                f"{t6['run_seconds']:.2f}s",
-                mib(t6["confined_bytes"]),
-                mib(t6["common_bytes"]) if t6["common_bytes"] else "-",
-                pct(t6["init_overhead"]),
-            ])
-        return format_table(
-            "Table 6: execution statistics (full Erebor; simulated rates)",
-            ["program", "#PF/s", "#Timer/s", "#VE/s", "exits/s", "EMC/s",
-             "time", "conf.", "com.", "init ovh"], rows)
+    """Paper values (#PF/s, #Timer/s, #VE/s, exits/s, EMC/s, confined MB,
+    common MB, init overhead):
 
-    print("\n" + benchmark.pedantic(build, rounds=1, iterations=1))
+    ========= ==== ===== ==== ==== ====== ==== ==== =====
+    program   #PF  Timer #VE  exit EMC    conf com  init
+    ========= ==== ===== ==== ==== ====== ==== ==== =====
+    llama.cpp 1800 900   1700 4400 46900  501  4096 52.7%
+    yolo      1200 1000  1300 3500 77600  757  132  13.3%
+    drugbank  500  500   1200 2200 87600  814  400  28.5%
+    graphchi  800  2700  700  4200 40900  1340 0    36.8%
+    unicorn   700  2300  900  3900 39500  1254 0    31.2%
+    ========= ==== ===== ==== ==== ====== ==== ==== =====
+    """
+    print("\n" + benchmark.pedantic(lambda: render_table6(workload_section),
+                                    rounds=1, iterations=1))
 
 
 def test_exit_rates_in_paper_band(benchmark, workload_section):

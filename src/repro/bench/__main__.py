@@ -62,15 +62,17 @@ def render_table6(data: dict) -> str:
     rows = []
     for name, entry in data["workloads"].items():
         t6 = entry["table6"]
+        exits = t6["pf_per_sec"] + t6["timer_per_sec"] + t6["ve_per_sec"]
         rows.append([name, f"{t6['pf_per_sec']:.0f}",
                      f"{t6['timer_per_sec']:.0f}", f"{t6['ve_per_sec']:.0f}",
-                     f"{t6['emc_per_sec'] / 1000:.1f}k",
+                     f"{exits:.0f}", f"{t6['emc_per_sec'] / 1000:.1f}k",
+                     f"{t6['run_seconds']:.2f}s",
                      mib(t6["confined_bytes"]),
                      mib(t6["common_bytes"]) if t6["common_bytes"] else "-",
                      pct(t6["init_overhead"])])
     return format_table("Table 6: execution statistics",
-                        ["program", "#PF/s", "#Timer/s", "#VE/s", "EMC/s",
-                         "conf", "com", "init ovh"], rows)
+                        ["program", "#PF/s", "#Timer/s", "#VE/s", "exits/s",
+                         "EMC/s", "time", "conf", "com", "init ovh"], rows)
 
 
 def render_fig10(data: dict) -> str:

@@ -231,9 +231,9 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
               admission: AdmissionConfig | None = None,
               pool_config: PoolConfig | None = None,
               memory_bytes: int = 768 * MIB, cma_bytes: int = 256 * MIB,
-              instrument=None, slo=None, anomaly: bool = False, flight=None,
-              certificates: bool = False, features=None,
-              static_budget_admission: bool = False
+              instrument=None, slo=None, anomaly: bool = False,
+              flight: bool = False, certificates: bool = False,
+              features=None, static_budget_admission: bool = False
               ) -> tuple[FleetReport, object]:
     """Run one multi-tenant fleet; returns ``(report, system)``.
 
@@ -245,11 +245,10 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
 
     ``slo`` (:class:`~repro.fleet.scheduler.SloConfig`) arms per-tenant
     latency objectives, ``anomaly=True`` the EWMA exit/EMC detectors of
-    :class:`~repro.fleet.scheduler.AnomalyMonitor`, and ``flight``
-    (:class:`~repro.obs.flight.FlightConfig` or ``True``) installs an
-    always-on flight recorder that freezes a black-box dump on any
-    trigger. All three read the cycle clock but never charge it, so
-    enabling them cannot move a seeded digest.
+    :class:`~repro.fleet.scheduler.AnomalyMonitor`, and ``flight=True``
+    installs an always-on flight recorder that freezes a black-box dump
+    on any trigger. All three read the cycle clock but never charge it,
+    so enabling them cannot move a seeded digest.
 
     ``certificates`` issues one :mod:`repro.certs` execution certificate
     per admitted session after the fleet drains (arming a request tracer
@@ -279,9 +278,8 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
         from ..obs.metrics import MetricsRegistry
         clock.metrics = MetricsRegistry()
     if flight and not clock.tracer.enabled:
-        from ..obs.flight import FlightConfig, FlightRecorder
-        cfg = flight if isinstance(flight, FlightConfig) else None
-        clock.tracer = FlightRecorder(clock, cfg)
+        from ..obs.flight import FlightRecorder
+        clock.tracer = FlightRecorder(clock)
     system = erebor_boot(machine, cma_bytes=cma_bytes, features=features)
 
     # certificates attach the request's causal span tree: arm a tracer

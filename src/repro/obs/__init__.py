@@ -64,7 +64,6 @@ from .metrics import (
     parse_label_key,
     sandbox_label,
     snapshot_counter_total,
-    snapshot_delta,
 )
 from .ring import RingBuffer
 from .trace import (
@@ -80,7 +79,7 @@ from .trace import (
 
 __all__ = [
     "AUDIT", "DEFAULT_BUCKETS", "DEFAULT_CAPACITY", "EwmaDetector",
-    "FlightConfig", "FlightDump", "FlightRecorder", "HostProfiler",
+    "FlightDump", "FlightRecorder", "HostProfiler",
     "INSTANT", "MetricsRegistry", "NULL_METRICS", "NULL_TRACER",
     "NullMetrics", "NullTracer", "RequestTraceIndex", "RingBuffer",
     "SPAN", "TraceEvent", "Tracer", "WindowedHistogram",
@@ -91,7 +90,7 @@ __all__ = [
     "gate_report", "hotspots", "install", "label_key", "mint_trace_id",
     "parse_label_key", "profile_fleet", "profile_report",
     "prometheus_text", "run_observed", "sandbox_label",
-    "snapshot_counter_total", "snapshot_delta", "total_attributed",
+    "snapshot_counter_total", "total_attributed",
     "trace_json", "uninstall", "utilization_timeline",
     "verify_conservation", "write_chrome_trace",
 ]
@@ -112,7 +111,6 @@ _LAZY = {
     "check_request_trace": ("schema", "check_request_trace"),
     "check_hostprof_report": ("schema", "check_hostprof_report"),
     "run_observed": ("harness", "run_observed"),
-    "FlightConfig": ("flight", "FlightConfig"),
     "FlightDump": ("flight", "FlightDump"),
     "FlightRecorder": ("flight", "FlightRecorder"),
     "utilization_timeline": ("flight", "utilization_timeline"),
@@ -144,21 +142,18 @@ def __getattr__(name: str):
 
 
 def install(clock, *, trace: bool = True, metrics: bool = True,
-            capacity: int = DEFAULT_CAPACITY, flight=False):
+            capacity: int = DEFAULT_CAPACITY, flight: bool = False):
     """Attach observability to a clock; returns ``(tracer, registry)``.
 
     With ``trace=False`` (or ``metrics=False``) the corresponding no-op
     sink is left in place and returned, so callers can always use the
-    return values unconditionally. ``flight`` swaps the plain tracer for
-    a :class:`~repro.obs.flight.FlightRecorder` (pass a
-    :class:`~repro.obs.flight.FlightConfig` to tune it) — a drop-in
-    Tracer that additionally keeps per-CPU black-box rings and freezes a
-    dump on every trigger.
+    return values unconditionally. ``flight=True`` swaps the plain tracer
+    for a :class:`~repro.obs.flight.FlightRecorder` — a drop-in Tracer
+    that additionally freezes a black-box dump on every trigger.
     """
     if flight and trace:
-        from .flight import FlightConfig, FlightRecorder
-        cfg = flight if isinstance(flight, FlightConfig) else None
-        tracer = FlightRecorder(clock, cfg, capacity=capacity)
+        from .flight import FlightRecorder
+        tracer = FlightRecorder(clock, capacity=capacity)
     else:
         tracer = Tracer(clock, capacity=capacity) if trace else clock.tracer
     registry = MetricsRegistry() if metrics else clock.metrics

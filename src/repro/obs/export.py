@@ -1,12 +1,15 @@
 """Exporters: Chrome trace_event JSON, Prometheus text, plain JSON.
 
-The Chrome format (``chrome_trace``) loads directly in Perfetto or
-``chrome://tracing``: spans become complete (``"X"``) events, instants
-become ``"i"`` events, and timestamps are converted from simulated cycles
-to microseconds at the modelled 2.1 GHz core frequency (the raw cycle
-values ride along in ``args``). The Prometheus exposition
-(``prometheus_text``) renders the live metrics registry — counters,
-gauges and cumulative histogram buckets — in the standard text format.
+The Chrome format loads directly in Perfetto or ``chrome://tracing``.
+One mapping, :func:`chrome_events`, renders all three trace views (the
+whole ring in ``chrome_trace``, flight dumps, and the per-request view
+of :mod:`repro.obs.reqtrace`); each view supplies only its lane layout.
+Spans become complete (``"X"``) events, instants become ``"i"`` events,
+and timestamps are converted from simulated cycles to microseconds at
+the modelled 2.1 GHz core frequency (the raw cycle values ride along in
+``args``). The Prometheus exposition (``prometheus_text``) renders the
+live metrics registry — counters, gauges and cumulative histogram
+buckets — in the standard text format.
 """
 
 from __future__ import annotations
@@ -30,35 +33,36 @@ def cycles_to_us(cycles: int) -> float:
 # Chrome trace_event
 # --------------------------------------------------------------------------- #
 
-def chrome_trace(tracer: Tracer) -> dict:
-    """Render the ring buffer as a Chrome/Perfetto ``trace_event`` dict.
+def chrome_events(process: str, lanes: dict[int, str], records, *,
+                  process_tid: int = 0, cpu_arg: bool = False) -> list[dict]:
+    """The one TraceEvent → Chrome ``trace_event`` mapping.
 
-    Everything lands in process 1. Events recorded while a logical CPU was
-    executing (``TraceEvent.cpu`` set) land on their own thread lane
-    (``tid = cpu + 2``), so an SMP run renders one swim-lane per core;
-    serial-section events stay on the base lane, ``tid = 1``.
+    Every view lives in process 1 and differs only in its lane layout:
+    ``process`` names the process (on thread ``process_tid``), ``lanes``
+    maps each thread id to its label, and ``records`` yields
+    ``(tid, TraceEvent)`` pairs in output order. Spans become complete
+    (``"X"``) events and everything else an instant (``"i"``); the raw
+    cycle values ride along in ``args``, as do the bound request trace
+    ID and, for audits, the record's ``kind``. ``cpu_arg`` also records
+    the executing CPU, for layouts whose lanes are not CPUs.
     """
-    pid, tid = 1, 1
     events: list[dict] = [{
-        "name": "process_name", "ph": "M", "pid": pid, "tid": tid,
-        "args": {"name": "erebor-sim"},
+        "name": "process_name", "ph": "M", "pid": 1, "tid": process_tid,
+        "args": {"name": process},
     }]
-    cpus = sorted({e.cpu for e in tracer.events if e.cpu is not None})
-    for cpu in cpus:
-        events.append({"name": "thread_name", "ph": "M", "pid": pid,
-                       "tid": tid + cpu + 1, "args": {"name": f"cpu{cpu}"}})
-    for e in tracer.events:
+    for tid, label in lanes.items():
+        events.append({"name": "thread_name", "ph": "M", "pid": 1,
+                       "tid": tid, "args": {"name": label}})
+    for tid, e in records:
         args = dict(e.args)
         args["cycles_begin"] = e.begin
         if e.trace is not None:            # bound request trace ID
             args["trace"] = e.trace
+        if cpu_arg and e.cpu is not None:
+            args["cpu"] = e.cpu
         record = {
-            "name": e.name,
-            "cat": e.cat or "trace",
-            "pid": pid,
-            "tid": tid if e.cpu is None else tid + e.cpu + 1,
-            "ts": cycles_to_us(e.begin),
-            "args": args,
+            "name": e.name, "cat": e.cat or "trace", "pid": 1, "tid": tid,
+            "ts": cycles_to_us(e.begin), "args": args,
         }
         if e.kind == SPAN:
             record["ph"] = "X"
@@ -70,8 +74,23 @@ def chrome_trace(tracer: Tracer) -> dict:
             if e.kind != INSTANT:          # audit events keep their kind
                 args["kind"] = e.kind
         events.append(record)
+    return events
+
+
+def chrome_trace(tracer: Tracer) -> dict:
+    """Render the ring buffer as a Chrome/Perfetto ``trace_event`` dict.
+
+    Events recorded while a logical CPU was executing (``TraceEvent.cpu``
+    set) land on their own thread lane (``tid = cpu + 2``), so an SMP run
+    renders one swim-lane per core; serial-section events stay on the
+    base lane, ``tid = 1``.
+    """
+    cpus = sorted({e.cpu for e in tracer.events if e.cpu is not None})
+    records = ((1 if e.cpu is None else e.cpu + 2, e) for e in tracer.events)
     return {
-        "traceEvents": events,
+        "traceEvents": chrome_events(
+            "erebor-sim", {cpu + 2: f"cpu{cpu}" for cpu in cpus}, records,
+            process_tid=1),
         "displayTimeUnit": "ms",
         "otherData": {
             "clock": "simulated-cycles",

@@ -1,16 +1,23 @@
-"""Flight recorder: always-on bounded per-CPU rings + black-box dumps.
+"""Flight recorder: black-box dumps cut from the tracer's own ring.
 
 A :class:`FlightRecorder` is a :class:`~repro.obs.trace.Tracer` (every
-exporter, the profiler, and the bundle harness work on it unchanged) that
-additionally mirrors each record into a small bounded ring *per logical
-CPU*. When a trigger fires — a security violation, a C1–C8 check failure,
-an SLO breach (see :meth:`~repro.obs.trace.NullTracer.trigger` call sites
-in ``core/monitor.py``, ``core/sandbox.py``, ``fleet/pool.py`` and the
-SLO monitor) — the recorder freezes the last ``lookback_kcycles``
-kilocycles of every core's ring into a :class:`FlightDump`: a
-self-describing JSON payload that also carries a Chrome ``traceEvents``
-view (one thread lane per CPU), the audit-chain head digest at the
-moment of the trigger, and a per-CPU utilization timeline.
+exporter, the profiler, and the bundle harness work on it unchanged)
+that freezes a :class:`FlightDump` when a trigger fires — a security
+violation, a C1–C8 check failure, an SLO breach (see
+:meth:`~repro.obs.trace.NullTracer.trigger` call sites in
+``core/monitor.py``, ``core/sandbox.py``, ``fleet/pool.py`` and the SLO
+monitor). A dump is a window over the ring the tracer already keeps: the
+records that ended within the last :data:`LOOKBACK_KCYCLES` kilocycles,
+grouped by executing lane. It is a self-describing JSON payload that
+also carries a Chrome ``traceEvents`` view (one thread lane per CPU),
+the audit-chain head digest at the moment of the trigger, and a per-CPU
+utilization timeline.
+
+Records enter the ring in nondecreasing ``end`` order (the clock only
+moves forward and audits are stamped with ``clock.cycles``), so the
+window is a suffix of the ring, and the ring's drop count says exactly
+whether the window is whole: it is unless a dropped record could have
+ended inside it.
 
 Like every obs component the recorder only *reads* the cycle clock; it
 never charges it, so the simulated timeline is byte-identical with the
@@ -24,60 +31,30 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..hw.cycles import SERIAL_LANE
-from .export import cycles_to_us
+from .export import chrome_events
 from .ledger import capture_ledger, lane_name
-from .ring import RingBuffer
 from .schema import check_flight_dump
 from .trace import DEFAULT_CAPACITY, SPAN, TraceEvent, Tracer
 
 #: buckets in the per-CPU utilization timeline of each dump
 TIMELINE_BUCKETS = 20
 
+#: dump window: keep records ending within the last N kilocycles
+LOOKBACK_KCYCLES = 50
 
-@dataclass
-class FlightConfig:
-    """Bounds of the always-on recorder and its dumps."""
-
-    #: per-CPU ring capacity (events); small by design — recent history only
-    ring_capacity: int = 4096
-    #: dump window: keep events ending within the last N kilocycles
-    lookback_kcycles: int = 50
-    #: freeze at most this many dumps (later triggers only count)
-    max_dumps: int = 4
+#: freeze at most this many dumps (later triggers only count)
+MAX_DUMPS = 4
 
 
 class FlightRecorder(Tracer):
-    """Recording tracer with per-CPU recent-history rings and dumps."""
+    """Recording tracer that freezes black-box dumps on triggers."""
 
-    __slots__ = ("config", "rings", "dumps", "triggers")
+    __slots__ = ("dumps", "triggers")
 
-    def __init__(self, clock, config: FlightConfig | None = None,
-                 capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, clock, capacity: int = DEFAULT_CAPACITY):
         super().__init__(clock, capacity=capacity)
-        self.config = config or FlightConfig()
-        #: cpu id (SERIAL_LANE for serial sections) → bounded recent ring
-        self.rings: dict[int, RingBuffer[TraceEvent]] = {}
         self.dumps: list[FlightDump] = []
         self.triggers = 0
-
-    # -- recording ------------------------------------------------------- #
-
-    def _emit(self, event: TraceEvent) -> None:
-        # hot path: every record passes through here; the event is a bare
-        # tuple (cpu = slot 8) and is mirrored by reference, not copied.
-        # Both ring appends are inlined (increment + C append) — two
-        # method calls per record is measurable at fleet scale.
-        events = self.events
-        events.pushed += 1
-        events._buf.append(event)
-        cpu = event[8]
-        if cpu is None:
-            cpu = SERIAL_LANE
-        ring = self.rings.get(cpu)
-        if ring is None:
-            ring = self.rings[cpu] = RingBuffer(self.config.ring_capacity)
-        ring.pushed += 1
-        ring._buf.append(event)
 
     def trigger(self, reason: str, detail: str = "") -> None:
         """Record the trigger event, then freeze a black-box dump.
@@ -89,29 +66,35 @@ class FlightRecorder(Tracer):
         """
         super().trigger(reason, detail)       # instant flight:<reason> event
         self.triggers += 1
-        if len(self.dumps) < self.config.max_dumps:
+        if len(self.dumps) < MAX_DUMPS:
             self.dumps.append(self._freeze(reason, detail))
-
-    # -- freezing -------------------------------------------------------- #
 
     def _freeze(self, reason: str, detail: str) -> "FlightDump":
         now = self.clock.cycles
-        window_start = max(0, now - self.config.lookback_kcycles * 1000)
-        events_by_cpu: dict[int, list[TraceEvent]] = {}
-        dropped_by_cpu: dict[int, int] = {}
-        for cpu in sorted(self.rings):
-            ring = self.rings[cpu]
-            events_by_cpu[cpu] = [e for e in ring if e.end >= window_start]
-            dropped_by_cpu[cpu] = ring.dropped
+        window_start = max(0, now - LOOKBACK_KCYCLES * 1000)
+        ring = self.events
+        window: list[TraceEvent] = []
+        for event in reversed(ring):          # ends are nondecreasing, so
+            if event.end < window_start:      # the window is a suffix
+                break
+            window.append(event)
+        # a lane is in the dump iff the ring still holds a record from it
+        lanes = {SERIAL_LANE if e.cpu is None else e.cpu for e in ring}
+        events_by_cpu: dict[int, list[TraceEvent]] = {
+            cpu: [] for cpu in sorted(lanes)}
+        for event in reversed(window):
+            cpu = event.cpu
+            events_by_cpu[SERIAL_LANE if cpu is None else cpu].append(event)
+        dropped = ring.dropped
         return FlightDump(
             reason=reason, detail=detail, cycle=now,
             window_start=window_start,
-            lookback_kcycles=self.config.lookback_kcycles,
             audit_head=getattr(self.clock, "audit_head", ""),
             wall_cycles=self.clock.wall_cycles,
             per_cpu_cycles=list(self.clock.per_cpu),
             events_by_cpu=events_by_cpu,
-            dropped_by_cpu=dropped_by_cpu,
+            dropped=dropped,
+            window_complete=dropped == 0 or ring[0].end < window_start,
             trace_id=self._trace or "",
             # where the budget stood when the box froze: the postmortem
             # can see which plane was eating the machine at the trigger
@@ -120,8 +103,7 @@ class FlightRecorder(Tracer):
 
     def __repr__(self) -> str:
         return (f"FlightRecorder({len(self.events)} events, "
-                f"{len(self.rings)} rings, {self.triggers} triggers, "
-                f"{len(self.dumps)} dumps)")
+                f"{self.triggers} triggers, {len(self.dumps)} dumps)")
 
 
 @dataclass
@@ -132,12 +114,14 @@ class FlightDump:
     detail: str
     cycle: int                      # trigger timestamp (serial clock)
     window_start: int               # oldest cycle retained in the dump
-    lookback_kcycles: int
     audit_head: str                 # audit-chain head at freeze time
     wall_cycles: int
     per_cpu_cycles: list[int]
     events_by_cpu: dict[int, list[TraceEvent]]
-    dropped_by_cpu: dict[int, int] = field(default_factory=dict)
+    #: records the tracer ring had discarded when the box froze
+    dropped: int
+    #: no discarded record could have ended inside the window
+    window_complete: bool
     #: request trace ID bound when the trigger fired ("" = none bound)
     trace_id: str = ""
     #: plane-attribution budget snapshot at freeze time (repro.obs.ledger)
@@ -147,13 +131,10 @@ class FlightDump:
         return sum(len(v) for v in self.events_by_cpu.values())
 
     def to_dict(self) -> dict:
-        per_cpu = {}
-        for cpu, events in sorted(self.events_by_cpu.items()):
-            key = "serial" if cpu == SERIAL_LANE else str(cpu)
-            per_cpu[key] = {
-                "events": [e.to_dict() for e in events],
-                "dropped": self.dropped_by_cpu.get(cpu, 0),
-            }
+        per_cpu = {
+            "serial" if cpu == SERIAL_LANE else str(cpu):
+                {"events": [e.to_dict() for e in events]}
+            for cpu, events in sorted(self.events_by_cpu.items())}
         return {
             "reason": self.reason,
             "detail": self.detail,
@@ -162,8 +143,10 @@ class FlightDump:
             "window": {
                 "start": self.window_start,
                 "end": self.cycle,
-                "lookback_kcycles": self.lookback_kcycles,
+                "lookback_kcycles": LOOKBACK_KCYCLES,
             },
+            "dropped": self.dropped,
+            "window_complete": self.window_complete,
             "audit_head": self.audit_head,
             "wall_cycles": self.wall_cycles,
             "per_cpu_cycles": list(self.per_cpu_cycles),
@@ -177,36 +160,15 @@ class FlightDump:
 
     def _chrome_events(self) -> list[dict]:
         """Chrome ``trace_event`` view: one thread lane per CPU."""
-        events: list[dict] = [{
-            "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-            "args": {"name": f"erebor-flight:{self.reason}"},
-        }]
         lanes = sorted(self.events_by_cpu)
-        for cpu in lanes:
-            tid = 0 if cpu == SERIAL_LANE else cpu + 1
-            events.append({"name": "thread_name", "ph": "M", "pid": 1,
-                           "tid": tid, "args": {"name": lane_name(cpu)}})
-        for cpu in lanes:
-            tid = 0 if cpu == SERIAL_LANE else cpu + 1
-            for e in self.events_by_cpu[cpu]:
-                args = dict(e.args)
-                args["cycles_begin"] = e.begin
-                if e.trace is not None:
-                    args["trace"] = e.trace
-                record = {
-                    "name": e.name, "cat": e.cat or "trace",
-                    "pid": 1, "tid": tid,
-                    "ts": cycles_to_us(e.begin), "args": args,
-                }
-                if e.kind == SPAN:
-                    record["ph"] = "X"
-                    record["dur"] = cycles_to_us(e.duration)
-                    args["cycles_dur"] = e.duration
-                else:
-                    record["ph"] = "i"
-                    record["s"] = "t"
-                events.append(record)
-        return events
+
+        def tid(cpu: int) -> int:
+            return 0 if cpu == SERIAL_LANE else cpu + 1
+
+        return chrome_events(
+            f"erebor-flight:{self.reason}",
+            {tid(cpu): lane_name(cpu) for cpu in lanes},
+            ((tid(cpu), e) for cpu in lanes for e in self.events_by_cpu[cpu]))
 
     def write(self, path: str | Path) -> dict:
         """Serialize the dump to ``path``; returns the dict written."""

@@ -511,44 +511,6 @@ class MetricsRegistry(NullMetrics):
             "exemplars": {n: dict(s) for n, s in self.exemplars.items()},
         }
 
-    def delta_since(self, snap: dict) -> dict:
-        """Interval view: counters/histograms since ``snap``, gauges live."""
-        return snapshot_delta(self.snapshot(), snap)
-
-
-def snapshot_delta(new: dict, old: dict) -> dict:
-    """Subtract two :meth:`MetricsRegistry.snapshot` dicts (new - old)."""
-    counters: dict = {}
-    for name, series in new["counters"].items():
-        base = old["counters"].get(name, {})
-        delta = {k: v - base.get(k, 0) for k, v in series.items()
-                 if v - base.get(k, 0)}
-        if delta:
-            counters[name] = delta
-    histograms: dict = {}
-    for name, series in new["histograms"].items():
-        base = old["histograms"].get(name, {})
-        out_series = {}
-        for key, hist in series.items():
-            b = base.get(key)
-            if b is None:
-                out_series[key] = copy.deepcopy(hist)
-                continue
-            diff = {
-                "bounds": list(hist["bounds"]),
-                "buckets": [x - y for x, y in zip(hist["buckets"],
-                                                  b["buckets"])],
-                "sum": hist["sum"] - b["sum"],
-                "count": hist["count"] - b["count"],
-            }
-            if diff["count"]:
-                out_series[key] = diff
-        if out_series:
-            histograms[name] = out_series
-    return {"counters": counters,
-            "gauges": {n: dict(s) for n, s in new["gauges"].items()},
-            "histograms": histograms}
-
 
 def snapshot_counter_total(snapshot: dict, name: str, /, **match) -> float:
     """Sum a counter in a snapshot dict across matching label sets."""

@@ -35,7 +35,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .trace import INSTANT, SPAN, TraceEvent, Tracer
+from .trace import SPAN, TraceEvent, Tracer
 
 #: hex digits in a minted trace ID
 TRACE_ID_LEN = 16
@@ -43,7 +43,6 @@ TRACE_ID_LEN = 16
 #: span names that must appear in a complete session trace (in causal
 #: order): admission decision, per-request execution, channel response
 REQUIRED_STAGES = ("fleet:admit", "fleet:request", "channel:response")
-_REQUIRED_STAGES = REQUIRED_STAGES   # historical alias
 
 
 def mint_trace_id(seed: int, name: str) -> str:
@@ -232,7 +231,7 @@ class RequestTraceIndex:
         """
         names = {node.name for root in self.tree(query)
                  for node in root.walk()}
-        return all(stage in names for stage in _REQUIRED_STAGES)
+        return all(stage in names for stage in REQUIRED_STAGES)
 
     def tree_payload(self, query: str) -> list[dict]:
         """The canonical (JSON-native) form of one request's tree.
@@ -279,43 +278,21 @@ class RequestTraceIndex:
         the fleet-wide per-request timeline the CLI's ``--trace-out``
         writes.
         """
-        from .export import cycles_to_us   # late: export imports hw.cycles
+        from .export import chrome_events   # late: export imports hw.cycles
 
         trace_ids = ([self.resolve(query)] if query is not None
                      else self.ids())
-        events: list[dict] = [{
-            "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-            "args": {"name": "erebor-requests"},
-        }]
+        lanes = {}
         for lane, trace_id in enumerate(trace_ids, start=1):
             session = self.session_for(trace_id)
-            label = f"{session} [{trace_id[:8]}]" if session \
-                else trace_id[:TRACE_ID_LEN]
-            events.append({"name": "thread_name", "ph": "M", "pid": 1,
-                           "tid": lane, "args": {"name": label}})
-        for lane, trace_id in enumerate(trace_ids, start=1):
-            for e in self.by_trace[trace_id]:
-                args = dict(e.args)
-                args["cycles_begin"] = e.begin
-                args["trace"] = trace_id
-                if e.cpu is not None:
-                    args["cpu"] = e.cpu
-                record = {
-                    "name": e.name, "cat": e.cat or "trace",
-                    "pid": 1, "tid": lane,
-                    "ts": cycles_to_us(e.begin), "args": args,
-                }
-                if e.kind == SPAN:
-                    record["ph"] = "X"
-                    record["dur"] = cycles_to_us(e.duration)
-                    args["cycles_dur"] = e.duration
-                else:
-                    record["ph"] = "i"
-                    record["s"] = "t"
-                    if e.kind != INSTANT:
-                        args["kind"] = e.kind
-                events.append(record)
-        return {"traceEvents": events, "displayTimeUnit": "ms",
+            lanes[lane] = (f"{session} [{trace_id[:8]}]" if session
+                           else trace_id[:TRACE_ID_LEN])
+        records = ((lane, e)
+                   for lane, trace_id in enumerate(trace_ids, start=1)
+                   for e in self.by_trace[trace_id])
+        return {"traceEvents": chrome_events("erebor-requests", lanes,
+                                             records, cpu_arg=True),
+                "displayTimeUnit": "ms",
                 "otherData": {"clock": "simulated-cycles",
                               "lanes": "one-per-request"}}
 

@@ -20,7 +20,8 @@ class RingBuffer(Generic[T]):
     """Bounded FIFO keeping the newest ``capacity`` items.
 
     Supports the list-ish read surface the audit log's consumers use:
-    ``len``, iteration (oldest → newest), integer and slice indexing.
+    ``len``, iteration (oldest → newest, or newest first through
+    ``reversed``), integer and slice indexing.
     Overwritten items are counted by :attr:`dropped`.
 
     Storage is a ``deque(maxlen=capacity)`` so the append path — the
@@ -71,6 +72,9 @@ class RingBuffer(Generic[T]):
 
     def __iter__(self) -> Iterator[T]:
         return iter(self._buf)
+
+    def __reversed__(self) -> Iterator[T]:
+        return reversed(self._buf)
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -257,7 +257,8 @@ def validate_flight_dump(obj) -> list[str]:
         return [f"top level: expected dict, got {type(obj).__name__}"]
     for key, types in (("reason", str), ("detail", str),
                        ("trace_id", str), ("cycle", int),
-                       ("window", dict), ("audit_head", str),
+                       ("window", dict), ("dropped", int),
+                       ("window_complete", bool), ("audit_head", str),
                        ("wall_cycles", int), ("per_cpu_cycles", list),
                        ("per_cpu", dict), ("utilization", dict),
                        ("ledger", dict), ("traceEvents", list)):
@@ -283,9 +284,6 @@ def validate_flight_dump(obj) -> list[str]:
                 continue
             if not isinstance(body.get("events"), list):
                 errors.append(f"flight.per_cpu[{lane!r}].events: not a list")
-            if not isinstance(body.get("dropped"), int):
-                errors.append(f"flight.per_cpu[{lane!r}].dropped: "
-                              "missing or not an int")
     if isinstance(obj.get("ledger"), dict) and obj["ledger"]:
         errors.extend(validate_ledger(obj["ledger"]))
     if isinstance(obj.get("traceEvents"), list):

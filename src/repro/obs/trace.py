@@ -411,10 +411,9 @@ class Tracer(NullTracer):
         return path
 
     def _emit(self, event: TraceEvent) -> None:
-        """Single sink for every record (FlightRecorder overrides this to
-        additionally mirror events into its per-CPU rings). Reaches into
-        the ring directly — one increment, one C append — because this
-        runs once per record at fleet scale."""
+        """Single sink for every record. Reaches into the ring directly —
+        one increment, one C append — because this runs once per record
+        at fleet scale."""
         events = self.events
         events.pushed += 1
         events._buf.append(event)

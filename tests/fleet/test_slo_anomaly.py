@@ -154,9 +154,12 @@ def test_forced_emc_violation_freezes_a_forensic_dump():
     assert dump.reason == "sandbox_kill"
     assert "EMC allowance" in dump.detail
     payload = dump.to_dict()
-    # the dump window honors the configured lookback exactly
-    lookback = recorder.config.lookback_kcycles * 1000
+    # the dump window honors the lookback exactly, and nothing the ring
+    # dropped could have ended inside it
+    from repro.obs.flight import LOOKBACK_KCYCLES
+    lookback = LOOKBACK_KCYCLES * 1000
     assert payload["window"]["end"] - payload["window"]["start"] == lookback
+    assert payload["window_complete"] is True
     # ...and holds the violating request's span plus the kill audit trail
     names = [e["name"] for lane in payload["per_cpu"].values()
              for e in lane["events"]]

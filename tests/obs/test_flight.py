@@ -1,25 +1,29 @@
-"""Flight recorder: per-CPU rings, trigger-frozen dumps, timelines.
+"""Flight recorder: trigger-frozen dumps over the tracer's ring.
 
 The recorder is a drop-in :class:`~repro.obs.trace.Tracer` subclass —
 every exporter and the profiler must keep working on it unchanged — that
-additionally mirrors records into bounded per-CPU rings and freezes a
-black-box :class:`~repro.obs.flight.FlightDump` on every trigger.
+freezes a black-box :class:`~repro.obs.flight.FlightDump` on every
+trigger: the last ``LOOKBACK_KCYCLES`` of its own ring, grouped by lane.
 """
 
 import json
 
 from repro.hw.cycles import SERIAL_LANE, CycleClock
 from repro.obs.export import chrome_trace, prometheus_text, trace_json
-from repro.obs.flight import FlightConfig, FlightRecorder, utilization_timeline
+from repro.obs.flight import (LOOKBACK_KCYCLES, MAX_DUMPS, FlightRecorder,
+                              utilization_timeline)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import check_flight_dump
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
 
+#: a gap that ages every earlier record out of the dump window
+PAST_WINDOW = LOOKBACK_KCYCLES * 1000 + 10_000
 
-def _recorder(n_cpus: int = 2, **cfg) -> tuple[CycleClock, FlightRecorder]:
+
+def _recorder(n_cpus: int = 2, **kwargs) -> tuple[CycleClock, FlightRecorder]:
     clock = CycleClock()
     clock.ensure_cpus(n_cpus)
-    recorder = FlightRecorder(clock, FlightConfig(**cfg))
+    recorder = FlightRecorder(clock, **kwargs)
     clock.tracer = recorder
     clock.metrics = MetricsRegistry()
     return clock, recorder
@@ -31,8 +35,12 @@ def _work(clock, cpu: int, name: str, cycles: int) -> None:
             clock.charge(cycles, "work")
 
 
+def _names(dump, cpu: int) -> list[str]:
+    return [e.name for e in dump.events_by_cpu[cpu]]
+
+
 # --------------------------------------------------------------------------- #
-# recording: per-CPU rings mirror the main ring
+# dump lanes: the tracer's ring, grouped by executing lane
 # --------------------------------------------------------------------------- #
 
 def test_events_land_in_the_executing_cpus_ring():
@@ -40,20 +48,61 @@ def test_events_land_in_the_executing_cpus_ring():
     _work(clock, 0, "a", 100)
     _work(clock, 1, "b", 200)
     clock.tracer.event("serial-note", cat="test")   # no CPU scope
-    assert [e.name for e in recorder.rings[0]] == ["a"]
-    assert [e.name for e in recorder.rings[1]] == ["b"]
-    assert [e.name for e in recorder.rings[SERIAL_LANE]] == ["serial-note"]
-    # the main ring still sees everything, in commit order
-    assert [e.name for e in recorder.events] == ["a", "b", "serial-note"]
+    recorder.trigger("manual")
+    (dump,) = recorder.dumps
+    assert sorted(dump.events_by_cpu) == [SERIAL_LANE, 0, 1]
+    assert _names(dump, 0) == ["a"]
+    assert _names(dump, 1) == ["b"]
+    assert _names(dump, SERIAL_LANE) == ["serial-note", "flight:manual"]
+    # the ring itself still holds everything, in commit order
+    assert [e.name for e in recorder.events] == [
+        "a", "b", "serial-note", "flight:manual"]
 
 
 def test_rings_are_bounded_and_count_drops():
-    clock, recorder = _recorder(ring_capacity=4)
+    clock, recorder = _recorder(capacity=4)
+    for i in range(10):                         # all inside the window
+        _work(clock, 0, f"s{i}", 10)
+    recorder.trigger("manual")
+    (dump,) = recorder.dumps
+    assert _names(dump, 0) == ["s7", "s8", "s9"]
+    assert _names(dump, SERIAL_LANE) == ["flight:manual"]
+    assert dump.dropped == recorder.dropped == 7
+    # the drops ended inside the window, so the dump says it is partial
+    payload = dump.to_dict()
+    check_flight_dump(payload)
+    assert payload["dropped"] == 7
+    assert payload["window_complete"] is False
+
+
+def test_a_lane_stays_while_the_ring_holds_one_of_its_records():
+    clock, recorder = _recorder(capacity=4)
+    _work(clock, 1, "old", 10)
+    with clock.on_cpu(0):
+        clock.charge(PAST_WINDOW, "gap")
+    _work(clock, 0, "new", 10)
+    recorder.trigger("manual")                  # ring: old, new, trigger
+    assert recorder.dumps[0].events_by_cpu[1] == []    # aged out, lane kept
+    _work(clock, 0, "newer", 10)
+    recorder.trigger("manual")                  # "old" evicted: lane gone
+    assert 1 not in recorder.dumps[1].events_by_cpu
+    assert _names(recorder.dumps[1], 0) == ["new", "newer"]
+
+
+def test_drops_before_the_window_leave_it_complete():
+    clock, recorder = _recorder(capacity=4)
     for i in range(10):
         _work(clock, 0, f"s{i}", 10)
-    assert len(recorder.rings[0]) == 4
-    assert recorder.rings[0].dropped == 6
-    assert [e.name for e in recorder.rings[0]] == ["s6", "s7", "s8", "s9"]
+    with clock.on_cpu(0):
+        clock.charge(PAST_WINDOW, "gap")        # every drop predates it
+    _work(clock, 0, "recent", 10)
+    recorder.trigger("manual")
+    payload = recorder.dumps[0].to_dict()
+    check_flight_dump(payload)
+    assert payload["dropped"] == 8
+    assert payload["window_complete"] is True
+    assert [e["name"] for e in payload["per_cpu"]["0"]["events"]] == [
+        "recent"]
 
 
 def test_recorder_reads_but_never_charges_the_clock():
@@ -70,17 +119,17 @@ def test_recorder_reads_but_never_charges_the_clock():
 # --------------------------------------------------------------------------- #
 
 def test_trigger_freezes_a_dump_with_the_recent_window():
-    clock, recorder = _recorder(lookback_kcycles=1)     # 1000-cycle window
+    clock, recorder = _recorder()
     _work(clock, 0, "ancient", 100)
     with clock.on_cpu(0):
-        clock.charge(5000, "gap")                       # ages "ancient" out
+        clock.charge(PAST_WINDOW, "gap")            # ages "ancient" out
     _work(clock, 0, "recent", 100)
     recorder.trigger("test_violation", "something broke")
     (dump,) = recorder.dumps
     assert dump.reason == "test_violation"
-    names = [e.name for e in dump.events_by_cpu[0]]
+    names = _names(dump, 0)
     assert "recent" in names and "ancient" not in names
-    assert dump.window_start == dump.cycle - 1000
+    assert dump.window_start == dump.cycle - LOOKBACK_KCYCLES * 1000
 
 
 def test_trigger_event_itself_reaches_the_trace():
@@ -91,12 +140,12 @@ def test_trigger_event_itself_reaches_the_trace():
 
 
 def test_max_dumps_caps_storage_but_triggers_keep_counting():
-    clock, recorder = _recorder(max_dumps=2)
-    for i in range(5):
+    clock, recorder = _recorder()
+    for i in range(MAX_DUMPS + 1):
         recorder.trigger("again", str(i))
     assert recorder.triggers == 5
-    assert len(recorder.dumps) == 2
-    assert [d.detail for d in recorder.dumps] == ["0", "1"]
+    assert len(recorder.dumps) == 4
+    assert [d.detail for d in recorder.dumps] == ["0", "1", "2", "3"]
 
 
 def test_null_tracer_trigger_is_a_safe_noop():
@@ -129,7 +178,7 @@ def test_dump_schema_and_contents(tmp_path):
     assert reread == payload
     assert payload["audit_head"] == "ab" * 32
     assert payload["window"]["end"] == payload["cycle"]
-    assert payload["per_cpu"]["0"]["dropped"] == 0
+    assert payload["dropped"] == 0 and payload["window_complete"] is True
     names = [e["name"] for e in payload["per_cpu"]["1"]["events"]]
     assert "span-b" in names
     assert dump.event_count() == 3          # two spans + the trigger event
@@ -146,6 +195,19 @@ def test_dump_chrome_view_has_one_lane_per_cpu():
     assert lanes == {"cpu0": 1, "cpu1": 2, "serial": 0}
     spans = {e["name"]: e["tid"] for e in trace if e.get("ph") == "X"}
     assert spans["a"] == 1 and spans["b"] == 2
+
+
+def test_dump_chrome_view_keeps_the_audit_kind():
+    clock, recorder = _recorder()
+    _work(clock, 0, "a", 100)
+    recorder.audit("policy", "cr4 write denied")
+    recorder.trigger("policy_deny", "cr4 write")
+    dump_view = recorder.dumps[0].to_dict()["traceEvents"]
+    whole_ring = chrome_trace(recorder)["traceEvents"]
+    for events in (dump_view, whole_ring):
+        (audit,) = [e for e in events if e["name"] == "audit:policy"]
+        assert audit["ph"] == "i"
+        assert audit["args"]["kind"] == "audit"
 
 
 # --------------------------------------------------------------------------- #

@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     label_key,
     parse_label_key,
     snapshot_counter_total,
-    snapshot_delta,
 )
 
 
@@ -60,23 +59,15 @@ def test_snapshot_is_detached_and_delta_subtracts():
     snap = reg.snapshot()
     reg.inc("c", 2, k="a")
     reg.inc("c", 1, k="b")
+    reg.set_gauge("g", 9)
     reg.observe("h", 30)
-    assert snap["counters"]["c"] == {"k=a": 3}      # unchanged by later incs
-    delta = reg.delta_since(snap)
-    assert delta["counters"]["c"] == {"k=a": 2, "k=b": 1}
-    assert delta["histograms"]["h"][""]["count"] == 1
-    assert snapshot_counter_total(delta, "c", k="b") == 1
+    # unchanged by later updates
+    assert snap["counters"]["c"] == {"k=a": 3}
+    assert snap["gauges"]["g"] == {"": 7}
+    assert snap["histograms"]["h"][""]["count"] == 1
+    assert snapshot_counter_total(reg.snapshot(), "c") == 6
     # snapshots are plain JSON
     json.dumps(reg.snapshot())
-    json.dumps(delta)
-
-
-def test_snapshot_delta_drops_empty_series():
-    reg = MetricsRegistry()
-    reg.inc("c")
-    snap = reg.snapshot()
-    delta = snapshot_delta(reg.snapshot(), snap)
-    assert delta["counters"] == {} and delta["histograms"] == {}
 
 
 def test_null_metrics_is_inert():

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from ..hw.cycles import Cost
 from ..kernel.kernel import ExitPath
-from ..obs.metrics import HandleCache, sandbox_label
+from ..obs.metrics import HandleCache, owner_label
 from ..kernel.process import CowBacking, Task
 from .policy import SandboxViolation
 
@@ -40,7 +40,7 @@ class MonitorExitPath(ExitPath):
         self.monitor = monitor
         self.clock = monitor.clock
         self._last_exit_cycle: int | None = None
-        #: (cls, owner) → exit-counter write handles; "pkrs" → its handle
+        #: (cls, owner) → exit metric write handles; "pkrs" → its handle
         self._metric_handles = HandleCache()
 
     # ------------------------------------------------------------------ #
@@ -52,34 +52,30 @@ class MonitorExitPath(ExitPath):
             return task.sandbox
         return None
 
-    def _charge_exit(self, cls: str = "other", *, sandboxed: bool,
-                     sandbox=None, task=None) -> None:
+    def _charge_exit(self, cls: str, sandbox) -> None:
+        """Inspect one exit of ``sandbox`` (None: kernel or native)."""
         clock = self.clock
         clock.charge(Cost.EXIT_INSPECT, "exit_interpose")
-        if sandboxed:
-            clock.count("sandbox_exit")
-            if sandbox is not None:
-                sandbox.stats["exits"] += 1
+        owner = None
+        if sandbox is not None:
+            owner = sandbox.sandbox_id
+            clock.count(("sandbox_exit", cls, owner))
+            sandbox.stats["exits"] += 1
             if self.monitor.features.uarch_model:
                 clock.charge(Cost.UARCH_PER_SANDBOX_EXIT, "uarch")
             if self.monitor.mitigations is not None:
                 self.monitor.mitigations.on_sandbox_exit(sandbox)
         metrics = clock.metrics
         if metrics.enabled:
-            owner = sandbox_label(task)
             handles = self._metric_handles.get(metrics, (cls, owner))
             if handles is None:
                 handles = self._metric_handles.put((cls, owner), (
-                    metrics.counter_handle("erebor_exits_total",
-                                           cls=cls, sandbox=owner),
-                    metrics.counter_handle("erebor_sandbox_exits_total",
-                                           cls=cls, sandbox=owner),
+                    metrics.counter_handle("erebor_exits_total", cls=cls,
+                                           sandbox=owner_label(owner)),
                     metrics.histogram_handle("erebor_exit_gap_cycles"),
                 ))
-            exits_total, sandbox_exits, exit_gap = handles
+            exits_total, exit_gap = handles
             exits_total.inc()
-            if sandboxed:
-                sandbox_exits.inc()
             # exit-gap histogram: cycles between consecutive interposed
             # exits, the interposition-frequency distribution Fig. 10 keys
             last = self._last_exit_cycle
@@ -89,7 +85,7 @@ class MonitorExitPath(ExitPath):
         name = _EXIT_EVENT_NAMES.get(cls)
         if name is None:
             name = _EXIT_EVENT_NAMES[cls] = f"exit:{cls}"
-        clock.tracer.event(name, "exit", sandboxed=sandboxed)
+        clock.tracer.event(name, "exit", sandboxed=sandbox is not None)
 
     def _pkrs_toggle(self) -> None:
         """Bump the PKRS-write counter through a cached handle."""
@@ -114,8 +110,7 @@ class MonitorExitPath(ExitPath):
         if not self._active:
             return
         sandbox = self._sandbox_of(task)
-        self._charge_exit("syscall", sandboxed=sandbox is not None,
-                          sandbox=sandbox, task=task)
+        self._charge_exit("syscall", sandbox)
         if sandbox is not None:
             self.clock.count("sandbox_syscall_exit")
             sandbox.stats["syscall_exits"] += 1
@@ -162,8 +157,7 @@ class MonitorExitPath(ExitPath):
         if not self._active:
             return
         sandbox = self._sandbox_of(task)
-        self._charge_exit("pagefault", sandboxed=sandbox is not None,
-                          sandbox=sandbox, task=task)
+        self._charge_exit("pagefault", sandbox)
         self.clock.charge(Cost.INT_GATE_OVERHEAD, "int_gate")
         self._pkrs_toggle()
         if sandbox is not None:
@@ -178,8 +172,7 @@ class MonitorExitPath(ExitPath):
         if not self._active:
             return
         sandbox = self._sandbox_of(task)
-        self._charge_exit("irq", sandboxed=sandbox is not None,
-                          sandbox=sandbox, task=task)
+        self._charge_exit("irq", sandbox)
         self.clock.charge(Cost.INT_GATE_OVERHEAD, "int_gate")
         self._pkrs_toggle()
         if sandbox is not None:
@@ -207,8 +200,7 @@ class MonitorExitPath(ExitPath):
         if not self._active:
             return
         sandbox = self._sandbox_of(task)
-        self._charge_exit("ve", sandboxed=sandbox is not None,
-                          sandbox=sandbox, task=task)
+        self._charge_exit("ve", sandbox)
         self.clock.count("ve_interposed")
         if sandbox is None or not sandbox.locked:
             return

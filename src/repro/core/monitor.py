@@ -26,7 +26,8 @@ from ..hw.memory import pages_for
 from ..kernel.image import SelfImage
 from ..kernel.kernel import GuestKernel
 from ..kernel.ops import PrivilegedOps
-from ..obs.metrics import HandleCache, sandbox_label
+from ..kernel.process import sandbox_owner
+from ..obs.metrics import HandleCache
 from ..obs.ring import RingBuffer
 from ..tdx.module import VMCALL_CPUID
 from .nested_mmu import NestedMmu
@@ -193,7 +194,7 @@ class EreborMonitor:
         #: secure channels attached so far; seeds each one's default key RNG
         self.channels_opened = 0
         self._cpuid_cache: tuple | None = None
-        #: (kind, owner) → pre-resolved EMC metric write handles
+        #: kind → pre-resolved EMC metric write handles
         self._emc_handles = HandleCache()
         self._cma_pool: list[int] = []
         self._shared_io: list[int] = []
@@ -380,7 +381,8 @@ class EreborMonitor:
     def charge_emc(self, validation_cycles: int, kind: str = "nop") -> None:
         self.charge_emc_batch(validation_cycles, kind, 1)
 
-    def _emc_charges(self, clock, validation_cycles: int, count: int) -> None:
+    def _emc_charges(self, clock, validation_cycles: int, kind: str,
+                     count: int) -> None:
         clock.charge(count * Cost.EMC_ROUND_TRIP, "emc")
         # validation rides inside the emc span rather than a nested
         # span of its own: it is a single charge, its cost stays
@@ -388,7 +390,9 @@ class EreborMonitor:
         # the per-kind EMC-cycles histogram, and dropping the extra
         # record cuts a third of the armed run's span volume
         clock.charge(count * validation_cycles, "emc_validate")
-        clock.count("emc", count)
+        kernel = self.kernel
+        clock.count(("emc", kind,
+                     sandbox_owner(kernel.current if kernel else None)), count)
         if self.features.uarch_model:
             clock.charge(count * Cost.UARCH_PER_EMC, "uarch")
 
@@ -414,29 +418,24 @@ class EreborMonitor:
             if count == 1:
                 with tracer.span("gate", "gate"), \
                         tracer.span(span_name, "emc"):
-                    self._emc_charges(clock, validation_cycles, count)
+                    self._emc_charges(clock, validation_cycles, kind, count)
             else:
                 with tracer.span("gate", "gate"), \
                         tracer.span(span_name, "emc", calls=count):
-                    self._emc_charges(clock, validation_cycles, count)
+                    self._emc_charges(clock, validation_cycles, kind, count)
         else:
-            self._emc_charges(clock, validation_cycles, count)
+            self._emc_charges(clock, validation_cycles, kind, count)
         metrics = clock.metrics
         if metrics.enabled:
-            kernel = self.kernel
-            owner = sandbox_label(kernel.current if kernel else None)
-            # hottest metric path in the tree: resolve the three series
-            # once per (kind, owner) and write through cached handles
-            handles = self._emc_handles.get(metrics, (kind, owner))
+            # hottest metric path in the tree: resolve both series once
+            # per kind and write through cached handles
+            handles = self._emc_handles.get(metrics, kind)
             if handles is None:
-                handles = self._emc_handles.put((kind, owner), (
-                    metrics.counter_handle("erebor_emc_total",
-                                           cls=kind, sandbox=owner),
+                handles = self._emc_handles.put(kind, (
                     metrics.counter_handle("erebor_pkrs_toggles_total"),
                     metrics.histogram_handle("erebor_emc_cycles", cls=kind),
                 ))
-            emc_total, pkrs_toggles, emc_cycles = handles
-            emc_total.inc(count)
+            pkrs_toggles, emc_cycles = handles
             # each EMC round trip writes IA32_PKRS twice (revoke + restore)
             pkrs_toggles.inc(2 * count)
             if count == 1:
@@ -463,7 +462,6 @@ class EreborMonitor:
 
     def _deny(self, exc: PolicyViolation) -> PolicyViolation:
         self.clock.count("policy_denial")
-        self.clock.metrics.inc("erebor_policy_denials_total")
         self.audit("deny", str(exc))
         self.clock.tracer.trigger("policy_deny", str(exc))
         return exc
@@ -577,11 +575,10 @@ class EreborMonitor:
         self.vmmu.adopt_template(name, frames)
         sandbox.confined_frames = []
         sandbox.state = "template"
-        self.clock.count("template_sealed")
+        self.clock.count(("template_sealed", name))
         self.clock.tracer.event("fleet:template_seal", "fleet",
                                 template=name, sandbox=sandbox.sandbox_id,
                                 frames=len(frames))
-        self.clock.metrics.inc("erebor_templates_sealed_total", template=name)
         self.audit("sandbox", f"sealed #{sandbox.sandbox_id} as template "
                    f"{name!r} ({len(frames)} frames, {rewritten} PTEs "
                    "flipped read-only)")
@@ -600,7 +597,6 @@ class EreborMonitor:
         self.clock.count("sandbox_created")
         self.clock.tracer.event("sandbox:create", "sandbox",
                                 sandbox=sandbox_id, name=name)
-        self.clock.metrics.inc("erebor_sandboxes_created_total")
         self.audit("sandbox", f"created #{sandbox_id} {name!r} "
                    f"(budget {confined_budget >> 20} MiB, {threads} threads)")
         return sandbox

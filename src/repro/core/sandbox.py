@@ -243,9 +243,7 @@ class Sandbox:
             if self.task.aspace.get_pte(page_va) & PTE_P:
                 monitor.vmmu.write_pte(self.task.aspace, page_va, 0)
             backing.private[page] = fn
-            clock.count("cow_break")
-            clock.metrics.inc("erebor_cow_breaks_total",
-                              sandbox=str(self.sandbox_id))
+            clock.count(("cow_break", self.sandbox_id))
         target = fn if fn is not None else backing.template_frames[page]
         flags = PTE_P | PTE_U | PTE_NX | (PTE_W if fn is not None else 0)
         monitor.vmmu.write_pte(self.task.aspace, page_va,
@@ -317,7 +315,6 @@ class Sandbox:
         clock.count("sandbox_killed")
         clock.tracer.event("sandbox:kill", "sandbox",
                            sandbox=self.sandbox_id, why=why)
-        clock.metrics.inc("erebor_sandboxes_killed_total")
         self.monitor.audit("kill", f"sandbox #{self.sandbox_id}: {why}")
         clock.tracer.trigger("sandbox_kill",
                              f"sandbox #{self.sandbox_id}: {why}")
@@ -384,11 +381,9 @@ class Sandbox:
         self.channel = None
         self.trace_context = None       # C8: no trace ID survives reuse
         self.state = "ready"
-        monitor.clock.count("sandbox_warm_reset")
+        monitor.clock.count(("sandbox_warm_reset", self.sandbox_id))
         monitor.clock.tracer.event("sandbox:warm_reset", "sandbox",
                                    sandbox=self.sandbox_id)
-        monitor.clock.metrics.inc("erebor_sandbox_reuse_total",
-                                  sandbox=str(self.sandbox_id))
 
     def _scrub(self) -> None:
         kernel = self.monitor.kernel

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 from ..hw import cet
 from ..hw.cycles import Cost
 from ..hw.memory import PAGE_SIZE
+from ..kernel.process import sandbox_owner
 
 if TYPE_CHECKING:
     from ..kernel.process import Task
@@ -70,11 +71,8 @@ class ShadowStackManager:
         with monitor.clock.tracer.span("emc:sst", "emc"):
             monitor.clock.charge(Cost.EMC_ROUND_TRIP + Cost.VALIDATE_MSR,
                                  "sst")
-        monitor.clock.count("emc")
+        monitor.clock.count(("emc", "sst", sandbox_owner(nxt)))
         monitor.clock.count("sst_switch")
-        from ..obs.metrics import sandbox_label
-        monitor.clock.metrics.inc("erebor_emc_total", cls="sst",
-                                  sandbox=sandbox_label(nxt))
         monitor.clock.metrics.inc("erebor_pkrs_toggles_total", 2)
         held = self.active.get(cpu_id)
         if held is not None:

@@ -226,7 +226,8 @@ class CycleClock:
     #: :attr:`by_tag`, :attr:`busy_by_cpu` and :meth:`cpu_busy` sum it.
     tags_by_cpu: dict = field(default_factory=dict)
     #: lane-resolved event ledgers, keyed like :attr:`tags_by_cpu` →
-    #: ``Counter``; :attr:`events` sums them
+    #: ``Counter`` of event keys: a name, or a ``(name, *labels)`` tuple
+    #: (see :meth:`count`); :attr:`events` sums them by name
     events_by_cpu: dict = field(default_factory=dict)
     #: mirror of the monitor's audit-chain head digest (the monitor is
     #: authoritative; this copy lets obs bundles carry the head without
@@ -305,8 +306,12 @@ class CycleClock:
             self.per_cpu[cpu_id] += waited
         return max(waited, 0)
 
-    def count(self, event: str, n: int = 1) -> None:
-        """Record ``n`` occurrences of a named event (no time charged)."""
+    def count(self, event: str | tuple, n: int = 1) -> None:
+        """Record ``n`` occurrences of an event (no time charged).
+
+        ``event`` is a name, or a ``(name, *labels)`` tuple that also
+        records raw label values; the views below fold it into its name.
+        """
         if self._cpu_stack:
             cpu = self._cpu_stack[-1]
             ledger = self.events_by_cpu.get(cpu)
@@ -338,7 +343,7 @@ class CycleClock:
         """Event name → occurrences over every lane."""
         total = Counter()
         for ledger in self.events_by_cpu.values():
-            total.update(ledger)
+            _fold_labels(ledger, total)
         return total
 
     # -- per-CPU reads --------------------------------------------------- #
@@ -354,8 +359,8 @@ class CycleClock:
         return sum(self.tags_by_cpu.get(cpu_id, {}).values())
 
     def cpu_events(self, cpu_id: int) -> Counter:
-        """Event ledger of one lane; a copy (empty if never counted)."""
-        return Counter(self.events_by_cpu.get(cpu_id, ()))
+        """Event name → occurrences on one lane (empty if never counted)."""
+        return _fold_labels(self.events_by_cpu.get(cpu_id, {}), Counter())
 
     def cpu_tags(self, lane: int) -> dict:
         """Tag → cycles ledger of one lane (:data:`SERIAL_LANE` for the
@@ -389,6 +394,13 @@ class CycleClock:
             self.events - snap.events,
             self.wall_cycles - snap.wall_cycles,
         )
+
+
+def _fold_labels(ledger: Counter, into: Counter) -> Counter:
+    """Add a lane ledger into ``into``, labelled keys under their name."""
+    for key, n in ledger.items():
+        into[key[0] if key.__class__ is tuple else key] += n
+    return into
 
 
 @dataclass

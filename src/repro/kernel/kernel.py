@@ -26,7 +26,6 @@ from ..hw.errors import PageFault
 from ..hw.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory, pages_for
 from ..hw.mmu import USER_MODE, AccessContext
 from ..hw.paging import PTE_NX, PTE_P, PTE_U, PTE_W, AddressSpace, make_pte
-from ..obs.metrics import HandleCache, sandbox_label
 from ..obs.ring import RingBuffer
 from ..tdx.module import TdxModule, VMCALL_IO
 from .net import NetStack
@@ -40,6 +39,7 @@ from .process import (
     SegmentationFault,
     Task,
     Vma,
+    sandbox_owner,
 )
 from .vfs import Vfs
 
@@ -119,9 +119,6 @@ class GuestKernel:
 
         self.tick_period = CPU_FREQ_HZ // HZ
         self._next_tick = clock.cycles + self.tick_period
-        #: pre-resolved metric write handles for the kernel's hot paths
-        #: (ticks, #VE, page faults, syscalls), keyed by label values
-        self._metric_handles = HandleCache()
         #: callables invoked on every timer tick (system-activity drivers)
         self.tick_hooks: list = []
         self._ticks_on_current = 0
@@ -239,13 +236,6 @@ class GuestKernel:
     def _timer_tick(self) -> None:
         with self.clock.tracer.span("irq:timer", "irq"):
             self._timer_tick_body()
-        metrics = self.clock.metrics
-        if metrics.enabled:
-            ticks = self._metric_handles.get(metrics, "ticks")
-            if ticks is None:
-                ticks = self._metric_handles.put(
-                    "ticks", metrics.counter_handle("kernel_timer_ticks_total"))
-            ticks.inc()
 
     def _timer_tick_body(self) -> None:
         task = self.current
@@ -265,22 +255,10 @@ class GuestKernel:
         if task is not None:
             self.exit_path.on_interrupt_return(task, TIMER_VECTOR)
 
-    def _count_ve(self, reason: str) -> None:
-        """Bump ``kernel_ve_total{reason=...}`` through a cached handle."""
-        metrics = self.clock.metrics
-        if metrics.enabled:
-            handle = self._metric_handles.get(metrics, ("ve", reason))
-            if handle is None:
-                handle = self._metric_handles.put(
-                    ("ve", reason),
-                    metrics.counter_handle("kernel_ve_total", reason=reason))
-            handle.inc()
-
     def _host_emulated_msr_write(self, msr: int, value: int) -> None:
         """A wrmsr the host must emulate: #VE, then a GHCI exit."""
-        self.clock.count("ve")
+        self.clock.count(("ve", "wrmsr"))
         self.clock.tracer.event("ve:wrmsr", "ve", msr=msr)
-        self._count_ve("wrmsr")
         self.clock.charge(Cost.EXC_DELIVERY + Cost.IRET, "ve")
         self.exit_path.on_ve(self.current, "wrmsr")
         if self.tdx is not None:
@@ -295,14 +273,13 @@ class GuestKernel:
             self.handle_page_fault(self.current, fault.address, fault.is_write)
 
     def _ve_py_handler(self, cpu, vector, fault) -> None:
-        self.clock.count("ve")
         reason = getattr(fault, "exit_reason", "")
         label = reason or "unknown"
+        self.clock.count(("ve", label))
         name = _VE_EVENT_NAMES.get(label)
         if name is None:
             name = _VE_EVENT_NAMES[label] = f"ve:{label}"
         self.clock.tracer.event(name, "ve")
-        self._count_ve(label)
         self.exit_path.on_ve(self.current, reason)
 
     def raise_ve_interposition(self) -> None:
@@ -311,9 +288,8 @@ class GuestKernel:
 
     def simulate_device_ve(self) -> None:
         """One host-device notification (virtio doorbell) #VE + GHCI exit."""
-        self.clock.count("ve")
+        self.clock.count(("ve", "io"))
         self.clock.tracer.event("ve:io", "ve")
-        self._count_ve("io")
         self.clock.charge(Cost.EXC_DELIVERY + Cost.IRET, "ve")
         self.exit_path.on_ve(self.current, "io")
         if self.tdx is not None:
@@ -353,19 +329,9 @@ class GuestKernel:
         """The demand-paging slow path."""
         with self.clock.tracer.span("pagefault", "fault"):
             self._handle_page_fault(task, va, write)
-        metrics = self.clock.metrics
-        if metrics.enabled:
-            owner = sandbox_label(task)
-            handle = self._metric_handles.get(metrics, ("pf", owner))
-            if handle is None:
-                handle = self._metric_handles.put(
-                    ("pf", owner),
-                    metrics.counter_handle("kernel_page_faults_total",
-                                           sandbox=owner))
-            handle.inc()
 
     def _handle_page_fault(self, task: Task, va: int, write: bool) -> None:
-        self.clock.count("page_fault")
+        self.clock.count(("page_fault", sandbox_owner(task)))
         self.clock.charge(Cost.EXC_DELIVERY, "pagefault")
         vma = task.find_vma(va)
         handled = self.exit_path.on_secure_pagefault(task, va, write, vma)
@@ -477,25 +443,15 @@ class GuestKernel:
             span_name = _SYSCALL_SPAN_NAMES[name] = f"syscall:{name}"
         with clock.tracer.span(span_name, "syscall"):
             clock.charge(Cost.SYSCALL_ROUND_TRIP, "syscall")
-            clock.count("syscall")
+            # no handler changes its caller's owner (a clone's is set
+            # after the syscall returns): this is the owner on return
+            clock.count(("syscall", name, sandbox_owner(task)))
             self.exit_path.on_syscall(task, name)
             handler = syscalls.TABLE.get(name)
             if handler is None:
                 raise ValueError(f"unknown syscall {name!r}")
             result = handler(self, task, *args, **kwargs)
             self.pump()
-        metrics = clock.metrics
-        if metrics.enabled:
-            owner = sandbox_label(task)
-            handles = self._metric_handles.get(metrics, ("sys", name, owner))
-            if handles is None:
-                handles = self._metric_handles.put(("sys", name, owner), (
-                    metrics.counter_handle("kernel_syscalls_total",
-                                           name=name, sandbox=owner),
-                    metrics.histogram_handle("kernel_syscall_cycles",
-                                             name=name),
-                ))
-            calls, cycles_hist = handles
-            calls.inc()
-            cycles_hist.observe(clock.cycles - start)
+        clock.metrics.observe("kernel_syscall_cycles", clock.cycles - start,
+                              name=name)
         return result

@@ -133,7 +133,7 @@ class NetStack:
         for off in range(0, max(len(data), 1), SEGMENT_BYTES):
             segment = data[off:off + SEGMENT_BYTES]
             kernel.clock.charge(Cost.EXC_DELIVERY + Cost.IRET, "ve")
-            kernel.clock.count("ve")
+            kernel.clock.count(("ve", "io"))
             kernel.raise_ve_interposition()
             from ..tdx.module import VMCALL_IO
             kernel.ops.vmcall(VMCALL_IO, segment)
@@ -144,6 +144,6 @@ class NetStack:
         kernel = self.kernel
         segments = max(1, pages_for(nbytes) * PAGE_SIZE // SEGMENT_BYTES or 1)
         kernel.clock.charge(segments * (Cost.EXC_DELIVERY + Cost.IRET), "ve")
-        kernel.clock.count("ve", segments)
+        kernel.clock.count(("ve", "io"), segments)
         self.external_log.append(("rx", nbytes))
         return b""

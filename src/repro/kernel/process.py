@@ -194,3 +194,11 @@ class Task:
         if self.kind == "sandbox" and self.sandbox is not None:
             return f"sandbox:{self.sandbox.sandbox_id}"
         return f"task:{self.pid}"
+
+
+def sandbox_owner(task: Task | None) -> int | None:
+    """Owner label of an event, as a raw value: the ID of the sandbox
+    ``task`` runs in, or None for the kernel, native tasks and no task."""
+    if task is not None and task.kind == "sandbox" and task.sandbox is not None:
+        return task.sandbox.sandbox_id
+    return None

@@ -16,7 +16,7 @@ development time.
 from __future__ import annotations
 
 import errno
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..kernel.process import PROT_READ, PROT_WRITE
@@ -49,7 +49,6 @@ class ShimUnsupported(ShimError):
 class ShimStats:
     emulated: int = 0
     forwarded: int = 0      # pre-lock kernel forwards
-    by_name: dict = field(default_factory=dict)
 
 
 class SyscallShim:
@@ -73,7 +72,6 @@ class SyscallShim:
         if handler is None:
             raise ShimUnsupported(name)
         self.stats.emulated += 1
-        self.stats.by_name[name] = self.stats.by_name.get(name, 0) + 1
         clock = self.libos.kernel.clock
         span_name = _SHIM_SPAN_NAMES.get(name)
         if span_name is None:

@@ -9,7 +9,8 @@ stack. Four pieces:
   clock carries the no-op :data:`NULL_TRACER` until :func:`install`.
 * :mod:`repro.obs.metrics` — counters/gauges/histograms keyed by
   ``(name, labels)``: per-sandbox EMC counts, exit classes, page-fault
-  and PKRS-toggle totals, syscall latency histograms.
+  and PKRS-toggle totals, syscall latency histograms. Counters the
+  simulator already counts on the clock are views over its event ledger.
 * :mod:`repro.obs.export` — Prometheus text, plain JSON, and Chrome
   ``trace_event`` output (loads directly in Perfetto).
 * :mod:`repro.obs.profile` — collapsed flamegraph stacks attributing
@@ -40,7 +41,7 @@ Quickstart::
     ... run anything ...
     tracer.finish()
     obs.write_chrome_trace(tracer, "trace.json")   # open in Perfetto
-    print(obs.prometheus_text(registry))
+    print(obs.prometheus_text(machine.clock))
 
 Or from the command line::
 
@@ -61,8 +62,9 @@ from .metrics import (
     NullMetrics,
     WindowedHistogram,
     label_key,
+    ledger_counters,
+    metrics_snapshot,
     parse_label_key,
-    sandbox_label,
     snapshot_counter_total,
 )
 from .ring import RingBuffer
@@ -87,9 +89,9 @@ __all__ = [
     "check_diff_report", "check_export", "check_flight_dump",
     "check_hostprof_report", "check_ledger", "check_request_trace",
     "collapsed_stacks", "diff_any", "diff_bundles", "diff_digest_maps",
-    "gate_report", "hotspots", "install", "label_key", "mint_trace_id",
-    "parse_label_key", "profile_fleet", "profile_report",
-    "prometheus_text", "run_observed", "sandbox_label",
+    "gate_report", "hotspots", "install", "label_key", "ledger_counters",
+    "metrics_snapshot", "mint_trace_id", "parse_label_key",
+    "profile_fleet", "profile_report", "prometheus_text", "run_observed",
     "snapshot_counter_total", "total_attributed",
     "trace_json", "uninstall", "utilization_timeline",
     "verify_conservation", "write_chrome_trace",

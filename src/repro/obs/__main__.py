@@ -180,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         check_chrome_trace(trace)
         text = json.dumps(trace)
     elif args.export_format == "prometheus":
-        text = prometheus_text(run.registry)
+        text = prometheus_text(run.clock)
     elif args.export_format == "collapsed":
         text = "\n".join(collapsed_stacks(run.tracer)) + "\n"
     else:  # report

@@ -7,9 +7,9 @@ of :mod:`repro.obs.reqtrace`); each view supplies only its lane layout.
 Spans become complete (``"X"``) events, instants become ``"i"`` events,
 and timestamps are converted from simulated cycles to microseconds at
 the modelled 2.1 GHz core frequency (the raw cycle values ride along in
-``args``). The Prometheus exposition (``prometheus_text``) renders the
-live metrics registry — counters, gauges and cumulative histogram
-buckets — in the standard text format.
+``args``). The Prometheus exposition (``prometheus_text``) renders a
+machine's metrics — counters, gauges and cumulative histogram buckets —
+in the standard text format.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from ..hw.cycles import CPU_FREQ_HZ
-from .metrics import MetricsRegistry, parse_label_key
+from .metrics import metrics_snapshot, parse_label_key
 from .trace import INSTANT, SPAN, Tracer
 
 #: microseconds per simulated cycle at the modelled core frequency
@@ -143,16 +143,17 @@ def _fmt_value(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
-def prometheus_text(registry: MetricsRegistry,
-                    tracer: Tracer | None = None) -> str:
-    """Render the registry in the Prometheus text exposition format.
+def prometheus_text(clock, tracer: Tracer | None = None) -> str:
+    """Render ``metrics_snapshot(clock)``, the snapshot an obs bundle
+    carries, in the Prometheus text exposition format.
 
     Pass the live ``tracer`` to additionally expose its ring-buffer
     health — how many events the bounded ring has discarded — so
     scrapers can alarm on silent trace loss.
     """
+    snap = metrics_snapshot(clock)
     lines: list[str] = []
-    help_texts = getattr(registry, "_help", {})
+    help_texts = getattr(clock.metrics, "_help", {})
 
     if tracer is not None:
         lines.append("# HELP erebor_obs_trace_dropped_events_total "
@@ -161,15 +162,14 @@ def prometheus_text(registry: MetricsRegistry,
         lines.append(f"erebor_obs_trace_dropped_events_total "
                      f"{tracer.dropped}")
 
-    exemplars = getattr(registry, "exemplars", {})
+    exemplars = snap.get("exemplars", {})
 
-    for name in sorted(registry.counters):
+    for name, series in snap["counters"].items():
         if name in help_texts:
             lines.append(f"# HELP {name} {help_texts[name]}")
         lines.append(f"# TYPE {name} counter")
-        for key in sorted(registry.counters[name]):
-            line = (f"{name}{_fmt_labels(key)} "
-                    f"{_fmt_value(registry.counters[name][key])}")
+        for key, value in series.items():
+            line = f"{name}{_fmt_labels(key)} {_fmt_value(value)}"
             exemplar = exemplars.get(name, {}).get(key)
             if exemplar:
                 # OpenMetrics exemplar: name one offending request so the
@@ -177,20 +177,18 @@ def prometheus_text(registry: MetricsRegistry,
                 line += f' # {{trace_id="{_escape(exemplar)}"}} 1'
             lines.append(line)
 
-    for name in sorted(registry.gauges):
+    for name, series in sorted(snap["gauges"].items()):
         if name in help_texts:
             lines.append(f"# HELP {name} {help_texts[name]}")
         lines.append(f"# TYPE {name} gauge")
-        for key in sorted(registry.gauges[name]):
-            lines.append(f"{name}{_fmt_labels(key)} "
-                         f"{_fmt_value(registry.gauges[name][key])}")
+        for key, value in sorted(series.items()):
+            lines.append(f"{name}{_fmt_labels(key)} {_fmt_value(value)}")
 
-    for name in sorted(registry.histograms):
+    for name, series in sorted(snap["histograms"].items()):
         if name in help_texts:
             lines.append(f"# HELP {name} {help_texts[name]}")
         lines.append(f"# TYPE {name} histogram")
-        for key in sorted(registry.histograms[name]):
-            hist = registry.histograms[name][key]
+        for key, hist in sorted(series.items()):
             cumulative = 0
             for bound, count in zip(hist["bounds"], hist["buckets"]):
                 cumulative += count

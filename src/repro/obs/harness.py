@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..bench.runner import RunResult, WorkloadRunner
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, metrics_snapshot
 from .trace import DEFAULT_CAPACITY, Tracer
 
 
@@ -115,7 +115,7 @@ def export_bundle(run: ObservedRun) -> dict:
                                               "dataflow_report_digest", ""),
         },
         "trace": trace,
-        "metrics": run.registry.snapshot(),
+        "metrics": metrics_snapshot(run.clock),
         "profile": profile,
         # plane-attribution budget: conservation-checked, read-only on
         # the clock, and outside every digest preimage

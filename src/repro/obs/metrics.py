@@ -1,12 +1,13 @@
-"""Metrics registry: counters, gauges and histograms keyed by (name, labels).
+"""Metrics: counters, gauges and histograms keyed by (name, labels).
 
 This is the quantitative half of ``repro.obs``: where the trace layer
-answers *when*, the registry answers *how many / how much* — per-sandbox
+answers *when*, the metrics answer *how many / how much* — per-sandbox
 EMC counts, exit-class breakdowns, page-fault and PKRS-toggle totals,
-syscall latency histograms. It supersedes the old ``MonitorStats``
-dataclass (now a derived view over the clock's event ledger). The paper
-tables do not read it: ``results.json`` and Table 6 are derived from the
-clock's event ledger, which the registry's series only partly mirror.
+syscall latency histograms. The counters in :data:`LEDGER_COUNTERS` are
+views over the clock's event ledger, which records their label values
+(:meth:`~repro.hw.cycles.CycleClock.count`); like any Prometheus counter
+they cover the machine's whole life. :class:`MetricsRegistry` holds the
+rest. :func:`metrics_snapshot` joins the two for every exporter.
 
 Label sets are stored as canonical ``"k=v,k2=v2"`` strings (sorted by
 key), which keeps snapshots JSON-able with no conversion. Like the
@@ -77,8 +78,8 @@ class CounterHandle:
 
     The kwargs form (:meth:`MetricsRegistry.inc`) builds a label dict
     and canonicalizes it on every call; a handle does that resolution
-    once, so instrumented hot paths (the EMC gate charges three series
-    per round trip, ~100k times per fleet run) pay one dict update per
+    once, so instrumented hot paths (the EMC gate writes two series per
+    round trip, ~100k times per fleet run) pay one dict update per
     write and allocate nothing.
     """
 
@@ -173,19 +174,65 @@ class HandleCache:
         return handles
 
 
-_SANDBOX_LABELS: dict[int, str] = {}
+def owner_label(owner) -> str:
+    """``sandbox`` label of a raw event owner: its sandbox ID, or
+    ``"kernel"`` for None (see :func:`repro.kernel.process.sandbox_owner`)."""
+    return "kernel" if owner is None else str(owner)
 
 
-def sandbox_label(task) -> str:
-    """Metrics label attributing an event to a sandbox (or the kernel)."""
-    if (task is not None and getattr(task, "kind", "") == "sandbox"
-            and getattr(task, "sandbox", None) is not None):
-        sandbox_id = task.sandbox.sandbox_id
-        label = _SANDBOX_LABELS.get(sandbox_id)
-        if label is None:
-            label = _SANDBOX_LABELS[sandbox_id] = str(sandbox_id)
-        return label
-    return "kernel"
+#: counter series that are views over the clock's event ledger: series
+#: name → (event name, label names, in the order ``clock.count`` records
+#: the values after the name)
+LEDGER_COUNTERS = {
+    "erebor_cow_breaks_total": ("cow_break", ("sandbox",)),
+    "erebor_emc_total": ("emc", ("cls", "sandbox")),
+    "erebor_policy_denials_total": ("policy_denial", ()),
+    "erebor_sandbox_exits_total": ("sandbox_exit", ("cls", "sandbox")),
+    "erebor_sandbox_reuse_total": ("sandbox_warm_reset", ("sandbox",)),
+    "erebor_sandboxes_created_total": ("sandbox_created", ()),
+    "erebor_sandboxes_killed_total": ("sandbox_killed", ()),
+    "erebor_templates_sealed_total": ("template_sealed", ("template",)),
+    "kernel_page_faults_total": ("page_fault", ("sandbox",)),
+    "kernel_syscalls_total": ("syscall", ("name", "sandbox")),
+    "kernel_timer_ticks_total": ("timer_interrupt", ()),
+    "kernel_ve_total": ("ve", ("reason",)),
+    "tdx_tdcalls_total": ("tdcall", ("leaf",)),
+}
+
+#: event name → (series name, label names): the inverse of the above
+_LEDGER_SERIES = {event: (name, labels)
+                  for name, (event, labels) in LEDGER_COUNTERS.items()}
+
+
+def ledger_counters(clock) -> dict[str, dict[str, int]]:
+    """Render the :data:`LEDGER_COUNTERS` series from ``clock``'s lanes
+    (read-only); a series appears once its event has been counted."""
+    out: dict[str, dict[str, int]] = {}
+    for ledger in clock.events_by_cpu.values():
+        for key, n in ledger.items():
+            event, *values = key if key.__class__ is tuple else (key,)
+            spec = _LEDGER_SERIES.get(event)
+            if spec is None:
+                continue
+            name, label_names = spec
+            labels = {label: owner_label(value) if label == "sandbox"
+                      else value
+                      for label, value in zip(label_names, values)}
+            series = out.setdefault(name, {})
+            series_key = label_key(labels)
+            series[series_key] = series.get(series_key, 0) + n
+    return out
+
+
+def metrics_snapshot(clock) -> dict:
+    """``clock.metrics.snapshot()`` holding every counter series: the
+    registry's own and :func:`ledger_counters`, sorted by name and by
+    label set (the order the Prometheus text renders them in)."""
+    snap = clock.metrics.snapshot()
+    counters = {**snap["counters"], **ledger_counters(clock)}
+    snap["counters"] = {name: dict(sorted(counters[name].items()))
+                        for name in sorted(counters)}
+    return snap
 
 
 class WindowedHistogram:

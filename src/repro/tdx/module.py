@@ -124,18 +124,16 @@ class TdxModule:
         with self.clock.tracer.span("tdcall:mapgpa", "tdx",
                                     shared=shared, count=count):
             self.clock.charge(Cost.TDCALL_ROUND_TRIP, "tdcall")
-            self.clock.count("tdcall")
+            self.clock.count(("tdcall", "mapgpa"))
             self._map_gpa(fn_start, count, shared)
-        self.clock.metrics.inc("tdx_tdcalls_total", leaf="mapgpa")
 
     def guest_vmcall(self, subfn: int, payload: object = None) -> object:
         """Generic GHCI hypercall: exit to the VMM and return its answer."""
         with self.clock.tracer.span("tdcall:vmcall", "tdx", subfn=subfn):
             self.clock.charge(Cost.TDCALL_ROUND_TRIP, "tdcall")
-            self.clock.count("tdcall")
+            self.clock.count(("tdcall", "vmcall"))
             self.clock.count("vm_exit")
             result = self.vmm.handle_vmcall(subfn, payload)
-        self.clock.metrics.inc("tdx_tdcalls_total", leaf="vmcall")
         return result
 
     def guest_tdreport(self, report_data: bytes) -> "TdReport":
@@ -146,8 +144,7 @@ class TdxModule:
         # plus report generation and HMAC integrity protection.
         with self.clock.tracer.span("tdcall:tdreport", "tdx"):
             self.clock.charge(Cost.TDREPORT_NATIVE, "tdreport")
-            self.clock.count("tdcall")
-        self.clock.metrics.inc("tdx_tdcalls_total", leaf="tdreport")
+            self.clock.count(("tdcall", "tdreport"))
         from .attestation import TdReport
         report = TdReport(
             mrtd=self.measurement.mrtd,
@@ -169,10 +166,9 @@ class TdxModule:
         """
         self.clock.charge(Cost.TDX_WORLD_SWITCH + Cost.TDCALL_DISPATCH
                           + Cost.TDX_WORLD_RESUME - Cost.ALU, "tdcall")
-        self.clock.count("tdcall")
         leaf = cpu.regs["rax"]
+        self.clock.count(("tdcall", leaf))
         self.clock.tracer.event(f"tdcall:leaf{leaf}", "tdx")
-        self.clock.metrics.inc("tdx_tdcalls_total", leaf=str(leaf))
         if leaf == LEAF_VMCALL:
             subfn = cpu.regs["rbx"]
             self.clock.count("vm_exit")

@@ -56,6 +56,15 @@ def test_d2_flags_clock_spend_in_obs():
     assert len(findings) == 2
 
 
+def test_d2_flags_a_labelled_count_in_obs():
+    """The labelled ledger write is ``count`` itself, so D2 covers it;
+    the ledger-counter view in ``repro/obs/metrics.py`` only reads."""
+    src = "def f(clock):\n    clock.count(('emc', 'mmu', None), 2)\n"
+    assert rules_of(lint_source(src, "repro/obs/metrics.py")) == ["D2"]
+    view = REPRO_SRC / "obs" / "metrics.py"
+    assert lint_source(view.read_text(), "repro/obs/metrics.py") == []
+
+
 def test_d2_scoped_to_obs_only():
     src = "def f(clock):\n    clock.charge(10, 'x')\n"
     assert lint_source(src, "repro/core/monitor.py") == []

@@ -13,6 +13,7 @@ from repro.fleet import run_fleet
 from repro.fleet.__main__ import main as fleet_main
 from repro.obs import install
 from repro.obs.harness import ObservedRun, export_bundle
+from repro.obs.metrics import metrics_snapshot
 from repro.obs.schema import check_export
 
 
@@ -33,13 +34,9 @@ def observed_fleet():
     return report, state["tracer"], state["registry"], state["clock"]
 
 
-def counters(registry):
-    return registry.snapshot()["counters"]
-
-
 def test_fleet_metrics_surface(observed_fleet):
-    report, _tracer, registry, _clock = observed_fleet
-    c = counters(registry)
+    report, _tracer, _registry, clock = observed_fleet
+    c = metrics_snapshot(clock)["counters"]
     assert c["erebor_templates_sealed_total"] == {
         "template=helloworld-template": 1}
     assert c["erebor_fleet_forks_total"] == {

@@ -11,6 +11,7 @@ import pytest
 from repro.core.policy import PolicyViolation
 from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE
 from repro.hw.paging import PTE_P, PTE_W, make_pte, pte_frame
+from repro.obs.metrics import metrics_snapshot
 
 
 def heap_vma(sandbox):
@@ -133,9 +134,8 @@ def test_cow_break_is_counted(system, template):
     system.kernel.touch_pages(inst.sandbox.task, vma.start, 3 * PAGE_SIZE,
                               write=True)
     assert clock.events["cow_break"] == before + 3
-    assert clock.metrics.counter_value(
-        "erebor_cow_breaks_total",
-        sandbox=str(inst.sandbox.sandbox_id)) == 3
+    assert metrics_snapshot(clock)["counters"]["erebor_cow_breaks_total"][
+        f"sandbox={inst.sandbox.sandbox_id}"] == 3
 
 
 def test_reset_restores_template_view(system, template):

@@ -4,7 +4,8 @@
 of ``tags_by_cpu``, and each count once, in one lane of
 ``events_by_cpu``; ``by_tag``, ``busy_by_cpu``, ``events``,
 ``cpu_busy``, ``cpu_events`` and the ``snapshot``/``since`` deltas are
-all computed from those lanes. These tests drive a seeded random mix of
+all computed from those lanes, with labelled ``(name, *labels)`` count
+keys folded into their name. These tests drive a seeded random mix of
 charges, counts, nested ``on_cpu`` scopes, ``ensure_cpus`` and
 ``fast_forward`` and compare every view with totals recomputed from a
 plain log of what was recorded.
@@ -20,7 +21,9 @@ from repro.hw.cycles import SERIAL_LANE, CycleClock
 
 MAX_CPUS = 4
 TAGS = ("instr", "mem", "emc", "pagefault", "sched", None)
-EVENTS = ("emc", "page_fault", "sandbox_exit", "cow_break")
+#: bare names and labelled ``(name, *labels)`` keys; views fold by name
+EVENTS = ("emc", "page_fault", "sandbox_exit", "cow_break",
+          ("emc", "mmu", None), ("emc", "sst", 1), ("ve", "io"))
 
 
 class Model:
@@ -76,6 +79,8 @@ class Model:
     def events(self, start=0, lane=None):
         out = {}
         for where, event, n in self.counts[start:]:
+            if isinstance(event, tuple):
+                event = event[0]
             if lane is None or where == lane:
                 out[event] = out.get(event, 0) + n
         return out

@@ -39,7 +39,7 @@ def test_chrome_trace_is_valid_and_nested(observed):
 
 
 def test_prometheus_export_has_per_sandbox_series(observed):
-    text = prometheus_text(observed.registry)
+    text = prometheus_text(observed.clock)
     assert "# TYPE erebor_emc_total counter" in text
     # per-sandbox labelled counters (acceptance criterion b)
     assert 'sandbox="1"' in text
@@ -84,12 +84,12 @@ def test_bundle_meta_pins_dropped_and_audit_head(bundle):
 
 
 def test_prometheus_surfaces_trace_ring_drops(observed):
-    text = prometheus_text(observed.registry, observed.tracer)
+    text = prometheus_text(observed.clock, observed.tracer)
     assert ("erebor_obs_trace_dropped_events_total "
             f"{observed.tracer.dropped}") in text
     # without a tracer the exposition is unchanged (back-compat)
     assert "erebor_obs_trace_dropped" not in prometheus_text(
-        observed.registry)
+        observed.clock)
 
 
 def test_audit_events_appear_in_chrome_trace(observed):

@@ -252,7 +252,7 @@ def test_exporters_work_on_a_flight_recorder():
                for e in trace["traceEvents"])
     data = trace_json(recorder)
     assert data["events"] and data["dropped"] == 0
-    text = prometheus_text(clock.metrics, recorder)
+    text = prometheus_text(clock, recorder)
     assert "erebor_obs_trace_dropped_events_total 0" in text
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.hw.cycles import CycleClock
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -86,7 +87,7 @@ def test_prometheus_text_format():
     reg.set_gauge("confined_bytes", 4096, sandbox="1")
     reg.describe("lat", buckets=(10, 100))
     reg.observe("lat", 50)
-    text = prometheus_text(reg)
+    text = prometheus_text(CycleClock(metrics=reg))
     assert "# HELP emc_total EMCs by class" in text
     assert "# TYPE emc_total counter" in text
     assert 'emc_total{cls="mmu",sandbox="1"} 5' in text
@@ -101,7 +102,7 @@ def test_prometheus_text_format():
 def test_prometheus_escapes_label_values():
     reg = MetricsRegistry()
     reg.inc("c", what='say "hi"')
-    text = prometheus_text(reg)
+    text = prometheus_text(CycleClock(metrics=reg))
     assert 'what="say \\"hi\\""' in text
 
 

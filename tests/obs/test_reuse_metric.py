@@ -5,7 +5,11 @@ exactly once per ``reset_for_reuse`` with the sandbox id as its label.
 """
 
 from repro.core.boot import erebor_boot
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    metrics_snapshot,
+    snapshot_counter_total,
+)
 from repro.vm import CvmMachine, MachineConfig, MIB
 
 
@@ -16,17 +20,18 @@ def test_reset_for_reuse_counts_once_per_reuse():
     sandbox = system.monitor.create_sandbox("reuse-probe",
                                             confined_budget=2 * MIB)
     sandbox.declare_confined(512 * 1024)
-    registry = machine.clock.metrics
-    assert registry.counter_value("erebor_sandbox_reuse_total",
-                                  sandbox=str(sandbox.sandbox_id)) == 0
+
+    def reuses(**match):
+        return snapshot_counter_total(metrics_snapshot(machine.clock),
+                                      "erebor_sandbox_reuse_total", **match)
+
+    assert reuses(sandbox=sandbox.sandbox_id) == 0
     sandbox.reset_for_reuse()
     sandbox.reset_for_reuse()
-    assert registry.counter_value("erebor_sandbox_reuse_total",
-                                  sandbox=str(sandbox.sandbox_id)) == 2
+    assert reuses(sandbox=sandbox.sandbox_id) == 2
     # the label keeps per-sandbox series distinct
     other = system.monitor.create_sandbox("other", confined_budget=2 * MIB)
     other.declare_confined(256 * 1024)
     other.reset_for_reuse()
-    assert registry.counter_value("erebor_sandbox_reuse_total",
-                                  sandbox=str(other.sandbox_id)) == 1
-    assert registry.counter_total("erebor_sandbox_reuse_total") == 3
+    assert reuses(sandbox=other.sandbox_id) == 1
+    assert reuses() == 3

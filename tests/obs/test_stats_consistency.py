@@ -45,12 +45,3 @@ def test_stats_reject_unknown_fields(system):
     with pytest.raises(AttributeError):
         system.monitor.stats.nonsense
 
-
-def test_registry_emc_total_matches_clock_events(observed):
-    """Registry, clock ledger and RunResult events all agree on EMC counts
-    over the whole run (the registry was installed at cycle 0)."""
-    from repro.obs.metrics import snapshot_counter_total
-    total = observed.registry.counter_total("erebor_emc_total")
-    assert total == observed.clock.events["emc"] > 0
-    assert snapshot_counter_total(observed.registry.snapshot(),
-                                  "erebor_emc_total") == total

@@ -10,6 +10,8 @@ library into monitoring.
 Run:  python examples/operator_console.py
 """
 
+from collections import Counter
+
 from repro import CvmMachine, MachineConfig, MIB, erebor_boot
 from repro.apps import LibOsRuntime, workload
 from repro.client import RemoteClient
@@ -62,11 +64,18 @@ def main() -> None:
     print(f"\n== sandbox #{sb.sandbox_id} ({sb.name}) ==")
     print(f"  state={sb.state}  confined={sb.confined_bytes >> 20} MiB  "
           f"common={sb.common_names}")
-    print(f"  exits={sb.stats['exits']} (pf={sb.stats['pf_exits']} "
-          f"irq={sb.stats['irq_exits']} ve={sb.stats['ve_exits']})  "
+    # per-class exits: the clock's ("sandbox_exit", cls, owner) ledger key
+    clock = machine.clock
+    exits = Counter()
+    for ledger in clock.events_by_cpu.values():
+        for key, n in ledger.items():
+            if key.__class__ is tuple and key[0] == "sandbox_exit" \
+                    and key[2] == sb.sandbox_id:
+                exits[key[1]] += n
+    print(f"  exits={sum(exits.values())} (pf={exits['pagefault']} "
+          f"irq={exits['irq']} ve={exits['ve']})  "
           f"io={sb.stats['inputs']}in/{sb.stats['outputs']}out")
 
-    clock = machine.clock
     print("\n== cycle ledger (top mechanisms) ==")
     for tag, cycles in sorted(clock.by_tag.items(), key=lambda kv: -kv[1])[:8]:
         print(f"  {tag:20s} {cycles / clock.cycles * 100:5.1f}%")

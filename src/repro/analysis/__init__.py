@@ -14,8 +14,8 @@ validation):
   disassembles executable SELF sections of the fixed-width ISA, recovers a
   control-flow graph (:mod:`repro.analysis.cfg`), and runs checks the byte
   scan cannot express — V0–V7, see :data:`repro.analysis.verifier.CHECKS`.
-  :meth:`repro.core.monitor.EreborMonitor.verify_and_load_kernel` runs it
-  after the byte scan, charges calibrated ``verify:cfg`` cycles, audits
+  Boot runs it after the byte scan, first in :mod:`repro.analysis.
+  pipeline`; the monitor charges calibrated ``verify:cfg`` cycles, audits
   the verdict, and folds the report digest into the attestation
   measurement (RTMR[3]) so remote clients can distinguish scan-only from
   CFG-verified boots.

@@ -13,6 +13,9 @@
     corpus: every attack must pass V0–V7 *and* be rejected with exactly
     its expected dataflow check. ``--json`` writes the DataflowReport.
 
+Each runs one pass of :mod:`repro.analysis.pipeline`; an ``--image``
+file that cannot be read or parsed prints ``error: ...`` and exits 2.
+
 ``lint``
     Run rules D1–D7 over paths (default: the installed ``repro``
     package), applying the in-tree ratchet. ``--update`` (alias
@@ -21,8 +24,8 @@
     any non-waived finding.
 
 ``report``
-    One JSON document combining kernel verification (both planes), the
-    attack-corpus self-checks, and the lint summary.
+    One JSON document combining kernel verification (both pipeline
+    passes), the attack-corpus self-checks, and the lint summary.
 """
 
 from __future__ import annotations
@@ -35,129 +38,92 @@ from pathlib import Path
 from ..hw.isa import scan_for_sensitive
 from ..kernel.image import SelfImage, build_kernel_image
 from ..kernel.instrument import instrument_image
+from .attacks import attack_corpus, dataflow_attack_corpus
 from .lint import RULES, lint_paths
+from .pipeline import CFG_PASS, DATAFLOW_PASS, verify_kernel
 from .ratchet import Ratchet, default_ratchet_path
-from .verifier import StaticVerifier
+
+#: pass → the seeded attack corpus its ``--self-check`` replays
+_CORPUS = {CFG_PASS: attack_corpus, DATAFLOW_PASS: dataflow_attack_corpus}
 
 
-def _kernel_image() -> SelfImage:
-    image, _ = instrument_image(build_kernel_image())
-    return image
+def _load_image(path: str | None) -> SelfImage:
+    if path is None:
+        image, _ = instrument_image(build_kernel_image())
+        return image
+    return SelfImage.deserialize(Path(path).read_bytes())
 
 
-def _verify_payload(args) -> dict:
-    verifier = StaticVerifier()
-    if getattr(args, "image", None):
-        image = SelfImage.deserialize(Path(args.image).read_bytes())
+def _attack_row(kernel_pass, attack) -> dict:
+    report = kernel_pass.run(attack.image)
+    row = {"name": attack.name, "expected_check": attack.expected_check,
+           "failed_checks": report.failed_checks, "digest": report.digest()}
+    if kernel_pass is CFG_PASS:
+        scan_clean = not any(scan_for_sensitive(s.data)
+                             for s in attack.image.executable_sections())
+        row.update(
+            rejected_as_expected=attack.expected_check in report.failed_checks,
+            byte_scan_clean=scan_clean,
+            byte_scan_as_expected=scan_clean == attack.passes_byte_scan)
     else:
-        image = _kernel_image()
-    report = verifier.verify_image(image)
-    payload = {"kernel": report.as_dict(),
-               "kernel_digest": report.digest()}
-    if getattr(args, "self_check", False):
-        from .attacks import attack_corpus
-        attacks = []
-        for attack in attack_corpus():
-            rep = verifier.verify_image(attack.image)
-            scan_clean = not any(
-                scan_for_sensitive(s.data)
-                for s in attack.image.executable_sections())
-            attacks.append({
-                "name": attack.name,
-                "expected_check": attack.expected_check,
-                "failed_checks": rep.failed_checks,
-                "rejected_as_expected":
-                    attack.expected_check in rep.failed_checks,
-                "byte_scan_clean": scan_clean,
-                "byte_scan_as_expected":
-                    scan_clean == attack.passes_byte_scan,
-                "digest": rep.digest(),
-            })
-        payload["attacks"] = attacks
+        row.update(
+            rejected_as_expected=report.failed_checks == [
+                attack.expected_check],
+            passes_v0_v7=CFG_PASS.run(attack.image).ok)
+    return row
+
+
+def _attack_ok(row: dict) -> bool:
+    return row["rejected_as_expected"] and row.get(
+        "byte_scan_as_expected", True) and row.get("passes_v0_v7", True)
+
+
+def _payload(kernel_pass, report, self_check: bool) -> dict:
+    payload = {"kernel": report.as_dict(), "kernel_digest": report.digest()}
+    if self_check:
+        payload["attacks"] = [_attack_row(kernel_pass, attack)
+                              for attack in _CORPUS[kernel_pass]()]
     return payload
 
 
-def _dataflow_payload(args) -> dict:
-    from .absint import DataflowVerifier
-    verifier = DataflowVerifier()
-    if getattr(args, "image", None):
-        image = SelfImage.deserialize(Path(args.image).read_bytes())
-    else:
-        image = _kernel_image()
-    report = verifier.verify_image(image)
-    payload = {"kernel": report.as_dict(),
-               "kernel_digest": report.digest()}
-    if getattr(args, "self_check", False):
-        from .attacks import dataflow_attack_corpus
-        structural = StaticVerifier()
-        attacks = []
-        for attack in dataflow_attack_corpus():
-            rep = verifier.verify_image(attack.image)
-            v0_v7 = structural.verify_image(attack.image)
-            attacks.append({
-                "name": attack.name,
-                "expected_check": attack.expected_check,
-                "failed_checks": rep.failed_checks,
-                "rejected_as_expected":
-                    rep.failed_checks == [attack.expected_check],
-                "passes_v0_v7": v0_v7.ok,
-                "digest": rep.digest(),
-            })
-        payload["attacks"] = attacks
-    return payload
-
-
-def _cmd_dataflow(args) -> int:
-    payload = _dataflow_payload(args)
+def _cmd_pass(args) -> int:
+    """``verify`` (the CFG pass) or ``dataflow``: one pass, one image."""
+    kernel_pass = args.kernel_pass
+    try:
+        image = _load_image(args.image)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    payload = _payload(kernel_pass, kernel_pass.run(image), args.self_check)
     kernel = payload["kernel"]
     ok = kernel["ok"]
-    budget = kernel["budget"] or {}
-    print(f"kernel {kernel['image']}: "
-          f"{'PROVEN' if ok else 'REJECTED'} "
-          f"({kernel['instructions']} instrs, {kernel['iterations']} "
-          f"fixpoint iterations, digest {payload['kernel_digest'][:16]})")
+    if kernel_pass is CFG_PASS:
+        verdict, shape = "CLEAN", f"{kernel['gate_sites']} gate thunks"
+    else:
+        verdict = "PROVEN"
+        shape = f"{kernel['iterations']} fixpoint iterations"
+    print(f"kernel {kernel['image']}: {verdict if ok else 'REJECTED'} "
+          f"({kernel['instructions']} instrs, {shape}, "
+          f"digest {payload['kernel_digest'][:16]})")
     for check in kernel["checks"]:
         mark = "ok" if check["passed"] else f"FAIL x{check['count']}"
         print(f"  {check['id']} {check['name']:<20} {mark}")
+    budget = kernel.get("budget")
     if budget:
         print(f"  budget: emc<={budget['emc_per_activation']} "
               f"exits<={budget['exits_per_activation']} per activation, "
               f"emc<={budget['emc_per_kcycle']}/kcycle")
     for attack in payload.get("attacks", []):
-        good = attack["rejected_as_expected"] and attack["passes_v0_v7"]
+        good = _attack_ok(attack)
         ok = ok and good
-        verdict = "ok" if good else "UNEXPECTED"
+        v0_v7 = ""
+        if "passes_v0_v7" in attack:
+            v0_v7 = (" (V0-V7 "
+                     f"{'clean' if attack['passes_v0_v7'] else 'DIRTY'})")
         print(f"  attack {attack['name']:<28} expected "
               f"{attack['expected_check']} got "
-              f"{','.join(attack['failed_checks']) or '-'} "
-              f"(V0-V7 {'clean' if attack['passes_v0_v7'] else 'DIRTY'}) "
-              f"[{verdict}]")
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        print(f"report written to {args.json}")
-    return 0 if ok else 1
-
-
-def _cmd_verify(args) -> int:
-    payload = _verify_payload(args)
-    kernel = payload["kernel"]
-    ok = kernel["ok"]
-    print(f"kernel {kernel['image']}: "
-          f"{'CLEAN' if ok else 'REJECTED'} "
-          f"({kernel['instructions']} instrs, {kernel['gate_sites']} gate "
-          f"thunks, digest {payload['kernel_digest'][:16]})")
-    for check in kernel["checks"]:
-        mark = "ok" if check["passed"] else f"FAIL x{check['count']}"
-        print(f"  {check['id']} {check['name']:<20} {mark}")
-    for attack in payload.get("attacks", []):
-        good = attack["rejected_as_expected"] and \
-            attack["byte_scan_as_expected"]
-        ok = ok and good
-        verdict = "ok" if good else "UNEXPECTED"
-        print(f"  attack {attack['name']:<28} expected "
-              f"{attack['expected_check']} got "
-              f"{','.join(attack['failed_checks']) or '-'} [{verdict}]")
+              f"{','.join(attack['failed_checks']) or '-'}{v0_v7} "
+              f"[{'ok' if good else 'UNEXPECTED'}]")
     if args.json:
         Path(args.json).write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -193,11 +159,11 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    class _Args:
-        image = None
-        self_check = True
-    payload = _verify_payload(_Args())
-    payload["dataflow"] = _dataflow_payload(_Args())
+    payload, dataflow = (_payload(kernel_pass, report, True)
+                         for kernel_pass, report
+                         in verify_kernel(_load_image(None),
+                                           dataflow=True))
+    payload["dataflow"] = dataflow
     ratchet = Ratchet.load(default_ratchet_path())
     paths = args.paths or [str(Path(__file__).resolve().parents[1])]
     kept, waived = lint_paths(paths, ratchet=ratchet)
@@ -212,12 +178,9 @@ def _cmd_report(args) -> int:
         print(f"report written to {args.out}")
     else:
         print(blob, end="")
-    ok = payload["kernel"]["ok"] and not kept and all(
-        a["rejected_as_expected"] and a["byte_scan_as_expected"]
-        for a in payload["attacks"])
-    ok = ok and payload["dataflow"]["kernel"]["ok"] and all(
-        a["rejected_as_expected"] and a["passes_v0_v7"]
-        for a in payload["dataflow"]["attacks"])
+    ok = not kept and all(
+        part["kernel"]["ok"] and all(map(_attack_ok, part["attacks"]))
+        for part in (payload, payload["dataflow"]))
     return 0 if ok else 1
 
 
@@ -233,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--self-check", action="store_true", dest="self_check",
                    help="also run the seeded attack corpus")
     p.add_argument("--json", help="write the report JSON here")
-    p.set_defaults(fn=_cmd_verify)
+    p.set_defaults(fn=_cmd_pass, kernel_pass=CFG_PASS)
 
     p = sub.add_parser("dataflow",
                        help="dataflow-verify a SELF image (V8-V10)")
@@ -242,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--self-check", action="store_true", dest="self_check",
                    help="also run the dataflow attack corpus")
     p.add_argument("--json", help="write the report JSON here")
-    p.set_defaults(fn=_cmd_dataflow)
+    p.set_defaults(fn=_cmd_pass, kernel_pass=DATAFLOW_PASS)
 
     p = sub.add_parser("lint", help="run discipline rules D1-D7")
     p.add_argument("paths", nargs="*", help="files/dirs "

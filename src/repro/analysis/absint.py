@@ -47,16 +47,15 @@ is extended into RTMR[3] next to the V0–V7 digest.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..emc_abi import ENTRY_GATE_VA
 from ..hw.cycles import Cost
 from ..hw.isa import INSTR_SIZE, REG_INDEX, REGISTERS, Instr
 from ..kernel.image import SEC_SENSITIVE, Section, SelfImage
 from .cfg import BasicBlock, CfgDecodeError, ControlFlowGraph, build_cfg
-from .verifier import CheckResult, Finding
+from .verifier import Finding, Report
 
 #: check id -> short name (disjoint from ``verifier.CHECKS``; V0–V7 digests
 #: are unchanged by this plane's existence)
@@ -423,11 +422,6 @@ class StaticBudget:
                 for va, emc, exits in self.functions],
         }
 
-    def digest(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True,
-                          separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()
-
 
 def _tarjan_sccs(nodes: list[int],
                  succs: dict[int, list[int]]) -> list[list[int]]:
@@ -605,14 +599,15 @@ def _rate_bound(present_floors: list[int]) -> float:
 # --- report -------------------------------------------------------------
 
 @dataclass
-class DataflowReport:
+class DataflowReport(Report):
     """Outcome of the dataflow plane over one image.
 
-    Mirrors :class:`repro.analysis.verifier.VerifierReport` (canonical
-    sorted-keys JSON, sha256 :meth:`digest`) but over
+    A :class:`~repro.analysis.verifier.Report` over
     :data:`DATAFLOW_CHECKS`, so the V0–V7 digest is untouched and the
     two planes extend RTMR[3] as separate preimages.
     """
+
+    CHECKS: ClassVar[dict[str, str]] = DATAFLOW_CHECKS
 
     image: str
     entry: int
@@ -627,34 +622,13 @@ class DataflowReport:
     budget: StaticBudget | None
     findings: list[Finding] = field(default_factory=list)
 
-    @property
-    def checks(self) -> list[CheckResult]:
-        failed: dict[str, list[Finding]] = {}
-        for f in self.findings:
-            failed.setdefault(f.check, []).append(f)
-        out = []
-        for check, name in DATAFLOW_CHECKS.items():
-            fs = failed.get(check, [])
-            first = fs[0] if fs else None
-            out.append(CheckResult(
-                check=check, name=name, passed=not fs, count=len(fs),
-                first_section=first.section if first else None,
-                first_offset=first.offset if first else None,
-                detail=first.detail if first else ""))
-        return out
+    def span_args(self) -> dict:
+        return {"instructions": self.instructions,
+                "iterations": self.iterations}
 
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    @property
-    def failed_checks(self) -> list[str]:
-        return sorted({f.check for f in self.findings},
-                      key=lambda c: int(c[1:]))
-
-    @property
-    def first_failure(self) -> Finding | None:
-        return self.findings[0] if self.findings else None
+    def summary(self) -> str:
+        return (f"(emc<={self.budget.emc_per_activation}, "
+                f"exits<={self.budget.exits_per_activation} per activation)")
 
     def as_dict(self) -> dict:
         return {
@@ -673,27 +647,17 @@ class DataflowReport:
             "checks": [c.as_dict() for c in self.checks],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
-
 
 # --- the verifier -------------------------------------------------------
 
 class DataflowVerifier:
     """Run the V8–V10 dataflow plane over a SELF image.
 
-    Consumes the same CFGs prong 1 verifies; intended to run *after*
-    :class:`~repro.analysis.verifier.StaticVerifier` (boot order
-    guarantees it), but is standalone-safe: an undecodable section is a
-    V10 finding (no sound budget can be proven for it).
+    Reads the same memoized CFGs prong 1 verifies, after it in
+    :mod:`repro.analysis.pipeline`, but is standalone-safe: an
+    undecodable section is a V10 finding (no sound budget can be proven
+    for it).
     """
-
-    def __init__(self, *, gate_va: int = ENTRY_GATE_VA):
-        self.gate_va = gate_va
 
     # -- helpers ---------------------------------------------------------
 
@@ -784,7 +748,7 @@ class DataflowVerifier:
                 sensitive_ranges=sensitive_ranges,
                 gate_site_vas=frozenset(
                     site.va for site in cfg.indirect_sites
-                    if site.op == "icall" and site.target == self.gate_va),
+                    if site.op == "icall" and site.target == ENTRY_GATE_VA),
                 has_secrets=bool(sensitive_ranges))
             gate_sites += len(ctx.gate_site_vas)
             roots = self._roots(cfg, section, image.entry, ctx)
@@ -842,7 +806,7 @@ class DataflowVerifier:
         findings.sort(key=lambda f: (int(f.check[1:]), f.section, f.offset,
                                      f.detail))
         return DataflowReport(
-            image=image.name, entry=image.entry, gate_va=self.gate_va,
+            image=image.name, entry=image.entry, gate_va=ENTRY_GATE_VA,
             instructions=instructions, blocks=blocks,
             blocks_analyzed=blocks_analyzed, gate_sites=gate_sites,
             roots=roots_total, iterations=iterations,

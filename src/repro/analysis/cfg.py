@@ -20,6 +20,7 @@ Classification (mirrors what :class:`repro.hw.cpu.Cpu` executes):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..hw.errors import InvalidOpcode
 from ..hw.isa import INSTR_SIZE, Instr, decode
@@ -151,8 +152,14 @@ def decode_section(data: bytes, va: int) -> list[Instr]:
     return instrs
 
 
+@lru_cache(maxsize=32)
 def build_cfg(data: bytes, va: int) -> ControlFlowGraph:
     """Recover the CFG of one executable section.
+
+    Memoized per ``(data, va)``, the way :func:`~repro.analysis.thunks.
+    thunk_templates` is: both boot-time passes and the translation
+    cache's preload read one decode of each section, so callers must
+    treat the returned graph as read-only.
 
     Block leaders are the section start, every direct branch target that
     lands in-section and aligned (out-of-range targets are left to the

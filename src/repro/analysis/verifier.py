@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from ..emc_abi import ENTRY_GATE_VA
 from ..hw.isa import INSTR_SIZE, scan_for_sensitive
@@ -91,28 +92,24 @@ class CheckResult:
                 "first_offset": self.first_offset, "detail": self.detail}
 
 
-@dataclass
-class VerifierReport:
-    """Deterministic, attestable summary of one image verification."""
+class Report:
+    """What every verification report derives from its ``findings``.
 
-    image: str
-    entry: int
-    gate_va: int
-    sections: list[dict] = field(default_factory=list)
-    instructions: int = 0
-    blocks: int = 0
-    edges: int = 0
-    indirect_sites: int = 0
-    gate_sites: int = 0
-    findings: list[Finding] = field(default_factory=list)
+    A subclass names its check table in ``CHECKS`` and defines
+    ``as_dict`` (the canonical preimage of :meth:`digest`), plus
+    ``span_args`` and ``summary`` for the monitor's span and audit line.
+    """
+
+    CHECKS: ClassVar[dict[str, str]]
+    findings: list[Finding]
 
     @property
     def checks(self) -> list[CheckResult]:
-        per: dict[str, list[Finding]] = {cid: [] for cid in CHECKS}
+        per: dict[str, list[Finding]] = {cid: [] for cid in self.CHECKS}
         for f in self.findings:
             per[f.check].append(f)
         out = []
-        for cid, name in CHECKS.items():
+        for cid, name in self.CHECKS.items():
             fs = per[cid]
             first = fs[0] if fs else None
             out.append(CheckResult(
@@ -128,11 +125,46 @@ class VerifierReport:
 
     @property
     def failed_checks(self) -> list[str]:
-        return sorted({f.check for f in self.findings})
+        # numeric, so "V8" sorts before "V10"
+        return sorted({f.check for f in self.findings},
+                      key=lambda c: int(c[1:]))
 
     @property
     def first_failure(self) -> Finding | None:
         return self.findings[0] if self.findings else None
+
+    def to_json(self) -> str:
+        # sort_keys keeps the preimage independent of dict build order
+        return json.dumps(self.as_dict(), sort_keys=True,
+                          separators=(",", ":"))
+
+    def digest(self) -> str:
+        """sha256 over the canonical JSON — folded into RTMR[3] at boot."""
+        return hashlib.sha256(self.to_json().encode()).hexdigest()
+
+
+@dataclass
+class VerifierReport(Report):
+    """Deterministic, attestable summary of one image verification."""
+
+    CHECKS: ClassVar[dict[str, str]] = CHECKS
+
+    image: str
+    entry: int
+    gate_va: int
+    sections: list[dict] = field(default_factory=list)
+    instructions: int = 0
+    blocks: int = 0
+    edges: int = 0
+    indirect_sites: int = 0
+    gate_sites: int = 0
+    findings: list[Finding] = field(default_factory=list)
+
+    def span_args(self) -> dict:
+        return {"instructions": self.instructions}
+
+    def summary(self) -> str:
+        return f"({self.instructions} instrs, {self.gate_sites} gate thunks)"
 
     def as_dict(self) -> dict:
         return {
@@ -151,26 +183,13 @@ class VerifierReport:
             "findings": [f.as_dict() for f in self.findings],
         }
 
-    def to_json(self) -> str:
-        # sort_keys keeps the preimage independent of dict build order
-        return json.dumps(self.as_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def digest(self) -> str:
-        """sha256 over the canonical JSON — folded into RTMR[3] at boot."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
-
 
 class StaticVerifier:
     """Runs the V0–V7 checks over every executable section of an image."""
 
-    def __init__(self, *, gate_va: int = ENTRY_GATE_VA):
-        self.gate_va = gate_va
-        self._templates = thunk_templates()
-
     def verify_image(self, image: SelfImage) -> VerifierReport:
         report = VerifierReport(image=image.name, entry=image.entry,
-                                gate_va=self.gate_va)
+                                gate_va=ENTRY_GATE_VA)
         cfgs: list[tuple[object, ControlFlowGraph]] = []
         for sec in image.sections:
             report.sections.append({
@@ -236,7 +255,7 @@ class StaticVerifier:
             off = site.va - sec.va
             if site.target is None:
                 continue            # runtime IBT is the only possible check
-            if site.target == self.gate_va:
+            if site.target == ENTRY_GATE_VA:
                 self._check_gate_site(sec, cfg, site, off, report)
                 continue
             if not self._lands_on_endbr(site.target, cfgs):
@@ -260,9 +279,10 @@ class StaticVerifier:
                 "only instrumentation thunks may icall it"))
             return
         icall_index = (site.va - cfg.section_va) // INSTR_SIZE
-        parsed = parse_gate_call_site(cfg.instrs, icall_index, self.gate_va)
+        parsed = parse_gate_call_site(cfg.instrs, icall_index,
+                                      ENTRY_GATE_VA)
         matched = next(
-            (t for t in self._templates.values()
+            (t for t in thunk_templates().values()
              if t.matches_body(parsed.body)), None)
         if matched is None or not parsed.ret_ok:
             report.findings.append(Finding(

@@ -53,9 +53,10 @@ def published_measurement() -> bytes:
 def published_kernel_cfg_rtmr(*, dataflow: bool = True) -> bytes:
     """Golden RTMR[3] for a verified boot of the distribution kernel.
 
-    A remote client replays the monitor's stage-2 CFG pass (and, for the
-    default full boot, the stage-3 dataflow pass) offline — both
-    verifiers are pure and deterministic — over the published
+    A remote client replays the monitor's verification pipeline
+    (:mod:`repro.analysis.pipeline`: the CFG pass and, for the default
+    full boot, the dataflow pass) offline — both verifiers are pure and
+    deterministic — over the published
     instrumented kernel image and derives the RTMR value the monitor
     must have extended. A scan-only boot
     (``EreborFeatures(cfg_verifier=False)``) leaves RTMR[3] at its reset
@@ -63,16 +64,9 @@ def published_kernel_cfg_rtmr(*, dataflow: bool = True) -> bytes:
     the first extension, so the quote alone distinguishes all three boot
     flavours.
     """
-    from ..analysis.verifier import StaticVerifier
-    from ..tdx.attestation import expected_rtmr
+    from ..analysis.pipeline import kernel_rtmr
     image, _ = instrument_image(build_kernel_image())
-    report = StaticVerifier().verify_image(image)
-    preimages = [report.digest().encode()]
-    if dataflow:
-        from ..analysis.absint import DataflowVerifier
-        preimages.append(DataflowVerifier().verify_image(image)
-                         .digest().encode())
-    return expected_rtmr(preimages)
+    return kernel_rtmr(image, dataflow=dataflow)
 
 
 def published_paravisor_measurement() -> tuple[bytes, bytes]:

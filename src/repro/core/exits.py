@@ -60,7 +60,6 @@ class MonitorExitPath(ExitPath):
         if sandbox is not None:
             owner = sandbox.sandbox_id
             clock.count(("sandbox_exit", cls, owner))
-            sandbox.stats["exits"] += 1
             if self.monitor.features.uarch_model:
                 clock.charge(Cost.UARCH_PER_SANDBOX_EXIT, "uarch")
             if self.monitor.mitigations is not None:
@@ -111,14 +110,12 @@ class MonitorExitPath(ExitPath):
             return
         sandbox = self._sandbox_of(task)
         self._charge_exit("syscall", sandbox)
-        if sandbox is not None:
-            self.clock.count("sandbox_syscall_exit")
-            sandbox.stats["syscall_exits"] += 1
-            if sandbox.locked and name not in LOCKED_ALLOWED_SYSCALLS:
-                self.monitor.clock.count("sandbox_kill")
-                sandbox.kill(f"syscall {name!r} after client data load")
-                raise SandboxViolation(sandbox.sandbox_id,
-                                       f"syscall {name!r} while locked")
+        if sandbox is not None and sandbox.locked \
+                and name not in LOCKED_ALLOWED_SYSCALLS:
+            self.monitor.clock.count("sandbox_kill")
+            sandbox.kill(f"syscall {name!r} after client data load")
+            raise SandboxViolation(sandbox.sandbox_id,
+                                   f"syscall {name!r} while locked")
 
     def on_secure_pagefault(self, task: Task, va: int, write: bool,
                             vma=None) -> bool:
@@ -160,13 +157,10 @@ class MonitorExitPath(ExitPath):
         self._charge_exit("pagefault", sandbox)
         self.clock.charge(Cost.INT_GATE_OVERHEAD, "int_gate")
         self._pkrs_toggle()
-        if sandbox is not None:
-            self.clock.count("sandbox_pf_exit")
-            sandbox.stats["pf_exits"] += 1
-            if sandbox.locked:
-                # exception exits expose state: mask and later restore
-                self.clock.charge(Cost.SANDBOX_STATE_SAVE
-                                  + Cost.SANDBOX_STATE_RESTORE, "sandbox_state")
+        if sandbox is not None and sandbox.locked:
+            # exception exits expose state: mask and later restore
+            self.clock.charge(Cost.SANDBOX_STATE_SAVE
+                              + Cost.SANDBOX_STATE_RESTORE, "sandbox_state")
 
     def on_interrupt(self, task: Task, vector: int) -> None:
         if not self._active:
@@ -175,13 +169,10 @@ class MonitorExitPath(ExitPath):
         self._charge_exit("irq", sandbox)
         self.clock.charge(Cost.INT_GATE_OVERHEAD, "int_gate")
         self._pkrs_toggle()
-        if sandbox is not None:
-            self.clock.count("sandbox_irq_exit")
-            sandbox.stats["irq_exits"] += 1
-            if sandbox.locked:
-                # save + mask the register file before the OS handler runs
-                self.clock.charge(Cost.SANDBOX_STATE_SAVE, "sandbox_state")
-                sandbox.note_masked_entry()
+        if sandbox is not None and sandbox.locked:
+            # save + mask the register file before the OS handler runs
+            self.clock.charge(Cost.SANDBOX_STATE_SAVE, "sandbox_state")
+            sandbox.note_masked_entry()
 
     def on_interrupt_return(self, task: Task, vector: int) -> None:
         if not self._active:
@@ -201,11 +192,8 @@ class MonitorExitPath(ExitPath):
             return
         sandbox = self._sandbox_of(task)
         self._charge_exit("ve", sandbox)
-        self.clock.count("ve_interposed")
         if sandbox is None or not sandbox.locked:
             return
-        self.clock.count("sandbox_ve_exit")
-        sandbox.stats["ve_exits"] += 1
         if reason == "cpuid":
             # emulated from the monitor's cache: no exit reaches the host
             self.monitor.emulated_cpuid()

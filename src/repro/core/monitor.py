@@ -17,7 +17,7 @@ via the monitor instance held here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from ..hw import regs
 from ..hw.cycles import Cost
@@ -48,7 +48,12 @@ _EMC_SPAN_NAMES: dict[str, str] = {}
 
 
 class BootVerificationError(Exception):
-    """Stage-2 kernel verification failed (sensitive bytes found)."""
+    """Stage-2 boot rejected the kernel image (audited, never loaded)."""
+
+
+#: kernel pass name → the monitor attribute keeping its latest report
+_KERNEL_REPORT_ATTRS = {"cfg": "kernel_verifier_report",
+                        "dataflow": "kernel_dataflow_report"}
 
 
 @dataclass
@@ -182,12 +187,9 @@ class EreborMonitor:
         self.audit_seq: int = 0
         self.kernel: GuestKernel | None = None
         self.kernel_syscall_entry: int | None = None
-        #: the stage-2 CFG verifier's report for the loaded kernel image
-        #: (None on scan-only boots); its digest is extended into RTMR[3]
+        #: the latest CFG (V0–V7) and dataflow (V8–V10) pass reports, None
+        #: until the pass runs; the dataflow StaticBudget feeds admission
         self.kernel_verifier_report = None
-        #: the stage-3 dataflow verifier's report (V8–V10, None when the
-        #: plane is off); digest extended into RTMR[3] after the CFG one,
-        #: and its StaticBudget feeds fleet admission
         self.kernel_dataflow_report = None
         self.sandboxes: dict[int, "Sandbox"] = {}
         self._next_sandbox_id = 1
@@ -231,6 +233,12 @@ class EreborMonitor:
     # stage 2: kernel verification and load
     # ------------------------------------------------------------------ #
 
+    def _reject(self, audit: str, trigger: str, error: str) -> NoReturn:
+        """The one stage-2 reject path: audit, fire the trigger, raise."""
+        self.audit("verify", f"REJECTED {audit}")
+        self.clock.tracer.trigger("verify_reject", trigger)
+        raise BootVerificationError(error)
+
     def verify_code(self, blob: bytes, what: str = "code") -> None:
         """Byte-scan executable bytes for sensitive sequences (§5.1)."""
         with self.clock.tracer.span("verify:code", "monitor",
@@ -240,115 +248,66 @@ class EreborMonitor:
         self.clock.count("verified_code_blob")
         if hits:
             offset, op = hits[0]
-            self.audit("verify", f"REJECTED {what}: {op} at {offset:#x}")
-            self.clock.tracer.trigger("verify_reject",
-                                      f"{what}: {op} at {offset:#x}")
-            raise BootVerificationError(
-                f"{what}: sensitive instruction {op!r} at byte offset "
-                f"{offset:#x} (+{len(hits) - 1} more)")
+            where = f"{what}: {op} at {offset:#x}"
+            self._reject(where, where,
+                         f"{what}: sensitive instruction {op!r} at byte "
+                         f"offset {offset:#x} (+{len(hits) - 1} more)")
         self.audit("verify", f"accepted {what} ({len(blob)} bytes)")
 
-    def verify_image_cfg(self, image: SelfImage):
-        """Stage-2 CFG pass: prove structural properties the scan cannot.
+    def _verify_pass(self, image: SelfImage, kernel_pass, report) -> None:
+        """Book one :mod:`repro.analysis.pipeline` pass over the kernel.
 
-        Runs :class:`repro.analysis.verifier.StaticVerifier` over the
-        image (V0–V7: endbr landing pads, gate provenance, W^X,
-        branch-target sanity, thunk liveness, ...), charges the
-        calibrated walk cost, audits the verdict, and — on success —
-        extends the report digest into RTMR[3] so remote clients can
-        distinguish a CFG-verified boot from a scan-only one.
+        Charges the pass's calibrated cycles, audits the verdict and — on
+        success — extends the report digest into RTMR[3], so the quote
+        distinguishes scan-only, CFG-verified and dataflow-proven boots.
         """
-        from ..analysis.verifier import StaticVerifier
         from ..tdx.attestation import KERNEL_CFG_RTMR_INDEX
-        report = StaticVerifier().verify_image(image)
-        with self.clock.tracer.span("verify:cfg", "monitor",
-                                    image=image.name,
-                                    instructions=report.instructions):
-            self.clock.charge(Cost.VERIFY_CFG_BASE
-                              + Cost.VERIFY_CFG_PER_INSTR
-                              * report.instructions, "verify")
-        self.clock.count("cfg_verified_image")
-        self.kernel_verifier_report = report
+        name = kernel_pass.name
+        with self.clock.tracer.span(f"verify:{name}", "monitor",
+                                    image=image.name, **report.span_args()):
+            self.clock.charge(kernel_pass.cycles(report), "verify")
+        self.clock.count(f"{name}_verified_image")
+        setattr(self, _KERNEL_REPORT_ATTRS[name], report)
         digest = report.digest()
-        self.clock.cfg_report_digest = digest
+        setattr(self.clock, f"{name}_report_digest", digest)
         if not report.ok:
-            first = report.first_failure
+            detail = report.first_failure.detail
             failed = ", ".join(report.failed_checks)
-            self.audit("verify", f"REJECTED {image.name} CFG "
-                       f"[{failed}]: {first.detail}")
-            self.clock.tracer.trigger(
-                "verify_reject", f"{image.name} CFG [{failed}]")
-            raise BootVerificationError(
-                f"kernel {image.name}: CFG verification failed "
-                f"[{failed}] — {first.detail}")
-        self.audit("verify", f"CFG-verified {image.name} "
-                   f"({report.instructions} instrs, {report.gate_sites} "
-                   f"gate thunks) digest {digest[:16]}")
+            verdict = f"{image.name} {kernel_pass.label} [{failed}]"
+            self._reject(f"{verdict}: {detail}", verdict,
+                         f"kernel {image.name}: {kernel_pass.label} "
+                         f"verification failed [{failed}] — {detail}")
+        self.audit("verify", f"{kernel_pass.verb} {image.name} "
+                   f"{report.summary()} digest {digest[:16]}")
         if self.tdx is not None:
             self.tdx.measurement.extend_rtmr(KERNEL_CFG_RTMR_INDEX,
                                              digest.encode())
-        return report
-
-    def verify_image_dataflow(self, image: SelfImage):
-        """Stage-3 dataflow pass: abstract interpretation over the CFGs.
-
-        Runs :class:`repro.analysis.absint.DataflowVerifier` (V8
-        sensitive-taint, V9 stack-balance, V10 static-budget), charges
-        the calibrated fixpoint cost under the same ``verify`` budget
-        tag, audits the verdict, and — on success — extends the report
-        digest into RTMR[3] as a second extension after the CFG digest,
-        so attestation distinguishes scan-only, CFG-verified, and
-        dataflow-proven boots.
-        """
-        from ..analysis.absint import DataflowVerifier
-        from ..tdx.attestation import KERNEL_CFG_RTMR_INDEX
-        report = DataflowVerifier().verify_image(image)
-        with self.clock.tracer.span("verify:dataflow", "monitor",
-                                    image=image.name,
-                                    instructions=report.instructions,
-                                    iterations=report.iterations):
-            self.clock.charge(Cost.VERIFY_DATAFLOW_BASE
-                              + Cost.VERIFY_DATAFLOW_PER_INSTR
-                              * report.instructions, "verify")
-        self.clock.count("dataflow_verified_image")
-        self.kernel_dataflow_report = report
-        digest = report.digest()
-        self.clock.dataflow_report_digest = digest
-        if not report.ok:
-            first = report.first_failure
-            failed = ", ".join(report.failed_checks)
-            self.audit("verify", f"REJECTED {image.name} dataflow "
-                       f"[{failed}]: {first.detail}")
-            self.clock.tracer.trigger(
-                "verify_reject", f"{image.name} dataflow [{failed}]")
-            raise BootVerificationError(
-                f"kernel {image.name}: dataflow verification failed "
-                f"[{failed}] — {first.detail}")
-        budget = report.budget
-        self.audit("verify", f"dataflow-proven {image.name} "
-                   f"(emc<={budget.emc_per_activation}, "
-                   f"exits<={budget.exits_per_activation} per activation) "
-                   f"digest {digest[:16]}")
-        if self.tdx is not None:
-            self.tdx.measurement.extend_rtmr(KERNEL_CFG_RTMR_INDEX,
-                                             digest.encode())
-        return report
 
     def verify_and_load_kernel(self, image_blob: bytes) -> GuestKernel:
-        """Stage-2 boot: scan + CFG-verify, then boot a deprivileged kernel."""
+        """Stage-2 boot: scan + verify, then boot a deprivileged kernel."""
         if not self.installed:
             raise RuntimeError("monitor not installed (stage 1 incomplete)")
-        image = SelfImage.deserialize(image_blob)
+        try:
+            image = SelfImage.deserialize(image_blob)
+        except ValueError as exc:
+            what = f"kernel image: {exc}"
+            self._reject(what, what, what)
+        text = next((s for s in image.executable_sections()
+                     if s.name == ".text"), None)
+        if text is None:
+            what = f"kernel {image.name}: no executable .text section"
+            self._reject(what, what, what)
         for section in image.executable_sections():
             self.verify_code(section.data, what=f"kernel {section.name}")
         if self.features.cfg_verifier:
-            self.verify_image_cfg(image)
-            if self.features.dataflow_verifier:
-                self.verify_image_dataflow(image)
+            from ..analysis.pipeline import verify_kernel
+            for kernel_pass, report in verify_kernel(
+                    image, dataflow=self.features.dataflow_verifier):
+                self._verify_pass(image, kernel_pass, report)
         # mark kernel text frames so W^X policy can identify them
         text_frames = self.phys.alloc_frames(
-            max(pages_for(len(image.section(".text").data)), 1), "ktext")
-        self.phys.write(text_frames[0] << 12, image.section(".text").data[:4096])
+            max(pages_for(len(text.data)), 1), "ktext")
+        self.phys.write(text_frames[0] << 12, text.data[:4096])
 
         from .exits import MonitorExitPath
         kernel = GuestKernel(self.phys, self.clock, self.cpu, self.tdx,
@@ -360,18 +319,13 @@ class EreborMonitor:
         self.machine.vmm.interrupt_sink = lambda vector: kernel.pump()
         self.machine.kernel = kernel
         if self.cpu.tcache.enabled:
-            # CFG-keyed pre-translation: the StaticVerifier just proved
-            # the image decodes into well-formed basic blocks, so each
-            # block head is decoded once into a superblock now instead of
-            # lazily at first execution (host-plane only; blocks whose
-            # VAs the kernel has not mapped are skipped).
-            from ..hw.errors import InvalidOpcode
+            # CFG-keyed pre-translation: preload reads the passes' memoized
+            # CFGs and builds each block head's superblock now instead of
+            # at first execution (host-plane only; blocks whose VAs the
+            # kernel has not mapped are skipped)
             for section in image.executable_sections():
-                try:
-                    self.cpu.tcache.preload(kernel.kernel_aspace,
-                                            section.va, section.data)
-                except InvalidOpcode:
-                    pass
+                self.cpu.tcache.preload(kernel.kernel_aspace, section.va,
+                                        section.data)
         return kernel
 
     # ------------------------------------------------------------------ #

@@ -77,11 +77,9 @@ class Sandbox:
         self.trace_context = None
         #: §6.1 future work: monitor-handled (address-hiding) demand paging
         self.secure_paging = False
-        #: per-sandbox Table 6 counters, maintained by the exit path
-        self.stats: dict[str, int] = {
-            "exits": 0, "pf_exits": 0, "irq_exits": 0, "ve_exits": 0,
-            "syscall_exits": 0, "inputs": 0, "outputs": 0,
-        }
+        #: sealed channel records delivered in and out (per-class exit
+        #: counts live on the clock's labelled ``sandbox_exit`` key)
+        self.stats: dict[str, int] = {"inputs": 0, "outputs": 0}
 
     # ------------------------------------------------------------------ #
     # state

@@ -1,4 +1,5 @@
-"""Pinned SMP goldens: the seeded helloworld fleet's digest and plane totals.
+"""Pinned goldens: the seeded helloworld fleet's digest and plane totals,
+and the kernel verification pipeline's report digests.
 
 The one copy every test checks. A digest change means the cycle model or
 the commit order moved; a plane change names the plane a cycle moved
@@ -35,3 +36,38 @@ SMP_PLANES = {
     "io": 149280, "mmu": 984, "privop": 32786, "sandbox": 3200730,
     "sched": 3000, "scrub": 2760, "transition": 2455368, "verify": 4391,
 }
+
+#: ``kernel_digest`` of the two ``python -m repro.analysis ... --self-check
+#: --json`` artifacts over the instrumented distribution kernel: the CFG
+#: pass (V0–V7) and the dataflow pass (V8–V10). A change here moves
+#: RTMR[3] and every certificate's reference value.
+KERNEL_CFG_DIGEST = \
+    "c5d07ba4b15347e70e745572ba7866e41c3b128d744df7ae239452ff63312509"
+KERNEL_DATAFLOW_DIGEST = \
+    "801cd30351e2205f1185907cc994288ffb496bf02374ec3fa05cb8a5e56ef85c"
+
+#: ``published_kernel_cfg_rtmr(dataflow=...).hex()``
+KERNEL_RTMR3 = {
+    True: "ad9c25fec24c871e69745b1c64f4d6a9f36150c32d428bc6"
+          "110705c9f353e1eafad929e472f84c4516b05c6a7eeaac44",
+    False: "58344559279e50e65812bd6b19f6d074ea7e92d1fe4c7049"
+           "c85ce833fe7be86161eea338220c2eb398c9cd82c7219797",
+}
+
+#: report digest of each seeded attack under its pass, in corpus order
+#: (``attack_corpus()`` and ``dataflow_attack_corpus()``)
+CFG_ATTACK_DIGESTS = (
+    "080e0ac37a04b2f75e65911d966a335cef01f10aea571403bb436452af753f04",
+    "9db0a5327ede2ef7fbd72010b007a8deba60e4157f567d3c042a16cbe092809e",
+    "fe35f5d8a58b6b0a9f5e5830d7da0260c7ec202f2f82243758eeb6c106618fba",
+    "c5491d0e62670ad78219de49425039d4d91e3661105516e72021687b045bd15d",
+    "ca9d8ff1fcd79b21d31e4ee23127b17a6ba79b94ac9fc47436e469e4c5606836",
+    "ffa1a769d8c270b91da07b8baffdb03ee2d370a8e4f81fbbbb9e8f76a60b144c",
+    "136d0908b43eaa2e1453eab5cbb94d1498a2b4a4009f7d678cc901b94cc83a21",
+    "0dbed2842974b3c9cbbe54ed264922b740237ed7c6f4759648829b8a0e11a053",
+)
+DATAFLOW_ATTACK_DIGESTS = (
+    "de36026ebe927384cc4f95cde641b36c0b1bd73bb9feda1d76f003337d3a3c01",
+    "f1638d5ca85facb7c68cb49f63bde0a2dfd37aeb88c94ed690907916e4df0833",
+    "6e3ab9be249ed0f307ab18c0ee77070db93862eadae6595bfad241c12ab3903a",
+)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from . import regs
 from .cpu import Cpu, CpuEnv, Idt
 from .cycles import CycleClock
-from .errors import InvalidOpcode
 from .isa import Instr, assemble
 from .memory import PAGE_SIZE, PhysicalMemory, pages_for
 from .mmu import KERNEL_MODE, USER_MODE
@@ -66,13 +65,9 @@ class MicroMachine:
                          owner or ("user" if user else "kernel"), pkey)
         self.write_phys(va, blob)
         if self.cpu.tcache.enabled:
-            # Pre-translate the image's basic blocks (best effort: attack
-            # corpora load deliberately undecodable bytes, which simply
-            # stay on the interpreted path).
-            try:
-                self.cpu.tcache.preload(self.aspace, va, blob)
-            except InvalidOpcode:
-                pass
+            # pre-translate the basic blocks (attack corpora's undecodable
+            # bytes simply stay on the interpreted path)
+            self.cpu.tcache.preload(self.aspace, va, blob)
         return len(blob)
 
     def map_data(self, va: int, pages: int = 1, *, user: bool = False,

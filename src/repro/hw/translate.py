@@ -243,17 +243,19 @@ class TranslationCache:
     def preload(self, aspace: AddressSpace, va: int, code: bytes) -> int:
         """Pre-translate every basic block of a verified code image.
 
-        Called after the boot-time :class:`repro.analysis.StaticVerifier`
-        has approved ``code`` mapped at ``va``: the recovered CFG names
-        each block head, so the whole image is decoded exactly once at
-        load time instead of lazily at first execution. Returns the
-        number of superblocks built. Purely host-plane: no cycles, no
-        architectural state.
+        Called after boot verified ``code`` mapped at ``va``: the CFG the
+        verifier recovered (memoized, so not decoded again) names each
+        block head, translated now instead of at first execution.
+        Returns the number of superblocks built; undecodable code builds
+        none. Purely host-plane: no cycles, no architectural state.
         """
-        from ..analysis.cfg import build_cfg
+        from ..analysis.cfg import CfgDecodeError, build_cfg
 
+        try:
+            cfg = build_cfg(code, va)
+        except CfgDecodeError:
+            return 0
         built = 0
-        cfg = build_cfg(code, va)
         for block_va in cfg.block_table():
             hit = aspace.translate(block_va)
             if hit is None:

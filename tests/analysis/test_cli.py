@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.__main__ import main
 
 REPRO_SRC = str(Path(__file__).resolve().parents[2] / "src" / "repro")
@@ -93,3 +95,16 @@ def test_dataflow_rejects_attack_image_file(tmp_path, capsys):
     path.write_bytes(tainted_gate_argument().image.serialize())
     assert main(["dataflow", "--image", str(path)]) == 1
     assert "V8" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ["verify", "dataflow"])
+@pytest.mark.parametrize("contents", [None, b"not a self image"],
+                         ids=["missing", "malformed"])
+def test_unreadable_image_file_is_an_error(tmp_path, capsys, cmd, contents):
+    path = tmp_path / "kernel.self"
+    if contents is not None:
+        path.write_bytes(contents)
+    assert main([cmd, "--image", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

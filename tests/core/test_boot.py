@@ -69,6 +69,53 @@ def test_stage2_requires_stage1():
         monitor.verify_and_load_kernel(b"SELF\x01")
 
 
+def _traced_monitor(m):
+    from repro.obs.trace import Tracer
+    m.clock.tracer = Tracer(m.clock)
+    monitor = EreborMonitor(m, cma_bytes=16 * MIB)
+    monitor.install()
+    return monitor
+
+
+def _rejections(monitor):
+    audits = [e.detail for e in monitor.audit_log if e.kind == "verify"]
+    triggers = [e.args["detail"] for e in monitor.clock.tracer.events
+                if e.name == "flight:verify_reject"]
+    return audits, triggers
+
+
+def test_garbage_image_rejected_through_the_audited_path():
+    monitor = _traced_monitor(machine())
+    with pytest.raises(BootVerificationError, match="not a SELF image"):
+        monitor.verify_and_load_kernel(b"garbage")
+    audits, triggers = _rejections(monitor)
+    assert audits == ["REJECTED kernel image: not a SELF image"]
+    assert triggers == ["kernel image: not a SELF image"]
+    assert monitor.kernel is None
+
+
+def test_image_without_text_rejected_before_any_pass():
+    from repro.tdx.attestation import KERNEL_CFG_RTMR_INDEX
+    image, _ = instrument_image(build_kernel_image())
+    renamed = SelfImage(image.name, image.entry, [
+        Section(".code" if s.name == ".text" else s.name, s.va, s.data,
+                s.flags) for s in image.sections])
+    m = machine()
+    m.tdx.finalize()
+    monitor = _traced_monitor(m)
+    with pytest.raises(BootVerificationError, match="no executable .text"):
+        monitor.verify_and_load_kernel(renamed.serialize())
+    audits, triggers = _rejections(monitor)
+    assert audits == [f"REJECTED kernel {image.name}: no executable .text "
+                      "section"]
+    assert len(triggers) == 1
+    # no pass ran and RTMR[3] never moved
+    assert monitor.kernel_verifier_report is None
+    assert m.clock.cfg_report_digest == ""
+    assert m.clock.events["cfg_verified_image"] == 0
+    assert m.tdx.measurement.rtmrs[KERNEL_CFG_RTMR_INDEX] == b""
+
+
 def test_boot_reserves_confined_pool_and_io_window():
     m = machine()
     system = erebor_boot(m, cma_bytes=16 * MIB)

@@ -18,10 +18,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..hw.cycles import Cost
-from ..kernel.kernel import ExitPath
+from ..kernel.kernel import NO_FAULT_RUN, ExitPath, FaultRun
 from ..obs.metrics import HandleCache, owner_label
-from ..kernel.process import CowBacking, Task
-from .policy import SandboxViolation
+from ..kernel.process import (
+    CowBacking,
+    SegmentationFault,
+    Task,
+    sandbox_owner,
+)
+from .policy import PolicyViolation, SandboxViolation
 
 if TYPE_CHECKING:
     from .monitor import EreborMonitor
@@ -52,16 +57,22 @@ class MonitorExitPath(ExitPath):
             return task.sandbox
         return None
 
-    def _charge_exit(self, cls: str, sandbox) -> None:
-        """Inspect one exit of ``sandbox`` (None: kernel or native)."""
+    def _charge_exit(self, cls: str, sandbox, count: int = 1,
+                     gaps: dict | None = None) -> None:
+        """Inspect ``count`` exits of ``sandbox`` (None: kernel or native).
+
+        A single exit samples the exit-gap histogram from the clock. A
+        fault run passes ``gaps`` (gap → occurrences), the samples its
+        cycle cursor took, and moves the gap cursor itself.
+        """
         clock = self.clock
-        clock.charge(Cost.EXIT_INSPECT, "exit_interpose")
+        clock.charge(count * Cost.EXIT_INSPECT, "exit_interpose")
         owner = None
         if sandbox is not None:
             owner = sandbox.sandbox_id
-            clock.count(("sandbox_exit", cls, owner))
+            clock.count(("sandbox_exit", cls, owner), count)
             if self.monitor.features.uarch_model:
-                clock.charge(Cost.UARCH_PER_SANDBOX_EXIT, "uarch")
+                clock.charge(count * Cost.UARCH_PER_SANDBOX_EXIT, "uarch")
             if self.monitor.mitigations is not None:
                 self.monitor.mitigations.on_sandbox_exit(sandbox)
         metrics = clock.metrics
@@ -74,19 +85,23 @@ class MonitorExitPath(ExitPath):
                     metrics.histogram_handle("erebor_exit_gap_cycles"),
                 ))
             exits_total, exit_gap = handles
-            exits_total.inc()
+            exits_total.inc(count)
             # exit-gap histogram: cycles between consecutive interposed
             # exits, the interposition-frequency distribution Fig. 10 keys
-            last = self._last_exit_cycle
-            if last is not None:
-                exit_gap.observe(clock.cycles - last)
-            self._last_exit_cycle = clock.cycles
+            if gaps is None:
+                last = self._last_exit_cycle
+                if last is not None:
+                    exit_gap.observe(clock.cycles - last)
+                self._last_exit_cycle = clock.cycles
+            else:
+                for gap, n in gaps.items():
+                    exit_gap.observe_n(gap, n)
         name = _EXIT_EVENT_NAMES.get(cls)
         if name is None:
             name = _EXIT_EVENT_NAMES[cls] = f"exit:{cls}"
         clock.tracer.event(name, "exit", sandboxed=sandbox is not None)
 
-    def _pkrs_toggle(self) -> None:
+    def _pkrs_toggle(self, count: int = 1) -> None:
         """Bump the PKRS-write counter through a cached handle."""
         metrics = self.clock.metrics
         if metrics.enabled:
@@ -95,7 +110,27 @@ class MonitorExitPath(ExitPath):
                 handle = self._metric_handles.put(
                     "pkrs",
                     metrics.counter_handle("erebor_pkrs_toggles_total"))
-            handle.inc(2)
+            handle.inc(2 * count)
+
+    def _pagefault_exits(self, sandbox, count: int = 1,
+                         gaps: dict | None = None) -> None:
+        """Interpose ``count`` page-fault exits (see :meth:`_charge_exit`)."""
+        self._charge_exit("pagefault", sandbox, count, gaps)
+        self.clock.charge(count * Cost.INT_GATE_OVERHEAD, "int_gate")
+        self._pkrs_toggle(count)
+        if sandbox is not None and sandbox.locked:
+            # exception exits expose state: mask and later restore
+            self.clock.charge(count * (Cost.SANDBOX_STATE_SAVE
+                                       + Cost.SANDBOX_STATE_RESTORE),
+                              "sandbox_state")
+
+    @staticmethod
+    def _self_paged(sandbox, vma) -> bool:
+        """Whether the monitor, not the OS, resolves faults on ``vma``."""
+        return (sandbox is not None and vma is not None
+                and vma.kind == "confined"
+                and (sandbox.secure_paging
+                     or isinstance(vma.backing, CowBacking)))
 
     @property
     def _active(self) -> bool:
@@ -130,13 +165,10 @@ class MonitorExitPath(ExitPath):
             return False
         if vma is None:
             vma = task.find_vma(va)
-        if vma is not None and vma.kind == "confined":
-            if isinstance(vma.backing, CowBacking):
-                return sandbox.resolve_cow_fault(vma, va, write)
-        if not sandbox.secure_paging:
+        if not self._self_paged(sandbox, vma):
             return False
-        if vma is None or vma.kind != "confined":
-            return False
+        if isinstance(vma.backing, CowBacking):
+            return sandbox.resolve_cow_fault(vma, va, write)
         if write and not vma.prot & 0x2:
             return False      # real protection violation: let the OS kill it
         from ..hw.paging import PTE_NX, PTE_P, PTE_U, PTE_W, make_pte
@@ -153,14 +185,19 @@ class MonitorExitPath(ExitPath):
     def on_pagefault(self, task: Task, va: int, write: bool) -> None:
         if not self._active:
             return
-        sandbox = self._sandbox_of(task)
-        self._charge_exit("pagefault", sandbox)
-        self.clock.charge(Cost.INT_GATE_OVERHEAD, "int_gate")
-        self._pkrs_toggle()
-        if sandbox is not None and sandbox.locked:
-            # exception exits expose state: mask and later restore
-            self.clock.charge(Cost.SANDBOX_STATE_SAVE
-                              + Cost.SANDBOX_STATE_RESTORE, "sandbox_state")
+        self._pagefault_exits(self._sandbox_of(task))
+
+    def fault_run(self, task: Task) -> FaultRun:
+        """A :class:`MonitorFaultRun` for ``task``, unless something must
+        see each fault as it happens: an armed tracer or flight recorder,
+        §12 mitigations, or an ablated MMU, exit or uarch model."""
+        monitor = self.monitor
+        features = monitor.features
+        if (self.clock.tracer.enabled or monitor.mitigations is not None
+                or not (features.mmu_isolation and features.exit_protection
+                        and features.uarch_model)):
+            return NO_FAULT_RUN
+        return MonitorFaultRun(self, task)
 
     def on_interrupt(self, task: Task, vector: int) -> None:
         if not self._active:
@@ -203,3 +240,140 @@ class MonitorExitPath(ExitPath):
             sandbox.kill(f"VM exit ({reason}) after client data load")
             raise SandboxViolation(sandbox.sandbox_id,
                                    f"hypercall while locked")
+
+
+class MonitorFaultRun(FaultRun):
+    """One pass over a run of ordinary demand faults of one task.
+
+    Takes every fault :meth:`GuestKernel.handle_page_fault` would resolve
+    on the OS path (not copy-on-write, not secure-paged), and keeps each
+    per-page step with a state effect, in order: the ``fault_log``
+    record, the VMA bound check and PTE (:meth:`GuestKernel.fault_pte`),
+    and the validated install (:meth:`NestedMmu.map_page`). The constant
+    per-fault costs — exception delivery, handler and iret, the exit
+    interposition, and three EMC round trips with their native PTE
+    writes — are deferred and booked as ``n`` times each by the same
+    charging code a single fault uses, in the order it first charges
+    them, so the clock's ledgers keep their insertion order. Exit-gap
+    samples come from a cycle cursor: the clock value each exit would
+    have read.
+
+    A fault that fails books its partial charges with the run before the
+    denial or ``SegmentationFault``; pages installed before it stay.
+    """
+
+    __slots__ = ("_exits", "_clock", "_kernel", "_vmmu", "_task", "_owner",
+                 "_sandbox", "_pre_exit", "_per_fault", "_gaps", "_faults",
+                 "_mem_pages", "_cursor", "_last_exit", "_vma", "_takes")
+
+    def __init__(self, exits: MonitorExitPath, task: Task):
+        monitor = exits.monitor
+        self._exits = exits
+        self._clock = exits.clock
+        self._kernel = monitor.kernel
+        self._vmmu = monitor.vmmu
+        self._task = task
+        sandbox = exits._sandbox_of(task)
+        self._sandbox = sandbox
+        self._owner = sandbox_owner(task)
+        # cycles from a fault's entry to its exit-gap sample, and from
+        # one fault's entry to the next one's (less the MEM touches)
+        pre_exit = Cost.EXC_DELIVERY + Cost.PF_HANDLER_BASE + Cost.EXIT_INSPECT
+        if sandbox is not None:
+            pre_exit += Cost.UARCH_PER_SANDBOX_EXIT
+        per_fault = (pre_exit + Cost.IRET + Cost.INT_GATE_OVERHEAD
+                     + 3 * (Cost.EMC_ROUND_TRIP + Cost.VALIDATE_MMU
+                            + Cost.UARCH_PER_EMC + Cost.PTE_WRITE_NATIVE))
+        if sandbox is not None and sandbox.locked:
+            per_fault += Cost.SANDBOX_STATE_SAVE + Cost.SANDBOX_STATE_RESTORE
+        self._pre_exit = pre_exit
+        self._per_fault = per_fault
+        #: gap → samples while metrics are on (None: nothing sampled)
+        self._gaps = {} if self._clock.metrics.enabled else None
+        self._faults = 0
+        self._mem_pages = 0
+        self._cursor = 0
+        self._last_exit = None
+        #: the VMA of the latest fault, and whether the run takes its
+        #: faults (one lookup per VMA, not per fault)
+        self._vma = None
+        self._takes = False
+
+    def fault(self, va: int, write: bool, mem_pages: int) -> bool:
+        vma = self._vma
+        if vma is None or not vma.start <= va < vma.start + vma.length:
+            vma = self._vma = self._task.find_vma(va)
+            self._takes = not self._exits._self_paged(self._sandbox, vma)
+        if not self._takes:
+            return False
+        if self._faults:
+            self._mem_pages += mem_pages
+            cursor = self._cursor + mem_pages * Cost.MEM
+        else:
+            # a new run: book the touches before it, read the clock once
+            if mem_pages:
+                self._clock.charge(mem_pages * Cost.MEM, "mem")
+            cursor = self._clock.cycles
+            self._last_exit = self._exits._last_exit_cycle
+        gaps = self._gaps
+        if gaps is not None:
+            exit_cycle = cursor + self._pre_exit
+            last = self._last_exit
+            if last is not None:
+                gap = exit_cycle - last
+                gaps[gap] = gaps.get(gap, 0) + 1
+            self._last_exit = exit_cycle
+        kernel = self._kernel
+        task = self._task
+        kernel.fault_log.append((task.pid, va, write))
+        done = self._faults
+        try:
+            pte = kernel.fault_pte(task, vma, va, write)
+        except SegmentationFault:
+            # the handler irets into the signal; no PTE was written
+            self._book(done + 1, irets=done + 1, emcs=3 * done)
+            raise
+        aspace = task.aspace
+        vmmu = self._vmmu
+        if aspace.root_fn not in vmmu.registered_roots:
+            vmmu.register_aspace(aspace)
+        try:
+            vmmu.map_page(aspace, va, pte)
+        except PolicyViolation as exc:
+            # denied inside its WRITE_PTE EMC: no PTE write, no iret
+            self._book(done + 1, irets=done, emcs=3 * done + 1)
+            raise self._exits.monitor._deny(exc)
+        self._faults = done + 1
+        self._cursor = cursor + self._per_fault
+        return True
+
+    def flush(self) -> None:
+        done = self._faults
+        if done:
+            self._book(done, irets=done, emcs=3 * done)
+
+    def _book(self, entries: int, *, irets: int, emcs: int) -> None:
+        """Charge ``entries`` fault entries with ``irets`` returns and
+        ``emcs`` MMU EMCs, the three native PTE writes of each completed
+        fault, and the MEM touches between the faults; empties the run."""
+        clock = self._clock
+        ptes = 3 * self._faults
+        clock.count(("page_fault", self._owner), entries)
+        clock.charge(entries * (Cost.EXC_DELIVERY + Cost.PF_HANDLER_BASE)
+                     + irets * Cost.IRET, "pagefault")
+        exits = self._exits
+        gaps = self._gaps
+        exits._pagefault_exits(self._sandbox, entries, gaps)
+        if gaps is not None:
+            exits._last_exit_cycle = self._last_exit
+            gaps.clear()
+        if emcs:
+            exits.monitor.charge_emc_batch(Cost.VALIDATE_MMU, kind="mmu",
+                                           count=emcs)
+        if ptes:
+            clock.charge(ptes * Cost.PTE_WRITE_NATIVE, "mmu_op")
+            clock.count("pte_write", ptes)
+        if self._mem_pages:
+            clock.charge(self._mem_pages * Cost.MEM, "mem")
+            self._mem_pages = 0
+        self._faults = 0

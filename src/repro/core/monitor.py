@@ -16,6 +16,7 @@ via the monitor instance held here.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NoReturn
 
@@ -198,7 +199,8 @@ class EreborMonitor:
         self._cpuid_cache: tuple | None = None
         #: kind → pre-resolved EMC metric write handles
         self._emc_handles = HandleCache()
-        self._cma_pool: list[int] = []
+        #: free confined frames, taken from the left in allocation order
+        self._cma_pool: deque[int] = deque()
         self._shared_io: list[int] = []
         self._shared_io_set: set[int] = set()
         cma = cma_bytes if cma_bytes is not None else self.CMA_BYTES_DEFAULT
@@ -214,8 +216,8 @@ class EreborMonitor:
         # monitor's own frames (code/data/stacks model)
         self.phys.alloc_frames(64, "monitor")
         # CMA-style reserved pool for sandbox confined memory (pinned)
-        self._cma_pool = self.phys.alloc_frames(
-            pages_for(self._cma_bytes), "cma", contiguous=True)
+        self._cma_pool = deque(self.phys.alloc_frames(
+            pages_for(self._cma_bytes), "cma", contiguous=True))
         # the only region ever convertible to shared (device I/O window)
         self._shared_io = self.phys.alloc_frames(
             pages_for(self.SHARED_IO_BYTES), "shm-io", contiguous=True)
@@ -472,7 +474,8 @@ class EreborMonitor:
             raise MemoryError(
                 f"confined pool exhausted (want {count}, "
                 f"have {len(self._cma_pool)})")
-        frames, self._cma_pool = self._cma_pool[:count], self._cma_pool[count:]
+        pool = self._cma_pool
+        frames = [pool.popleft() for _ in range(count)]
         for fn in frames:
             self.phys.frame(fn).owner = owner
         return frames

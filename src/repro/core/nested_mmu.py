@@ -50,7 +50,8 @@ class CommonRegion:
     frames: list[int]
     writable: bool = True                 # initialization window open?
     initializer: int | None = None        # sandbox id that may populate it
-    #: (aspace, va) of every live mapping, for write-revocation at lock
+    #: (aspace, va) of every mapping made while the region was
+    #: writable, for write-revocation at lock
     mappings: list[tuple[AddressSpace, int]] = field(default_factory=list)
 
     @property
@@ -163,16 +164,29 @@ class NestedMmu:
         self.clock.charge(Cost.PTE_WRITE_NATIVE, "mmu_op")
         self.clock.count("pte_write")
         if pte:
-            aspace.set_pte(va, pte)
-            fn = pte_frame(pte)
-            frame = self.phys.frame(fn)
-            if frame.owner.startswith("confined") or fn in self.confined_owner:
-                self.confined_mapping[fn] = (aspace.root_fn, va)
+            self._set_pte(aspace, va, pte)
         else:
             old = aspace.get_pte(va)
             if old & PTE_P:
                 self.confined_mapping.pop(pte_frame(old), None)
             aspace.clear_pte(va)
+
+    def map_page(self, aspace: AddressSpace, va: int, pte: int) -> None:
+        """Validate and install one present PTE without booking its write.
+
+        The policy checks and the install of :meth:`write_pte`; a fault
+        run (:class:`repro.core.exits.MonitorFaultRun`) books the PTE
+        writes of its whole run at once.
+        """
+        self._validate_mapping(aspace, va, pte)
+        self._set_pte(aspace, va, pte)
+
+    def _set_pte(self, aspace: AddressSpace, va: int, pte: int) -> None:
+        aspace.set_pte(va, pte)
+        fn = pte_frame(pte)
+        frame = self.phys.frame(fn)
+        if frame.owner.startswith("confined") or fn in self.confined_owner:
+            self.confined_mapping[fn] = (aspace.root_fn, va)
 
     def _validate_mapping(self, aspace: AddressSpace, va: int, pte: int) -> None:
         fn = pte_frame(pte)
@@ -223,7 +237,9 @@ class NestedMmu:
             raise PolicyViolation(
                 f"common region {region.name!r} is sealed read-only; "
                 f"writable mapping of frame {fn:#x} refused")
-        if region is not None and pte & PTE_P:
+        if region is not None and region.writable and pte & PTE_P:
+            # a sealed region refuses writable mappings, so the
+            # read-only ones made after the seal need no revocation
             region.mappings.append((aspace, va & ~0xFFF))
 
     def _region_of(self, fn: int) -> CommonRegion | None:

@@ -1,5 +1,5 @@
-"""Pinned goldens: the seeded helloworld fleet's digest and plane totals,
-and the kernel verification pipeline's report digests.
+"""Pinned goldens: the seeded helloworld and llama fleets' digests and
+plane totals, and the kernel verification pipeline's report digests.
 
 The one copy every test checks. A digest change means the cycle model or
 the commit order moved; a plane change names the plane a cycle moved
@@ -16,6 +16,18 @@ LLAMA_FLEET_PARAMS = dict(workload="llama.cpp", clients=8, requests=2,
                           pool_size=8, tenants=8, seed=7, scale=0.1,
                           n_cpus=4, memory_bytes=1024 * MIB,
                           cma_bytes=512 * MIB)
+
+#: ``FleetReport.digest()`` of ``run_fleet(**LLAMA_FLEET_PARAMS)``
+LLAMA_PINNED = \
+    "cc34de723489acaa3764083e634c2d61d34660f010b4b1a22e5f5f22755a3091"
+
+#: ``FleetReport.ledger["planes"]`` of ``run_fleet(**LLAMA_FLEET_PARAMS)``
+LLAMA_PLANES = {
+    "emc": 116787349, "exec.interpret": 2857600000, "fault": 43166640,
+    "io": 298560, "mmu": 258432, "privop": 2584960, "sandbox": 359837749,
+    "sched": 138251100, "scrub": 16560, "transition": 27306680,
+    "verify": 4391,
+}
 
 #: :func:`repro.fleet.run_fleet` arguments of the pinned fleet, less n_cpus
 SMP_PARAMS = dict(workload="helloworld", clients=4, requests=2,

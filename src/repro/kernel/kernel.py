@@ -88,6 +88,39 @@ class ExitPath:
     def on_context_switch(self, prev: Task | None, nxt: Task) -> None:
         """The scheduler is switching tasks (shadow-stack switch point)."""
 
+    def fault_run(self, task: Task) -> "FaultRun":
+        """The resolver for ``task``'s demand faults in one ``touch_pages``
+        call; the default takes none, so each goes through
+        :meth:`GuestKernel.handle_page_fault`."""
+        return NO_FAULT_RUN
+
+
+class FaultRun:
+    """Resolves a run of demand faults inside one ``touch_pages`` call.
+
+    :meth:`fault` either declines a fault (returns False, nothing done)
+    or resolves it exactly as :meth:`GuestKernel.handle_page_fault`
+    would, deferring its clock charges; :meth:`flush` books what is
+    deferred. ``touch_pages`` flushes before anything can observe the
+    clock, so the ledger is the one per-fault handling leaves. This base
+    form declines every fault.
+    """
+
+    def fault(self, va: int, write: bool, mem_pages: int) -> bool:
+        """Resolve the fault on page ``va``.
+
+        ``mem_pages`` is the count of page touches since the previous
+        fault whose MEM charges the caller deferred; a run that takes the
+        fault books them too.
+        """
+        return False
+
+    def flush(self) -> None:
+        """Book every deferred charge (no-op on an empty run)."""
+
+
+NO_FAULT_RUN = FaultRun()
+
 
 class GuestKernel:
     """One booted guest kernel instance."""
@@ -345,25 +378,36 @@ class GuestKernel:
         self.fault_log.append((task.pid, va, write))
         self.clock.charge(Cost.PF_HANDLER_BASE, "pagefault")
         self.exit_path.on_pagefault(task, va, write)
-        if vma is None:
+        try:
+            pte = self.fault_pte(task, vma, va, write)
+        except SegmentationFault:
             self.clock.charge(Cost.IRET, "pagefault")
+            raise
+        self.ops.write_pte(task.aspace, va & ~(PAGE_SIZE - 1), pte)
+        # ancillary MMU updates on the fault path (A/D bits, upper levels)
+        self.ops.mmu_housekeeping(2)
+        self.clock.charge(Cost.IRET, "pagefault")
+
+    def fault_pte(self, task: Task, vma: Vma | None, va: int,
+                  write: bool) -> int:
+        """The PTE an ordinary demand fault on ``va`` installs.
+
+        Raises :class:`SegmentationFault` outside any VMA or on a write
+        to a read-only one. The one page resolution both the fault
+        handler and a :class:`FaultRun` use.
+        """
+        if vma is None:
             raise SegmentationFault(f"{task.name}: no VMA for {va:#x}")
         if write and not vma.prot & PROT_WRITE:
-            self.clock.charge(Cost.IRET, "pagefault")
             raise SegmentationFault(f"{task.name}: write to read-only {va:#x}")
-        page = vma.page_index(va)
-        fn = vma.backing.frame_for(page, self.phys, task.owner_tag)
+        fn = vma.backing.frame_for(vma.page_index(va), self.phys,
+                                   task.owner_tag)
         flags = PTE_P | PTE_U
         if vma.prot & PROT_WRITE:
             flags |= PTE_W
         if not vma.prot & PROT_EXEC:
             flags |= PTE_NX
-        page_va = va & ~(PAGE_SIZE - 1)
-        self.ops.write_pte(task.aspace, page_va,
-                           make_pte(fn, flags, vma.pkey))
-        # ancillary MMU updates on the fault path (A/D bits, upper levels)
-        self.ops.mmu_housekeeping(2)
-        self.clock.charge(Cost.IRET, "pagefault")
+        return make_pte(fn, flags, vma.pkey)
 
     def touch_pages(self, task: Task, va: int, length: int, *,
                     write: bool = False, stride: int = PAGE_SIZE) -> int:
@@ -381,24 +425,35 @@ class GuestKernel:
         mmu = self.cpu.mmu
         clock = self.clock
         aspace = task.aspace
-        # Per-page MEM charges are accumulated and flushed before any
-        # point that can observe the clock (the fault handler's spans and
-        # the final pump), so the cycle value at every observation — and
-        # the resulting ledger — is identical to per-page charging.
+        # Per-page MEM charges are accumulated, and the exit path's fault
+        # run defers the charges of the faults it resolves; both are
+        # flushed before any point that can observe the clock (the fault
+        # handler, a denial, the final pump), so the cycle value at every
+        # observation — and the resulting ledger — is identical to
+        # charging each page and each fault as it happens.
         pending = 0
         check = mmu.check
-        while page_va < end:
-            try:
-                check(aspace, page_va, access, ctx)
-            except PageFault:
-                if pending:
-                    clock.charge(pending * Cost.MEM, "mem")
+        run = None
+        try:
+            while page_va < end:
+                try:
+                    check(aspace, page_va, access, ctx)
+                except PageFault:
+                    if run is None:
+                        run = self.exit_path.fault_run(task)
+                    if not run.fault(page_va, write, pending):
+                        run.flush()
+                        if pending:
+                            clock.charge(pending * Cost.MEM, "mem")
+                        self.handle_page_fault(task, page_va, write)
                     pending = 0
-                self.handle_page_fault(task, page_va, write)
-                check(aspace, page_va, access, ctx)
-                faults += 1
-            pending += 1
-            page_va += stride
+                    check(aspace, page_va, access, ctx)
+                    faults += 1
+                pending += 1
+                page_va += stride
+        finally:
+            if run is not None:
+                run.flush()
         if pending:
             clock.charge(pending * Cost.MEM, "mem")
         self.pump()

@@ -4,8 +4,8 @@ The scheduler interleaves one request per core each round, charging all
 request work to the executing core's cycle counter; wall-clock time is
 the max over per-CPU clocks. These tests pin the clock semantics, the
 per-core-count determinism contract (same seed + same ``n_cpus`` →
-byte-identical report; the pinned digest per core count is checked by
-``tests/obs/test_ledger.py``), and the
+byte-identical report; the pinned helloworld digest per core count is
+checked by ``tests/obs/test_ledger.py``, the llama fleet's here), and the
 throughput scaling the whole design exists to deliver, on helloworld and on the seeded llama fleet
 at 1, 2, 4 and 8 cores.
 """
@@ -13,7 +13,12 @@ at 1, 2, 4 and 8 cores.
 import pytest
 
 from repro.fleet import run_fleet
-from repro.fleet.goldens import LLAMA_FLEET_PARAMS, SMP_PARAMS
+from repro.fleet.goldens import (
+    LLAMA_FLEET_PARAMS,
+    LLAMA_PINNED,
+    LLAMA_PLANES,
+    SMP_PARAMS,
+)
 from repro.hw.cycles import CycleClock
 
 # --------------------------------------------------------------------------- #
@@ -211,3 +216,9 @@ def test_llama_repeats_are_byte_identical(llama_report):
     first = llama_report(LLAMA_FLEET_PARAMS["n_cpus"])
     assert again.to_json() == first.to_json()
     assert again.digest() == first.digest()
+
+
+def test_llama_fleet_matches_its_pins(llama_report):
+    report = llama_report(LLAMA_FLEET_PARAMS["n_cpus"])
+    assert report.digest() == LLAMA_PINNED
+    assert report.ledger["planes"] == LLAMA_PLANES

@@ -8,7 +8,10 @@ warm reset returns a fork to the golden template view.
 
 import pytest
 
+from repro.core.nested_mmu import NestedMmu
 from repro.core.policy import PolicyViolation
+from repro.fleet import run_fleet
+from repro.fleet.goldens import LLAMA_FLEET_PARAMS
 from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE
 from repro.hw.paging import PTE_P, PTE_W, make_pte, pte_frame
 from repro.obs.metrics import metrics_snapshot
@@ -189,3 +192,26 @@ def test_forked_session_serves_through_real_channel(system, template):
         assert data is None or secret not in bytes(data)
     # and the untrusted proxy saw only ciphertext
     assert not proxy.log.saw(secret)
+
+
+def test_common_region_stops_recording_mappings_at_seal(monkeypatch):
+    """Only mappings made while a region is writable can need revoking at
+    its seal: the read-only ones forks take afterwards are not kept."""
+    at_seal = {}
+    seal = NestedMmu.seal_common_region
+
+    def recording_seal(vmmu, name):
+        rewritten = seal(vmmu, name)
+        at_seal[name] = len(vmmu.common_regions[name].mappings)
+        return rewritten
+
+    monkeypatch.setattr(NestedMmu, "seal_common_region", recording_seal)
+    report, system = run_fleet(**dict(LLAMA_FLEET_PARAMS, clients=2,
+                                      pool_size=2, tenants=2, n_cpus=2))
+    assert report.outcomes == {"completed": 2}
+    regions = system.monitor.vmmu.common_regions
+    assert set(at_seal) == set(regions) and regions
+    for name, region in regions.items():
+        assert not region.writable
+        assert at_seal[name] > 0
+        assert len(region.mappings) == at_seal[name], name

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 
 from ..hw.cycles import Cost
 from ..kernel.kernel import NO_FAULT_RUN, ExitPath, FaultRun
-from ..obs.metrics import HandleCache, owner_label
 from ..kernel.process import (
     CowBacking,
     SegmentationFault,
@@ -44,9 +43,6 @@ class MonitorExitPath(ExitPath):
     def __init__(self, monitor: "EreborMonitor"):
         self.monitor = monitor
         self.clock = monitor.clock
-        self._last_exit_cycle: int | None = None
-        #: (cls, owner) → exit metric write handles; "pkrs" → its handle
-        self._metric_handles = HandleCache()
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -57,67 +53,27 @@ class MonitorExitPath(ExitPath):
             return task.sandbox
         return None
 
-    def _charge_exit(self, cls: str, sandbox, count: int = 1,
-                     gaps: dict | None = None) -> None:
-        """Inspect ``count`` exits of ``sandbox`` (None: kernel or native).
-
-        A single exit samples the exit-gap histogram from the clock. A
-        fault run passes ``gaps`` (gap → occurrences), the samples its
-        cycle cursor took, and moves the gap cursor itself.
-        """
+    def _charge_exit(self, cls: str, sandbox, count: int = 1) -> None:
+        """Inspect ``count`` exits of ``sandbox`` (None: kernel or native)."""
         clock = self.clock
         clock.charge(count * Cost.EXIT_INSPECT, "exit_interpose")
-        owner = None
-        if sandbox is not None:
-            owner = sandbox.sandbox_id
-            clock.count(("sandbox_exit", cls, owner), count)
+        if sandbox is None:
+            clock.count(("kernel_exit", cls, None), count)
+        else:
+            clock.count(("sandbox_exit", cls, sandbox.sandbox_id), count)
             if self.monitor.features.uarch_model:
                 clock.charge(count * Cost.UARCH_PER_SANDBOX_EXIT, "uarch")
             if self.monitor.mitigations is not None:
                 self.monitor.mitigations.on_sandbox_exit(sandbox)
-        metrics = clock.metrics
-        if metrics.enabled:
-            handles = self._metric_handles.get(metrics, (cls, owner))
-            if handles is None:
-                handles = self._metric_handles.put((cls, owner), (
-                    metrics.counter_handle("erebor_exits_total", cls=cls,
-                                           sandbox=owner_label(owner)),
-                    metrics.histogram_handle("erebor_exit_gap_cycles"),
-                ))
-            exits_total, exit_gap = handles
-            exits_total.inc(count)
-            # exit-gap histogram: cycles between consecutive interposed
-            # exits, the interposition-frequency distribution Fig. 10 keys
-            if gaps is None:
-                last = self._last_exit_cycle
-                if last is not None:
-                    exit_gap.observe(clock.cycles - last)
-                self._last_exit_cycle = clock.cycles
-            else:
-                for gap, n in gaps.items():
-                    exit_gap.observe_n(gap, n)
         name = _EXIT_EVENT_NAMES.get(cls)
         if name is None:
             name = _EXIT_EVENT_NAMES[cls] = f"exit:{cls}"
         clock.tracer.event(name, "exit", sandboxed=sandbox is not None)
 
-    def _pkrs_toggle(self, count: int = 1) -> None:
-        """Bump the PKRS-write counter through a cached handle."""
-        metrics = self.clock.metrics
-        if metrics.enabled:
-            handle = self._metric_handles.get(metrics, "pkrs")
-            if handle is None:
-                handle = self._metric_handles.put(
-                    "pkrs",
-                    metrics.counter_handle("erebor_pkrs_toggles_total"))
-            handle.inc(2 * count)
-
-    def _pagefault_exits(self, sandbox, count: int = 1,
-                         gaps: dict | None = None) -> None:
+    def _pagefault_exits(self, sandbox, count: int = 1) -> None:
         """Interpose ``count`` page-fault exits (see :meth:`_charge_exit`)."""
-        self._charge_exit("pagefault", sandbox, count, gaps)
+        self._charge_exit("pagefault", sandbox, count)
         self.clock.charge(count * Cost.INT_GATE_OVERHEAD, "int_gate")
-        self._pkrs_toggle(count)
         if sandbox is not None and sandbox.locked:
             # exception exits expose state: mask and later restore
             self.clock.charge(count * (Cost.SANDBOX_STATE_SAVE
@@ -147,7 +103,6 @@ class MonitorExitPath(ExitPath):
         self._charge_exit("syscall", sandbox)
         if sandbox is not None and sandbox.locked \
                 and name not in LOCKED_ALLOWED_SYSCALLS:
-            self.monitor.clock.count("sandbox_kill")
             sandbox.kill(f"syscall {name!r} after client data load")
             raise SandboxViolation(sandbox.sandbox_id,
                                    f"syscall {name!r} while locked")
@@ -205,7 +160,6 @@ class MonitorExitPath(ExitPath):
         sandbox = self._sandbox_of(task)
         self._charge_exit("irq", sandbox)
         self.clock.charge(Cost.INT_GATE_OVERHEAD, "int_gate")
-        self._pkrs_toggle()
         if sandbox is not None and sandbox.locked:
             # save + mask the register file before the OS handler runs
             self.clock.charge(Cost.SANDBOX_STATE_SAVE, "sandbox_state")
@@ -236,7 +190,6 @@ class MonitorExitPath(ExitPath):
             self.monitor.emulated_cpuid()
             return
         if reason in ("hypercall", "sandbox_hypercall"):
-            self.monitor.clock.count("sandbox_kill")
             sandbox.kill(f"VM exit ({reason}) after client data load")
             raise SandboxViolation(sandbox.sandbox_id,
                                    f"hypercall while locked")
@@ -254,17 +207,14 @@ class MonitorFaultRun(FaultRun):
     interposition, and three EMC round trips with their native PTE
     writes — are deferred and booked as ``n`` times each by the same
     charging code a single fault uses, in the order it first charges
-    them, so the clock's ledgers keep their insertion order. Exit-gap
-    samples come from a cycle cursor: the clock value each exit would
-    have read.
+    them, so the clock's ledgers keep their insertion order.
 
     A fault that fails books its partial charges with the run before the
     denial or ``SegmentationFault``; pages installed before it stay.
     """
 
     __slots__ = ("_exits", "_clock", "_kernel", "_vmmu", "_task", "_owner",
-                 "_sandbox", "_pre_exit", "_per_fault", "_gaps", "_faults",
-                 "_mem_pages", "_cursor", "_last_exit", "_vma", "_takes")
+                 "_sandbox", "_faults", "_mem_pages", "_vma", "_takes")
 
     def __init__(self, exits: MonitorExitPath, task: Task):
         monitor = exits.monitor
@@ -273,27 +223,10 @@ class MonitorFaultRun(FaultRun):
         self._kernel = monitor.kernel
         self._vmmu = monitor.vmmu
         self._task = task
-        sandbox = exits._sandbox_of(task)
-        self._sandbox = sandbox
+        self._sandbox = exits._sandbox_of(task)
         self._owner = sandbox_owner(task)
-        # cycles from a fault's entry to its exit-gap sample, and from
-        # one fault's entry to the next one's (less the MEM touches)
-        pre_exit = Cost.EXC_DELIVERY + Cost.PF_HANDLER_BASE + Cost.EXIT_INSPECT
-        if sandbox is not None:
-            pre_exit += Cost.UARCH_PER_SANDBOX_EXIT
-        per_fault = (pre_exit + Cost.IRET + Cost.INT_GATE_OVERHEAD
-                     + 3 * (Cost.EMC_ROUND_TRIP + Cost.VALIDATE_MMU
-                            + Cost.UARCH_PER_EMC + Cost.PTE_WRITE_NATIVE))
-        if sandbox is not None and sandbox.locked:
-            per_fault += Cost.SANDBOX_STATE_SAVE + Cost.SANDBOX_STATE_RESTORE
-        self._pre_exit = pre_exit
-        self._per_fault = per_fault
-        #: gap → samples while metrics are on (None: nothing sampled)
-        self._gaps = {} if self._clock.metrics.enabled else None
         self._faults = 0
         self._mem_pages = 0
-        self._cursor = 0
-        self._last_exit = None
         #: the VMA of the latest fault, and whether the run takes its
         #: faults (one lookup per VMA, not per fault)
         self._vma = None
@@ -308,21 +241,9 @@ class MonitorFaultRun(FaultRun):
             return False
         if self._faults:
             self._mem_pages += mem_pages
-            cursor = self._cursor + mem_pages * Cost.MEM
-        else:
-            # a new run: book the touches before it, read the clock once
-            if mem_pages:
-                self._clock.charge(mem_pages * Cost.MEM, "mem")
-            cursor = self._clock.cycles
-            self._last_exit = self._exits._last_exit_cycle
-        gaps = self._gaps
-        if gaps is not None:
-            exit_cycle = cursor + self._pre_exit
-            last = self._last_exit
-            if last is not None:
-                gap = exit_cycle - last
-                gaps[gap] = gaps.get(gap, 0) + 1
-            self._last_exit = exit_cycle
+        elif mem_pages:
+            # a new run: book the touches before it
+            self._clock.charge(mem_pages * Cost.MEM, "mem")
         kernel = self._kernel
         task = self._task
         kernel.fault_log.append((task.pid, va, write))
@@ -344,7 +265,6 @@ class MonitorFaultRun(FaultRun):
             self._book(done + 1, irets=done, emcs=3 * done + 1)
             raise self._exits.monitor._deny(exc)
         self._faults = done + 1
-        self._cursor = cursor + self._per_fault
         return True
 
     def flush(self) -> None:
@@ -362,11 +282,7 @@ class MonitorFaultRun(FaultRun):
         clock.charge(entries * (Cost.EXC_DELIVERY + Cost.PF_HANDLER_BASE)
                      + irets * Cost.IRET, "pagefault")
         exits = self._exits
-        gaps = self._gaps
-        exits._pagefault_exits(self._sandbox, entries, gaps)
-        if gaps is not None:
-            exits._last_exit_cycle = self._last_exit
-            gaps.clear()
+        exits._pagefault_exits(self._sandbox, entries)
         if emcs:
             exits.monitor.charge_emc_batch(Cost.VALIDATE_MMU, kind="mmu",
                                            count=emcs)

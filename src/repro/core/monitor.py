@@ -197,7 +197,7 @@ class EreborMonitor:
         #: secure channels attached so far; seeds each one's default key RNG
         self.channels_opened = 0
         self._cpuid_cache: tuple | None = None
-        #: kind → pre-resolved EMC metric write handles
+        #: kind → pre-resolved ``erebor_emc_cycles`` histogram handle
         self._emc_handles = HandleCache()
         #: free confined frames, taken from the left in allocation order
         self._cma_pool: deque[int] = deque()
@@ -383,17 +383,13 @@ class EreborMonitor:
             self._emc_charges(clock, validation_cycles, kind, count)
         metrics = clock.metrics
         if metrics.enabled:
-            # hottest metric path in the tree: resolve both series once
-            # per kind and write through cached handles
-            handles = self._emc_handles.get(metrics, kind)
-            if handles is None:
-                handles = self._emc_handles.put(kind, (
-                    metrics.counter_handle("erebor_pkrs_toggles_total"),
-                    metrics.histogram_handle("erebor_emc_cycles", cls=kind),
-                ))
-            pkrs_toggles, emc_cycles = handles
-            # each EMC round trip writes IA32_PKRS twice (revoke + restore)
-            pkrs_toggles.inc(2 * count)
+            # hottest metric path in the tree: resolve the series once
+            # per kind and write through a cached handle
+            emc_cycles = self._emc_handles.get(metrics, kind)
+            if emc_cycles is None:
+                emc_cycles = self._emc_handles.put(
+                    kind, metrics.histogram_handle("erebor_emc_cycles",
+                                                   cls=kind))
             if count == 1:
                 emc_cycles.observe(clock.cycles - emc_start)
             else:

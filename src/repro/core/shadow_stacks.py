@@ -73,7 +73,6 @@ class ShadowStackManager:
                                  "sst")
         monitor.clock.count(("emc", "sst", sandbox_owner(nxt)))
         monitor.clock.count("sst_switch")
-        monitor.clock.metrics.inc("erebor_pkrs_toggles_total", 2)
         held = self.active.get(cpu_id)
         if held is not None:
             cet.deactivate_shadow_stack(kernel.cpu, aspace, held, phys)

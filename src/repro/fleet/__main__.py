@@ -161,12 +161,11 @@ def main(argv: list[str] | None = None) -> int:
                         else DEFAULT_CAPACITY)
 
             def instrument(machine) -> None:
-                tracer, registry = install(machine.clock, capacity=capacity,
-                                           flight=bool(args.flight_dump))
+                tracer, _registry = install(machine.clock, capacity=capacity,
+                                            flight=bool(args.flight_dump))
                 tracer.span("run:fleet", "run",
                             workload=args.workload).__enter__()
-                state.update(tracer=tracer, registry=registry,
-                             clock=machine.clock)
+                state.update(tracer=tracer, clock=machine.clock)
 
             report, system = run_fleet(instrument=instrument, **run_kwargs)
             state["tracer"].finish()
@@ -199,9 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.export_format == "bundle":
         from ..obs.harness import ObservedRun, export_bundle
         from ..obs.schema import check_export
-        run = ObservedRun(args.workload, "fleet", state["tracer"],
-                          state["registry"], None, state["clock"],
-                          state["system"].machine)
+        run = ObservedRun(args.workload, "fleet", state["tracer"], None,
+                          state["clock"], state["system"].machine)
         bundle = export_bundle(run)
         bundle["meta"]["fleet"] = report.to_dict()
         check_export(bundle)                    # self-validate before emit

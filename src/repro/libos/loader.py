@@ -164,7 +164,6 @@ def run_program(libos: "LibOs", program: LoadedProgram, *,
             # software exceptions are software-controlled exits (C8):
             # once client data is loaded, they kill the sandbox
             if sandbox.locked:
-                kernel.clock.count("sandbox_kill")
                 sandbox.kill(f"software exception: {exc}")
                 raise SandboxViolation(sandbox.sandbox_id,
                                        f"software exception while locked")

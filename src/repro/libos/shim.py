@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..kernel.process import PROT_READ, PROT_WRITE
-from ..obs.metrics import HandleCache
 
 #: interned ``libos:<name>`` span names shared by every shim instance
 _SHIM_SPAN_NAMES: dict[str, str] = {}
@@ -57,7 +56,6 @@ class SyscallShim:
     def __init__(self, libos: "LibOs"):
         self.libos = libos
         self.stats = ShimStats()
-        self._metric_handles = HandleCache()
         self._table: dict[str, Callable] = {}
         for name in dir(self):
             if name.startswith("sys_"):
@@ -79,14 +77,7 @@ class SyscallShim:
         with clock.tracer.span(span_name, "libos"):
             self.libos.charge_emulated_call()
             result = handler(*args, **kwargs)
-        metrics = clock.metrics
-        if metrics.enabled:
-            handle = self._metric_handles.get(metrics, name)
-            if handle is None:
-                handle = self._metric_handles.put(
-                    name, metrics.counter_handle("libos_calls_total",
-                                                 name=name))
-            handle.inc()
+        clock.metrics.inc("libos_calls_total", name=name)
         return result
 
     # ------------------------------------------------------------------ #

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..bench.runner import RunResult, WorkloadRunner
-from .metrics import MetricsRegistry, metrics_snapshot
+from .metrics import metrics_snapshot
 from .trace import DEFAULT_CAPACITY, Tracer
 
 
@@ -30,7 +30,6 @@ class ObservedRun:
     workload: str
     setting: str
     tracer: Tracer
-    registry: MetricsRegistry
     result: RunResult
     clock: object          # the machine's CycleClock
     #: the machine itself, when the harness saw it — lets the budget
@@ -52,14 +51,13 @@ def run_observed(workload: str = "helloworld", setting: str = "erebor", *,
     state: dict = {}
 
     def instrument(machine) -> None:
-        tracer, registry = install(machine.clock, trace=trace,
-                                   capacity=capacity, flight=flight)
+        tracer, _registry = install(machine.clock, trace=trace,
+                                    capacity=capacity, flight=flight)
         if tracer.enabled:
             # keep the root span open for the whole run; finish() closes it
             tracer.span(f"run:{workload}", "run",
                         setting=setting).__enter__()
         state["tracer"] = tracer
-        state["registry"] = registry
         state["clock"] = machine.clock
         state["machine"] = machine
 
@@ -67,8 +65,8 @@ def run_observed(workload: str = "helloworld", setting: str = "erebor", *,
     result = runner.run(workload, setting)
     tracer = state["tracer"]
     tracer.finish()
-    return ObservedRun(workload, setting, tracer, state["registry"],
-                       result, state["clock"], state["machine"])
+    return ObservedRun(workload, setting, tracer, result, state["clock"],
+                       state["machine"])
 
 
 def export_bundle(run: ObservedRun) -> dict:

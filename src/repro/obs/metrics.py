@@ -73,30 +73,15 @@ def labels_match(key: str, match: dict) -> bool:
     return all(labels.get(k) == str(v) for k, v in match.items())
 
 
-class CounterHandle:
-    """Pre-resolved writer for one counter series.
-
-    The kwargs form (:meth:`MetricsRegistry.inc`) builds a label dict
-    and canonicalizes it on every call; a handle does that resolution
-    once, so instrumented hot paths (the EMC gate writes two series per
-    round trip, ~100k times per fleet run) pay one dict update per
-    write and allocate nothing.
-    """
-
-    __slots__ = ("_series", "_key")
-
-    def __init__(self, series: dict, key: str):
-        self._series = series
-        self._key = key
-
-    def inc(self, value: float = 1) -> None:
-        series = self._series
-        key = self._key
-        series[key] = series.get(key, 0) + value
-
-
 class HistogramHandle:
-    """Pre-resolved writer for one histogram series (see CounterHandle)."""
+    """Pre-resolved writer for one histogram series.
+
+    The kwargs form (:meth:`MetricsRegistry.observe`) builds a label
+    dict and canonicalizes it on every call; a handle does that
+    resolution once, so an instrumented hot path (the EMC gate samples
+    ``erebor_emc_cycles`` per round trip, ~100k times per fleet run)
+    pays only the bucket update and allocates nothing.
+    """
 
     __slots__ = ("_hist", "_bounds", "_buckets", "_n")
 
@@ -132,9 +117,6 @@ class _NullHandle:
     """Write handle of the disabled registry (shared no-op singleton)."""
 
     __slots__ = ()
-
-    def inc(self, value: float = 1) -> None:
-        return None
 
     def observe(self, value: float) -> None:
         return None
@@ -181,46 +163,64 @@ def owner_label(owner) -> str:
 
 
 #: counter series that are views over the clock's event ledger: series
-#: name → (event name, label names, in the order ``clock.count`` records
-#: the values after the name)
+#: name → (event names, label names, in the order ``clock.count`` records
+#: the values after the name); a series sums all of its events
 LEDGER_COUNTERS = {
-    "erebor_cow_breaks_total": ("cow_break", ("sandbox",)),
-    "erebor_emc_total": ("emc", ("cls", "sandbox")),
-    "erebor_policy_denials_total": ("policy_denial", ()),
-    "erebor_sandbox_exits_total": ("sandbox_exit", ("cls", "sandbox")),
-    "erebor_sandbox_reuse_total": ("sandbox_warm_reset", ("sandbox",)),
-    "erebor_sandboxes_created_total": ("sandbox_created", ()),
-    "erebor_sandboxes_killed_total": ("sandbox_killed", ()),
-    "erebor_templates_sealed_total": ("template_sealed", ("template",)),
-    "kernel_page_faults_total": ("page_fault", ("sandbox",)),
-    "kernel_syscalls_total": ("syscall", ("name", "sandbox")),
-    "kernel_timer_ticks_total": ("timer_interrupt", ()),
-    "kernel_ve_total": ("ve", ("reason",)),
-    "tdx_tdcalls_total": ("tdcall", ("leaf",)),
+    "erebor_cow_breaks_total": (("cow_break",), ("sandbox",)),
+    "erebor_emc_total": (("emc",), ("cls", "sandbox")),
+    "erebor_exits_total": (("sandbox_exit", "kernel_exit"),
+                           ("cls", "sandbox")),
+    "erebor_policy_denials_total": (("policy_denial",), ()),
+    "erebor_sandbox_exits_total": (("sandbox_exit",), ("cls", "sandbox")),
+    "erebor_sandbox_reuse_total": (("sandbox_warm_reset",), ("sandbox",)),
+    "erebor_sandboxes_created_total": (("sandbox_created",), ()),
+    "erebor_sandboxes_killed_total": (("sandbox_killed",), ()),
+    "erebor_templates_sealed_total": (("template_sealed",), ("template",)),
+    "kernel_page_faults_total": (("page_fault",), ("sandbox",)),
+    "kernel_syscalls_total": (("syscall",), ("name", "sandbox")),
+    "kernel_timer_ticks_total": (("timer_interrupt",), ()),
+    "kernel_ve_total": (("ve",), ("reason",)),
+    "tdx_tdcalls_total": (("tdcall",), ("leaf",)),
 }
 
-#: event name → (series name, label names): the inverse of the above
-_LEDGER_SERIES = {event: (name, labels)
-                  for name, (event, labels) in LEDGER_COUNTERS.items()}
+#: event name → [(series name, label names)]: the inverse of the above
+_LEDGER_SERIES = {
+    event: [(name, labels) for name, (events, labels)
+            in LEDGER_COUNTERS.items() if event in events]
+    for events, _labels in LEDGER_COUNTERS.values() for event in events}
+
+#: ``erebor_pkrs_toggles_total`` is derived from the ledger too. Each pass
+#: through a monitor gate writes IA32_PKRS twice: once on entry to open
+#: the monitor's protection keys, once on return to close them. Two gates
+#: are passed: the EMC gate (every ``emc`` event) and the interrupt gate,
+#: through which the monitor interposes page-fault and interrupt exits.
+#: Syscall and #VE exits are inspected without an interrupt-gate pass
+#: (no ``int_gate`` charge), so they write no PKRS.
+PKRS_GATE_EXITS = ("pagefault", "irq")
 
 
 def ledger_counters(clock) -> dict[str, dict[str, int]]:
-    """Render the :data:`LEDGER_COUNTERS` series from ``clock``'s lanes
-    (read-only); a series appears once its event has been counted."""
+    """Render the :data:`LEDGER_COUNTERS` series and the PKRS-write
+    count from ``clock``'s lanes (read-only); a series appears once one
+    of its events has been counted."""
     out: dict[str, dict[str, int]] = {}
+    exit_events = LEDGER_COUNTERS["erebor_exits_total"][0]
+    gate_passes = 0
     for ledger in clock.events_by_cpu.values():
         for key, n in ledger.items():
             event, *values = key if key.__class__ is tuple else (key,)
-            spec = _LEDGER_SERIES.get(event)
-            if spec is None:
-                continue
-            name, label_names = spec
-            labels = {label: owner_label(value) if label == "sandbox"
-                      else value
-                      for label, value in zip(label_names, values)}
-            series = out.setdefault(name, {})
-            series_key = label_key(labels)
-            series[series_key] = series.get(series_key, 0) + n
+            if event == "emc" or (event in exit_events
+                                  and values[0] in PKRS_GATE_EXITS):
+                gate_passes += n
+            for name, label_names in _LEDGER_SERIES.get(event, ()):
+                labels = {label: owner_label(value) if label == "sandbox"
+                          else value
+                          for label, value in zip(label_names, values)}
+                series = out.setdefault(name, {})
+                series_key = label_key(labels)
+                series[series_key] = series.get(series_key, 0) + n
+    if gate_passes:
+        out["erebor_pkrs_toggles_total"] = {"": 2 * gate_passes}
     return out
 
 
@@ -388,9 +388,6 @@ class NullMetrics:
     def exemplar(self, name: str, trace_id: str, /, **labels) -> None:
         return None
 
-    def counter_handle(self, name: str, /, **labels) -> _NullHandle:
-        return NULL_HANDLE
-
     def histogram_handle(self, name: str, /, **labels) -> _NullHandle:
         return NULL_HANDLE
 
@@ -483,23 +480,13 @@ class MetricsRegistry(NullMetrics):
             hist = series[key] = WindowedHistogram(*cfg)
         hist.observe(value, cycle)
 
-    def counter_handle(self, name: str, /, **labels) -> CounterHandle:
-        """Resolve one counter series to a reusable write handle.
-
-        The handle stays valid for the life of the registry; callers
-        cache it per label set and call ``handle.inc(v)`` on the hot
-        path instead of :meth:`inc`. No series entry is materialized
-        until the first write.
-        """
-        return CounterHandle(self.counters.setdefault(name, {}),
-                             label_key(labels))
-
     def histogram_handle(self, name: str, /, **labels) -> HistogramHandle:
         """Resolve one histogram series to a reusable write handle.
 
-        Materializes the (empty) histogram eagerly so the handle can
-        bind its bucket list; bounds come from :meth:`describe` as with
-        :meth:`observe`.
+        The handle stays valid for the life of the registry; callers
+        cache it per label set (:class:`HandleCache`). Materializes the
+        (empty) histogram eagerly so the handle can bind its bucket
+        list; bounds come from :meth:`describe` as with :meth:`observe`.
         """
         series = self.histograms.setdefault(name, {})
         key = label_key(labels)

@@ -94,6 +94,21 @@ def test_locked_sandbox_syscall_kills(system):
     assert system.monitor.stats.sandboxes_killed == 1
 
 
+def test_locked_sandbox_kill_is_counted_once(system):
+    """The kill is one ``sandbox_killed`` event, counted by
+    ``Sandbox.kill``; the exit path counts no event of its own."""
+    sb = make_sandbox(system)
+    sb.declare_confined(64 * 1024)
+    sb.lock()
+    clock = system.machine.clock
+    before = clock.events["sandbox_killed"]
+    with pytest.raises(SandboxViolation):
+        system.kernel.syscall(sb.task, "getpid")
+    events = clock.events
+    assert events["sandbox_killed"] == before + 1
+    assert "sandbox_kill" not in events
+
+
 def test_unlocked_sandbox_may_syscall(system):
     sb = make_sandbox(system)
     sb.declare_confined(64 * 1024)

@@ -72,8 +72,8 @@ def test_fleet_trace_spans_and_events(observed_fleet):
 
 
 def test_fleet_bundle_is_schema_valid(observed_fleet):
-    report, tracer, registry, clock = observed_fleet
-    run = ObservedRun("helloworld", "fleet", tracer, registry, None, clock)
+    report, tracer, _registry, clock = observed_fleet
+    run = ObservedRun("helloworld", "fleet", tracer, None, clock)
     bundle = export_bundle(run)
     bundle["meta"]["fleet"] = report.to_dict()
     check_export(bundle)

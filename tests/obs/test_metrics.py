@@ -110,22 +110,6 @@ def test_prometheus_escapes_label_values():
 # write handles (the hot-path fast lane)
 # --------------------------------------------------------------------- #
 
-def test_counter_handle_writes_the_same_series_as_inc():
-    reg = MetricsRegistry()
-    reg.inc("erebor_emc_total", cls="mmu", sandbox="1")
-    handle = reg.counter_handle("erebor_emc_total", cls="mmu", sandbox="1")
-    handle.inc()
-    handle.inc(3)
-    assert reg.counter_value("erebor_emc_total",
-                             cls="mmu", sandbox="1") == 5
-
-
-def test_counter_handle_defers_series_creation_until_first_write():
-    reg = MetricsRegistry()
-    reg.counter_handle("never_written_total", cls="x")
-    assert reg.snapshot()["counters"].get("never_written_total", {}) == {}
-
-
 def test_histogram_handle_matches_observe_exactly():
     via_observe, via_handle = MetricsRegistry(), MetricsRegistry()
     handle = via_handle.histogram_handle("erebor_emc_cycles", cls="mmu")
@@ -141,22 +125,21 @@ def test_handle_cache_invalidates_when_registry_changes():
     cache = HandleCache()
     first = MetricsRegistry()
     assert cache.get(first, "k") is None
-    handle = cache.put("k", first.counter_handle("c_total"))
+    handle = cache.put("k", first.histogram_handle("h_cycles"))
     assert cache.get(first, "k") is handle
     # a new registry identity (fresh install) must drop stale handles:
     # writing through them would update series nobody exports anymore
     second = MetricsRegistry()
     assert cache.get(second, "k") is None
-    fresh = cache.put("k", second.counter_handle("c_total"))
-    fresh.inc()
-    assert second.counter_value("c_total") == 1
-    assert first.counter_value("c_total") == 0
+    fresh = cache.put("k", second.histogram_handle("h_cycles"))
+    fresh.observe(42)
+    assert second.snapshot()["histograms"]["h_cycles"][""]["count"] == 1
+    assert first.snapshot()["histograms"]["h_cycles"][""]["count"] == 0
 
 
 def test_null_metrics_handles_are_inert():
-    handle = NULL_METRICS.counter_handle("c_total", cls="x")
-    handle.inc()
-    handle.inc(10)
-    NULL_METRICS.histogram_handle("h").observe(42)
+    handle = NULL_METRICS.histogram_handle("h", cls="x")
+    handle.observe(42)
+    handle.observe_n(42, 10)
     assert NULL_METRICS.snapshot() == {"counters": {}, "gauges": {},
                                        "histograms": {}}

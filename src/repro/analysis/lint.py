@@ -35,8 +35,9 @@ D6    tcache-host-plane   any cycle-clock access from the translation cache
                           lookup are a host-speed plane; every charge they
                           caused out of program order would skew the
                           bit-exact ledger, so the module may not touch the
-                          clock at all — execution charges stay in
-                          ``Cpu._translated_burst``, in program order
+                          clock at all — execution charges live in the
+                          block functions :mod:`repro.hw.cpu` emits,
+                          flushed before anything can observe the clock
 D7    fleet-commit-       mutations of scheduler/pool *shared* state
       discipline          (``queue``/``active``/``cores``/``finished``/
                           ``counts``/``slots``) from ``repro/fleet`` code

@@ -35,8 +35,8 @@ from .errors import (
     SimulatorError,
     VirtualizationException,
 )
-from .isa import INSTR_SIZE, Instr, decode_cached
-from .memory import PhysicalMemory
+from .isa import INSTR_SIZE, REG_INDEX, Instr, decode_cached
+from .memory import PAGE_SIZE, PhysicalMemory
 from .mmu import KERNEL_MODE, USER_MODE, AccessContext, Mmu
 from .paging import AddressSpace
 from .translate import TranslationCache
@@ -133,9 +133,10 @@ class Cpu:
         self._halted = False
         self._delivering = False
 
-        # Handler/cost table, precomputed once: step() and the
-        # translation cache both dispatch through it instead of paying
-        # getattr(self, f"_op_{op}") + _OP_COSTS.get per instruction.
+        # Handler/cost table, precomputed once: step() dispatches through
+        # it instead of paying getattr(self, f"_op_{op}") + _OP_COSTS.get
+        # per instruction, and the translation cache ends blocks before
+        # any op it lacks.
         self._dispatch: dict[str, tuple[Callable, int]] = {
             name[4:]: (getattr(self, name),
                        _OP_COSTS.get(name[4:], Cost.ALU))
@@ -144,6 +145,9 @@ class Cpu:
         self.tcache = TranslationCache(self)
         #: instructions retired by an aborted burst (see _translated_burst)
         self._burst_retired = 0
+        #: instructions retired by the latest :meth:`run`, faulting
+        #: attempt included; set on return and when a fault propagates
+        self.retired = 0
         #: reusable access contexts (see access_ctx)
         self._ctx = AccessContext()
         self._ss_ctx = AccessContext(shadow_stack_op=True)
@@ -262,6 +266,7 @@ class Cpu:
         is left at the faulting instruction for delivery.
         """
         va = self.rip
+        self._burst_retired = 0
         try:
             self.step()
         except CpuHalt:
@@ -274,124 +279,120 @@ class Cpu:
         return 1
 
     def _translated_burst(self, budget: int) -> int:
-        """Retire up to ``budget`` instructions through the superblock cache.
+        """Retire up to ``budget`` instructions through compiled superblocks.
 
         Equivalent to repeated :meth:`step` by construction:
 
-        * in-block dispatch charges the same cost from the same handler
-          table, in program order — runs of ``PURE_OPS`` fuse their
-          charges into one (consecutive same-tag charges with no
-          observer between them commute exactly, and pure handlers
-          never read the clock, ``rip``, or memory);
-        * the witness is re-validated after every memory-writing
-          instruction (only those can change witnessed bytes mid-block;
-          mode/CR changes and interrupt delivery can only happen at
-          block boundaries, where :meth:`TranslationCache.acquire`
-          performs the real fetch check);
-        * IBT arming, page-straddling fetches, undecodable bytes and
-          stale blocks drop to `step` itself, byte-for-byte.
+        * :meth:`TranslationCache.acquire` performs the real fetch check
+          for the first block; each block then runs as one compiled
+          function (see :func:`_compile_block`) that charges the same
+          totals from the same cost table and flushes them before
+          anything can observe the clock;
+        * a block ending in a direct jump enters its cached successor
+          without a new ``acquire`` only when the successor lies on the
+          same code page (whose fetch check already ran in this burst
+          under the same mode and CR4), its witness is fresh and it fits
+          the remaining budget;
+        * the data-access memo ``reads``/``writes`` lives for this burst
+          only (see :func:`_memo_entry`);
+        * IBT arming, page-straddling fetches, undecodable bytes, stale
+          blocks and budget tails drop to `step` itself, byte-for-byte.
 
-        Returns the number of instructions retired. On a hardware fault
-        ``self._burst_retired`` carries the count (including the faulting
-        attempt) and ``rip`` points at the faulting instruction.
+        Returns the number of instructions retired. When it raises,
+        ``self._burst_retired`` carries the count, a hardware fault's or
+        halt's attempt included, and a hardware fault leaves ``rip`` on
+        the faulting instruction.
         """
         if self._ibt_wait:
             return self._step_counted()
         va = self.rip
+        self._burst_retired = 0
         try:
             sb = self.tcache.acquire(va)
-        except CpuHalt:  # pragma: no cover - acquire cannot halt
-            self._burst_retired = 1
-            raise
         except HardwareFault:
             self._burst_retired = 1   # the faulting fetch counts as a step
             raise
-        if sb is None:
-            return self._step_counted()
-        entries = sb.entries
-        total = len(entries)
-        if budget < total:
+        if sb is None or budget < len(sb.instrs):
             # budget tail: retire exactly one instruction, interpreted —
             # identical charges, one extra (architecturally idempotent)
             # fetch check
             return self._step_counted()
-        done = 0
-        charge = self.clock.charge
         tcache = self.tcache
-        for kind, cost, ops in sb.segments:
-            if kind == 0:                      # SEG_PURE: fused run
-                charge(cost, "instr")
-                tcache.sb_exec += len(ops)
-                tcache.sb_cycles += cost
-                override = None
-                for instr, handler in ops:
-                    override = handler(instr)
-                done += len(ops)
-                self.rip = va + done * INSTR_SIZE
-                if override is not None:
-                    self.rip = override
+        blocks = tcache.blocks
+        root = self.aspace.root_fn
+        page = va >> 12
+        reads: dict = {}
+        writes: dict = {}
+        done = 0
+        while True:
+            n = (sb.fn or _compile_block(sb))(self, sb, reads, writes, done)
+            done += n
+            if not sb.chains or n < len(sb.instrs):
+                return done
+            rip = self.rip
+            if rip == sb.start_va:
+                # a loop back to this block: every instruction that could
+                # change its witnessed bytes re-validated it, so it is
+                # still fresh
+                nxt = sb
+            elif rip >> 12 != page:
+                return done
+            else:
+                nxt = blocks.get((root, rip))
+                if nxt is None or not nxt.fresh():
                     return done
-            else:                              # singleton segment
-                instr, handler = ops[0]
-                charge(cost, "instr")
-                tcache.sb_exec += 1
-                tcache.sb_cycles += cost
-                iva = va + done * INSTR_SIZE
-                self.rip = iva + INSTR_SIZE
-                try:
-                    override = handler(instr)
-                except CpuHalt:
-                    self._burst_retired = done + 1
-                    raise
-                except HardwareFault:
-                    self._burst_retired = done + 1
-                    self.rip = iva
-                    raise
-                done += 1
-                if override is not None:
-                    self.rip = override
-                    return done
-                if kind == 2 and done < total and not sb.fresh():
-                    return done   # witness died mid-block: re-acquire
-        return done
+            if len(nxt.instrs) > budget - done:
+                return done
+            tcache.sb_hits += 1     # a block entry served from the cache
+            sb = nxt
 
     def run(self, max_steps: int = 100_000, *, deliver_faults: bool = True) -> int:
         """Run until ``hlt``; optionally vector faults through the IDT.
 
-        Returns the number of instructions retired. Everything executed
-        here — instructions, MMU walks, exception delivery — is charged
-        to *this* core's cycle counter, so concurrent cores advance the
-        machine's wall clock independently.
+        Returns the number of instructions retired. The count is also
+        left in :attr:`retired`, so it stays readable when a fault
+        propagates; a faulting attempt counts as a step. Everything
+        executed here — instructions, MMU walks, exception delivery — is
+        charged to *this* core's cycle counter, so concurrent cores
+        advance the machine's wall clock independently.
         """
         steps = 0
         self._halted = False
         translated = self.tcache.enabled
-        with self.clock.on_cpu(self.cpu_id):
-            while not self._halted and steps < max_steps:
-                if translated:
+        try:
+            with self.clock.on_cpu(self.cpu_id):
+                while not self._halted and steps < max_steps:
+                    if translated:
+                        try:
+                            steps += self._translated_burst(max_steps - steps)
+                        except CpuHalt:
+                            self._halted = True
+                            steps += self._burst_retired
+                        except HardwareFault as fault:
+                            steps += self._burst_retired
+                            if not deliver_faults:
+                                raise
+                            # rip already points at the faulting instruction
+                            self.deliver(fault.vector, fault=fault)
+                        except SimulatorError:
+                            steps += self._burst_retired
+                            raise
+                        continue
+                    start_rip = self.rip
                     try:
-                        steps += self._translated_burst(max_steps - steps)
+                        self.step()
                     except CpuHalt:
                         self._halted = True
-                        steps += self._burst_retired
                     except HardwareFault as fault:
-                        steps += self._burst_retired
+                        self.rip = start_rip  # fault rip points at the faulting instr
+                        steps += 1
                         if not deliver_faults:
                             raise
-                        # rip already points at the faulting instruction
                         self.deliver(fault.vector, fault=fault)
-                    continue
-                start_rip = self.rip
-                try:
-                    self.step()
-                except CpuHalt:
-                    self._halted = True
-                except HardwareFault as fault:
-                    self.rip = start_rip  # fault rip points at the faulting instr
-                    if not deliver_faults:
-                        raise
-                    self.deliver(fault.vector, fault=fault)
-                steps += 1
+                        continue
+                    steps += 1
+        finally:
+            self.retired = steps
         if steps >= max_steps and not self._halted:
             raise SimulatorError(f"run() exceeded {max_steps} steps (livelock?)")
         return steps
@@ -694,3 +695,295 @@ class Cpu:
         if self.env.tdx is None:
             raise GeneralProtectionFault("tdcall outside a TD guest")
         self.env.tdx.tdcall(self)
+
+
+# --------------------------------------------------------------------------- #
+# compiled superblocks
+# --------------------------------------------------------------------------- #
+#
+# Each superblock runs as one generated Python function,
+# ``block(cpu, sb, reads, writes, done) -> retired``. Pure ops, ``load``
+# and ``store`` are inlined with their operands and costs as constants;
+# every other op calls its handler through the class, so one function
+# serves every core, sandbox and machine. The block's ``instr`` and
+# ``mem`` cycles and its ``sb_exec``/``sb_cycles`` counts are summed at
+# generation time and flushed — ``instr`` before ``mem``, the order in
+# which `Cpu.step` first creates the two tags — before every handler
+# that is not inlined, before any exception leaves the function, and at
+# every exit. Nothing between two flushes can observe the clock: inlined
+# ops read only registers, flags and memory, and ``Mmu.check`` never
+# touches the clock.
+
+#: ops the block functions inline (everything else calls its handler)
+_INLINE_OPS = frozenset({
+    "nop", "mov", "movi", "add", "sub", "and", "or", "xor", "shl", "shr",
+    "mul", "addi", "cmp", "cmpi", "jmp", "jz", "jnz", "load", "store",
+})
+
+#: ``_alu`` expressions, before the final mask
+_ALU_EXPRS = {
+    "add": "{d} + {s}", "sub": "{d} - {s}", "and": "{d} & {s}",
+    "or": "{d} | {s}", "xor": "{d} ^ {s}", "shl": "{d} << ({s} & 63)",
+    "shr": "{d} >> ({s} & 63)", "mul": "{d} * {s}",
+}
+
+#: register operands each inlined op reads or writes
+_REG_FIELDS = {
+    "mov": ("dst", "src"), "movi": ("dst",), "addi": ("dst",),
+    "cmp": ("dst", "src"), "cmpi": ("dst",), "load": ("dst", "src"),
+    "store": ("dst", "src"), **{op: ("dst", "src") for op in _ALU_EXPRS},
+}
+
+#: block content ``(start_va, instrs)`` → compiled function, process-wide
+_BLOCK_FNS: dict[tuple, Callable] = {}
+_BLOCK_FNS_MAX = 4096
+
+#: last page offset at which an 8-byte access stays on one page
+_LAST_U64 = PAGE_SIZE - 8
+
+#: a memo entry serves an access only while the walk's three table
+#: frames are unmodified and the data frame's shadow-stack flag holds
+_MEMO_VALID = ("e[1].version == e[2] and e[3].version == e[4] "
+               "and e[5].version == e[6] and e[0].is_shadow_stack == e[7]")
+
+
+def _inlinable(instr: Instr) -> bool:
+    if instr.op not in _INLINE_OPS:
+        return False
+    # a malformed register operand raises in the handler, after a flush
+    return all(getattr(instr, f) in REG_INDEX
+               for f in _REG_FIELDS.get(instr.op, ()))
+
+
+def _flush(cpu: Cpu, instr_cycles: int, mem_cycles: int, retired: int) -> None:
+    """Book a block's accumulated charges and superblock counters."""
+    if retired:
+        charge = cpu.clock.charge
+        charge(instr_cycles, "instr")
+        if mem_cycles:
+            charge(mem_cycles, "mem")
+        tcache = cpu.tcache
+        tcache.sb_exec += retired
+        tcache.sb_cycles += instr_cycles
+
+
+def _unwind(cpu: Cpu, exc: Exception, iva: int, before: int) -> None:
+    """Leave a block on an exception from the instruction at ``iva``.
+
+    ``before`` is the burst's count before that instruction, and ``rip``
+    already points past it, as in `step`. As in the `step` loop, a
+    hardware fault or a halt counts its attempt and a hardware fault
+    moves ``rip`` back onto the instruction; any other error leaves both
+    alone.
+    """
+    if isinstance(exc, HardwareFault):
+        cpu.rip = iva
+        cpu._burst_retired = before + 1
+    elif isinstance(exc, CpuHalt):
+        cpu._burst_retired = before + 1
+    else:
+        cpu._burst_retired = before
+
+
+def _memo_entry(cpu: Cpu, aspace: AddressSpace, va: int, pa: int) -> tuple:
+    """Record what the data check of ``va`` just resolved to.
+
+    The burst memo serves a later access to the same page without a new
+    ``Mmu.check``. That is exact while the entry's inputs hold: the
+    access context is fixed between handlers that are not inlined (the
+    memo is cleared after each, since only those change PKRS, AC or CR
+    state); the walk and the PTE — whose A/D bits this check already set
+    — are unchanged while the root, L1 and leaf-table frames keep their
+    ``Frame.version``; and the shadow-stack flag is compared directly.
+    """
+    slot, walk = aspace.leaf_path(va)
+    phys = cpu.phys
+    leaf = phys.frame(slot.table_fn)
+    root, l1 = walk[2], walk[5]
+    frame = phys.frame(pa >> 12)
+    return (frame, leaf, leaf.version, l1, l1.version, root, root.version,
+            frame.is_shadow_stack)
+
+
+def _load_miss(cpu: Cpu, reads: dict, va: int) -> int:
+    """A load the memo cannot serve: the checked path, MEM charge left out."""
+    aspace = cpu.aspace
+    ctx = cpu.access_ctx()
+    if va & (PAGE_SIZE - 1) > _LAST_U64:
+        return int.from_bytes(cpu.mmu.checked_read(aspace, va, 8, ctx),
+                              "little")
+    pa, _ = cpu.mmu.check(aspace, va, "read", ctx)
+    reads[va >> 12] = _memo_entry(cpu, aspace, va, pa)
+    return cpu.phys.read_u64(pa)
+
+
+def _store_miss(cpu: Cpu, sb, writes: dict, va: int, value: int) -> None:
+    """A store the memo cannot serve: the checked path, MEM charge left out.
+
+    The entry is captured before the data write, which may itself hit a
+    page table. Its last field says whether the block witness watches
+    the data frame, so a memo hit re-validates the witness only when it
+    must: every block chained in one burst shares the entry block's
+    code page, walk and so its watched frames.
+    """
+    aspace = cpu.aspace
+    ctx = cpu.access_ctx()
+    if va & (PAGE_SIZE - 1) > _LAST_U64:
+        cpu.mmu.checked_write(aspace, va, (value & U64).to_bytes(8, "little"),
+                              ctx)
+        return
+    pa, _ = cpu.mmu.check(aspace, va, "write", ctx)
+    entry = _memo_entry(cpu, aspace, va, pa)
+    writes[va >> 12] = entry + (sb.watches(entry[0]),)
+    cpu.phys.write_u64(pa, value)
+
+
+def _emit_block(start_va: int, instrs: tuple) -> tuple[str, dict]:
+    """Generate the source of one block function and its constants."""
+    consts: dict = {}
+    out = ["def block(cpu, sb, reads, writes, done):", "    R = cpu.regs"]
+    n = len(instrs)
+    pend = [0, 0, 0]        # instr cycles, mem cycles, retired since flush
+    zf_local = False        # local ``z`` holds ZF, not yet in cpu.zf
+
+    def emit(*lines, depth=1):
+        out.extend("    " * depth + line for line in lines)
+
+    def zf_expr():
+        return "z" if zf_local else "cpu.zf"
+
+    def sync_zf(depth=1):
+        if zf_local:
+            emit("cpu.zf = z", depth=depth)
+
+    def leave(rip: str, retired: int, depth=1):
+        """Store ZF and rip, flush, return: one exit of the function.
+
+        The flush is spelled out rather than a ``_flush`` call: a loop
+        runs this exit once per pass."""
+        sync_zf(depth)
+        emit(f"cpu.rip = {rip}", depth=depth)
+        ic, mc, rc = pend
+        if rc:
+            emit("charge = cpu.clock.charge",
+                 f"charge({ic}, 'instr')", depth=depth)
+            if mc:
+                emit(f"charge({mc}, 'mem')", depth=depth)
+            emit("tcache = cpu.tcache", f"tcache.sb_exec += {rc}",
+                 f"tcache.sb_cycles += {ic}", depth=depth)
+        emit(f"return {retired}", depth=depth)
+
+    def guarded(call: str, k: int, iva: int, depth: int):
+        """``call``; an exception leaves with everything flushed."""
+        emit("try:", f"    {call}", "except _RAISES as exc:", depth=depth)
+        if pend[2]:             # an inlined access: nothing synced yet
+            sync_zf(depth + 1)
+            emit(f"_flush(cpu, {pend[0]}, {pend[1]}, {pend[2]})",
+                 f"cpu.rip = {iva + INSTR_SIZE}", depth=depth + 1)
+        emit(f"_unwind(cpu, exc, {iva}, done + {k})", "raise",
+             depth=depth + 1)
+
+    for k, instr in enumerate(instrs):
+        op = instr.op
+        iva = start_va + k * INSTR_SIZE
+        nxt = iva + INSTR_SIZE
+        last = k == n - 1
+        pend[0] += _OP_COSTS.get(op, Cost.ALU)
+        pend[2] += 1
+        d = f"R[{instr.dst!r}]"
+        s = f"R[{instr.src!r}]"
+        imm = instr.imm
+        if not _inlinable(instr):
+            # flush, then run the handler exactly as step() would
+            sync_zf()
+            zf_local = False
+            emit(f"_flush(cpu, {pend[0]}, {pend[1]}, {pend[2]})")
+            pend = [0, 0, 0]
+            consts[f"H{k}"] = getattr(Cpu, f"_op_{op}")
+            consts[f"I{k}"] = instr
+            emit(f"cpu.rip = {nxt}")
+            guarded(f"target = H{k}(cpu, I{k})", k, iva, 1)
+            if last:
+                emit("if target is not None:", "    cpu.rip = target",
+                     f"return {n}")
+                return "\n".join(out) + "\n", consts
+            # the handler may have changed PKRS, AC, CR state or memory
+            emit("R = cpu.regs", "reads.clear()", "writes.clear()",
+                 "if target is not None:", "    cpu.rip = target",
+                 f"    return {k + 1}",
+                 "if not sb.fresh():", f"    return {k + 1}")
+            continue
+        if op == "nop":
+            pass
+        elif op == "mov":
+            emit(f"{d} = {s}")
+        elif op == "movi":
+            emit(f"{d} = {imm & U64}")
+        elif op in _ALU_EXPRS:
+            expr = _ALU_EXPRS[op].format(d=d, s=s)
+            emit(f"v = ({expr}) & {U64}", f"{d} = v", "z = v == 0")
+            zf_local = True
+        elif op == "addi":
+            emit(f"v = ({d} + {imm}) & {U64}", f"{d} = v", "z = v == 0")
+            zf_local = True
+        elif op == "cmp":
+            emit(f"z = {d} == {s}")
+            zf_local = True
+        elif op == "cmpi":
+            emit(f"z = {d} == {imm & U64}")
+            zf_local = True
+        elif op == "jmp":
+            leave(str(imm), n)
+        elif op == "jz":
+            leave(f"{imm} if {zf_expr()} else {nxt}", n)
+        elif op == "jnz":
+            leave(f"{nxt} if {zf_expr()} else {imm}", n)
+        elif op == "load":
+            emit(f"a = ({s} + {imm}) & {U64}", f"o = a & {PAGE_SIZE - 1}",
+                 "e = reads.get(a >> 12)",
+                 f"if o <= {_LAST_U64} and e is not None and {_MEMO_VALID}:",
+                 "    m = e[0].data",
+                 f"    {d} = 0 if m is None else "
+                 "int.from_bytes(m[o:o + 8], 'little')",
+                 "else:")
+            guarded("v = _load_miss(cpu, reads, a)", k, iva, 2)
+            emit(f"{d} = v", depth=2)
+            pend[1] += Cost.MEM
+        elif op == "store":
+            emit(f"a = ({d} + {imm}) & {U64}", f"o = a & {PAGE_SIZE - 1}",
+                 "e = writes.get(a >> 12)",
+                 f"if o <= {_LAST_U64} and e is not None and {_MEMO_VALID}:",
+                 "    f = e[0]", "    m = f.data", "    if m is None:",
+                 "        m = f.materialize()",
+                 f"    m[o:o + 8] = ({s} & {U64}).to_bytes(8, 'little')",
+                 "    f.version += 1", "    h = e[8]", "else:")
+            guarded(f"_store_miss(cpu, sb, writes, a, {s})", k, iva, 2)
+            emit("h = True", depth=2)
+            pend[1] += Cost.MEM
+            if not last:
+                # the store may have rewritten bytes the witness compares
+                emit("if h and not sb.fresh():")
+                leave(str(nxt), k + 1, depth=2)
+        if last and op not in ("jmp", "jz", "jnz"):
+            leave(str(nxt), n)
+    return "\n".join(out) + "\n", consts
+
+
+def _compile_block(sb) -> Callable:
+    """Return (compiling on first use) the function that runs ``sb``."""
+    key = (sb.start_va, sb.instrs)
+    fn = _BLOCK_FNS.get(key)
+    if fn is None:
+        source, namespace = _emit_block(sb.start_va, sb.instrs)
+        namespace.update(
+            _flush=_flush, _unwind=_unwind, _load_miss=_load_miss,
+            _store_miss=_store_miss,
+            _RAISES=(HardwareFault, CpuHalt, SimulatorError))
+        exec(compile(source, f"<superblock {sb.start_va:#x}>", "exec"),
+             namespace)
+        fn = namespace["block"]
+        if len(_BLOCK_FNS) >= _BLOCK_FNS_MAX:
+            _BLOCK_FNS.clear()
+        _BLOCK_FNS[key] = fn
+    sb.fn = fn
+    return fn

@@ -219,6 +219,17 @@ class Mmu:
     # ------------------------------------------------------------------ #
 
     def read(self, aspace: AddressSpace, va: int, size: int, ctx: AccessContext) -> bytes:
+        out = self.checked_read(aspace, va, size, ctx)
+        self.clock.charge(Cost.MEM, "mem")
+        return out
+
+    def write(self, aspace: AddressSpace, va: int, data: bytes, ctx: AccessContext) -> None:
+        self.checked_write(aspace, va, data, ctx)
+        self.clock.charge(Cost.MEM, "mem")
+
+    def checked_read(self, aspace: AddressSpace, va: int, size: int,
+                     ctx: AccessContext) -> bytes:
+        """:meth:`read` without its MEM charge (the caller books it)."""
         out = bytearray()
         while size > 0:
             pa, _ = self.check(aspace, va, "read", ctx)
@@ -226,10 +237,11 @@ class Mmu:
             out += self.phys.read(pa, chunk)
             va += chunk
             size -= chunk
-        self.clock.charge(Cost.MEM, "mem")
         return bytes(out)
 
-    def write(self, aspace: AddressSpace, va: int, data: bytes, ctx: AccessContext) -> None:
+    def checked_write(self, aspace: AddressSpace, va: int, data: bytes,
+                      ctx: AccessContext) -> None:
+        """:meth:`write` without its MEM charge (the caller books it)."""
         off = 0
         while off < len(data):
             pa, _ = self.check(aspace, va, "write", ctx)
@@ -237,7 +249,6 @@ class Mmu:
             self.phys.write(pa, data[off:off + chunk])
             va += chunk
             off += chunk
-        self.clock.charge(Cost.MEM, "mem")
 
     def fetch(self, aspace: AddressSpace, va: int, size: int, ctx: AccessContext) -> bytes:
         pa, _ = self.check(aspace, va, "exec", ctx)

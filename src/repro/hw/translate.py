@@ -3,17 +3,18 @@
 The interpreter in :class:`repro.hw.cpu.Cpu` pays a full
 fetch → decode → table-lookup round trip per instruction. This module
 pre-decodes straight-line runs of verified code into *superblocks* —
-tuples of ``(instr, handler, cost)`` triples — so `Cpu.run` can dispatch
-whole runs with one MMU check at block entry.
+tuples of decoded instructions with a staleness witness — which
+:mod:`repro.hw.cpu` compiles into one Python function each and runs
+with one MMU check at block entry.
 
 Correctness contract (enforced by the lockstep oracle tests and the
 ``repro.analysis`` lint):
 
-* **Bit-exact charging.** A superblock charges exactly the
-  ``_OP_COSTS`` sequence `Cpu.step` would: one ``charge(cost, "instr")``
-  per retired instruction, in program order, from the same handler
-  table. Build and lookup never read or charge the cycle clock — the
-  cache is a host-speed plane.
+* **Bit-exact charging.** A superblock's function charges exactly the
+  ``_OP_COSTS`` totals `Cpu.step` would, flushed before anything can
+  observe the clock (see ``Cpu._translated_burst``). Build and lookup
+  never read or charge the cycle clock — the cache is a host-speed
+  plane.
 * **One architectural check per page run.** `Cpu.step` permission-checks
   the fetch of every instruction; inside a block those checks are
   state-no-ops (exec checks depend only on ``mode``/``CR4``/the PTE, all
@@ -61,70 +62,37 @@ BLOCK_ENDERS = frozenset({
 
 _LAST_SLOT = PAGE_SIZE - INSTR_SIZE
 
-#: Handlers that provably cannot fault, write memory, observe the cycle
-#: clock, or change mode/CR state: register/flag arithmetic plus the
-#: direct jumps (which only *return* a target). A maximal run of these
-#: executes with one fused ``charge`` — bit-exact, because consecutive
-#: same-tag charges with no observer between them commute — and without
-#: intermediate witness re-checks (nothing in the run can invalidate one).
-PURE_OPS = frozenset({
-    "nop", "mov", "movi", "add", "sub", "and", "or", "xor", "shl", "shr",
-    "cmp", "cmpi", "addi", "mul", "jmp", "jz", "jnz",
-})
-
-#: Handlers that may write simulated memory (data stores, stack pushes,
-#: per-CPU stores). A store can rewrite page-table bytes or the code
-#: page itself, so the block witness must be re-validated before any
-#: later instruction of the same block executes.
-MUTATOR_OPS = frozenset({"store", "push", "gsstore"})
-
-#: segment kinds (see :meth:`Superblock.__init__`)
-SEG_PURE = 0          # fused run of PURE_OPS
-SEG_SINGLE = 1        # one instruction, cannot invalidate the witness
-SEG_MUTATOR = 2       # one instruction, re-validate witness afterwards
-
-
-def _segment(entries: tuple) -> tuple:
-    """Split a block's entries into execution segments.
-
-    Returns ``(kind, cost, ops)`` triples where ``ops`` is a tuple of
-    ``(instr, handler)`` pairs. ``SEG_PURE`` runs carry the summed cost
-    of every instruction in the run; singleton segments carry that
-    instruction's own cost.
-    """
-    segments = []
-    run: list = []
-    run_cost = 0
-    for instr, handler, cost in entries:
-        if instr.op in PURE_OPS:
-            run.append((instr, handler))
-            run_cost += cost
-            continue
-        if run:
-            segments.append((SEG_PURE, run_cost, tuple(run)))
-            run, run_cost = [], 0
-        kind = SEG_MUTATOR if instr.op in MUTATOR_OPS else SEG_SINGLE
-        segments.append((kind, cost, ((instr, handler),)))
-    if run:
-        segments.append((SEG_PURE, run_cost, tuple(run)))
-    return tuple(segments)
+#: Block enders whose target is an immediate: the only blocks whose
+#: successor may be entered straight from the previous block.
+DIRECT_JUMPS = frozenset({"jmp", "jz", "jnz"})
 
 
 class Superblock:
     """One straight-line decoded run, valid while its witness holds."""
 
-    __slots__ = ("start_va", "entries", "segments", "witness")
+    __slots__ = ("start_va", "instrs", "witness", "chains", "fn")
 
-    def __init__(self, start_va: int, entries: tuple, witness: tuple):
+    def __init__(self, start_va: int, instrs: tuple, witness: tuple):
         self.start_va = start_va
-        #: ``(instr, handler, cost)`` per instruction, program order
-        self.entries = entries
-        #: pre-segmented execution plan (see :func:`_segment`)
-        self.segments = _segment(entries)
+        #: decoded instructions, program order
+        self.instrs = instrs
         #: ``(walk_wit, leaf_frame, slot_off, pte_img, code_frame,
         #: code_version)`` — the paging-structure-cache record for the
         #: walk, the leaf PTE's byte image, and the code frame's version
         self.witness = witness
+        #: the block ends in a direct jump, so its successor may be
+        #: entered without a new ``acquire`` (see ``Cpu._translated_burst``)
+        self.chains = instrs[-1].op in DIRECT_JUMPS
+        #: the block's compiled function, emitted by :mod:`repro.hw.cpu`
+        #: the first time the block runs
+        self.fn = None
+
+    def watches(self, frame) -> bool:
+        """True when ``frame`` holds bytes (or the version) the witness
+        compares: a write to any other frame cannot make the block stale."""
+        walk_wit, ltf, _, _, cf, _ = self.witness
+        return (frame is cf or frame is ltf or frame is walk_wit[2]
+                or frame is walk_wit[5])
 
     def fresh(self) -> bool:
         walk_wit, ltf, soff, pte_img, cf, cv = self.witness
@@ -151,15 +119,18 @@ class TranslationCache:
     def __init__(self, cpu: Cpu):
         self.cpu = cpu
         self.enabled = True
-        self._blocks: dict[tuple[int, int], Superblock] = {}
+        #: ``(root_fn, block_start_va)`` → block; read directly by the
+        #: burst loop to chain blocks without a new ``acquire``
+        self.blocks: dict[tuple[int, int], Superblock] = {}
         # host-plane statistics (exported as metrics outside any digest)
         self.sb_exec = 0      # instructions retired from superblocks
         self.sb_builds = 0
         self.sb_hits = 0
-        #: simulated cycles charged through superblock segments. Written
-        #: by ``Cpu._translated_burst`` (D6 keeps all clock interaction
-        #: out of this module); the budget ledger carves these out of the
-        #: ``instr`` tag as the ``exec.superblock`` plane.
+        #: simulated ``instr`` cycles charged by superblock functions.
+        #: Written by the functions :mod:`repro.hw.cpu` emits (D6 keeps
+        #: all clock interaction out of this module); the budget ledger
+        #: carves these out of the ``instr`` tag as the
+        #: ``exec.superblock`` plane.
         self.sb_cycles = 0
 
     def stats(self) -> dict:
@@ -168,7 +139,7 @@ class TranslationCache:
                 "sb_hits": self.sb_hits, "sb_cycles": self.sb_cycles}
 
     def flush(self) -> None:
-        self._blocks.clear()
+        self.blocks.clear()
 
     # ------------------------------------------------------------------ #
     # acquisition
@@ -189,12 +160,12 @@ class TranslationCache:
         aspace = cpu.aspace
         pa, _ = cpu.mmu.check(aspace, rip, "exec", cpu.access_ctx())
         key = (aspace.root_fn, rip)
-        sb = self._blocks.get(key)
+        sb = self.blocks.get(key)
         if sb is not None:
             if sb.fresh():
                 self.sb_hits += 1
                 return sb
-            del self._blocks[key]
+            del self.blocks[key]
         return self._build(aspace, rip, pa, key)
 
     def _build(self, aspace: AddressSpace, rip: int, pa: int,
@@ -209,7 +180,7 @@ class TranslationCache:
         if data is None:
             return None        # zero-fill page: first decode faults anyway
         dispatch = cpu._dispatch
-        entries = []
+        instrs = []
         offset = pa & (PAGE_SIZE - 1)
         buf = bytes(data)
         while offset <= _LAST_SLOT:
@@ -217,23 +188,22 @@ class TranslationCache:
                 instr = decode_cached(buf[offset:offset + INSTR_SIZE])
             except InvalidOpcode:
                 break
-            handler_cost = dispatch.get(instr.op)
-            if handler_cost is None:
+            if instr.op not in dispatch:
                 break          # unimplemented op: interpreter raises it
-            entries.append((instr, handler_cost[0], handler_cost[1]))
+            instrs.append(instr)
             if instr.op in BLOCK_ENDERS:
                 break
             offset += INSTR_SIZE
-        if not entries:
+        if not instrs:
             return None
         self.sb_builds += 1
-        if len(self._blocks) >= self.CAPACITY:
-            self._blocks.clear()
+        if len(self.blocks) >= self.CAPACITY:
+            self.blocks.clear()
         pte_img = cpu.phys.read_u64(slot.pa).to_bytes(8, "little")
         witness = (walk_wit, cpu.phys.frame(slot.table_fn),
                    slot.index * 8, pte_img, code_frame, code_frame.version)
-        sb = Superblock(rip, tuple(entries), witness)
-        self._blocks[key] = sb
+        sb = Superblock(rip, tuple(instrs), witness)
+        self.blocks[key] = sb
         return sb
 
     # ------------------------------------------------------------------ #

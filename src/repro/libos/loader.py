@@ -158,7 +158,7 @@ def run_program(libos: "LibOs", program: LoadedProgram, *,
             return cpu.run(max_steps, deliver_faults=deliver_faults)
         except GeneralProtectionFault as exc:
             if "hlt" in exc.description:
-                return max_steps  # clean exit trap
+                return cpu.retired  # clean exit trap, the hlt included
             raise
         except (DivideError, InvalidOpcode) as exc:
             # software exceptions are software-controlled exits (C8):

@@ -27,8 +27,9 @@ plane           what it prices
 ==============  =========================================================
 exec.interpret  interpreted instruction retirement (``instr`` minus the
                 superblock carve) plus macro compute loops
-exec.superblock superblock-burst retirement (``Cpu._translated_burst``
-                charges; carved out of ``instr`` via the per-core
+exec.superblock superblock-burst retirement (charged by the compiled
+                blocks ``Cpu._translated_burst`` runs; carved out of
+                ``instr`` via the per-core
                 ``TranslationCache.sb_cycles`` counter)
 mmu             checked data movement through :class:`~repro.hw.mmu.Mmu`
                 (the walk itself is uncharged; TLB-hit-vs-walk lives in

@@ -19,12 +19,14 @@ Two obligations from the design:
 
 * **Speed** — on the CPU-bound path the cache targets, the cache-on arm
   must be at least ``SPEED_FLOOR`` times faster than the fully
-  interpreted arm, with an identical machine state.
+  interpreted arm (``MEM_SPEED_FLOOR`` on a load/ALU/store loop), with
+  an identical machine state.
 """
 
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.hw import regs
 from repro.hw.cpu import CpuHalt  # noqa: F401 - imported for doc cross-refs
@@ -32,12 +34,13 @@ from repro.hw.errors import (
     ControlProtectionFault,
     DivideError,
     GeneralProtectionFault,
+    HardwareFault,
     PageFault,
     SimulatorError,
 )
 from repro.hw.isa import INSTR_SIZE, OPCODES, SENSITIVE_OPS, I
 from repro.hw.mmu import AccessContext, USER_MODE
-from repro.hw.paging import PTE_P, PTE_W
+from repro.hw.paging import PTE_FRAME_MASK, PTE_NX, PTE_P, PTE_W
 from repro.hw.testbench import (
     IDT_VA,
     KERNEL_CODE_VA,
@@ -464,6 +467,390 @@ def test_self_modifying_store_mid_block():
 
 
 # --------------------------------------------------------------------------- #
+# lockstep oracle: compiled blocks, chaining and the burst's data memo
+# --------------------------------------------------------------------------- #
+
+PAGE = 4096
+USER_DATA = D + 4 * PAGE                  # a user page (SMAP-guarded)
+PTE_VA = D + 8 * PAGE                     # direct-map window (see below)
+ALT = D + 9 * PAGE                        # a second frame's window
+
+
+def loop_at_k(body, *, count=4, **map_kw):
+    """Setup running ``body`` ``count`` times in a loop at K.
+
+    ``r8`` counts the passes down (the loop's own ``addi``/``jnz`` pair
+    trails the body), ``r9`` points at D; the body starts at ``at(2)``.
+    """
+    program = [I("movi", "r8", imm=count), I("movi", "r9", imm=D),
+               *body, I("addi", "r8", imm=NEG1), I("jnz", imm=at(2)),
+               I("hlt")]
+
+    def setup(m):
+        m.map_data(D, **map_kw)
+        m.load_code(K, program)
+        m.cpu.rip = K
+    return setup
+
+
+def test_pkrs_write_between_two_loads_refreshes_the_context():
+    """wrmsr IA32_PKRS mid-block: the second load sees the new rights.
+
+    Pass 1 writes PKRS=0; pass 2 writes access-disable for key 1, so its
+    second load of the key-1 page faults while its first one (still
+    under PKRS=0) passes. A context hoisted across the wrmsr would let
+    the second load through.
+    """
+    body = [I("load", "rdx", "r9"),
+            I("movi", "rcx", imm=regs.IA32_PKRS), I("wrmsr"),
+            I("load", "rbx", "r9"),
+            I("addi", "rax", imm=regs.PKR_AD << 2)]
+    on = lockstep(loop_at_k(body, pkey=1), expect=PageFault)
+    assert on.cpu.rip == at(5)                 # the second load
+    assert on.cpu.regs["r8"] == 3              # in the second pass
+
+
+def test_clac_between_two_loads_of_a_user_page_faults():
+    def setup(m):
+        loop_at_k([I("movi", "r10", imm=USER_DATA),
+                   I("load", "rdx", "r10"), I("clac"),
+                   I("load", "rbx", "r10")])(m)
+        m.map_data(USER_DATA, user=True)
+        m.cpu.ac = True                        # SMAP suspended on entry
+    on = lockstep(setup, expect=PageFault)
+    assert on.cpu.rip == at(5)
+
+
+def test_stac_then_clac_around_user_loads_every_pass():
+    def setup(m):
+        loop_at_k([I("movi", "r10", imm=USER_DATA), I("load", "rdx", "r9"),
+                   I("stac"), I("load", "rbx", "r10"), I("clac"),
+                   I("load", "rdx", "r9"), I("add", "r11", "rbx")])(m)
+        m.map_data(USER_DATA, user=True)
+        m.write_phys(USER_DATA, (5).to_bytes(8, "little"))
+    on = lockstep(setup)
+    assert on.cpu.regs["r11"] == 20 and on.cpu.ac is False
+
+
+@pytest.mark.parametrize("denied", ["nx", "supervisor"])
+def test_back_edge_to_a_denied_page_still_faults(denied):
+    """A cached, fresh block on another page is never chained into.
+
+    The target page's block is preloaded (a translation never checks
+    permissions), so only the same-page rule keeps the jump from
+    skipping the fetch check that faults.
+    """
+    low = K
+    high = K + PAGE
+    user = denied == "supervisor"
+
+    def setup(m):
+        flags = PTE_P | (PTE_NX if denied == "nx" else 0)
+        target = [I("addi", "rax", imm=1), I("jmp", imm=high)]
+        m._map_region(low, 1, flags, "kernel")
+        blob = b"".join(i.encode() for i in target)
+        m.write_phys(low, blob)
+        if m.cpu.tcache.enabled:
+            m.cpu.tcache.preload(m.aspace, low, blob)
+        m.load_code(high, [
+            I("movi", "rcx", imm=3),
+            I("addi", "rcx", imm=NEG1),          # loop on the high page
+            I("jnz", imm=high + INSTR_SIZE),
+            I("jmp", imm=low),                   # back-edge, other page
+        ], user=user)
+        if user:
+            m.cpu.mode = USER_MODE
+        m.cpu.rip = high
+    on = lockstep(setup, expect=PageFault)
+    assert on.cpu.rip == low and on.cpu.regs["rax"] == 0
+    assert on.cpu.tcache.blocks.get((on.aspace.root_fn, low)) is not None
+
+
+#: straight-line prologue (2) + 3-instruction loop x 4 + hlt: 15 steps
+BUDGET_LOOP = [
+    I("movi", "rcx", imm=4),             # 0
+    I("movi", "rdx", imm=D),             # 1
+    I("addi", "rcx", imm=NEG1),          # 2: loop block, chained to itself
+    I("store", "rdx", "rcx"),            # 3
+    I("jnz", imm=at(2)),                 # 4
+    I("hlt"),                            # 5
+]
+
+
+@pytest.mark.parametrize("budget", range(1, 15))
+def test_budget_runs_out_between_and_inside_chained_blocks(budget):
+    """max_steps lands on every block boundary and every interior slot."""
+    def partial(m):
+        with pytest.raises(SimulatorError):
+            m.cpu.run(max_steps=budget)
+        return m.cpu.retired
+
+    on = lockstep(load_at_k(BUDGET_LOOP), run=partial)
+    assert on.cpu.retired == budget
+    snaps = []
+    for enabled in (False, True):
+        m = make_machine(enabled)
+        load_at_k(BUDGET_LOOP)(m)
+        with pytest.raises(SimulatorError):
+            m.cpu.run(max_steps=budget)
+        assert m.cpu.run() == 15 - budget
+        snaps.append(snapshot(m))
+    assert snaps[0] == snaps[1]
+
+
+@pytest.mark.parametrize("new_flags", ["retarget", "read_only"])
+def test_store_rewriting_its_own_data_pte_through_the_direct_map(new_flags):
+    """A loop rewrites the PTE of the page it stores to, mid-burst.
+
+    The leaf table holding D's PTE is mapped writable at PTE_VA. Pass 1
+    stores to D, then rewrites D's PTE: to a second frame (the rest of
+    the pass and later passes must store there) or read-only (the
+    pass's next store must fault). A memo entry surviving the PTE write
+    would keep storing to the old frame.
+    """
+    def setup(m):
+        m.map_data(D)
+        m.map_data(ALT)
+        slot = m.aspace.leaf_slot(D)
+        m.aspace.map_page(PTE_VA, slot.table_fn, PTE_P | PTE_W)
+        alt_fn = m.aspace.mapped_frame(ALT)
+        pte = m.aspace.get_pte(D)
+        if new_flags == "retarget":
+            new_pte = pte & ~PTE_FRAME_MASK | alt_fn << 12
+        else:
+            new_pte = pte & ~PTE_W
+        m.load_code(K, [
+            I("movi", "r8", imm=3),
+            I("movi", "r9", imm=D),
+            I("movi", "r10", imm=PTE_VA + slot.index * 8),
+            I("movi", "r11", imm=new_pte),
+            I("store", "r9", "r8", imm=16),      # 4: loop
+            I("load", "rax", "r9", imm=16),
+            I("store", "r10", "r11"),            # rewrite D's own PTE
+            I("store", "r9", "rax", imm=24),
+            I("addi", "r8", imm=NEG1),
+            I("jnz", imm=at(4)),
+            I("hlt"),
+        ])
+        m.cpu.rip = K
+
+    if new_flags == "retarget":
+        on = lockstep(setup)
+        alt = on.aspace.mapped_frame(D)          # D now maps ALT's frame
+        assert on.phys.read_u64((alt << 12) + 24) == 1
+    else:
+        on = lockstep(setup, expect=PageFault)
+        assert on.cpu.rip == at(7) and on.cpu.regs["r8"] == 3
+
+
+#: walks r9 up from 3 words below the end of D's only page: the 4th
+#: pass loads from the unmapped page above it
+FAULT_ON_PASS_4 = [
+    I("movi", "r8", imm=10),
+    I("movi", "r9", imm=D + PAGE - 24),
+    I("load", "rax", "r9"),              # 2: loop
+    I("store", "r9", "r8", imm=-8 & NEG1),
+    I("addi", "r9", imm=8),
+    I("addi", "r8", imm=NEG1),
+    I("jnz", imm=at(2)),
+    I("hlt"),
+]
+
+
+def test_data_page_fault_on_a_later_pass_raised():
+    def setup(m):
+        m.map_data(D)
+        m.load_code(K, FAULT_ON_PASS_4)
+        m.cpu.rip = K
+    on = lockstep(setup, expect=PageFault)
+    assert on.cpu.rip == at(2) and on.cpu.regs["r8"] == 7
+    assert on.cpu.retired == 2 + 3 * 5 + 1
+
+
+def test_data_page_fault_on_a_later_pass_delivered():
+    def setup(m):
+        m.map_data(D)
+        m.load_code(HANDLER_VA, [I("addi", "r15", imm=1), I("hlt")])
+        m.install_idt({14: HANDLER_VA})
+        m.load_code(K, FAULT_ON_PASS_4)
+        m.cpu.rip = K
+    on = lockstep(setup, run=lambda m: m.cpu.run(deliver_faults=True))
+    assert on.cpu.regs["r15"] == 1 and on.cpu.regs["r8"] == 7
+
+
+# --------------------------------------------------------------------------- #
+# lockstep property: random programs over the whole opcode table
+# --------------------------------------------------------------------------- #
+
+DATA_REGS = ("rax", "rbx", "rcx", "rdx", "rdi")
+PTR_REGS = ("r8", "r9", "r10", "r11", "rsi")
+
+#: data pointers the programs start with: the kernel page (key 1), the
+#: user page (SMAP), both code pages, and a page-straddling word
+POINTERS = {"r8": D, "r9": D + PAGE, "r10": K, "r11": K + PAGE,
+            "rsi": D + PAGE - 4}
+
+IMMS = (0, 1, 8, 16, 4088, 4092, 4096, NEG1, NEG1 - 7, D, K)
+#: load/store displacements: mostly in-page, some page-crossing
+DISPS = (0, 0, 8, 16, 24, 32, 4088, NEG1 - 7)
+
+MAX_ITEMS = 14          # per code page
+PROP_STEPS = 300        # run budget: endless loops end in SimulatorError
+
+data_st = st.sampled_from(DATA_REGS)
+ptr_st = st.sampled_from(PTR_REGS)
+any_st = st.sampled_from(DATA_REGS + PTR_REGS)
+imm_st = st.sampled_from(IMMS)
+disp_st = st.sampled_from(DISPS)
+
+
+class Branch(tuple):
+    """``(op, page, slot)``: a direct branch, target resolved at assembly."""
+
+
+ALU = st.builds(lambda op, d, s_: [I(op, d, s_)],
+                st.sampled_from(["mov", "add", "sub", "and", "or", "xor",
+                                 "shl", "shr", "mul", "div", "cmp"]),
+                data_st, any_st)
+IMM_OPS = st.builds(lambda op, d, imm: [I(op, d, imm=imm)],
+                    st.sampled_from(["movi", "addi", "cmpi"]), data_st,
+                    imm_st)
+MEMORY = st.builds(lambda op, p, r, imm: [I(op, p, r, imm=imm)
+                                          if op == "store" else
+                                          I(op, r, p, imm=imm)],
+                   st.sampled_from(["load", "store"]), ptr_st, any_st,
+                   disp_st)
+BRANCH = st.builds(lambda *a: Branch(a),
+                   st.sampled_from(["jmp", "jz", "jnz", "call"]),
+                   st.integers(0, 1), st.integers(0, 4 * MAX_ITEMS))
+CONTEXT = st.one_of(
+    st.builds(lambda op: [I(op)], st.sampled_from(["stac", "clac"])),
+    st.builds(lambda rights: [I("movi", "rcx", imm=regs.IA32_PKRS),
+                              I("movi", "rax", imm=rights), I("wrmsr")],
+              st.sampled_from([0, regs.PKR_AD << 2, regs.PKR_WD << 2])),
+)
+OTHER = st.one_of(
+    st.builds(lambda op, r: [I(op, r)], st.sampled_from(["push", "pop"]),
+              any_st),
+    st.builds(lambda op, r, imm: [I(op, r, r, imm=imm)],
+              st.sampled_from(["gsload", "gsstore"]), data_st, imm_st),
+    st.builds(lambda op: [I(op)],
+              st.sampled_from(["nop", "endbr", "fence", "rdmsr", "cpuid"])),
+    st.builds(lambda r, crn: [I("rdcr", r, imm=crn)], data_st,
+              st.sampled_from([0, 3, 4])),
+)
+#: ops that mostly end a run: kept rare so most programs run a while
+RARE = st.one_of(
+    st.builds(lambda op: [I(op)],
+              st.sampled_from(["hlt", "ret", "iret", "tdcall", "syscall",
+                               "sysret"])),
+    st.builds(lambda op, r: [I(op, r)],
+              st.sampled_from(["icall", "ijmp", "senduipi"]), any_st),
+    st.builds(lambda r, crn: [I("mov_cr", crn, r)], data_st,
+              st.sampled_from([0, 4])),
+    st.builds(lambda r, v: [I("int", imm=v), I("lidt", None, r)], data_st,
+              st.sampled_from([3, 14])),
+)
+
+
+class Loop(tuple):
+    """``(count, body)``: a counted loop on ``r12`` around ``body``."""
+
+
+def weighted(*weights_and_strategies):
+    """Pick a strategy with the given weight, then draw from it (a plain
+    ``one_of`` would flatten the nested groups into equal branches)."""
+    pool = [strat for weight, strat in weights_and_strategies
+            for _ in range(weight)]
+    return st.sampled_from(pool).flatmap(lambda strat: strat)
+
+
+#: two accesses through one pointer around a context change: what a
+#: memo entry outliving the change would get wrong
+SANDWICH = st.builds(
+    lambda p, first, ctx, second, r: [
+        I(first, p, r) if first == "store" else I(first, r, p), *ctx,
+        I(second, p, r) if second == "store" else I(second, r, p)],
+    ptr_st, st.sampled_from(["load", "store"]), CONTEXT,
+    st.sampled_from(["load", "store"]), data_st)
+BODY = st.lists(weighted((3, ALU), (2, IMM_OPS), (4, MEMORY), (1, CONTEXT),
+                         (1, SANDWICH)),
+                min_size=1, max_size=6)
+LOOP = st.builds(lambda n, body: Loop((n, body)), st.integers(1, 6), BODY)
+ITEM = weighted((4, ALU), (3, IMM_OPS), (5, MEMORY), (2, BRANCH),
+                (2, CONTEXT), (2, SANDWICH), (2, OTHER), (3, LOOP),
+                (1, RARE))
+
+PROGRAM = st.tuples(st.lists(ITEM, min_size=1, max_size=MAX_ITEMS),
+                    st.lists(ITEM, max_size=MAX_ITEMS))
+
+
+def assemble_pages(pages):
+    """Flatten generated items into code for each page.
+
+    Loops count down ``r12`` around their body; branch targets wrap
+    into the target page's code, so every branch lands on an
+    instruction of the program.
+    """
+    codes = []
+    for page, items in enumerate(pages):
+        va = K + page * PAGE
+        code = []
+        for item in items:
+            if isinstance(item, Loop):
+                count, body = item
+                code.append(I("movi", "r12", imm=count))
+                head = va + len(code) * INSTR_SIZE
+                code += [i for part in body for i in part]
+                code += [I("addi", "r12", imm=NEG1), I("jnz", imm=head)]
+            elif isinstance(item, Branch):
+                code.append(item)
+            else:
+                code += item
+        codes.append(code + [I("hlt")])
+    for code in codes:
+        for n, instr in enumerate(code):
+            if isinstance(instr, Branch):
+                op, page, slot = instr
+                page = page if page < len(codes) else 0
+                target = K + page * PAGE + slot % len(codes[page]) * INSTR_SIZE
+                code[n] = I(op, imm=target)
+    return codes
+
+
+def run_random(enabled, pages):
+    """Load both code pages writable, run, return the full outcome."""
+    m = make_machine(enabled)
+    m.map_data(D, pkey=1)
+    m.map_data(D + PAGE, user=True)
+    m.cpu.msrs[regs.IA32_GS_BASE] = D + 8
+    m.cpu.regs.update(POINTERS, rsp=D + PAGE - 64)
+    m.cpu.ac = True                       # until a clac: SMAP suspended
+    for page, code in enumerate(assemble_pages(pages)):
+        va = K + page * PAGE
+        m._map_region(va, 1, PTE_P | PTE_W, "kernel")
+        blob = b"".join(i.encode() for i in code)
+        m.write_phys(va, blob)
+        if enabled:
+            m.cpu.tcache.preload(m.aspace, va, blob)
+    m.cpu.rip = K
+    try:
+        result = m.cpu.run(max_steps=PROP_STEPS, deliver_faults=False)
+    except (HardwareFault, SimulatorError) as exc:
+        result = type(exc).__name__
+    return result, m.cpu.retired, snapshot(m)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(PROGRAM)
+def test_random_programs_run_in_lockstep(pages):
+    """Cache on vs off: same result or fault type, count, rip and state."""
+    assert run_random(True, pages) == run_random(False, pages)
+
+
+# --------------------------------------------------------------------------- #
 # speed: the cache pays for itself on a CPU-bound loop
 # --------------------------------------------------------------------------- #
 
@@ -491,26 +878,48 @@ LOOP_PROGRAM = [
 ]
 
 
-def timed_loop(enabled):
-    """One run of the loop; returns (machine, steps, host seconds)."""
+#: floor on the cache-on speedup of a load/ALU/store loop, where every
+#: pass also pays two data accesses (~10x measured on a shared 2-vCPU host)
+MEM_SPEED_FLOOR = 6.0
+
+MEM_LOOP_PROGRAM = [
+    I("movi", "rcx", imm=LOOPS),          # 0
+    I("movi", "rsi", imm=D),              # 1
+    I("load", "rax", "rsi"),              # 2: loop body (6 instrs)
+    I("add", "rax", "rcx"),               # 3
+    I("store", "rsi", "rax", imm=8),      # 4
+    I("xor", "rdx", "rax"),               # 5
+    I("addi", "rcx", imm=NEG1),           # 6: rcx -= 1
+    I("jnz", imm=at(2)),                  # 7
+    I("hlt"),                             # 8
+]
+
+
+def timed_loop(enabled, program=LOOP_PROGRAM):
+    """One run of ``program``; returns (machine, steps, host seconds)."""
     m = make_machine(enabled)
     m.map_data(D)
-    m.load_code(K, LOOP_PROGRAM)
+    m.load_code(K, program)
     m.cpu.rip = K
     t0 = time.perf_counter()
     steps = m.cpu.run(max_steps=LOOPS * 12)
     return m, steps, time.perf_counter() - t0
 
 
-def test_cache_speeds_up_a_cpu_bound_loop_with_identical_state():
+def best_of_alternating(program):
+    """Min-of-``SPEED_ROUNDS`` host time per arm, off/on alternating."""
     best = {}
     for _ in range(SPEED_ROUNDS):
         for enabled in (False, True):
-            run = timed_loop(enabled)
+            run = timed_loop(enabled, program)
             if enabled not in best or run[2] < best[enabled][2]:
                 best[enabled] = run
+    return best[False], best[True]
+
+
+def test_cache_speeds_up_a_cpu_bound_loop_with_identical_state():
     (off, off_steps, off_host), (on, on_steps, on_host) = \
-        best[False], best[True]
+        best_of_alternating(LOOP_PROGRAM)
     assert on_steps == off_steps
     # cycle ledger, registers, rip, flags and memory all agree
     assert snapshot(on) == snapshot(off)
@@ -521,6 +930,18 @@ def test_cache_speeds_up_a_cpu_bound_loop_with_identical_state():
     assert speedup >= SPEED_FLOOR, (
         f"cpu-bound speedup {speedup:.2f}x under the {SPEED_FLOOR}x floor "
         f"(off {off_host:.3f}s, on {on_host:.3f}s)")
+
+
+def test_cache_speeds_up_a_memory_loop_with_identical_state():
+    (off, off_steps, off_host), (on, on_steps, on_host) = \
+        best_of_alternating(MEM_LOOP_PROGRAM)
+    assert on_steps == off_steps == 2 + 6 * LOOPS + 1
+    assert snapshot(on) == snapshot(off)
+    assert on.cpu.tcache.sb_exec > 0
+    speedup = off_host / on_host
+    assert speedup >= MEM_SPEED_FLOOR, (
+        f"memory-loop speedup {speedup:.2f}x under the {MEM_SPEED_FLOOR}x "
+        f"floor (off {off_host:.3f}s, on {on_host:.3f}s)")
 
 
 # --------------------------------------------------------------------------- #

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PolicyViolation, erebor_boot
+from repro.core import EreborFeatures, PolicyViolation, erebor_boot
 from repro.hw import regs
 from repro.hw.errors import GeneralProtectionFault, PageFault
 from repro.hw.isa import I
@@ -60,6 +60,30 @@ def test_program_executes_and_writes_result(rig):
     run_program(libos, program)
     fn = libos.sandbox.task.aspace.mapped_frame(RESULT_VA)
     assert machine.phys.read(fn * PAGE_SIZE, 8) == b"A" * 8
+
+
+def test_run_program_returns_the_retired_count_on_both_paths():
+    """The clean ``hlt`` exit returns the hand count, cache on or off."""
+    words = 3
+    counter = build_user_program([
+        I("movi", "rcx", imm=words),        # 1
+        I("movi", "rbx", imm=RESULT_VA),    # 1
+        I("store", "rbx", "rcx"),           # loop: 3 per pass
+        I("addi", "rcx", imm=(1 << 64) - 1),
+        I("jnz", imm=PROG_CODE_VA + 2 * 12),
+        I("hlt"),                           # 1: the exit trap counts
+    ], data=b"\x00" * 64)
+    counts = []
+    for fast in (False, True):
+        machine = CvmMachine(MachineConfig(memory_bytes=512 * MIB))
+        system = erebor_boot(machine, cma_bytes=64 * MIB,
+                             features=EreborFeatures(translation_cache=fast))
+        libos = LibOs.boot_sandboxed(
+            system, Manifest(name="count", heap_bytes=1 * MIB),
+            confined_budget=8 * MIB)
+        counts.append(run_program(libos, load_program(libos, counter),
+                                  max_steps=1_000))
+    assert counts == [2 + 3 * words + 1] * 2
 
 
 def test_program_cannot_write_its_own_code(rig):

@@ -309,20 +309,53 @@ class NestedMmu:
 
         Returns the number of PTEs rewritten. Batched: one EMC covers the
         sweep (the paper's batched-MMU-update optimization), with per-PTE
-        native write costs.
+        native write costs booked as one charge.
+
+        The sweep groups the recorded mappings by address space and leaf
+        table and walks each table once. It clears W only on entries that
+        are present, writable and still map a frame of this region: a VA
+        unmapped from the region may map other memory by now. The record
+        is dropped afterwards, since a sealed region refuses writable
+        mappings and so records none.
         """
         region = self.common_regions[name]
         region.writable = False
+        owner = f"common:{name}"
+        frames = self.phys.frames
+        #: (root, 2 MiB region) → its leaf table (see :meth:`_leaf_table`)
+        tables: dict[tuple[int, int], tuple | None] = {}
         rewritten = 0
-        seen = set()
         for aspace, va in region.mappings:
-            key = (aspace.root_fn, va)
-            if key in seen:
+            key = (aspace.root_fn, va >> 21)
+            leaf = tables.get(key)
+            if leaf is None and key not in tables:
+                leaf = tables[key] = self._leaf_table(aspace, va)
+            if leaf is None:
                 continue
-            seen.add(key)
-            pte = aspace.get_pte(va)
-            if pte & PTE_P and pte & PTE_W:
-                aspace.set_pte(va, pte & ~PTE_W)
-                self.clock.charge(Cost.PTE_WRITE_NATIVE, "mmu_op")
+            table, data, huge_off = leaf
+            off = (va >> 9) & 0xFF8 if huge_off is None else huge_off
+            # a duplicate mapping finds W already cleared
+            if data[off] & (PTE_P | PTE_W) != PTE_P | PTE_W:
+                continue
+            frame = frames.get(pte_frame(
+                int.from_bytes(data[off:off + 8], "little")))
+            if frame is not None and frame.owner == owner:
+                data[off] &= ~PTE_W & 0xFF
+                table.version += 1
                 rewritten += 1
+        region.mappings.clear()
+        if rewritten:
+            self.clock.charge(rewritten * Cost.PTE_WRITE_NATIVE, "mmu_op")
         return rewritten
+
+    def _leaf_table(self, aspace: AddressSpace, va: int) -> tuple | None:
+        """``(frame, bytes, huge entry offset or None)`` of the table that
+        holds the leaf entry of ``va``; None when no entry is present."""
+        path = aspace.leaf_path(va)
+        if path is None:
+            return None
+        slot, (huge, *_) = path
+        table = self.phys.frame(slot.table_fn)
+        if table.data is None:
+            return None
+        return table, table.data, slot.index * 8 if huge else None

@@ -26,6 +26,7 @@ removed from kernel code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from struct import Struct
 
 from . import regs
 from .cycles import Cost, CycleClock
@@ -36,8 +37,10 @@ from .paging import (
     HUGE_PAGE_SIZE,
     PTE_A,
     PTE_D,
+    PTE_FRAME_MASK,
     PTE_NX,
     PTE_P,
+    PTE_PKEY_MASK,
     PTE_PS,
     PTE_U,
     PTE_W,
@@ -45,6 +48,15 @@ from .paging import (
     pte_frame,
     pte_pkey,
 )
+
+#: the PTE bits a :meth:`Mmu.check_run` verdict reads: those
+#: :func:`_denial` reads, PS, and the A/D bits the access may set
+_VERDICT_BITS = PTE_W | PTE_U | PTE_NX | PTE_PKEY_MASK | PTE_PS | PTE_A | PTE_D
+#: P and PS both set: a huge leaf, which takes the per-page path
+_HUGE = PTE_P | PTE_PS
+#: one little-endian page-table entry, and a table that holds no bytes
+_PTE = Struct("<Q")
+_EMPTY_TABLE = bytes(PAGE_SIZE)
 
 USER_MODE = "user"
 KERNEL_MODE = "kernel"
@@ -60,6 +72,52 @@ class AccessContext:
     pkrs: int = 0
     ac: bool = False          # EFLAGS.AC, set by stac
     shadow_stack_op: bool = False  # access is a CET shadow-stack push/pop
+
+
+def _denial(pte: int, hit_fn: int, phys: PhysicalMemory, access: str,
+            ctx: AccessContext) -> tuple[str, bool] | None:
+    """The first of steps 2-7 that an access to present leaf ``pte`` breaks.
+
+    Returns ``(why, pkey_violation)`` — ``why`` is the fault description
+    without its address — or None when the access passes. ``hit_fn`` is
+    the 4 KiB frame the access lands on; it is looked up (and so created,
+    like any first touch) only once steps 2-5 have passed. The one copy
+    of the rules :meth:`Mmu.check` and :meth:`Mmu.check_run` apply.
+    """
+    user = ctx.mode == USER_MODE
+    is_user_page = bool(pte & PTE_U)
+    if user and not is_user_page:
+        return "user access to supervisor page", False
+
+    if not user and is_user_page:
+        if access == "exec" and ctx.cr4 & regs.CR4_SMEP:
+            return "SMEP: supervisor fetch from user page", False
+        if access != "exec" and ctx.cr4 & regs.CR4_SMAP and not ctx.ac:
+            return "SMAP: supervisor data access to user page", False
+
+    if access == "exec" and pte & PTE_NX:
+        return "NX: fetch from no-execute page", False
+
+    frame = phys.frame(hit_fn)
+    if access == "write":
+        if frame.is_shadow_stack != ctx.shadow_stack_op:
+            return "shadow-stack write discipline violated at", False
+        if not pte & PTE_W and not ctx.shadow_stack_op:
+            if user or ctx.cr0 & regs.CR0_WP:
+                return "write to read-only page", False
+    elif ctx.shadow_stack_op and not frame.is_shadow_stack:
+        return "shadow-stack read from normal page", False
+
+    # PKS applies to supervisor pages accessed in supervisor mode (data
+    # accesses only; instruction fetch is not subject to keys).
+    if (not user and not is_user_page and access != "exec"
+            and ctx.cr4 & regs.CR4_PKS):
+        rights = regs.pkey_rights(ctx.pkrs, pte_pkey(pte))
+        if rights & regs.PKR_AD:
+            return "PKS access-disable on", True
+        if access == "write" and rights & regs.PKR_WD:
+            return "PKS write-disable on", True
+    return None
 
 
 class Mmu:
@@ -95,6 +153,9 @@ class Mmu:
         self._tlb: dict[tuple, tuple] = {}
         self.tlb_hits = 0
         self.tlb_misses = 0
+        #: pages :meth:`check_run`'s leaf-table pass passed (host plane:
+        #: pages it resolved without the caller's per-page path)
+        self.run_pages = 0
 
     def tlb_flush(self) -> None:
         self._tlb.clear()
@@ -152,48 +213,18 @@ class Mmu:
             raise PageFault(va, is_write=access == "write", is_exec=access == "exec",
                             is_user=user, present=False)
 
-        def fault(pkey: bool = False, why: str = "") -> PageFault:
-            return PageFault(va, is_write=access == "write", is_exec=access == "exec",
-                             is_user=user, present=True, pkey_violation=pkey,
-                             description=why or None and "")
-
-        is_user_page = bool(pte & PTE_U)
-        if user and not is_user_page:
-            raise fault(why=f"user access to supervisor page {va:#x}")
-
-        if not user and is_user_page:
-            if access == "exec" and ctx.cr4 & regs.CR4_SMEP:
-                raise fault(why=f"SMEP: supervisor fetch from user page {va:#x}")
-            if access != "exec" and ctx.cr4 & regs.CR4_SMAP and not ctx.ac:
-                raise fault(why=f"SMAP: supervisor data access to user page {va:#x}")
-
-        if access == "exec" and pte & PTE_NX:
-            raise fault(why=f"NX: fetch from no-execute page {va:#x}")
-
         # for huge mappings, flags are checked on the 4 KiB frame hit
         if pte & PTE_PS:
             hit_fn = pte_frame(pte) + ((va & (HUGE_PAGE_SIZE - 1)) >> 12)
         else:
             hit_fn = pte_frame(pte)
-        frame = self.phys.frame(hit_fn)
-        if access == "write":
-            if frame.is_shadow_stack != ctx.shadow_stack_op:
-                raise fault(why=f"shadow-stack write discipline violated at {va:#x}")
-            if not pte & PTE_W and not ctx.shadow_stack_op:
-                if user or ctx.cr0 & regs.CR0_WP:
-                    raise fault(why=f"write to read-only page {va:#x}")
-        elif ctx.shadow_stack_op and not frame.is_shadow_stack:
-            raise fault(why=f"shadow-stack read from normal page {va:#x}")
-
-        # PKS applies to supervisor pages accessed in supervisor mode (data
-        # accesses only; instruction fetch is not subject to keys).
-        if (not user and not is_user_page and access != "exec"
-                and ctx.cr4 & regs.CR4_PKS):
-            rights = regs.pkey_rights(ctx.pkrs, pte_pkey(pte))
-            if rights & regs.PKR_AD:
-                raise fault(pkey=True, why=f"PKS access-disable on {va:#x}")
-            if access == "write" and rights & regs.PKR_WD:
-                raise fault(pkey=True, why=f"PKS write-disable on {va:#x}")
+        denial = _denial(pte, hit_fn, self.phys, access, ctx)
+        if denial is not None:
+            why, pkey = denial
+            raise PageFault(va, is_write=access == "write",
+                            is_exec=access == "exec", is_user=user,
+                            present=True, pkey_violation=pkey,
+                            description=f"{why} {va:#x}")
 
         # accessed/dirty maintenance
         new = pte | PTE_A | (PTE_D if access == "write" else 0)
@@ -201,6 +232,7 @@ class Mmu:
             self.phys.write_u64(slot.pa, new)
         pa = (hit_fn << 12) | (va & (PAGE_SIZE - 1))
         if tlb_key is not None:
+            frame = self.phys.frame(hit_fn)
             self.tlb_misses += 1
             if len(self._tlb) >= self.TLB_CAPACITY:
                 self._tlb.clear()
@@ -213,6 +245,113 @@ class Mmu:
                 self.phys.frame(slot.table_fn), slot.index * 8,
                 ) + walk_wit[2:] + (frame, frame.is_shadow_stack)
         return pa, pte
+
+    def check_run(self, aspace: AddressSpace, va: int, end: int, stride: int,
+                  access: str, ctx: AccessContext, visit) -> int:
+        """Check the pages ``va, va + stride, …`` below ``end`` in order,
+        walking each leaf table once.
+
+        The leaf-table pass reads each page's PTE from its table's live
+        bytes and passes every present 4 KiB page that :func:`_denial`
+        clears, setting the A/D bits :meth:`check` would set, through
+        ``phys.write_u64``. Every other page goes to
+        ``visit(page_va, passed, missing)``, where ``passed`` counts the
+        pages passed since the previous visit:
+
+        * a not-present page arrives with ``missing`` True and raises no
+          :class:`PageFault`. If ``visit`` returns True it installed the
+          page through a fault run, and the pass applies the A/D update
+          the re-check would have made (or runs that :meth:`check`, which
+          raises, when the installed page breaks a rule) and counts the
+          page as passed;
+        * anything else — a huge (PS) leaf, a permission fault, a missing
+          page ``visit`` handled itself — is the caller's per-page
+          :meth:`check`; ``visit`` returns False and the pass re-walks.
+
+        With the TLB off every page is visited, as the per-page reference.
+        Returns the pages passed after the last visit. Charges nothing:
+        a walk costs zero cycles.
+        """
+        if not self.tlb_enabled:
+            while va < end:
+                visit(va, 0, False)
+                va += stride
+            return 0
+        phys = self.phys
+        write_u64 = phys.write_u64
+        frame_of = phys.frames.get
+        read = _PTE.unpack_from
+        ad = PTE_A | (PTE_D if access == "write" else 0)
+        #: memo over the bits a verdict reads (P, known set, stands in for
+        #: the frame's shadow-stack flag): the A/D bits the access still
+        #: sets, or -1 where the page takes the per-page path
+        verdicts: dict[int, int] = {}
+        passed = seen = 0       # pages passed; those reported to a visit
+        try:
+            while va < end:
+                slot = aspace.leaf_slot(va)
+                if slot is None:
+                    # no leaf table yet: the page is not present
+                    installed = visit(va, passed - seen, True)
+                    seen = passed
+                    if installed:
+                        self.check(aspace, va, access, ctx)
+                        passed += 1
+                    va += stride
+                    continue
+                table = phys.frame(slot.table_fn)
+                table_pa = slot.table_fn << 12
+                data = table.data or _EMPTY_TABLE
+                if read(data, slot.index << 3)[0] & _HUGE == _HUGE:
+                    # a huge leaf: the per-page path
+                    visit(va, passed - seen, False)
+                    seen = passed
+                    va += stride
+                    continue
+                limit = min(end, (va | (HUGE_PAGE_SIZE - 1)) + 1)
+                while va < limit:
+                    off = (va >> 9) & 0xFF8
+                    pte = read(data, off)[0]
+                    missing = not pte & PTE_P
+                    if missing:
+                        installed = visit(va, passed - seen, True)
+                        seen = passed
+                        if not installed:
+                            va += stride
+                            break
+                        # installed by the fault run: the re-check's A/D
+                        # update, on live bytes (a handler may rewrite
+                        # other PTEs or replace the bytearray)
+                        data = table.data or _EMPTY_TABLE
+                        pte = read(data, off)[0]
+                    frame = frame_of((pte & PTE_FRAME_MASK) >> 12)
+                    if frame is None:
+                        sets = -1       # a first touch: check creates it
+                    else:
+                        key = pte & _VERDICT_BITS | frame.is_shadow_stack
+                        sets = verdicts.get(key)
+                        if sets is None:
+                            sets = verdicts[key] = (
+                                ad & ~pte if pte & _HUGE == PTE_P
+                                and _denial(pte, frame.fn, phys, access,
+                                            ctx) is None else -1)
+                    if sets < 0:
+                        if missing:
+                            # the re-check, which raises as it would
+                            self.check(aspace, va, access, ctx)
+                            passed += 1
+                        else:
+                            visit(va, passed - seen, False)
+                            seen = passed
+                        va += stride
+                        break
+                    if sets:
+                        write_u64(table_pa + off, pte | sets)
+                    passed += 1
+                    va += stride
+        finally:
+            self.run_pages += passed
+        return passed - seen
 
     # ------------------------------------------------------------------ #
     # checked byte access (used by the micro CPU and data channels)

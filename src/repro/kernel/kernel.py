@@ -260,6 +260,12 @@ class GuestKernel:
         self.clock.charge(cycles, "compute")
         self.pump()
 
+    def cycles_to_tick(self) -> int:
+        """Cycles the clock can still advance without a timer tick due:
+        a :meth:`pump` fires one once the clock reaches this many more
+        (zero or less: one is due already)."""
+        return self._next_tick - self.clock.cycles
+
     def pump(self) -> None:
         """Fire any timer ticks the clock has run past."""
         while self.clock.cycles >= self._next_tick:
@@ -418,13 +424,11 @@ class GuestKernel:
         """
         ctx = AccessContext(mode=USER_MODE, cr0=self.cpu.crs[0],
                             cr4=self.cpu.crs[4], pkrs=0)
-        faults = 0
         access = "write" if write else "read"
-        end = va + length
-        page_va = va & ~(PAGE_SIZE - 1)
         mmu = self.cpu.mmu
         clock = self.clock
         aspace = task.aspace
+        check = mmu.check
         # Per-page MEM charges are accumulated, and the exit path's fault
         # run defers the charges of the faults it resolves; both are
         # flushed before any point that can observe the clock (the fault
@@ -432,28 +436,47 @@ class GuestKernel:
         # observation — and the resulting ledger — is identical to
         # charging each page and each fault as it happens.
         pending = 0
-        check = mmu.check
+        faults = 0
         run = None
-        try:
-            while page_va < end:
+
+        def visit(page_va: int, passed: int, missing: bool) -> bool:
+            """One page the MMU's leaf-table pass leaves to this loop;
+            True when the fault run installed it (the pass then applies
+            the re-check's A/D update and counts the touch as passed)."""
+            nonlocal pending, faults, run
+            pending += passed
+            if not missing:
                 try:
                     check(aspace, page_va, access, ctx)
                 except PageFault:
-                    if run is None:
-                        run = self.exit_path.fault_run(task)
-                    if not run.fault(page_va, write, pending):
-                        run.flush()
-                        if pending:
-                            clock.charge(pending * Cost.MEM, "mem")
-                        self.handle_page_fault(task, page_va, write)
-                    pending = 0
-                    check(aspace, page_va, access, ctx)
-                    faults += 1
-                pending += 1
-                page_va += stride
+                    pass
+                else:
+                    pending += 1
+                    return False
+            if run is None:
+                run = self.exit_path.fault_run(task)
+            faults += 1
+            if run.fault(page_va, write, pending):
+                pending = 0
+                if missing:
+                    return True
+            else:
+                run.flush()
+                if pending:
+                    clock.charge(pending * Cost.MEM, "mem")
+                self.handle_page_fault(task, page_va, write)
+                pending = 0
+            check(aspace, page_va, access, ctx)
+            pending = 1
+            return False
+
+        try:
+            rest = mmu.check_run(aspace, va & ~(PAGE_SIZE - 1), va + length,
+                                 stride, access, ctx, visit)
         finally:
             if run is not None:
                 run.flush()
+        pending += rest
         if pending:
             clock.charge(pending * Cost.MEM, "mem")
         self.pump()

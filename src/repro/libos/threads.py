@@ -37,26 +37,33 @@ class ThreadPool:
         self.size = size
         self.stats = SyncStats()
 
-    def sync(self) -> None:
-        """One barrier/lock handoff among the pool's threads.
+    def sync(self, count: int = 1) -> None:
+        """``count`` barrier/lock handoffs among the pool's threads.
 
         The LibOS *always* uses its internal spinlock (§6.2): futex would
         be a covert channel once locked, so Gramine-style emulation spins
         in both the sandboxed and the plain (LibOS-only) configurations —
         every waiter burns cycles instead of sleeping.
         """
-        self.stats.sync_points += 1
-        cycles = SPIN_SYNC_CYCLES * max(self.size - 1, 1)
+        self.stats.sync_points += count
+        cycles = count * SPIN_SYNC_CYCLES * max(self.size - 1, 1)
         self.stats.spin_cycles += cycles
         self.libos.kernel.clock.charge(cycles, "libos_spin")
-        self.libos.kernel.clock.count("libos_spin_sync")
+        self.libos.kernel.clock.count("libos_spin_sync", count)
 
     def parallel_for(self, items: int, cycles_per_item: int, *,
                      sync_every: int = 1) -> None:
         """Run ``items`` units of work across the pool with barriers.
 
         Wall-clock compute is ``items * cycles_per_item / size`` (perfect
-        split model); each barrier is one :meth:`sync`.
+        split model); each barrier is one :meth:`sync`. Compute and syncs
+        interleave chunk by chunk so timer ticks land realistically. The
+        chunks whose compute ends before the next tick are booked as one
+        batch: one compute :meth:`advance`, whose pump fires nothing, and
+        one :meth:`sync` — the clock ledgers, ``utime_cycles`` and
+        :class:`SyncStats` end where the chunk-by-chunk steps leave them.
+        The chunk that reaches the tick is a batch of one, the per-chunk
+        step itself.
         """
         if items <= 0:
             return
@@ -64,11 +71,18 @@ class ThreadPool:
         wall = total // self.size
         syncs = max(items // max(sync_every, 1), 1)
         kernel = self.libos.kernel
-        # interleave compute and syncs so timer ticks land realistically
+        task = self.libos.task
         chunk = max(wall // syncs, 1)
-        for _ in range(syncs):
-            kernel.advance(chunk, self.libos.task)
-            self.sync()
+        step = chunk + SPIN_SYNC_CYCLES * max(self.size - 1, 1)
+        done = 0
+        while done < syncs:
+            # chunk k from now ends at k * step + chunk: take every chunk
+            # that ends before the tick, or else the one that reaches it
+            before_tick = (kernel.cycles_to_tick() - chunk - 1) // step + 1
+            batch = max(1, min(syncs - done, before_tick))
+            kernel.advance(batch * chunk, task)
+            self.sync(batch)
+            done += batch
         remainder = wall - chunk * syncs
         if remainder > 0:
-            kernel.advance(remainder, self.libos.task)
+            kernel.advance(remainder, task)

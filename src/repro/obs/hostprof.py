@@ -58,6 +58,7 @@ SUBSYSTEMS: tuple[tuple[str, str, str], ...] = (
     ("tcache:build", "repro.hw.translate", "TranslationCache._build"),
     ("tcache:preload", "repro.hw.translate", "TranslationCache.preload"),
     ("mmu:walk", "repro.hw.mmu", "Mmu.check"),
+    ("mmu:walk", "repro.hw.mmu", "Mmu.check_run"),
     ("mmu:leaf-path", "repro.hw.paging", "AddressSpace.leaf_path"),
     ("mmu:fetch", "repro.hw.mmu", "Mmu.fetch"),
     ("mmu:read", "repro.hw.mmu", "Mmu.read"),

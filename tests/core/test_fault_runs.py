@@ -7,12 +7,14 @@ through ``handle_page_fault`` and charges each page as it is touched. All
 simulated state must come out identical, down to the insertion order of
 the clock's ledgers: cycles per lane and tag, events, the Prometheus text,
 the fault log, every PTE, the confined-mapping registry, the audit chain
-and the host TLB counters.
+and the trace. The ``touch_pages`` twin must also have gone through the
+MMU's leaf-table pass (``Mmu.run_pages`` moved), and the reference twin
+not: the pass is what the twins compare against per-page checks.
 """
 
 import pytest
 
-from repro.core import erebor_boot
+from repro.core import EreborFeatures, erebor_boot
 from repro.core.policy import PolicyViolation
 from repro.hw.cycles import Cost
 from repro.hw.errors import PageFault
@@ -28,7 +30,8 @@ from repro.obs import install
 from repro.obs.export import chrome_trace, prometheus_text
 from repro.vm import CvmMachine, MachineConfig, MIB
 
-#: pages of the touched range, at either stride
+#: pages of the touched range, at every stride (at 256 KiB it reaches a
+#: 2 MiB region with no leaf table yet)
 PAGES = 24
 #: pages touched during setup, so the run passes present pages
 PRETOUCHED = (3, 4, 11)
@@ -58,7 +61,8 @@ def reference_touch(kernel, task, va, length, *, write=False,
 
 def boot(setting):
     machine = CvmMachine(MachineConfig(memory_bytes=256 * MIB))
-    system = erebor_boot(machine, cma_bytes=32 * MIB)
+    system = erebor_boot(machine, cma_bytes=32 * MIB, features=EreborFeatures(
+        translation_cache=setting != "cache-off"))
     clock = machine.clock
     install(clock, trace=setting == "flight",
             metrics=setting != "bare", flight=setting == "flight")
@@ -84,7 +88,6 @@ def observed(system, task):
     """Every piece of simulated state a fault can touch."""
     clock = system.machine.clock
     kernel = system.kernel
-    mmu = system.machine.cpu.mmu
     tracer = clock.tracer
     return {
         "tags": [(lane, list(tags.items()))
@@ -100,13 +103,16 @@ def observed(system, task):
         "confined_mapping": list(system.monitor.vmmu.confined_mapping.items()),
         "audit_head": system.monitor.audit_head,
         "audit_seq": system.monitor.audit_seq,
-        "tlb": (mmu.tlb_hits, mmu.tlb_misses),
         "trace": chrome_trace(tracer) if tracer.enabled else None,
     }
 
 
 def touch_twins(setting, kind, *, write, stride):
-    """Set up both twins identically; touch with and without runs."""
+    """Set up both twins identically; touch with and without runs.
+
+    Each result is ``(faults, observed state, pages the leaf-table pass
+    resolved during the compared touch)``.
+    """
     results = []
     for touch in ("touch_pages", "reference"):
         system = boot(setting)
@@ -117,6 +123,8 @@ def touch_twins(setting, kind, *, write, stride):
             kernel.touch_pages(task, vma.start + page * stride, PAGE_SIZE)
         fn = (kernel.touch_pages if touch == "touch_pages"
               else lambda *a, **k: reference_touch(kernel, *a, **k))
+        mmu = system.machine.cpu.mmu
+        run_pages = mmu.run_pages
         if setting == "on-cpu":
             with clock.on_cpu(1):
                 faults = fn(task, vma.start, vma.length, write=write,
@@ -124,20 +132,25 @@ def touch_twins(setting, kind, *, write, stride):
         else:
             faults = fn(task, vma.start, vma.length, write=write,
                         stride=stride)
-        results.append((faults, observed(system, task)))
+        results.append((faults, observed(system, task),
+                        mmu.run_pages - run_pages))
     return results
 
 
 @pytest.mark.parametrize("setting", ["metrics", "bare", "flight",
-                                     "serial-2", "on-cpu"])
-@pytest.mark.parametrize("stride", [PAGE_SIZE, 16 * PAGE_SIZE],
-                         ids=["4k", "64k"])
+                                     "serial-2", "on-cpu", "cache-off"])
+@pytest.mark.parametrize("stride",
+                         [PAGE_SIZE, 16 * PAGE_SIZE, 64 * PAGE_SIZE],
+                         ids=["4k", "64k", "256k"])
 @pytest.mark.parametrize("kind", ["locked", "unlocked", "native"])
 @pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
 def test_fault_run_matches_per_fault_handling(setting, stride, kind, write):
-    (faults, burst), (ref_faults, reference) = touch_twins(
-        setting, kind, write=write, stride=stride)
+    (faults, burst, passed), (ref_faults, reference, ref_passed) = (
+        touch_twins(setting, kind, write=write, stride=stride))
     assert faults == ref_faults == PAGES - len(PRETOUCHED)
+    # with the TLB off every page takes the per-page path
+    assert (passed > 0) == (setting != "cache-off") and ref_passed == 0
+    assert list(burst) == list(reference) and "trace" in reference
     for key in reference:
         assert burst[key] == reference[key], key
 

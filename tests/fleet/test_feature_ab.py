@@ -56,6 +56,7 @@ def certified():
             "certificates": system.fleet_certificates,
             "trace_digests": index.digests(),
             "tlb_hits": system.machine.cpu.mmu.tlb_hits,
+            "run_pages": system.machine.cpu.mmu.run_pages,
             "sb_exec": system.machine.cpu.tcache.sb_exec,
         }
     return arms
@@ -81,8 +82,10 @@ def test_translation_cache_changes_no_simulated_output(certified):
     assert on["report"].certs
     assert on["trace_digests"] == off["trace_digests"]
     assert on["trace_digests"]
-    # the cache-on arm exercised the TLB; the off arm used neither cache
-    assert on["tlb_hits"] > 0
+    # the cache-on arm passed pages through the MMU's leaf-table pass; the
+    # off arm checked every page alone and used neither cache
+    assert on["run_pages"] > 0
+    assert off["run_pages"] == 0
     assert off["tlb_hits"] == 0 and off["sb_exec"] == 0
 
 

@@ -196,14 +196,14 @@ def test_forked_session_serves_through_real_channel(system, template):
 
 def test_common_region_stops_recording_mappings_at_seal(monkeypatch):
     """Only mappings made while a region is writable can need revoking at
-    its seal: the read-only ones forks take afterwards are not kept."""
+    its seal: the seal drops the record, and the read-only mappings forks
+    take afterwards are not kept."""
     at_seal = {}
     seal = NestedMmu.seal_common_region
 
     def recording_seal(vmmu, name):
-        rewritten = seal(vmmu, name)
         at_seal[name] = len(vmmu.common_regions[name].mappings)
-        return rewritten
+        return seal(vmmu, name)
 
     monkeypatch.setattr(NestedMmu, "seal_common_region", recording_seal)
     report, system = run_fleet(**dict(LLAMA_FLEET_PARAMS, clients=2,
@@ -214,4 +214,4 @@ def test_common_region_stops_recording_mappings_at_seal(monkeypatch):
     for name, region in regions.items():
         assert not region.writable
         assert at_seal[name] > 0
-        assert len(region.mappings) == at_seal[name], name
+        assert region.mappings == [], name

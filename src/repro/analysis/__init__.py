@@ -34,8 +34,7 @@ validation):
   unseeded randomness, observability read-only on the clock, ordered hash
   preimages, no blanket excepts, per-CPU cycle charging in fleet code,
   shared scheduler state committed only on the serial core-ordered
-  path), with a count-based ratchet (:mod:`repro.analysis.ratchet`) for
-  grandfathered findings.
+  path); any finding fails it.
 
 CLI: ``python -m repro.analysis {verify,dataflow,lint,report}``.
 """
@@ -50,7 +49,6 @@ from .absint import (
 )
 from .cfg import BasicBlock, ControlFlowGraph, Edge, build_cfg
 from .lint import LintFinding, RULES, lint_paths, lint_source
-from .ratchet import Ratchet, apply_ratchet, default_ratchet_path
 from .thunks import GateCallSite, parse_gate_call_site, thunk_templates
 from .verifier import (
     CHECKS,
@@ -64,7 +62,6 @@ __all__ = [
     "DATAFLOW_CHECKS", "DataflowReport", "DataflowVerifier", "StaticBudget",
     "BasicBlock", "ControlFlowGraph", "Edge", "build_cfg",
     "LintFinding", "RULES", "lint_paths", "lint_source",
-    "Ratchet", "apply_ratchet", "default_ratchet_path",
     "GateCallSite", "parse_gate_call_site", "thunk_templates",
     "CHECKS", "CheckResult", "Finding", "StaticVerifier", "VerifierReport",
 ]

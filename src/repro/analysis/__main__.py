@@ -18,10 +18,7 @@ file that cannot be read or parsed prints ``error: ...`` and exits 2.
 
 ``lint``
     Run rules D1–D7 over paths (default: the installed ``repro``
-    package), applying the in-tree ratchet. ``--update`` (alias
-    ``--update-ratchet``) regenerates the ratchet from current findings,
-    carrying existing rationales (D1/D2 never ratchetable). Exit 1 on
-    any non-waived finding.
+    package). Exit 1 on any finding.
 
 ``report``
     One JSON document combining kernel verification (both pipeline
@@ -41,7 +38,6 @@ from ..kernel.instrument import instrument_image
 from .attacks import attack_corpus, dataflow_attack_corpus
 from .lint import RULES, lint_paths
 from .pipeline import CFG_PASS, DATAFLOW_PASS, verify_kernel
-from .ratchet import Ratchet, default_ratchet_path
 
 #: pass → the seeded attack corpus its ``--self-check`` replays
 _CORPUS = {CFG_PASS: attack_corpus, DATAFLOW_PASS: dataflow_attack_corpus}
@@ -133,29 +129,12 @@ def _cmd_pass(args) -> int:
 
 def _cmd_lint(args) -> int:
     paths = args.paths or [str(Path(__file__).resolve().parents[1])]
-    ratchet_path = Path(args.ratchet) if args.ratchet \
-        else default_ratchet_path()
-    if args.update_ratchet:
-        findings, _ = lint_paths(paths, ratchet=None)
-        previous = Ratchet.load(ratchet_path)
-        ratchet = Ratchet.from_findings(findings, previous=previous)
-        ratchet.save(ratchet_path)
-        unr = [f for f in findings if f.rule in ("D1", "D2")]
-        print(f"ratchet written to {ratchet_path} "
-              f"({len(ratchet.entries)} entries)")
-        for f in unr:
-            print(f"UNRATCHETABLE {f}")
-        return 1 if unr else 0
-    ratchet = Ratchet.load(ratchet_path)
-    kept, waived = lint_paths(paths, ratchet=ratchet)
-    for f in kept:
+    findings = lint_paths(paths)
+    for f in findings:
         print(f)
-    if waived and args.show_waived:
-        for f in waived:
-            print(f"waived: {f}")
-    print(f"{len(kept)} finding(s), {len(waived)} waived "
+    print(f"{len(findings)} finding(s) "
           f"(rules: {', '.join(sorted(RULES))})")
-    return 1 if kept else 0
+    return 1 if findings else 0
 
 
 def _cmd_report(args) -> int:
@@ -164,12 +143,10 @@ def _cmd_report(args) -> int:
                          in verify_kernel(_load_image(None),
                                            dataflow=True))
     payload["dataflow"] = dataflow
-    ratchet = Ratchet.load(default_ratchet_path())
     paths = args.paths or [str(Path(__file__).resolve().parents[1])]
-    kept, waived = lint_paths(paths, ratchet=ratchet)
+    findings = lint_paths(paths)
     payload["lint"] = {
-        "kept": [f.__dict__ for f in kept],
-        "waived": [f.__dict__ for f in waived],
+        "findings": [f.__dict__ for f in findings],
         "rules": RULES,
     }
     blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -178,7 +155,7 @@ def _cmd_report(args) -> int:
         print(f"report written to {args.out}")
     else:
         print(blob, end="")
-    ok = not kept and all(
+    ok = not findings and all(
         part["kernel"]["ok"] and all(map(_attack_ok, part["attacks"]))
         for part in (payload, payload["dataflow"]))
     return 0 if ok else 1
@@ -210,13 +187,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("lint", help="run discipline rules D1-D7")
     p.add_argument("paths", nargs="*", help="files/dirs "
                    "(default: the repro package)")
-    p.add_argument("--ratchet", help="ratchet file "
-                   "(default: the in-tree one)")
-    p.add_argument("--update", "--update-ratchet", action="store_true",
-                   dest="update_ratchet",
-                   help="regenerate the ratchet from current findings "
-                        "(rationales carried over)")
-    p.add_argument("--show-waived", action="store_true")
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser("report", help="combined verify+lint JSON")

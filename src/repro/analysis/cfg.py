@@ -102,16 +102,6 @@ class ControlFlowGraph:
     def aligned(self, va: int) -> bool:
         return (va - self.section_va) % INSTR_SIZE == 0
 
-    def block_table(self) -> list[int]:
-        """Block-head VAs in ascending order.
-
-        This is the export the hardware translation cache consumes: each
-        entry names the start of one verified basic block, ready to be
-        pre-decoded into a superblock
-        (:meth:`repro.hw.translate.TranslationCache.preload`).
-        """
-        return sorted(self.blocks)
-
     def reachable_from(self, entry: int) -> set[int]:
         """Block VAs reachable from ``entry`` along recovered edges."""
         out: dict[int, list[int]] = {}
@@ -157,9 +147,8 @@ def build_cfg(data: bytes, va: int) -> ControlFlowGraph:
     """Recover the CFG of one executable section.
 
     Memoized per ``(data, va)``, the way :func:`~repro.analysis.thunks.
-    thunk_templates` is: both boot-time passes and the translation
-    cache's preload read one decode of each section, so callers must
-    treat the returned graph as read-only.
+    thunk_templates` is: both boot-time passes read one decode of each
+    section, so callers must treat the returned graph as read-only.
 
     Block leaders are the section start, every direct branch target that
     lands in-section and aligned (out-of-range targets are left to the

@@ -50,8 +50,7 @@ D7    fleet-commit-       mutations of scheduler/pool *shared* state
                           serial order is established another way
 ====  ==================  ===================================================
 
-Findings can be grandfathered through :mod:`repro.analysis.ratchet`; the
-tree itself ships lint-clean.
+The tree ships lint-clean, and any finding fails the lint.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 
-#: rule ID → short name (stable; referenced by the ratchet file and CI)
+#: rule ID → short name (stable; referenced by CI)
 RULES = {
     "D1": "wall-clock",
     "D2": "obs-read-only",
@@ -352,15 +351,12 @@ def _norm_rel(path: Path) -> str:
     return path.as_posix()
 
 
-def lint_paths(paths: list, ratchet=None) -> tuple[list[LintFinding],
-                                                   list[LintFinding]]:
-    """Lint files/trees; returns ``(kept, waived)`` after the ratchet.
+def lint_paths(paths: list) -> list[LintFinding]:
+    """Lint files/trees; returns every finding.
 
     ``paths`` may mix files and directories; directories are walked for
     ``*.py`` in sorted order so output ordering is deterministic.
     """
-    from .ratchet import apply_ratchet
-
     files: list[Path] = []
     for p in paths:
         p = Path(p)
@@ -371,6 +367,4 @@ def lint_paths(paths: list, ratchet=None) -> tuple[list[LintFinding],
     findings: list[LintFinding] = []
     for f in files:
         findings.extend(lint_source(f.read_text(), _norm_rel(f)))
-    if ratchet is None:
-        return findings, []
-    return apply_ratchet(findings, ratchet)
+    return findings

@@ -16,14 +16,13 @@ via the monitor instance held here.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NoReturn
 
 from ..hw import regs
 from ..hw.cycles import Cost
 from ..hw.isa import scan_for_sensitive
-from ..hw.memory import pages_for
+from ..hw.memory import FramePool, pages_for
 from ..kernel.image import SelfImage
 from ..kernel.kernel import GuestKernel
 from ..kernel.ops import PrivilegedOps
@@ -200,9 +199,9 @@ class EreborMonitor:
         #: kind → pre-resolved ``erebor_emc_cycles`` histogram handle
         self._emc_handles = HandleCache()
         #: free confined frames, taken from the left in allocation order
-        self._cma_pool: deque[int] = deque()
-        self._shared_io: list[int] = []
-        self._shared_io_set: set[int] = set()
+        self._cma_pool = FramePool(self.phys, range(0), "cma")
+        #: the device-shared I/O window's frames
+        self._shared_io = range(0)
         cma = cma_bytes if cma_bytes is not None else self.CMA_BYTES_DEFAULT
         self._cma_bytes = cma
         self.installed = False
@@ -216,12 +215,11 @@ class EreborMonitor:
         # monitor's own frames (code/data/stacks model)
         self.phys.alloc_frames(64, "monitor")
         # CMA-style reserved pool for sandbox confined memory (pinned)
-        self._cma_pool = deque(self.phys.alloc_frames(
-            pages_for(self._cma_bytes), "cma", contiguous=True))
+        self._cma_pool = FramePool(self.phys, self.phys.alloc_range(
+            pages_for(self._cma_bytes), "cma"), "cma")
         # the only region ever convertible to shared (device I/O window)
-        self._shared_io = self.phys.alloc_frames(
-            pages_for(self.SHARED_IO_BYTES), "shm-io", contiguous=True)
-        self._shared_io_set = set(self._shared_io)
+        self._shared_io = self.phys.alloc_range(
+            pages_for(self.SHARED_IO_BYTES), "shm-io")
         # privileged-mode CPU state: PKS/CET/SMEP/SMAP on, kernel PKRS
         self.cpu.crs[4] |= (regs.CR4_SMEP | regs.CR4_SMAP | regs.CR4_PKS
                             | regs.CR4_CET)
@@ -320,14 +318,6 @@ class EreborMonitor:
         kernel.boot()
         self.machine.vmm.interrupt_sink = lambda vector: kernel.pump()
         self.machine.kernel = kernel
-        if self.cpu.tcache.enabled:
-            # CFG-keyed pre-translation: preload reads the passes' memoized
-            # CFGs and builds each block head's superblock now instead of
-            # at first execution (host-plane only; blocks whose VAs the
-            # kernel has not mapped are skipped)
-            for section in image.executable_sections():
-                self.cpu.tcache.preload(kernel.kernel_aspace, section.va,
-                                        section.data)
         return kernel
 
     # ------------------------------------------------------------------ #
@@ -470,17 +460,10 @@ class EreborMonitor:
             raise MemoryError(
                 f"confined pool exhausted (want {count}, "
                 f"have {len(self._cma_pool)})")
-        pool = self._cma_pool
-        frames = [pool.popleft() for _ in range(count)]
-        for fn in frames:
-            self.phys.frame(fn).owner = owner
-        return frames
+        return self._cma_pool.take(count, owner)
 
     def return_cma_frames(self, frames: list[int]) -> None:
-        for fn in frames:
-            self.phys.zero_frame(fn)
-            self.phys.frame(fn).owner = "cma"
-        self._cma_pool.extend(frames)
+        self._cma_pool.give(frames)
 
     def shared_io_window(self) -> list[int]:
         return list(self._shared_io)
@@ -641,7 +624,7 @@ class MonitorOps(PrivilegedOps):
         try:
             validate_ghci("map_gpa")
             if shared:
-                window = self.monitor._shared_io_set
+                window = self.monitor._shared_io
                 for fn in range(fn_start, fn_start + count):
                     if fn not in window:
                         raise PolicyViolation(

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..hw.cycles import Cost, CycleClock
-from ..hw.memory import PAGE_SHIFT, PhysicalMemory
+from ..hw.memory import PAGE_SHIFT, PhysicalMemory, frame_runs
 from ..hw.paging import (
     HUGE_PAGE_FRAMES,
     PTE_NX,
@@ -120,17 +120,23 @@ class NestedMmu:
         (the single-mapping rule would forbid sharing them), which is
         safe because a template is sealed before any client data exists.
         """
-        for fn in frames:
-            prior = self.template_frames.get(fn)
-            if prior is not None and prior != name:
-                raise PolicyViolation(
-                    f"frame {fn:#x} already belongs to template {prior!r}")
-            if fn in self.confined_owner:
-                raise PolicyViolation(
-                    f"frame {fn:#x} still confined to sandbox "
-                    f"{self.confined_owner[fn]}; release before sealing")
-            self.template_frames[fn] = name
-            self.phys.frame(fn).owner = f"template:{name}"
+        adopted = 0
+        try:
+            for fn in frames:
+                prior = self.template_frames.get(fn)
+                if prior is not None and prior != name:
+                    raise PolicyViolation(
+                        f"frame {fn:#x} already belongs to template {prior!r}")
+                if fn in self.confined_owner:
+                    raise PolicyViolation(
+                        f"frame {fn:#x} still confined to sandbox "
+                        f"{self.confined_owner[fn]}; release before sealing")
+                self.template_frames[fn] = name
+                adopted += 1
+        finally:
+            # a refused frame leaves the ones before it adopted
+            for a, b in frame_runs(frames[:adopted]):
+                self.phys.set_owner(a, b, f"template:{name}")
 
     def release_template(self, name: str) -> list[int]:
         """Drop a template's frames from the registry; returns them."""
@@ -145,8 +151,8 @@ class NestedMmu:
             raise PolicyViolation(f"common region {name!r} already exists")
         region = CommonRegion(name, frames, initializer=initializer)
         self.common_regions[name] = region
-        for fn in frames:
-            self.phys.frame(fn).owner = f"common:{name}"
+        for a, b in frame_runs(frames):
+            self.phys.set_owner(a, b, f"common:{name}")
         return region
 
     # ------------------------------------------------------------------ #
@@ -178,33 +184,51 @@ class NestedMmu:
         run (:class:`repro.core.exits.MonitorFaultRun`) books the PTE
         writes of its whole run at once.
         """
-        self._validate_mapping(aspace, va, pte)
-        self._set_pte(aspace, va, pte)
+        owner = self._validate_mapping(aspace, va, pte)
+        aspace.set_pte(va, pte)
+        self._record(aspace, va, pte_frame(pte), owner)
+
+    def admit_page(self, aspace: AddressSpace, va: int, pte: int) -> None:
+        """:meth:`map_page` without the install: the policy checks and
+        the single-mapping record, in the same order. The caller writes
+        ``pte`` into the leaf table it holds (see
+        :meth:`repro.hw.mmu.Mmu.check_run`)."""
+        self._record(aspace, va, pte_frame(pte),
+                     self._validate_mapping(aspace, va, pte))
 
     def _set_pte(self, aspace: AddressSpace, va: int, pte: int) -> None:
         aspace.set_pte(va, pte)
         fn = pte_frame(pte)
-        frame = self.phys.frame(fn)
-        if frame.owner.startswith("confined") or fn in self.confined_owner:
+        self._record(aspace, va, fn, self.phys.owner_of(fn))
+
+    def _record(self, aspace: AddressSpace, va: int, fn: int,
+                owner: str) -> None:
+        """Note the mapping of a confined frame (the C6 single-mapping
+        registry)."""
+        if owner.startswith("confined") or fn in self.confined_owner:
             self.confined_mapping[fn] = (aspace.root_fn, va)
 
-    def _validate_mapping(self, aspace: AddressSpace, va: int, pte: int) -> None:
+    def _validate_mapping(self, aspace: AddressSpace, va: int, pte: int) -> str:
+        """Refuse ``pte`` at ``va`` if it breaks a mapping policy; returns
+        the mapped frame's owner tag. A frame without a built
+        :class:`~repro.hw.memory.Frame` has no type flags."""
         fn = pte_frame(pte)
-        frame = self.phys.frame(fn)
+        owner = self.phys.owner_of(fn)      # raises outside memory
+        frame = self.phys.frames.get(fn)
         writable = bool(pte & PTE_W)
         user = bool(pte & PTE_U)
         executable = not pte & PTE_NX
 
-        if frame.owner == "monitor":
+        if owner == "monitor":
             raise PolicyViolation(
                 f"mapping monitor frame {fn:#x} into {aspace.name} refused")
-        if frame.is_page_table and writable:
+        if frame is not None and frame.is_page_table and writable:
             raise PolicyViolation(
                 f"writable mapping of page-table frame {fn:#x} refused")
-        if frame.is_shadow_stack and writable:
+        if frame is not None and frame.is_shadow_stack and writable:
             raise PolicyViolation(
                 f"writable mapping of shadow-stack frame {fn:#x} refused")
-        if frame.owner == "ktext":
+        if owner == "ktext":
             if writable:
                 raise PolicyViolation(
                     f"W^X: writable mapping of kernel text frame {fn:#x} refused")
@@ -230,7 +254,6 @@ class NestedMmu:
                     f"double mapping of confined frame {fn:#x} refused "
                     f"(already mapped at {existing[1]:#x})")
 
-        owner = frame.owner
         region = (self.common_regions.get(owner[7:])
                   if owner.startswith("common:") else None)
         if region is not None and writable and not region.writable:
@@ -241,12 +264,7 @@ class NestedMmu:
             # a sealed region refuses writable mappings, so the
             # read-only ones made after the seal need no revocation
             region.mappings.append((aspace, va & ~0xFFF))
-
-    def _region_of(self, fn: int) -> CommonRegion | None:
-        owner = self.phys.frame(fn).owner
-        if owner.startswith("common:"):
-            return self.common_regions.get(owner.split(":", 1)[1])
-        return None
+        return owner
 
     # ------------------------------------------------------------------ #
     # huge pages and forced splitting (paper §7 future work)
@@ -321,7 +339,8 @@ class NestedMmu:
         region = self.common_regions[name]
         region.writable = False
         owner = f"common:{name}"
-        frames = self.phys.frames
+        owner_of = self.phys.owner_of
+        num_frames = self.phys.num_frames
         #: (root, 2 MiB region) → its leaf table (see :meth:`_leaf_table`)
         tables: dict[tuple[int, int], tuple | None] = {}
         rewritten = 0
@@ -337,9 +356,8 @@ class NestedMmu:
             # a duplicate mapping finds W already cleared
             if data[off] & (PTE_P | PTE_W) != PTE_P | PTE_W:
                 continue
-            frame = frames.get(pte_frame(
-                int.from_bytes(data[off:off + 8], "little")))
-            if frame is not None and frame.owner == owner:
+            fn = pte_frame(int.from_bytes(data[off:off + 8], "little"))
+            if fn < num_frames and owner_of(fn) == owner:
                 data[off] &= ~PTE_W & 0xFF
                 table.version += 1
                 rewritten += 1

@@ -231,8 +231,8 @@ class Sandbox:
         fn = backing.private.get(page)
         if fn is None and write:
             [fn] = monitor.take_cma_frames(1, f"sandbox:{self.sandbox_id}")
-            src = monitor.phys.frame(backing.template_frames[page])
-            if src.data is not None:
+            src = monitor.phys.peek(backing.template_frames[page])
+            if src is not None and src.data is not None:
                 monitor.phys.write(fn << PAGE_SHIFT, bytes(src.data))
             clock.charge(Cost.COPY_PER_PAGE_NATIVE, "cow_copy")
             monitor.vmmu.declare_confined(self.sandbox_id, [fn])

@@ -31,13 +31,22 @@ def _subkeys(key: bytes) -> tuple[bytes, bytes]:
 
 
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
-    out = b""
-    counter = 0
-    while len(out) < length:
-        out += hmac.new(enc_key, nonce + counter.to_bytes(4, "big"),
-                        hashlib.sha256).digest()
-        counter += 1
-    return out[:length]
+    # one HMAC keyed with enc_key and fed the nonce; each block copies
+    # that state and adds only its 4-byte counter
+    keyed = hmac.new(enc_key, nonce, hashlib.sha256)
+    blocks = []
+    for counter in range((length + 31) // 32):
+        block = keyed.copy()
+        block.update(counter.to_bytes(4, "big"))
+        blocks.append(block.digest())
+    return b"".join(blocks)[:length]
+
+
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data`` XOR ``stream`` (same length), as one integer operation."""
+    n = len(data)
+    return (int.from_bytes(data, "little")
+            ^ int.from_bytes(stream, "little")).to_bytes(n, "little")
 
 
 def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
@@ -45,7 +54,7 @@ def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
     if len(nonce) != NONCE_LEN:
         raise AeadError(f"nonce must be {NONCE_LEN} bytes")
     enc_key, mac_key = _subkeys(key)
-    ct = bytes(p ^ k for p, k in zip(plaintext, _keystream(enc_key, nonce, len(plaintext))))
+    ct = _xor(plaintext, _keystream(enc_key, nonce, len(plaintext)))
     tag = hmac.new(mac_key, nonce + len(aad).to_bytes(4, "big") + aad + ct,
                    hashlib.sha256).digest()
     return ct + tag
@@ -63,7 +72,7 @@ def open_(key: bytes, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
                     hashlib.sha256).digest()
     if not hmac.compare_digest(good, tag):
         raise AeadError("authentication failed")
-    return bytes(c ^ k for c, k in zip(ct, _keystream(enc_key, nonce, len(ct))))
+    return _xor(ct, _keystream(enc_key, nonce, len(ct)))
 
 
 @dataclass

@@ -3,7 +3,8 @@ plane totals, and the kernel verification pipeline's report digests.
 
 The one copy every test checks. A digest change means the cycle model or
 the commit order moved; a plane change names the plane a cycle moved
-into or out of. Re-pin them together, here only (last re-pin: the
+into or out of; a machine-state change means page tables, owner tags or
+frame bytes came out different. Re-pin them together, here only (last re-pin: the
 boot-time CFG verifier's ``verify:cfg`` cycles moved total_cycles).
 Also home to the seeded llama fleet the tests and benches run.
 """
@@ -20,6 +21,12 @@ LLAMA_FLEET_PARAMS = dict(workload="llama.cpp", clients=8, requests=2,
 #: ``FleetReport.digest()`` of ``run_fleet(**LLAMA_FLEET_PARAMS)``
 LLAMA_PINNED = \
     "cc34de723489acaa3764083e634c2d61d34660f010b4b1a22e5f5f22755a3091"
+
+#: ``tests/machine_state.py::machine_state_digest`` of the system
+#: ``run_fleet(**LLAMA_FLEET_PARAMS)`` leaves behind: its present leaf
+#: PTEs, owner tags and non-zero frame bytes
+LLAMA_STATE_PINNED = \
+    "cf82cf30ededdb1f6d19dad5a220752e6de3945016f1fbf66d7784c6f0e8bd2f"
 
 #: ``FleetReport.ledger["planes"]`` of ``run_fleet(**LLAMA_FLEET_PARAMS)``
 LLAMA_PLANES = {
@@ -39,6 +46,11 @@ SMP_PINNED = {
     2: "b5c4370350c831ad6ec9ac795b5410edbd48cf02f7346793dc197d922da0ae65",
     4: "b214646e8d839a90c3009b6b798166eb32510827d660194249e7d48a6e5e54ff",
 }
+
+#: the machine-state digest (as ``LLAMA_STATE_PINNED``) of the 2-core
+#: ``run_fleet(n_cpus=2, **SMP_PARAMS)``
+SMP_STATE_PINNED = \
+    "8ff6bfd37917da8a008252fd32beaca61766eaca62e1700efdc250ff30e52bce"
 
 #: ``FleetReport.ledger["planes"]`` of ``run_fleet(**SMP_PARAMS)``, the
 #: same at every pinned core count: placement moves cycles between lanes,

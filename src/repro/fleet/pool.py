@@ -256,7 +256,8 @@ class WarmPool:
                 scan.update(vma.backing.template_frames)
         phys = self.system.monitor.phys
         for fn in sorted(scan):
-            data = phys.frame(fn).data
+            frame = phys.peek(fn)
+            data = None if frame is None else frame.data
             if data is None:
                 continue
             for pattern in patterns:

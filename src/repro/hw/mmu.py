@@ -80,9 +80,10 @@ def _denial(pte: int, hit_fn: int, phys: PhysicalMemory, access: str,
 
     Returns ``(why, pkey_violation)`` — ``why`` is the fault description
     without its address — or None when the access passes. ``hit_fn`` is
-    the 4 KiB frame the access lands on; it is looked up (and so created,
-    like any first touch) only once steps 2-5 have passed. The one copy
-    of the rules :meth:`Mmu.check` and :meth:`Mmu.check_run` apply.
+    the 4 KiB frame the access lands on; it is looked up only once steps
+    2-5 have passed, and one with no built frame has no shadow-stack
+    flag. The one copy of the rules :meth:`Mmu.check` and
+    :meth:`Mmu.check_run` apply.
     """
     user = ctx.mode == USER_MODE
     is_user_page = bool(pte & PTE_U)
@@ -98,14 +99,15 @@ def _denial(pte: int, hit_fn: int, phys: PhysicalMemory, access: str,
     if access == "exec" and pte & PTE_NX:
         return "NX: fetch from no-execute page", False
 
-    frame = phys.frame(hit_fn)
+    frame = phys.peek(hit_fn)
+    shadow = frame is not None and frame.is_shadow_stack
     if access == "write":
-        if frame.is_shadow_stack != ctx.shadow_stack_op:
+        if shadow != ctx.shadow_stack_op:
             return "shadow-stack write discipline violated at", False
         if not pte & PTE_W and not ctx.shadow_stack_op:
             if user or ctx.cr0 & regs.CR0_WP:
                 return "write to read-only page", False
-    elif ctx.shadow_stack_op and not frame.is_shadow_stack:
+    elif ctx.shadow_stack_op and not shadow:
         return "shadow-stack read from normal page", False
 
     # PKS applies to supervisor pages accessed in supervisor mode (data
@@ -253,34 +255,42 @@ class Mmu:
 
         The leaf-table pass reads each page's PTE from its table's live
         bytes and passes every present 4 KiB page that :func:`_denial`
-        clears, setting the A/D bits :meth:`check` would set, through
-        ``phys.write_u64``. Every other page goes to
-        ``visit(page_va, passed, missing)``, where ``passed`` counts the
-        pages passed since the previous visit:
+        clears, setting the A/D bits :meth:`check` would set. Every other
+        page goes to ``visit(page_va, passed, missing, held)``, where
+        ``passed`` counts the pages passed since the previous visit.
+        ``visit`` returns the PTE a fault run resolved the page with, or
+        0 when it resolved none:
 
         * a not-present page arrives with ``missing`` True and raises no
-          :class:`PageFault`. If ``visit`` returns True it installed the
-          page through a fault run, and the pass applies the A/D update
-          the re-check would have made (or runs that :meth:`check`, which
-          raises, when the installed page breaks a rule) and counts the
-          page as passed;
+          :class:`PageFault`. When the page has a leaf table, which the
+          pass holds, ``held`` is True: the fault run only validates the
+          PTE, and the pass writes it into the table with the A/D bits
+          the re-check would set, in one write. Without a table the
+          fault run installs the page itself and the pass makes the
+          re-check's A/D update. Either way, a PTE that breaks a rule
+          gets the re-check, :meth:`check`, which raises; the page
+          counts as passed;
         * anything else — a huge (PS) leaf, a permission fault, a missing
           page ``visit`` handled itself — is the caller's per-page
-          :meth:`check`; ``visit`` returns False and the pass re-walks.
+          :meth:`check`; ``visit`` returns 0 and the pass re-walks.
 
-        With the TLB off every page is visited, as the per-page reference.
-        Returns the pages passed after the last visit. Charges nothing:
-        a walk costs zero cycles.
+        A frame with no built :class:`~repro.hw.memory.Frame` has no
+        flags, so its verdict is memoized like any other. With the TLB
+        off every page is visited, as the per-page reference. Returns
+        the pages passed after the last visit. Charges nothing: a walk
+        costs zero cycles.
         """
         if not self.tlb_enabled:
             while va < end:
-                visit(va, 0, False)
+                visit(va, 0, False, False)
                 va += stride
             return 0
         phys = self.phys
         write_u64 = phys.write_u64
         frame_of = phys.frames.get
         read = _PTE.unpack_from
+        write = _PTE.pack_into
+        num_frames = phys.num_frames
         ad = PTE_A | (PTE_D if access == "write" else 0)
         #: memo over the bits a verdict reads (P, known set, stands in for
         #: the frame's shadow-stack flag): the A/D bits the access still
@@ -292,7 +302,7 @@ class Mmu:
                 slot = aspace.leaf_slot(va)
                 if slot is None:
                     # no leaf table yet: the page is not present
-                    installed = visit(va, passed - seen, True)
+                    installed = visit(va, passed - seen, True, False)
                     seen = passed
                     if installed:
                         self.check(aspace, va, access, ctx)
@@ -304,7 +314,7 @@ class Mmu:
                 data = table.data or _EMPTY_TABLE
                 if read(data, slot.index << 3)[0] & _HUGE == _HUGE:
                     # a huge leaf: the per-page path
-                    visit(va, passed - seen, False)
+                    visit(va, passed - seen, False, False)
                     seen = passed
                     va += stride
                     continue
@@ -314,38 +324,46 @@ class Mmu:
                     pte = read(data, off)[0]
                     missing = not pte & PTE_P
                     if missing:
-                        installed = visit(va, passed - seen, True)
+                        # validated by the fault run; the pass installs it
+                        pte = visit(va, passed - seen, True, True)
                         seen = passed
-                        if not installed:
+                        if not pte:
                             va += stride
                             break
-                        # installed by the fault run: the re-check's A/D
-                        # update, on live bytes (a handler may rewrite
-                        # other PTEs or replace the bytearray)
-                        data = table.data or _EMPTY_TABLE
-                        pte = read(data, off)[0]
-                    frame = frame_of((pte & PTE_FRAME_MASK) >> 12)
-                    if frame is None:
-                        sets = -1       # a first touch: check creates it
+                    fn = (pte & PTE_FRAME_MASK) >> 12
+                    frame = frame_of(fn)
+                    if frame is None and fn >= num_frames:
+                        sets = -1       # outside memory: check raises
                     else:
-                        key = pte & _VERDICT_BITS | frame.is_shadow_stack
+                        key = pte & _VERDICT_BITS | (
+                            frame is not None and frame.is_shadow_stack)
                         sets = verdicts.get(key)
                         if sets is None:
                             sets = verdicts[key] = (
                                 ad & ~pte if pte & _HUGE == PTE_P
-                                and _denial(pte, frame.fn, phys, access,
+                                and _denial(pte, fn, phys, access,
                                             ctx) is None else -1)
                     if sets < 0:
                         if missing:
-                            # the re-check, which raises as it would
+                            # the install, then the re-check, which
+                            # raises as it would
+                            write(table.materialize(), off, pte)
+                            table.version += 1
                             self.check(aspace, va, access, ctx)
                             passed += 1
                         else:
-                            visit(va, passed - seen, False)
+                            visit(va, passed - seen, False, False)
                             seen = passed
                         va += stride
                         break
-                    if sets:
+                    if missing:
+                        # the install with the re-check's A/D bits, in one
+                        # write to the live bytes (a handler may replace
+                        # the bytearray)
+                        data = table.materialize()
+                        write(data, off, pte | sets)
+                        table.version += 1
+                    elif sets:
                         write_u64(table_pa + off, pte | sets)
                     passed += 1
                     va += stride

@@ -64,10 +64,6 @@ class MicroMachine:
         self._map_region(va, max(pages_for(len(blob)), 1), flags,
                          owner or ("user" if user else "kernel"), pkey)
         self.write_phys(va, blob)
-        if self.cpu.tcache.enabled:
-            # pre-translate the basic blocks (attack corpora's undecodable
-            # bytes simply stay on the interpreted path)
-            self.cpu.tcache.preload(self.aspace, va, blob)
         return len(blob)
 
     def map_data(self, va: int, pages: int = 1, *, user: bool = False,

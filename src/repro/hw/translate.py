@@ -205,32 +205,3 @@ class TranslationCache:
         sb = Superblock(rip, tuple(instrs), witness)
         self.blocks[key] = sb
         return sb
-
-    # ------------------------------------------------------------------ #
-    # CFG preload
-    # ------------------------------------------------------------------ #
-
-    def preload(self, aspace: AddressSpace, va: int, code: bytes) -> int:
-        """Pre-translate every basic block of a verified code image.
-
-        Called after boot verified ``code`` mapped at ``va``: the CFG the
-        verifier recovered (memoized, so not decoded again) names each
-        block head, translated now instead of at first execution.
-        Returns the number of superblocks built; undecodable code builds
-        none. Purely host-plane: no cycles, no architectural state.
-        """
-        from ..analysis.cfg import CfgDecodeError, build_cfg
-
-        try:
-            cfg = build_cfg(code, va)
-        except CfgDecodeError:
-            return 0
-        built = 0
-        for block_va in cfg.block_table():
-            hit = aspace.translate(block_va)
-            if hit is None:
-                continue
-            key = (aspace.root_fn, block_va)
-            if self._build(aspace, block_va, hit[0], key) is not None:
-                built += 1
-        return built

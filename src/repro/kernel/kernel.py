@@ -98,7 +98,7 @@ class ExitPath:
 class FaultRun:
     """Resolves a run of demand faults inside one ``touch_pages`` call.
 
-    :meth:`fault` either declines a fault (returns False, nothing done)
+    :meth:`fault` either declines a fault (returns 0, nothing done)
     or resolves it exactly as :meth:`GuestKernel.handle_page_fault`
     would, deferring its clock charges; :meth:`flush` books what is
     deferred. ``touch_pages`` flushes before anything can observe the
@@ -106,14 +106,16 @@ class FaultRun:
     form declines every fault.
     """
 
-    def fault(self, va: int, write: bool, mem_pages: int) -> bool:
-        """Resolve the fault on page ``va``.
+    def fault(self, va: int, write: bool, mem_pages: int,
+              install: bool) -> int:
+        """Resolve the fault on page ``va``; returns its validated PTE.
 
         ``mem_pages`` is the count of page touches since the previous
         fault whose MEM charges the caller deferred; a run that takes the
-        fault books them too.
+        fault books them too. Without ``install`` the run writes no PTE:
+        the caller holds the leaf table and writes the returned one.
         """
-        return False
+        return 0
 
     def flush(self) -> None:
         """Book every deferred charge (no-op on an empty run)."""
@@ -439,10 +441,12 @@ class GuestKernel:
         faults = 0
         run = None
 
-        def visit(page_va: int, passed: int, missing: bool) -> bool:
+        def visit(page_va: int, passed: int, missing: bool,
+                  held: bool) -> int:
             """One page the MMU's leaf-table pass leaves to this loop;
-            True when the fault run installed it (the pass then applies
-            the re-check's A/D update and counts the touch as passed)."""
+            for a missing page, the PTE the fault run resolved it with
+            (installed, or left to the pass when it ``held`` the leaf
+            table), and the pass counts the touch as passed."""
             nonlocal pending, faults, run
             pending += passed
             if not missing:
@@ -452,14 +456,15 @@ class GuestKernel:
                     pass
                 else:
                     pending += 1
-                    return False
+                    return 0
             if run is None:
                 run = self.exit_path.fault_run(task)
             faults += 1
-            if run.fault(page_va, write, pending):
+            pte = run.fault(page_va, write, pending, not held)
+            if pte:
                 pending = 0
                 if missing:
-                    return True
+                    return pte
             else:
                 run.flush()
                 if pending:
@@ -468,7 +473,7 @@ class GuestKernel:
                 pending = 0
             check(aspace, page_va, access, ctx)
             pending = 1
-            return False
+            return 0
 
         try:
             rest = mmu.check_run(aspace, va & ~(PAGE_SIZE - 1), va + length,

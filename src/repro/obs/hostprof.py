@@ -56,7 +56,6 @@ SUBSYSTEMS: tuple[tuple[str, str, str], ...] = (
     ("cpu:run-loop", "repro.hw.cpu", "Cpu.run"),
     ("tcache:acquire", "repro.hw.translate", "TranslationCache.acquire"),
     ("tcache:build", "repro.hw.translate", "TranslationCache._build"),
-    ("tcache:preload", "repro.hw.translate", "TranslationCache.preload"),
     ("mmu:walk", "repro.hw.mmu", "Mmu.check"),
     ("mmu:walk", "repro.hw.mmu", "Mmu.check_run"),
     ("mmu:leaf-path", "repro.hw.paging", "AddressSpace.leaf_path"),

@@ -54,7 +54,8 @@ class HostVmm:
         """Host reads one guest-physical frame — only legal if shared."""
         if self.shared_oracle is None or not self.shared_oracle.is_shared(fn):
             raise PrivateMemoryError(f"frame {fn:#x} is TD-private")
-        data = self.phys.frame(fn).data
+        frame = self.phys.peek(fn)
+        data = None if frame is None else frame.data
         content = bytes(data) if data is not None else b"\x00" * PAGE_SIZE
         self.observe("shared_read", (fn, content))
         return content

@@ -50,25 +50,12 @@ def test_lint_flags_bad_file(tmp_path, capsys):
     assert "D1" in out
 
 
-def test_update_ratchet_roundtrip(tmp_path, capsys):
-    tree = tmp_path / "repro" / "legacy.py"
-    tree.parent.mkdir()
-    tree.write_text("try:\n    x = 1\nexcept Exception:\n    pass\n")
-    ratchet = tmp_path / "ratchet.json"
-    assert main(["lint", str(tree), "--ratchet", str(ratchet),
-                 "--update-ratchet"]) == 0
-    entries = json.loads(ratchet.read_text())
-    assert entries == {"D4|repro/legacy.py": 1}
-    # under the freshly written ratchet the same tree is clean
-    assert main(["lint", str(tree), "--ratchet", str(ratchet)]) == 0
-
-
 def test_report_bundle(tmp_path):
     out = tmp_path / "bundle.json"
     assert main(["report", REPRO_SRC, "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["kernel"]["ok"] is True
-    assert payload["lint"]["kept"] == []
+    assert payload["lint"]["findings"] == []
     assert payload["attacks"]
 
 

@@ -1,15 +1,10 @@
-"""Discipline-linter rules D1–D7 and the ratchet."""
+"""Discipline-linter rules D1–D7."""
 
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.lint import RULES, lint_paths, lint_source
-from repro.analysis.ratchet import (
-    Ratchet,
-    apply_ratchet,
-    default_ratchet_path,
-)
 
 REPRO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -148,48 +143,12 @@ def test_d5_scoped_to_fleet_only():
 
 
 # --------------------------------------------------------------------------- #
-# ratchet
-# --------------------------------------------------------------------------- #
-
-def test_ratchet_waives_counted_findings_lowest_lines_first():
-    src = ("try:\n    x = 1\nexcept Exception:\n    pass\n"
-           "try:\n    y = 2\nexcept Exception:\n    pass\n")
-    findings = lint_source(src, "repro/legacy.py")
-    assert len(findings) == 2
-    ratchet = Ratchet({"D4|repro/legacy.py": 1})
-    kept, waived = apply_ratchet(findings, ratchet)
-    assert len(kept) == 1 and len(waived) == 1
-    assert waived[0].line < kept[0].line
-
-
-def test_ratchet_never_waives_d1_d2():
-    findings = lint_source("import time\nt = time.time()\n", "repro/x.py")
-    ratchet = Ratchet({"D1|repro/x.py": 5})
-    kept, waived = apply_ratchet(findings, ratchet)
-    assert kept and not waived
-
-
-def test_ratchet_file_with_d1_entries_is_rejected(tmp_path):
-    bad = tmp_path / "ratchet.json"
-    bad.write_text('{"D1|repro/x.py": 3}')
-    with pytest.raises(ValueError):
-        Ratchet.load(bad)
-
-
-def test_shipped_ratchet_has_no_determinism_entries():
-    ratchet = Ratchet.load(default_ratchet_path())
-    for key in ratchet.entries:
-        assert not key.startswith(("D1|", "D2|"))
-
-
-# --------------------------------------------------------------------------- #
 # the tree itself
 # --------------------------------------------------------------------------- #
 
-def test_tree_lints_clean_under_shipped_ratchet():
-    ratchet = Ratchet.load(default_ratchet_path())
-    kept, _ = lint_paths([REPRO_SRC], ratchet=ratchet)
-    assert kept == [], "\n".join(str(f) for f in kept)
+def test_tree_lints_clean():
+    findings = lint_paths([REPRO_SRC])
+    assert findings == [], "\n".join(str(f) for f in findings)
 
 
 def test_rule_table_is_complete():
@@ -275,72 +234,5 @@ def test_d7_scoped_to_fleet_only():
 
 
 def test_d7_shipping_fleet_package_is_clean():
-    kept, waived = lint_paths([REPRO_SRC / "fleet"], ratchet=None)
-    assert [f for f in kept + waived if f.rule == "D7"] == []
-
-
-# --------------------------------------------------------------------------- #
-# ratchet hardening: per-rule-per-file entries, rationales, stable bytes
-# --------------------------------------------------------------------------- #
-
-def test_ratchet_entries_are_per_rule_per_file():
-    src = ("import hashlib, json\n"
-           "def f(d):\n"
-           "    try:\n"
-           "        return hashlib.sha256(json.dumps(d).encode())\n"
-           "    except Exception:\n"
-           "        pass\n")
-    findings = lint_source(src, "repro/legacy.py")
-    ratchet = Ratchet.from_findings(findings)
-    assert set(ratchet.entries) == \
-        {"D3|repro/legacy.py", "D4|repro/legacy.py"}
-    # a D4 allowance never soaks up a D3 finding in the same file
-    kept, waived = apply_ratchet(findings,
-                                 Ratchet({"D4|repro/legacy.py": 1}))
-    assert {f.rule for f in waived} == {"D4"}
-    assert {f.rule for f in kept} == {"D3"}
-
-
-def test_new_finding_in_clean_file_is_kept():
-    """The CI property: debt is frozen per (rule, file); a finding in a
-    previously-clean file fails the gate even with a fat ratchet."""
-    ratchet = Ratchet({"D4|repro/old.py": 99})
-    findings = lint_source("try:\n    x = 1\nexcept Exception:\n    pass\n",
-                           "repro/new.py")
-    kept, waived = apply_ratchet(findings, ratchet)
-    assert kept and not waived
-
-
-def test_ratchet_rationale_round_trip(tmp_path):
-    path = tmp_path / "ratchet.json"
-    Ratchet({"D4|repro/legacy.py": 2},
-            {"D4|repro/legacy.py": "pre-split exception sweep"}).save(path)
-    loaded = Ratchet.load(path)
-    assert loaded.entries == {"D4|repro/legacy.py": 2}
-    assert loaded.rationales == {"D4|repro/legacy.py":
-                                 "pre-split exception sweep"}
-    # bare-int legacy entries still parse
-    path.write_text('{"D4|repro/legacy.py": 2}')
-    assert Ratchet.load(path).entries == {"D4|repro/legacy.py": 2}
-
-
-def test_ratchet_update_carries_rationales():
-    findings = lint_source(
-        "try:\n    x = 1\nexcept Exception:\n    pass\n", "repro/legacy.py")
-    previous = Ratchet({"D4|repro/legacy.py": 5,
-                        "D4|repro/gone.py": 1},
-                       {"D4|repro/legacy.py": "historical",
-                        "D4|repro/gone.py": "stale"})
-    updated = Ratchet.from_findings(findings, previous=previous)
-    # count re-baselined to reality, rationale kept; paid-off debt drops
-    assert updated.entries == {"D4|repro/legacy.py": 1}
-    assert updated.rationales == {"D4|repro/legacy.py": "historical"}
-
-
-def test_ratchet_file_bytes_are_stable(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    Ratchet({"D4|z.py": 1, "D3|a.py": 2}, {"D3|a.py": "why"}).save(a)
-    Ratchet({"D3|a.py": 2, "D4|z.py": 1}, {"D3|a.py": "why"}).save(b)
-    assert a.read_bytes() == b.read_bytes()
-    keys = list(Ratchet.load(a).entries)
-    assert keys == sorted(keys)
+    findings = lint_paths([REPRO_SRC / "fleet"])
+    assert [f for f in findings if f.rule == "D7"] == []

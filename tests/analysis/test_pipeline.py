@@ -74,7 +74,7 @@ def test_boot_decodes_each_executable_section_once(monkeypatch):
         system = erebor_boot(CvmMachine(MachineConfig(memory_bytes=512 * MIB)),
                              cma_bytes=16 * MIB)
     assert system.monitor.kernel_dataflow_report.ok
-    # both passes and the translation-cache preload, across two boots
+    # both passes, across two boots
     assert decodes == [s.va for s in kernel().executable_sections()]
 
 

@@ -125,6 +125,18 @@ def test_boot_reserves_confined_pool_and_io_window():
     assert usage.get("monitor", 0) > 0
 
 
+def test_boot_builds_frames_only_for_what_holds_state():
+    """The llama-fleet machine (1 GiB, 512 MiB CMA): boot tags its
+    regions as extents and builds a frame object only for the kernel
+    text and the root page table, not one per frame of the pool."""
+    m = CvmMachine(MachineConfig(memory_bytes=1024 * MIB))
+    erebor_boot(m, cma_bytes=512 * MIB)
+    assert len(m.phys.frames) <= 16
+    assert m.phys.usage_by_owner() == {
+        "monitor": 64 * 4096, "cma": 512 * MIB,
+        "shm-io": EreborMonitor.SHARED_IO_BYTES, "ktext": 4096, "pt": 4096}
+
+
 def test_kernel_text_tagged_for_wx_policy():
     m = machine()
     erebor_boot(m, cma_bytes=16 * MIB)

@@ -43,9 +43,8 @@ def reference_seal(vmmu, name):
             continue
         seen.add((aspace.root_fn, va))
         pte = aspace.get_pte(va)
-        frame = vmmu.phys.frames.get(pte_frame(pte))
-        if (pte & PTE_P and pte & PTE_W and frame is not None
-                and frame.owner == f"common:{name}"):
+        if (pte & PTE_P and pte & PTE_W
+                and vmmu.phys.owner_of(pte_frame(pte)) == f"common:{name}"):
             aspace.set_pte(va, pte & ~PTE_W)
             vmmu.clock.charge(Cost.PTE_WRITE_NATIVE, "mmu_op")
             rewritten += 1

@@ -1,5 +1,6 @@
 """Unit + property tests for the crypto substrate."""
 
+import hashlib
 import random
 
 import pytest
@@ -180,6 +181,30 @@ def test_session_reorder_detected():
     r1, r2 = tx.seal(b"one"), tx.seal(b"two")
     with pytest.raises(AeadError):
         rx.open(r2)
+
+
+#: sha256 of ``seal`` over a fixed key, nonce, AAD and plaintext pattern,
+#: per plaintext length: around one keystream block, and a 1008-byte and
+#: a 4 KiB record
+SEAL_KAT = {
+    0: "c502d47748618a1bc68de8e854799d2a7e699cf32aefce06963718ae775884e5",
+    1: "8b310a7fdd62253f20bcd97a26242d13dbce48747aa2b2430a4f1c513d9ecd9c",
+    31: "c78133bf42d9c0c36230264e884bf2c316b9da446191f774893604ff3923d545",
+    32: "6e4d5d504e3a1ee210cbfcb39235adfffcff861f747a6e31067621cf510507d3",
+    33: "b769c44e54a852c6b02691cea62683c8262af36736c1e7a16c299a7795dcb462",
+    1008: "b130f20c226639345b3a3a54dd40600ce602bd6663f8683d890616f367b98077",
+    4096: "99ed93d043b0031703c6e29ec4ee02ad04f6608d6fdb8103763007de1ba315d5",
+}
+
+
+@pytest.mark.parametrize("length", sorted(SEAL_KAT))
+def test_seal_known_answers(length):
+    key = hashlib.sha256(b"kat-key").digest()
+    nonce = bytes(range(12))
+    plaintext = bytes((i * 7 + 3) & 0xFF for i in range(length))
+    sealed = seal(key, nonce, plaintext, b"kat-aad")
+    assert hashlib.sha256(sealed).hexdigest() == SEAL_KAT[length]
+    assert open_(key, nonce, sealed, b"kat-aad") == plaintext
 
 
 # --- padding ----------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.fleet.goldens import (
     LLAMA_FLEET_PARAMS,
     LLAMA_PINNED,
     LLAMA_PLANES,
+    LLAMA_STATE_PINNED,
     SMP_PARAMS,
 )
 from repro.hw.cycles import CycleClock
@@ -218,7 +219,9 @@ def test_llama_repeats_are_byte_identical(llama_report):
     assert again.digest() == first.digest()
 
 
-def test_llama_fleet_matches_its_pins(llama_report):
-    report = llama_report(LLAMA_FLEET_PARAMS["n_cpus"])
+def test_llama_fleet_matches_its_pins(llama_run):
+    report, state = llama_run(LLAMA_FLEET_PARAMS["n_cpus"])
     assert report.digest() == LLAMA_PINNED
     assert report.ledger["planes"] == LLAMA_PLANES
+    # page tables, owner tags and frame bytes: what the report leaves out
+    assert state == LLAMA_STATE_PINNED

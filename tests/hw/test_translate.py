@@ -534,24 +534,28 @@ def test_stac_then_clac_around_user_loads_every_pass():
 
 @pytest.mark.parametrize("denied", ["nx", "supervisor"])
 def test_back_edge_to_a_denied_page_still_faults(denied):
-    """A cached, fresh block on another page is never chained into.
+    """A cached block on another page is never chained into.
 
-    The target page's block is preloaded (a translation never checks
-    permissions), so only the same-page rule keeps the jump from
-    skipping the fetch check that faults.
+    The target page's block is built by a first run in kernel mode,
+    before the page is denied: for ``supervisor`` it stays fresh (the
+    PTE is untouched), so only the same-page rule keeps the jump from
+    skipping the fetch check that faults; for ``nx`` the NX rewrite
+    leaves it cached but stale.
     """
     low = K
     high = K + PAGE
     user = denied == "supervisor"
 
     def setup(m):
-        flags = PTE_P | (PTE_NX if denied == "nx" else 0)
         target = [I("addi", "rax", imm=1), I("jmp", imm=high)]
-        m._map_region(low, 1, flags, "kernel")
-        blob = b"".join(i.encode() for i in target)
-        m.write_phys(low, blob)
-        if m.cpu.tcache.enabled:
-            m.cpu.tcache.preload(m.aspace, low, blob)
+        m._map_region(low, 1, PTE_P, "kernel")
+        m.write_phys(low, b"".join(i.encode() for i in target))
+        m.cpu.rip = low
+        with pytest.raises(PageFault):     # high is not mapped yet
+            m.cpu.run(deliver_faults=False)
+        m.cpu.regs["rax"] = 0
+        if denied == "nx":
+            m.aspace.set_pte(low, m.aspace.get_pte(low) | PTE_NX)
         m.load_code(high, [
             I("movi", "rcx", imm=3),
             I("addi", "rcx", imm=NEG1),          # loop on the high page
@@ -831,8 +835,6 @@ def run_random(enabled, pages):
         m._map_region(va, 1, PTE_P | PTE_W, "kernel")
         blob = b"".join(i.encode() for i in code)
         m.write_phys(va, blob)
-        if enabled:
-            m.cpu.tcache.preload(m.aspace, va, blob)
     m.cpu.rip = K
     try:
         result = m.cpu.run(max_steps=PROP_STEPS, deliver_faults=False)
@@ -947,16 +949,6 @@ def test_cache_speeds_up_a_memory_loop_with_identical_state():
 # --------------------------------------------------------------------------- #
 # superblock invalidation: code/PTE witnesses
 # --------------------------------------------------------------------------- #
-
-def test_preload_builds_and_run_hits():
-    m = make_machine(True)
-    m.load_code(K, PROGRAMS["back_loop"])
-    assert m.cpu.tcache.sb_builds > 0
-    m.cpu.rip = K
-    m.cpu.run()
-    assert m.cpu.tcache.sb_hits > 0
-    assert m.cpu.tcache.sb_exec > 0
-
 
 def test_disabled_cache_retires_nothing_from_blocks():
     m = make_machine(False)

@@ -53,7 +53,7 @@ def test_cleanup_wipes_before_next_client(system):
     libos.sandbox.cleanup()
     phys = system.machine.phys
     for fn in frames[:8]:
-        data = phys.frames[fn].data
+        data = phys.frame(fn).data
         assert data is None or bytes(data) == b"\x00" * len(data)
 
 

@@ -73,7 +73,7 @@ def test_no_cross_sandbox_secret_visibility(system):
             (s1, b"TOP-SECRET-ALPHA", b"TOP-SECRET-BRAVO"),
             (s2, b"TOP-SECRET-BRAVO", b"TOP-SECRET-ALPHA")):
         blob = b"".join(
-            bytes(machine.phys.frames[fn].data or b"")
+            bytes(machine.phys.frame(fn).data or b"")
             for fn in libos.sandbox.confined_frames)
         assert own in blob
         assert other not in blob

@@ -1,0 +1,67 @@
+"""A digest of a booted system's simulated memory state.
+
+The fleet report digest covers what a run computed, not the page tables
+and frames it left behind, so a host fast path that writes a wrong PTE
+(say, one that skips the accessed/dirty update of an install) can keep
+every report pin green. :func:`machine_state_digest` hashes that state
+directly:
+
+* every present leaf PTE of every address space the monitor registered,
+  read through ``phys.read_u64`` only, so hashing builds no frame;
+* ``usage_by_owner()``, and the frames ``owned_by`` each owner tag;
+* the sha256 of every frame whose bytes are not all zero.
+
+Frame lists are hashed in ascending order, so the digest does not depend
+on the order in which frames were first touched.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from repro.hw.memory import PAGE_SIZE
+from repro.hw.paging import ENTRIES_PER_TABLE, PTE_P, PTE_PS, pte_frame
+
+_ZERO = bytes(PAGE_SIZE)
+
+
+def _present_leaves(phys, root_fn: int):
+    """``(va, pte)`` of every present leaf under ``root_fn``, in VA order."""
+    read = phys.read_u64
+    for i2 in range(ENTRIES_PER_TABLE):
+        e2 = read((root_fn << 12) + i2 * 8)
+        if not e2 & PTE_P:
+            continue
+        l1 = pte_frame(e2)
+        for i1 in range(ENTRIES_PER_TABLE):
+            e1 = read((l1 << 12) + i1 * 8)
+            if not e1 & PTE_P:
+                continue
+            if e1 & PTE_PS:
+                yield (i2 << 30) | (i1 << 21), e1
+                continue
+            l0 = pte_frame(e1)
+            for i0 in range(ENTRIES_PER_TABLE):
+                pte = read((l0 << 12) + i0 * 8)
+                if pte & PTE_P:
+                    yield (i2 << 30) | (i1 << 21) | (i0 << 12), pte
+
+
+def machine_state_digest(system) -> str:
+    """sha256 over the PTEs, owner tags and frame bytes of ``system``."""
+    monitor = system.monitor
+    phys = monitor.phys
+    h = hashlib.sha256()
+    for root in sorted(monitor.vmmu.registered_roots):
+        h.update(f"root {root}\n".encode())
+        for va, pte in _present_leaves(phys, root):
+            h.update(f"{va:x} {pte:x}\n".encode())
+    usage = phys.usage_by_owner()
+    for tag in sorted(usage):
+        h.update(f"owner {tag} {usage[tag]}\n".encode())
+        h.update(",".join(map(str, sorted(phys.owned_by(tag)))).encode())
+    for fn, frame in sorted(phys.frames.items()):
+        if frame.data is not None and frame.data != _ZERO:
+            h.update(f"\nframe {fn} ".encode()
+                     + hashlib.sha256(frame.data).digest())
+    return h.hexdigest()

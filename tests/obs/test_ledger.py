@@ -14,7 +14,12 @@ The contract under test (DESIGN §8):
 
 import pytest
 
-from repro.fleet.goldens import SMP_PARAMS, SMP_PINNED, SMP_PLANES
+from repro.fleet.goldens import (
+    SMP_PARAMS,
+    SMP_PINNED,
+    SMP_PLANES,
+    SMP_STATE_PINNED,
+)
 from repro.fleet.loadgen import run_fleet
 from repro.hw.cycles import SERIAL_LANE, CycleClock
 from repro.obs.ledger import (
@@ -23,6 +28,7 @@ from repro.obs.ledger import (
     translation_summary,
     verify_conservation,
 )
+from tests.machine_state import machine_state_digest
 from repro.obs.schema import check_ledger
 
 # --------------------------------------------------------------------------- #
@@ -226,11 +232,14 @@ def test_fleet_ledger_conserves_with_all_obs_planes_armed(n_cpus):
 
 @pytest.mark.parametrize("n_cpus", sorted(SMP_PINNED))
 def test_pinned_digests_survive_ledger_capture(n_cpus):
-    report, _ = run_fleet(n_cpus=n_cpus, **SMP_PARAMS)
+    report, system = run_fleet(n_cpus=n_cpus, **SMP_PARAMS)
     assert report.ledger and report.ledger["conservation"]["ok"]
     assert report.digest() == SMP_PINNED[n_cpus]
     # the simulated-drift pin: a cycle that moves plane fails here by name
     assert report.ledger["planes"] == SMP_PLANES
+    if n_cpus == 2:
+        # page tables, owner tags and frame bytes: what the report leaves out
+        assert machine_state_digest(system) == SMP_STATE_PINNED
     # ledger and translation ride in to_dict() but not the preimage
     assert "ledger" not in report._base_dict()
     assert "translation" not in report._base_dict()

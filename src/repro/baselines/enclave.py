@@ -96,14 +96,6 @@ class EnclaveBaselineSystem:
         self.machine.vmm.observe("os_fs_file", data)
         return written
 
-    def enclave_hypercall(self, enclave: Enclave, payload: bytes) -> None:
-        """Enclave-initiated hypercall: data reaches the host verbatim."""
-        from ..tdx.module import VMCALL_IO
-        if self.machine.tdx is not None:
-            self.machine.tdx.guest_vmcall(VMCALL_IO, payload)
-        else:
-            self.machine.vmm.observe("vmcall", (VMCALL_IO, payload))
-
     def enclave_covert_syscall_pattern(self, enclave: Enclave,
                                        secret: bytes) -> None:
         """AV3: encode the secret into syscall argument patterns."""

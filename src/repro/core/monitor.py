@@ -69,8 +69,9 @@ class EreborFeatures:
     (:mod:`repro.analysis.absint`, checks V8–V10) layered on the CFG
     pass; it is inert unless ``cfg_verifier`` is also on.
 
-    ``translation_cache`` gates the host-plane fast path only (superblock
-    dispatch + memoized MMU walks, :mod:`repro.hw.translate`): simulated
+    ``translation_cache`` gates the host-plane fast paths only (superblock
+    dispatch, :mod:`repro.hw.translate`; the paging-structure cache and
+    the MMU's leaf-table pass, ``PhysicalMemory.psc_enabled``): simulated
     cycle ledgers, digests and certificates are byte-identical either
     way; off exists for lockstep oracle tests and A/B speed benchmarks.
     """
@@ -484,8 +485,6 @@ class EreborMonitor:
         writable again. Returns the frame list — the golden image forked
         sandboxes will map copy-on-write.
         """
-        from ..hw.memory import PAGE_SHIFT
-        from ..hw.paging import PTE_P, PTE_W
         from ..kernel.process import PROT_WRITE
         if sandbox.locked or sandbox.dead:
             raise self._deny(PolicyViolation(
@@ -496,16 +495,10 @@ class EreborMonitor:
                 f"template {name!r} already exists"))
         self.charge_emc(Cost.VALIDATE_MMU, kind="mmu")
         frames = list(sandbox.confined_frames)
-        aspace = sandbox.task.aspace
-        rewritten = 0
+        rewritten = self.vmmu.seal_ranges(
+            sandbox.task.aspace,
+            [(vma.start, vma.end) for vma in sandbox.confined_vmas])
         for vma in sandbox.confined_vmas:
-            for page in range(vma.length >> PAGE_SHIFT):
-                va = vma.start + (page << PAGE_SHIFT)
-                pte = aspace.get_pte(va)
-                if pte & PTE_P and pte & PTE_W:
-                    aspace.set_pte(va, pte & ~PTE_W)
-                    self.clock.charge(Cost.PTE_WRITE_NATIVE, "mmu_op")
-                    rewritten += 1
             vma.prot &= ~PROT_WRITE
         self.vmmu.release_confined(sandbox.sandbox_id)
         self.vmmu.adopt_template(name, frames)

@@ -29,6 +29,7 @@ from ..hw.cycles import Cost, CycleClock
 from ..hw.memory import PAGE_SHIFT, PhysicalMemory, frame_runs
 from ..hw.paging import (
     HUGE_PAGE_FRAMES,
+    HUGE_PAGE_SIZE,
     PTE_NX,
     PTE_P,
     PTE_PS,
@@ -138,13 +139,6 @@ class NestedMmu:
             for a, b in frame_runs(frames[:adopted]):
                 self.phys.set_owner(a, b, f"template:{name}")
 
-    def release_template(self, name: str) -> list[int]:
-        """Drop a template's frames from the registry; returns them."""
-        frames = [fn for fn, t in self.template_frames.items() if t == name]
-        for fn in frames:
-            del self.template_frames[fn]
-        return frames
-
     def create_common_region(self, name: str, frames: list[int],
                              initializer: int | None) -> CommonRegion:
         if name in self.common_regions:
@@ -184,34 +178,32 @@ class NestedMmu:
         run (:class:`repro.core.exits.MonitorFaultRun`) books the PTE
         writes of its whole run at once.
         """
-        owner = self._validate_mapping(aspace, va, pte)
+        self._validate_mapping(aspace, va, pte)
         aspace.set_pte(va, pte)
-        self._record(aspace, va, pte_frame(pte), owner)
+        self._record(aspace, va, pte_frame(pte))
 
     def admit_page(self, aspace: AddressSpace, va: int, pte: int) -> None:
         """:meth:`map_page` without the install: the policy checks and
         the single-mapping record, in the same order. The caller writes
         ``pte`` into the leaf table it holds (see
         :meth:`repro.hw.mmu.Mmu.check_run`)."""
-        self._record(aspace, va, pte_frame(pte),
-                     self._validate_mapping(aspace, va, pte))
+        self._validate_mapping(aspace, va, pte)
+        self._record(aspace, va, pte_frame(pte))
 
     def _set_pte(self, aspace: AddressSpace, va: int, pte: int) -> None:
         aspace.set_pte(va, pte)
-        fn = pte_frame(pte)
-        self._record(aspace, va, fn, self.phys.owner_of(fn))
+        self._record(aspace, va, pte_frame(pte))
 
-    def _record(self, aspace: AddressSpace, va: int, fn: int,
-                owner: str) -> None:
+    def _record(self, aspace: AddressSpace, va: int, fn: int) -> None:
         """Note the mapping of a confined frame (the C6 single-mapping
         registry)."""
-        if owner.startswith("confined") or fn in self.confined_owner:
+        if fn in self.confined_owner:
             self.confined_mapping[fn] = (aspace.root_fn, va)
 
-    def _validate_mapping(self, aspace: AddressSpace, va: int, pte: int) -> str:
-        """Refuse ``pte`` at ``va`` if it breaks a mapping policy; returns
-        the mapped frame's owner tag. A frame without a built
-        :class:`~repro.hw.memory.Frame` has no type flags."""
+    def _validate_mapping(self, aspace: AddressSpace, va: int, pte: int) -> None:
+        """Refuse ``pte`` at ``va`` if it breaks a mapping policy. A frame
+        without a built :class:`~repro.hw.memory.Frame` has no type
+        flags."""
         fn = pte_frame(pte)
         owner = self.phys.owner_of(fn)      # raises outside memory
         frame = self.phys.frames.get(fn)
@@ -264,7 +256,6 @@ class NestedMmu:
             # a sealed region refuses writable mappings, so the
             # read-only ones made after the seal need no revocation
             region.mappings.append((aspace, va & ~0xFFF))
-        return owner
 
     # ------------------------------------------------------------------ #
     # huge pages and forced splitting (paper §7 future work)
@@ -362,6 +353,36 @@ class NestedMmu:
                 table.version += 1
                 rewritten += 1
         region.mappings.clear()
+        if rewritten:
+            self.clock.charge(rewritten * Cost.PTE_WRITE_NATIVE, "mmu_op")
+        return rewritten
+
+    def seal_ranges(self, aspace: AddressSpace,
+                    ranges: list[tuple[int, int]]) -> int:
+        """Clear W on every present, writable leaf entry of ``aspace``
+        that maps a page of ``ranges`` (``(start, end)`` VA pairs).
+
+        Returns the number of entries rewritten; a huge leaf is one
+        entry. Like :meth:`seal_common_region`, each leaf table is swept
+        once per 2 MiB span and the per-PTE native write costs are
+        booked as one charge.
+        """
+        rewritten = 0
+        for va, end in ranges:
+            while va < end:
+                stop = min(end, (va | (HUGE_PAGE_SIZE - 1)) + 1)
+                leaf = self._leaf_table(aspace, va)
+                if leaf is not None:
+                    table, data, huge_off = leaf
+                    offsets = ((huge_off,) if huge_off is not None else
+                               range((va >> 9) & 0xFF8,
+                                     ((stop - 1) >> 9 & 0xFF8) + 8, 8))
+                    for off in offsets:
+                        if data[off] & (PTE_P | PTE_W) == PTE_P | PTE_W:
+                            data[off] &= ~PTE_W & 0xFF
+                            table.version += 1
+                            rewritten += 1
+                va = stop
         if rewritten:
             self.clock.charge(rewritten * Cost.PTE_WRITE_NATIVE, "mmu_op")
         return rewritten

@@ -122,7 +122,7 @@ class FleetReport:
 
     @property
     def translation(self) -> dict:
-        """Translation-cache effectiveness (TLB hit rate, superblock
+        """Translation-cache effectiveness (superblock counters and
         coverage) from the ledger: host-plane counters, never digested."""
         return self.ledger.get("translation", {})
 
@@ -315,15 +315,12 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
         wall_t0 = clock.wall_cycles
         busy_t0 = [clock.cpu_busy(c) for c in range(scheduler.n_cpus)]
         cpu0 = machine.cpu
-        tlb_t0, sb_t0 = cpu0.mmu.tlb_hits, cpu0.tcache.sb_exec
+        sb_t0 = cpu0.tcache.sb_exec
         finished = scheduler.run(sessions)
         serve_cycles = clock.cycles - serve_t0
         serve_wall_cycles = clock.wall_cycles - wall_t0
         # host-plane cache statistics: exported as metrics only, never
         # part of the report digest preimage
-        if cpu0.mmu.tlb_hits > tlb_t0:
-            clock.metrics.inc("erebor_sim_tlb_hits_total",
-                              cpu0.mmu.tlb_hits - tlb_t0)
         if cpu0.tcache.sb_exec > sb_t0:
             clock.metrics.inc("erebor_sim_superblock_exec_total",
                               cpu0.tcache.sb_exec - sb_t0)

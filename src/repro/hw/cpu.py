@@ -397,11 +397,6 @@ class Cpu:
             raise SimulatorError(f"run() exceeded {max_steps} steps (livelock?)")
         return steps
 
-    @property
-    def cycle_position(self) -> int:
-        """This core's wall position on the shared machine clock."""
-        return self.clock.cpu_cycles(self.cpu_id)
-
     # ------------------------------------------------------------------ #
     # interrupt / exception delivery
     # ------------------------------------------------------------------ #

@@ -63,8 +63,9 @@ class Frame:
             "non-writable-but-dirty" encoding).
         data: lazily-allocated byte contents.
         version: bumped on every byte mutation (write / zero / free).
-            Host-plane staleness witness for the MMU TLB and the
-            translation cache — never consulted by simulated semantics.
+            Host-plane staleness witness for the translation cache's
+            blocks and burst data memo — never consulted by simulated
+            semantics.
     """
 
     __slots__ = ("fn", "phys", "is_page_table", "is_shadow_stack", "data",
@@ -120,14 +121,17 @@ class PhysicalMemory:
         self._next_free = 0
         #: min-heap of explicitly freed frame numbers below the bump
         #: pointer, so reallocation never rescans the allocated prefix.
-        #: Entries may be stale (re-taken by the bump scan); consumers
-        #: re-check the owner tag. Allocation order — ascending, lowest
-        #: free frame first — is identical to a full scan.
+        #: Entries may be stale (re-taken by the bump scan) or repeated
+        #: (a frame freed again, or skipped again by a contiguous
+        #: search); consumers re-check the owner tag and skip repeats.
+        #: Allocation order — ascending, lowest free frame first — is
+        #: identical to a full scan.
         self._freed: list[int] = []
         #: gates the paging-structure cache of every AddressSpace over this
-        #: memory (host-plane walk memoization; see AddressSpace.leaf_slot).
-        #: Cleared by boot when EreborFeatures.translation_cache is off so
-        #: the cache-off configuration interprets every walk.
+        #: memory (host-plane walk memoization; see AddressSpace.leaf_slot)
+        #: and Mmu.check_run's leaf-table pass. Cleared by boot when
+        #: EreborFeatures.translation_cache is off so the cache-off
+        #: configuration interprets every walk and checks every page alone.
         self.psc_enabled = True
 
     # ------------------------------------------------------------------ #
@@ -223,7 +227,8 @@ class PhysicalMemory:
         got: list[int] = []
         while freed and len(got) < count and freed[0] < self._next_free:
             cand = heappop(freed)
-            if self.owner_of(cand) == FREE:
+            # the heap pops ascending, so a repeat follows its first copy
+            if self.owner_of(cand) == FREE and (not got or got[-1] != cand):
                 got.append(cand)
         runs: list[tuple[int, int]] = []
         need = count - len(got)

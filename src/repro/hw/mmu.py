@@ -33,7 +33,6 @@ from .cycles import Cost, CycleClock
 from .errors import PageFault, SimulatorError
 from .memory import PAGE_SIZE, PhysicalMemory
 from .paging import (
-    _PSC_AD_MASK,
     HUGE_PAGE_SIZE,
     PTE_A,
     PTE_D,
@@ -125,51 +124,23 @@ def _denial(pte: int, hit_fn: int, phys: PhysicalMemory, access: str,
 class Mmu:
     """Translation + permission engine bound to one physical memory.
 
-    A host-plane TLB memoizes successful walks: the key is the full
-    architectural input of a check (``root_fn``, VA page, access kind and
-    every :class:`AccessContext` field); the value carries the resolved
-    physical page plus a *witness*:
-
-    * the leaf PTE's own 8 bytes, re-read and compared on every hit — a
-      rewrite of *this* entry (``mprotect``, CoW resolution, pool scrub,
-      template seal, or a raw scribble through the direct map) changes
-      the bytes and misses, while A/D traffic on *neighbouring* entries
-      in the same table leaves the witness intact;
-    * the byte images of the interior (root/L1) entries the walk read,
-      via the address space's paging-structure-cache record — matching
-      bytes mean an interpreted walk would reach the same leaf table,
-      so neighbour table creation never invalidates unrelated entries;
-    * the data frame's shadow-stack flag (flipped without a byte write).
-
-    Hits charge zero cycles — exactly what the interpreted walk charges —
-    so the simulated ledger is byte-identical with the TLB on or off.
+    Every :meth:`check` walks: the leaf slot comes from the address
+    space (whose paging-structure cache is the one walk memo), and the
+    leaf PTE is read from the live table bytes each time. A walk charges
+    zero cycles, so the simulated ledger does not depend on how often
+    one runs.
     """
 
-    #: deterministic capacity guard: drop everything rather than evict
-    TLB_CAPACITY = 65536
+    #: the serve-phase counts ``perfbench/workloads.py`` reads; no
+    #: memo is kept here, so both stay 0
+    tlb_hits = tlb_misses = 0
 
     def __init__(self, phys: PhysicalMemory, clock: CycleClock):
         self.phys = phys
         self.clock = clock
-        self.tlb_enabled = True
-        self._tlb: dict[tuple, tuple] = {}
-        self.tlb_hits = 0
-        self.tlb_misses = 0
         #: pages :meth:`check_run`'s leaf-table pass passed (host plane:
         #: pages it resolved without the caller's per-page path)
         self.run_pages = 0
-
-    def tlb_flush(self) -> None:
-        self._tlb.clear()
-
-    def stats(self) -> dict:
-        """Host-plane TLB counters, JSON-able (never in a digest preimage)."""
-        walks = self.tlb_hits + self.tlb_misses
-        return {
-            "tlb_hits": self.tlb_hits,
-            "tlb_misses": self.tlb_misses,
-            "tlb_hit_rate": round(self.tlb_hits / walks, 6) if walks else 0.0,
-        }
 
     # ------------------------------------------------------------------ #
     # the permission pipeline
@@ -182,35 +153,8 @@ class Mmu:
             raise SimulatorError(f"bad access type {access!r}")
         user = ctx.mode == USER_MODE
 
-        tlb_key = None
-        if self.tlb_enabled:
-            tlb_key = (aspace.root_fn, va >> 12, access, ctx.mode, ctx.cr0,
-                       ctx.cr4, ctx.pkrs, ctx.ac, ctx.shadow_stack_op)
-            entry = self._tlb.get(tlb_key)
-            if entry is not None:
-                (pa_base, cached_pte, pte_bytes, leaf_frame, slot_off,
-                 rf, e2_off, e2_img, lf, e1_off, e1_head, e1_tail,
-                 hit_frame, ss_flag) = entry
-                data = leaf_frame.data
-                if (data is not None
-                        and data[slot_off:slot_off + 8] == pte_bytes
-                        and hit_frame.is_shadow_stack == ss_flag):
-                    rd = rf.data
-                    if rd is not None and rd[e2_off:e2_off + 8] == e2_img:
-                        ld = lf.data
-                        if (ld is not None
-                                and ld[e1_off] & _PSC_AD_MASK == e1_head
-                                and ld[e1_off + 1:e1_off + 8] == e1_tail):
-                            self.tlb_hits += 1
-                            return pa_base | (va & (PAGE_SIZE - 1)), cached_pte
-                del self._tlb[tlb_key]
-
-        path = aspace.leaf_path(va)
-        if path is None:
-            slot, walk_wit, pte = None, None, 0
-        else:
-            slot, walk_wit = path
-            pte = self.phys.read_u64(slot.pa)
+        slot = aspace.leaf_slot(va)
+        pte = 0 if slot is None else self.phys.read_u64(slot.pa)
         if not pte & PTE_P:
             raise PageFault(va, is_write=access == "write", is_exec=access == "exec",
                             is_user=user, present=False)
@@ -232,21 +176,7 @@ class Mmu:
         new = pte | PTE_A | (PTE_D if access == "write" else 0)
         if new != pte:
             self.phys.write_u64(slot.pa, new)
-        pa = (hit_fn << 12) | (va & (PAGE_SIZE - 1))
-        if tlb_key is not None:
-            frame = self.phys.frame(hit_fn)
-            self.tlb_misses += 1
-            if len(self._tlb) >= self.TLB_CAPACITY:
-                self._tlb.clear()
-            # The witness is captured *after* the A/D write so the entry
-            # does not invalidate itself: the cached PTE (and its byte
-            # image) is the post-A/D value — exactly what a steady-state
-            # re-walk reads and returns.
-            self._tlb[tlb_key] = (
-                pa & ~(PAGE_SIZE - 1), new, new.to_bytes(8, "little"),
-                self.phys.frame(slot.table_fn), slot.index * 8,
-                ) + walk_wit[2:] + (frame, frame.is_shadow_stack)
-        return pa, pte
+        return (hit_fn << 12) | (va & (PAGE_SIZE - 1)), pte
 
     def check_run(self, aspace: AddressSpace, va: int, end: int, stride: int,
                   access: str, ctx: AccessContext, visit) -> int:
@@ -275,12 +205,13 @@ class Mmu:
           :meth:`check`; ``visit`` returns 0 and the pass re-walks.
 
         A frame with no built :class:`~repro.hw.memory.Frame` has no
-        flags, so its verdict is memoized like any other. With the TLB
-        off every page is visited, as the per-page reference. Returns
-        the pages passed after the last visit. Charges nothing: a walk
-        costs zero cycles.
+        flags, so its verdict is memoized like any other. With the
+        paging-structure cache off (``PhysicalMemory.psc_enabled``, the
+        ``translation_cache=False`` configuration) every page is visited,
+        as the per-page reference. Returns the pages passed after the
+        last visit. Charges nothing: a walk costs zero cycles.
         """
-        if not self.tlb_enabled:
+        if not self.phys.psc_enabled:
             while va < end:
                 visit(va, 0, False, False)
                 va += stride
@@ -432,13 +363,3 @@ class Mmu:
             self.clock.charge(Cost.MEM, "mem")
             return
         self.write(aspace, va, (value & (2 ** 64 - 1)).to_bytes(8, "little"), ctx)
-
-    def touch(self, aspace: AddressSpace, va: int, access: str, ctx: AccessContext) -> int:
-        """Permission-check an access without moving bytes (macro model).
-
-        Returns the physical address. Used by the macro-level kernel and
-        workloads, whose data lives in Python objects but whose *page
-        accesses* must still obey (and exercise) the permission pipeline.
-        """
-        pa, _ = self.check(aspace, va, access, ctx)
-        return pa

@@ -173,10 +173,6 @@ class LibOs:
         pages = max(pages_for(nbytes), 1)
         self.kernel.clock.charge(pages * LIBOS_TOUCH_PER_PAGE, "libos")
 
-    @property
-    def sandboxed_locked(self) -> bool:
-        return self.sandbox is not None and self.sandbox.locked
-
     # ------------------------------------------------------------------ #
     # memory API (service 1)
     # ------------------------------------------------------------------ #

@@ -25,7 +25,7 @@ callers use ``sort_keys=True``). Two same-seed runs must compare clean —
 ``divergent: false`` with every simulated section empty — which is what
 the ``perf-gate`` CI job asserts on every push.
 
-Host-plane quantities (seconds, TLB hit rates, superblock coverage)
+Host-plane quantities (seconds, superblock coverage)
 appear in the report but never flip ``divergent``: host timing is
 noisy, so host cost is judged by ``perfbench/run.py``'s paired runs.
 """

@@ -62,7 +62,6 @@ SUBSYSTEMS: tuple[tuple[str, str, str], ...] = (
     ("mmu:fetch", "repro.hw.mmu", "Mmu.fetch"),
     ("mmu:read", "repro.hw.mmu", "Mmu.read"),
     ("mmu:write", "repro.hw.mmu", "Mmu.write"),
-    ("mmu:touch", "repro.hw.mmu", "Mmu.touch"),
     ("emc:gate-dispatch", "repro.core.monitor", "EreborMonitor.charge_emc"),
     ("emc:gate-dispatch", "repro.core.monitor",
      "EreborMonitor.charge_emc_batch"),

@@ -32,8 +32,7 @@ exec.superblock superblock-burst retirement (charged by the compiled
                 ``instr`` via the per-core
                 ``TranslationCache.sb_cycles`` counter)
 mmu             checked data movement through :class:`~repro.hw.mmu.Mmu`
-                (the walk itself is uncharged; TLB-hit-vs-walk lives in
-                the host plane and the ``translation`` summary)
+                (the walk itself is uncharged)
 fault           demand-fault and CoW resolution
 emc             EMC gate dispatch + monitor-side validation
 privop          interposed privileged operations (PTE/CR/MSR/IDT writes,
@@ -127,10 +126,6 @@ TAG_PLANES = {
     "untagged": "untagged",
 }
 
-def plane_of(tag: str) -> str:
-    """The plane a clock charge tag belongs to (``"other"`` if unknown)."""
-    return TAG_PLANES.get(tag, "other")
-
 
 def lane_name(lane: int) -> str:
     """``"serial"`` or ``"cpuN"``: a lane's name in ledgers and dumps."""
@@ -171,7 +166,7 @@ def capture_ledger(clock, machine=None) -> dict:
     breakdown — plus machine-wide plane totals and the verified
     conservation block. Pass the machine to carve superblock-burst
     execution out of the ``instr`` tag and to attach the translation
-    summary (TLB hit rate, superblock coverage).
+    summary (superblock counters and coverage).
     """
     sb_by_lane = _superblock_cycles_by_lane(machine)
     lanes: dict[str, dict] = {}
@@ -264,26 +259,18 @@ def verify_conservation(ledger: dict) -> dict:
 def translation_summary(machine, ledger: dict | None = None) -> dict:
     """Translation-cache effectiveness, host-plane only.
 
-    TLB hit rate plus the superblock coverage fraction — the share of
+    The superblock counters plus the coverage fraction — the share of
     execution-plane cycles retired through superblock bursts. Derived
     from the same counters the fleet exports as
-    ``erebor_sim_tlb_hits_total`` / ``erebor_sim_superblock_exec_total``;
-    never part of any digest preimage.
+    ``erebor_sim_superblock_exec_total``; never part of any digest
+    preimage.
     """
-    tlb = {"tlb_hits": 0, "tlb_misses": 0, "tlb_hit_rate": 0.0}
     sb = {"sb_exec": 0, "sb_builds": 0, "sb_hits": 0, "sb_cycles": 0}
     for cpu in _machine_cpus(machine):
-        mmu = getattr(cpu, "mmu", None)
-        if mmu is not None:
-            for key, value in mmu.stats().items():
-                if key != "tlb_hit_rate":
-                    tlb[key] += value
         tcache = getattr(cpu, "tcache", None)
         if tcache is not None:
             for key, value in tcache.stats().items():
                 sb[key] += value
-    walks = tlb["tlb_hits"] + tlb["tlb_misses"]
-    tlb["tlb_hit_rate"] = round(tlb["tlb_hits"] / walks, 6) if walks else 0.0
     coverage = 0.0
     if ledger is not None:
         planes = ledger.get("planes", {})
@@ -291,4 +278,4 @@ def translation_summary(machine, ledger: dict | None = None) -> dict:
                    + planes.get("exec.superblock", 0))
         if execute:
             coverage = round(planes.get("exec.superblock", 0) / execute, 6)
-    return {**tlb, **sb, "superblock_coverage": coverage}
+    return {**sb, "superblock_coverage": coverage}

@@ -105,9 +105,6 @@ class TdxModule:
     def is_shared(self, fn: int) -> bool:
         return self.sept.get(fn, PRIVATE) == SHARED
 
-    def shared_frames(self) -> set[int]:
-        return {fn for fn, state in self.sept.items() if state == SHARED}
-
     def _map_gpa(self, fn_start: int, count: int, to_shared: bool) -> None:
         state = SHARED if to_shared else PRIVATE
         for fn in range(fn_start, fn_start + count):

@@ -148,7 +148,7 @@ def test_fault_run_matches_per_fault_handling(setting, stride, kind, write):
     (faults, burst, passed), (ref_faults, reference, ref_passed) = (
         touch_twins(setting, kind, write=write, stride=stride))
     assert faults == ref_faults == PAGES - len(PRETOUCHED)
-    # with the TLB off every page takes the per-page path
+    # with the cache off every page takes the per-page path
     assert (passed > 0) == (setting != "cache-off") and ref_passed == 0
     assert list(burst) == list(reference) and "trace" in reference
     for key in reference:

@@ -1,4 +1,4 @@
-"""The common-region seal: one sweep per leaf table, only region frames.
+"""The seal sweeps: one pass per leaf table.
 
 :meth:`NestedMmu.seal_common_region` walks each leaf table its recorded
 mappings sit in once. Twin rigs record the same mappings; one seals with
@@ -6,6 +6,11 @@ the sweep, the other with :func:`reference_seal`, which reads and rewrites
 one PTE at a time. Every PTE, the return count and the clock's ledgers in
 insertion order must match, and every table the sweep rewrote must show a
 moved ``Frame.version``.
+
+:meth:`NestedMmu.seal_ranges`, which ``EreborMonitor.seal_as_template``
+uses, is held to :func:`per_page_seal`, the template seal's per-page loop,
+the same way: on the rigs, and on twin systems sealing a template, where
+the twin's monitor seals with the loop in place of the sweep.
 """
 
 import pytest
@@ -49,6 +54,20 @@ def reference_seal(vmmu, name):
             vmmu.clock.charge(Cost.PTE_WRITE_NATIVE, "mmu_op")
             rewritten += 1
     region.mappings.clear()
+    return rewritten
+
+
+def per_page_seal(vmmu, aspace, ranges):
+    """Clear W one page at a time: read each PTE, rewrite it if present
+    and writable, one charge per rewrite."""
+    rewritten = 0
+    for start, end in ranges:
+        for va in range(start, end, PAGE_SIZE):
+            pte = aspace.get_pte(va)
+            if pte & PTE_P and pte & PTE_W:
+                aspace.set_pte(va, pte & ~PTE_W)
+                vmmu.clock.charge(Cost.PTE_WRITE_NATIVE, "mmu_op")
+                rewritten += 1
     return rewritten
 
 
@@ -106,7 +125,8 @@ def state(phys, clock, vmmu, spaces):
         "events": [(lane, list(events.items()))
                    for lane, events in clock.events_by_cpu.items()],
         "cycles": clock.cycles,
-        "mappings": list(vmmu.common_regions["db"].mappings),
+        "mappings": [(aspace.name, va) for aspace, va
+                     in vmmu.common_regions["db"].mappings],
     }
 
 
@@ -132,6 +152,73 @@ def test_seal_sweep_matches_per_pte_reference(layout):
     for (aspace, va), (pte, version) in zip(recorded, before):
         if aspace.get_pte(va) != pte:
             assert phys.frame(aspace.leaf_slot(va).table_fn).version > version
+
+
+#: VA ranges per rig layout: a range that starts and ends inside a leaf
+#: table and crosses into the next, one over no table, and for the huge
+#: layout two ranges under the same 2 MiB leaf
+RANGES = {
+    "mixed": [(16 * MIB + 2 * PAGE_SIZE, 18 * MIB + 10 * PAGE_SIZE),
+              (0, PAGE_SIZE)],
+    "huge": [(0x40_0000, 0x40_0000 + 4 * PAGE_SIZE),
+             (8 * MIB + 5 * PAGE_SIZE, 8 * MIB + 9 * PAGE_SIZE),
+             (8 * MIB + 100 * PAGE_SIZE, 8 * MIB + 101 * PAGE_SIZE)],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(RANGES))
+def test_range_seal_matches_per_page_reference(layout):
+    rig = build(layout)
+    twin = build(layout)
+    swept = expected = 0
+    for aspace, twin_aspace in zip(rig[3], twin[3]):
+        with rig[1].on_cpu(1):
+            swept += rig[2].seal_ranges(aspace, RANGES[layout])
+        with twin[1].on_cpu(1):
+            expected += per_page_seal(twin[2], twin_aspace, RANGES[layout])
+    assert swept == expected == {"mixed": 9, "huge": 2}[layout]
+    assert state(*rig) == state(*twin)
+
+
+def template_rig():
+    """A pre-lock sandbox whose confined heap spans two leaf tables, with
+    pages never touched, pages touched for reading and one page already
+    read-only."""
+    machine = CvmMachine(MachineConfig(memory_bytes=256 * MIB))
+    system = erebor_boot(machine, cma_bytes=32 * MIB)
+    kernel = system.kernel
+    sandbox = system.monitor.create_sandbox("tmpl", confined_budget=8 * MIB)
+    heap = sandbox.declare_confined(HUGE_PAGE_SIZE + 8 * PAGE_SIZE,
+                                    prefault=False)
+    kernel.touch_pages(sandbox.task, heap.start, 6 * PAGE_SIZE, write=True)
+    kernel.touch_pages(sandbox.task, heap.end - 12 * PAGE_SIZE,
+                       8 * PAGE_SIZE)
+    aspace = sandbox.task.aspace
+    system.monitor.vmmu.write_pte(
+        aspace, heap.start, aspace.get_pte(heap.start) & ~PTE_W)
+    return system, sandbox
+
+
+def test_template_seal_sweep_matches_per_page_reference():
+    system, sandbox = template_rig()
+    twin, twin_sandbox = template_rig()
+    vmmu = twin.monitor.vmmu
+    vmmu.seal_ranges = lambda aspace, ranges: per_page_seal(vmmu, aspace,
+                                                            ranges)
+    frames = system.monitor.seal_as_template(sandbox, "golden")
+    assert frames == twin.monitor.seal_as_template(twin_sandbox, "golden")
+    assert (sandbox.task.aspace.mapped_ranges()
+            == twin_sandbox.task.aspace.mapped_ranges())
+    clock, twin_clock = system.machine.clock, twin.machine.clock
+    for ledger in ("tags_by_cpu", "events_by_cpu"):
+        assert ([(lane, list(tags.items()))
+                 for lane, tags in getattr(clock, ledger).items()]
+                == [(lane, list(tags.items()))
+                    for lane, tags in getattr(twin_clock, ledger).items()])
+    audit = system.monitor.audit_log[-1].detail
+    assert audit == twin.monitor.audit_log[-1].detail
+    assert audit.endswith("(584 frames, 77 PTEs flipped read-only)"), audit
+    assert system.monitor.audit_head == twin.monitor.audit_head
 
 
 def test_seal_spares_pages_that_no_longer_map_the_region():

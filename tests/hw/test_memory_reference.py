@@ -53,7 +53,7 @@ class EagerMemory:
         else:
             while freed and len(got) < count and freed[0] < self.next_free:
                 cand = heappop(freed)
-                if self.free(cand):
+                if self.free(cand) and cand not in got:
                     got.append(cand)
             fn = self.next_free
             while len(got) < count and fn < self.num_frames:
@@ -209,3 +209,17 @@ def test_frame_pool_keeps_fifo_order_as_runs():
     assert len(pool) == 14
     assert frame_runs([3, 4, 0, 9, 10]) == [(3, 5), (0, 1), (9, 11)]
     assert phys.owner_of(3) == "cma" and phys.owner_of(1) == "s"
+
+
+def test_freed_frame_skipped_by_a_contiguous_search_is_handed_out_once():
+    """A contiguous search queues the freed frame it skips a second time;
+    the next scattered allocation must still return it only once."""
+    phys = PhysicalMemory(64 * PAGE_SIZE)
+    model = EagerMemory(64)
+    for alloc, free in ((phys.alloc_frames, phys.free_frames),
+                        (model.alloc, model.free_frames)):
+        assert alloc(4, "x") == [0, 1, 2, 3]
+        free([1])
+        assert alloc(2, "y", contiguous=True) == [4, 5]
+        assert alloc(2, "z") == [1, 6]
+    assert owned(phys) == model.owned()

@@ -3,7 +3,7 @@
 Two obligations from the design:
 
 * **Lockstep oracle equivalence** — for every ISA opcode, a program run
-  with the translation cache / TLB / paging-structure cache *on* must be
+  with the translation cache and paging-structure cache *on* must be
   observationally identical to the same program interpreted one `step()`
   at a time with everything *off*: same registers, rip, flags, mode,
   retired-step count, cycle total, per-tag ledger, event counters and
@@ -64,7 +64,6 @@ def at(i):
 def make_machine(enabled, **kw):
     m = MicroMachine(**kw)
     m.cpu.tcache.enabled = enabled
-    m.cpu.mmu.tlb_enabled = enabled
     m.phys.psc_enabled = enabled
     return m
 
@@ -956,7 +955,6 @@ def test_disabled_cache_retires_nothing_from_blocks():
     m.cpu.rip = K
     m.cpu.run()
     assert m.cpu.tcache.sb_exec == 0
-    assert m.cpu.mmu.tlb_hits == 0
 
 
 def test_code_byte_write_invalidates_block():
@@ -989,13 +987,17 @@ def test_code_page_remap_invalidates_block():
 
 
 # --------------------------------------------------------------------------- #
-# TLB invalidation matrix (MMU-level)
+# walk-memo invalidation matrix (MMU-level)
 # --------------------------------------------------------------------------- #
 
 VA = 0x0070_0000
 
 
 class TestTlbInvalidation:
+    """Every check walks; a rewrite anywhere on the walk, or a frame flag
+    flip, must change the next check's verdict with the paging-structure
+    cache on."""
+
     def setup_method(self):
         self.m = make_machine(True)
         self.mmu = self.m.cpu.mmu
@@ -1010,21 +1012,9 @@ class TestTlbInvalidation:
     def check(self, access="read", va=VA):
         return self.mmu.check(self.m.aspace, va, access, self.ctx)
 
-    def assert_hit(self, access="read", va=VA):
-        before = self.mmu.tlb_hits
-        pa, _ = self.check(access, va)
-        assert self.mmu.tlb_hits == before + 1
-        return pa
-
-    def test_hit_after_walk(self):
-        self.map_rw()
-        self.check("write")
-        self.assert_hit("write")
-
     def test_mprotect_downgrade_misses(self):
         fn = self.map_rw()
         self.check("write")
-        self.assert_hit("write")
         slot = self.m.aspace.leaf_slot(VA)
         pte = self.m.phys.read_u64(slot.pa)
         self.m.aspace.set_pte(VA, pte & ~PTE_W)   # mprotect / template seal
@@ -1036,7 +1026,6 @@ class TestTlbInvalidation:
     def test_clear_pte_unmaps(self):
         self.map_rw()
         self.check("read")
-        self.assert_hit("read")
         self.m.aspace.clear_pte(VA)
         with pytest.raises(PageFault) as exc:
             self.check("read")
@@ -1046,7 +1035,6 @@ class TestTlbInvalidation:
         fn_a = self.map_rw()
         self.m.phys.write(fn_a << 12, b"A" * 8)
         assert self.check("read")[0] >> 12 == fn_a
-        self.assert_hit("read")
         # CoW resolution: same VA, new frame, new contents
         fn_b = self.m.phys.alloc_frame("kernel")
         self.m.phys.frame(fn_b).materialize()
@@ -1060,7 +1048,6 @@ class TestTlbInvalidation:
         """A freed + reallocated + remapped slot must re-walk, not hit."""
         fn_a = self.map_rw()
         self.check("write")
-        self.assert_hit("write")
         self.m.aspace.clear_pte(VA)
         self.m.phys.free_frames([fn_a])
         fn_new = self.m.phys.alloc_frame("tenant-2")
@@ -1075,7 +1062,6 @@ class TestTlbInvalidation:
         """A raw write to the PTE's physical bytes defeats the cache."""
         self.map_rw()
         self.check("write")
-        self.assert_hit("write")
         slot = self.m.aspace.leaf_slot(VA)
         pte = self.m.phys.read_u64(slot.pa)
         self.m.phys.write_u64(slot.pa, pte & ~PTE_W)
@@ -1085,7 +1071,6 @@ class TestTlbInvalidation:
     def test_shadow_stack_flip_without_byte_write(self):
         fn = self.map_rw()
         self.check("write")
-        self.assert_hit("write")
         self.m.phys.frame(fn).is_shadow_stack = True
         with pytest.raises(PageFault):
             self.check("write")                   # normal write now denied
@@ -1094,10 +1079,9 @@ class TestTlbInvalidation:
         assert pa >> 12 == fn
 
     def test_interior_entry_scribble_misses(self):
-        """Zeroing the root entry kills hits even with the leaf intact."""
+        """Zeroing the root entry faults even with the leaf intact."""
         self.map_rw()
         self.check("read")
-        self.assert_hit("read")
         root_pa = (self.m.aspace.root_fn << 12) + ((VA >> 30) & 511) * 8
         saved = self.m.phys.read_u64(root_pa)
         self.m.phys.write_u64(root_pa, 0)
@@ -1107,20 +1091,4 @@ class TestTlbInvalidation:
         self.m.phys.write_u64(root_pa, saved)
         self.check("read")                        # walk works again
 
-    def test_flush_then_rewalk_same_answer(self):
-        fn = self.map_rw()
-        pa1, _ = self.check("read")
-        self.mmu.tlb_flush()
-        before = self.mmu.tlb_hits
-        pa2, _ = self.check("read")
-        assert pa1 == pa2 == ((fn << 12) | (VA & 0xFFF))
-        assert self.mmu.tlb_hits == before        # it was a miss
-        self.assert_hit("read")
 
-    def test_neighbour_ad_traffic_keeps_entry(self):
-        """A/D updates on a *neighbouring* PTE don't evict this entry."""
-        self.map_rw()
-        self.map_rw(VA + 4096)
-        self.check("read")
-        self.check("read", va=VA + 4096)          # sets A on the neighbour
-        self.assert_hit("read")

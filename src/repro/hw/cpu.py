@@ -39,7 +39,7 @@ from .isa import INSTR_SIZE, REG_INDEX, Instr, decode_cached
 from .memory import PAGE_SIZE, PhysicalMemory
 from .mmu import KERNEL_MODE, USER_MODE, AccessContext, Mmu
 from .paging import AddressSpace
-from .translate import TranslationCache
+from .translate import DIRECT_JUMPS, TranslationCache
 
 
 class CpuHalt(Exception):
@@ -292,7 +292,8 @@ class Cpu:
           without a new ``acquire`` only when the successor lies on the
           same code page (whose fetch check already ran in this burst
           under the same mode and CR4), its witness is fresh and it fits
-          the remaining budget;
+          the remaining budget; a loop-form block re-enters itself inside
+          its function under the same budget test;
         * the data-access memo ``reads``/``writes`` lives for this burst
           only (see :func:`_memo_entry`);
         * IBT arming, page-straddling fetches, undecodable bytes, stale
@@ -325,13 +326,16 @@ class Cpu:
         writes: dict = {}
         done = 0
         while True:
-            n = (sb.fn or _compile_block(sb))(self, sb, reads, writes, done)
+            n = (sb.fn or _compile_block(sb))(self, sb, reads, writes, done,
+                                               budget)
             done += n
-            if not sb.chains or n < len(sb.instrs):
+            if not sb.chains or n % len(sb.instrs):
+                # a partial pass: the block stopped before its end
                 return done
             rip = self.rip
             if rip == sb.start_va:
-                # a loop back to this block: every instruction that could
+                # a loop back to this block (a loop-form block only comes
+                # here at the budget edge): every instruction that could
                 # change its witnessed bytes re-validated it, so it is
                 # still fresh
                 nxt = sb
@@ -697,17 +701,27 @@ class Cpu:
 # --------------------------------------------------------------------------- #
 #
 # Each superblock runs as one generated Python function,
-# ``block(cpu, sb, reads, writes, done) -> retired``. Pure ops, ``load``
-# and ``store`` are inlined with their operands and costs as constants;
-# every other op calls its handler through the class, so one function
-# serves every core, sandbox and machine. The block's ``instr`` and
-# ``mem`` cycles and its ``sb_exec``/``sb_cycles`` counts are summed at
-# generation time and flushed — ``instr`` before ``mem``, the order in
-# which `Cpu.step` first creates the two tags — before every handler
-# that is not inlined, before any exception leaves the function, and at
-# every exit. Nothing between two flushes can observe the clock: inlined
-# ops read only registers, flags and memory, and ``Mmu.check`` never
-# touches the clock.
+# ``block(cpu, sb, reads, writes, done, budget) -> retired``, where
+# ``done`` is what the burst retired before the call and ``budget`` its
+# step limit. Pure ops, ``load`` and ``store`` are inlined with their
+# operands and costs as constants; every other op calls its handler
+# through the class, so one function serves every core, sandbox and
+# machine. The block's ``instr`` and ``mem`` cycles and its
+# ``sb_exec``/``sb_cycles`` counts are summed at generation time and
+# flushed — ``instr`` before ``mem``, the order in which `Cpu.step`
+# first creates the two tags — before every handler that is not
+# inlined, before any exception leaves the function, and at every exit.
+# Nothing between two flushes can observe the clock: inlined ops read
+# only registers, flags and memory, and ``Mmu.check`` never touches the
+# clock.
+#
+# A block that ends in a direct jump back to its own start and inlines
+# every instruction (`_self_loop`) takes the loop form: one ``while``
+# loop that runs pass after pass while the next pass fits ``budget``,
+# with the registers it names and ZF in locals. Its exits flush the
+# finished passes' totals plus the running pass's, add the loop-backs to
+# ``sb_hits`` (the burst loop would have counted each re-entry) and
+# store the locals back; it returns every instruction it retired.
 
 #: ops the block functions inline (everything else calls its handler)
 _INLINE_OPS = frozenset({
@@ -750,8 +764,10 @@ def _inlinable(instr: Instr) -> bool:
                for f in _REG_FIELDS.get(instr.op, ()))
 
 
-def _flush(cpu: Cpu, instr_cycles: int, mem_cycles: int, retired: int) -> None:
-    """Book a block's accumulated charges and superblock counters."""
+def _flush(cpu: Cpu, instr_cycles: int, mem_cycles: int, retired: int,
+           loops: int = 0) -> None:
+    """Book a block's accumulated charges and superblock counters;
+    ``loops`` counts a loop-form block's loop-backs."""
     if retired:
         charge = cpu.clock.charge
         charge(instr_cycles, "instr")
@@ -760,6 +776,7 @@ def _flush(cpu: Cpu, instr_cycles: int, mem_cycles: int, retired: int) -> None:
         tcache = cpu.tcache
         tcache.sb_exec += retired
         tcache.sb_cycles += instr_cycles
+        tcache.sb_hits += loops
 
 
 def _unwind(cpu: Cpu, exc: Exception, iva: int, before: int) -> None:
@@ -833,49 +850,85 @@ def _store_miss(cpu: Cpu, sb, writes: dict, va: int, value: int) -> None:
     cpu.phys.write_u64(pa, value)
 
 
+def _self_loop(start_va: int, instrs: tuple) -> bool:
+    """True when the block takes the loop form: it ends in a direct jump
+    back to its own start and every instruction in it is inlined."""
+    last = instrs[-1]
+    return (last.op in DIRECT_JUMPS and last.imm == start_va
+            and all(map(_inlinable, instrs)))
+
+
 def _emit_block(start_va: int, instrs: tuple) -> tuple[str, dict]:
     """Generate the source of one block function and its constants."""
     consts: dict = {}
-    out = ["def block(cpu, sb, reads, writes, done):", "    R = cpu.regs"]
+    out = ["def block(cpu, sb, reads, writes, done, budget):",
+           "    R = cpu.regs"]
     n = len(instrs)
+    loop = _self_loop(start_va, instrs)
     pend = [0, 0, 0]        # instr cycles, mem cycles, retired since flush
-    zf_local = False        # local ``z`` holds ZF, not yet in cpu.zf
+    zf_local = loop         # local ``z`` holds ZF, not yet in cpu.zf
+    per_pass = (sum(_OP_COSTS.get(i.op, Cost.ALU) for i in instrs),
+                sum(Cost.MEM for i in instrs if i.op in ("load", "store")))
+    written = []            # registers held in locals that the block sets
+    if loop:
+        # one pass per turn of the loop; ``it`` counts the loop-backs
+        named = sorted({getattr(i, f) for i in instrs
+                        for f in _REG_FIELDS.get(i.op, ())})
+        written = sorted({i.dst for i in instrs if _REG_FIELDS.get(i.op)
+                          and i.op not in ("cmp", "cmpi", "store")})
+        out += [f"    r_{r} = R[{r!r}]" for r in named]
+        out += ["    z = cpu.zf", "    it = 0",
+                # loop again only while the next pass fits the budget
+                f"    cap = (budget - done) // {n} - 1", "    while True:"]
 
     def emit(*lines, depth=1):
-        out.extend("    " * depth + line for line in lines)
+        out.extend("    " * (depth + loop) + line for line in lines)
+
+    def reg(name) -> str:
+        return f"r_{name}" if loop else f"R[{name!r}]"
+
+    def acc(whole: int, part: int) -> str:
+        """A total over the finished passes and the running one."""
+        return f"it * {whole} + {part}" if loop and whole else str(part)
 
     def zf_expr():
         return "z" if zf_local else "cpu.zf"
 
-    def sync_zf(depth=1):
+    def sync(depth=1):
+        """Store the register and ZF locals back into the core."""
+        emit(*(f"R[{r!r}] = r_{r}" for r in written), depth=depth)
         if zf_local:
             emit("cpu.zf = z", depth=depth)
 
     def leave(rip: str, retired: int, depth=1):
         """Store ZF and rip, flush, return: one exit of the function.
 
-        The flush is spelled out rather than a ``_flush`` call: a loop
-        runs this exit once per pass."""
-        sync_zf(depth)
+        The flush is spelled out rather than a ``_flush`` call: a chained
+        block runs this exit once per pass."""
+        sync(depth)
         emit(f"cpu.rip = {rip}", depth=depth)
         ic, mc, rc = pend
         if rc:
             emit("charge = cpu.clock.charge",
-                 f"charge({ic}, 'instr')", depth=depth)
-            if mc:
-                emit(f"charge({mc}, 'mem')", depth=depth)
-            emit("tcache = cpu.tcache", f"tcache.sb_exec += {rc}",
-                 f"tcache.sb_cycles += {ic}", depth=depth)
-        emit(f"return {retired}", depth=depth)
+                 f"charge({acc(per_pass[0], ic)}, 'instr')", depth=depth)
+            if mc:      # a loop exits only after a store or at its end
+                emit(f"charge({acc(per_pass[1], mc)}, 'mem')", depth=depth)
+            emit("tcache = cpu.tcache", f"tcache.sb_exec += {acc(n, rc)}",
+                 f"tcache.sb_cycles += {acc(per_pass[0], ic)}", depth=depth)
+            if loop:
+                emit("tcache.sb_hits += it", depth=depth)
+        emit(f"return {acc(n, retired)}", depth=depth)
 
     def guarded(call: str, k: int, iva: int, depth: int):
         """``call``; an exception leaves with everything flushed."""
         emit("try:", f"    {call}", "except _RAISES as exc:", depth=depth)
         if pend[2]:             # an inlined access: nothing synced yet
-            sync_zf(depth + 1)
-            emit(f"_flush(cpu, {pend[0]}, {pend[1]}, {pend[2]})",
+            sync(depth + 1)
+            loops = ", it" if loop else ""
+            emit(f"_flush(cpu, {acc(per_pass[0], pend[0])}, "
+                 f"{acc(per_pass[1], pend[1])}, {acc(n, pend[2])}{loops})",
                  f"cpu.rip = {iva + INSTR_SIZE}", depth=depth + 1)
-        emit(f"_unwind(cpu, exc, {iva}, done + {k})", "raise",
+        emit(f"_unwind(cpu, exc, {iva}, done + {acc(n, k)})", "raise",
              depth=depth + 1)
 
     for k, instr in enumerate(instrs):
@@ -885,12 +938,12 @@ def _emit_block(start_va: int, instrs: tuple) -> tuple[str, dict]:
         last = k == n - 1
         pend[0] += _OP_COSTS.get(op, Cost.ALU)
         pend[2] += 1
-        d = f"R[{instr.dst!r}]"
-        s = f"R[{instr.src!r}]"
+        d = reg(instr.dst)
+        s = reg(instr.src)
         imm = instr.imm
         if not _inlinable(instr):
             # flush, then run the handler exactly as step() would
-            sync_zf()
+            sync()
             zf_local = False
             emit(f"_flush(cpu, {pend[0]}, {pend[1]}, {pend[2]})")
             pend = [0, 0, 0]
@@ -908,6 +961,10 @@ def _emit_block(start_va: int, instrs: tuple) -> tuple[str, dict]:
                  f"    return {k + 1}",
                  "if not sb.fresh():", f"    return {k + 1}")
             continue
+        if loop and last:
+            # the back-edge: ``jmp`` always takes it, ``jz``/``jnz`` on ZF
+            taken = {"jmp": "", "jz": "z and ", "jnz": "not z and "}[op]
+            emit(f"if {taken}it < cap:", "    it += 1", "    continue")
         if op == "nop":
             pass
         elif op == "mov":

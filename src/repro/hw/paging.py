@@ -91,10 +91,14 @@ class PteSlot:
 class AddressSpace:
     """One page-table hierarchy rooted at a physical frame (CR3 target).
 
-    All mutation goes through :meth:`set_pte` / :meth:`clear_pte`, so a
-    caller-supplied ``pte_writer`` hook can interpose every PTE write —
-    that hook is how Erebor's monitor becomes the *only* writer of page
-    tables once the system is locked down.
+    :meth:`set_pte` and :meth:`clear_pte` write the table bytes raw: they
+    check no policy, and nothing interposes on them. Erebor's monitor is
+    the only writer of page tables for other reasons. Every PTE the
+    kernel asks for goes through ``NestedMmu.write_pte``
+    (:mod:`repro.core.nested_mmu`), which refuses any writable mapping
+    of a page-table frame, so simulated code has no writable alias of a
+    table. The kernel's PKRS (``PKRS_KERNEL``) also write-disables
+    ``PKEY_PT``, the protection key reserved for page-table pages.
     """
 
     def __init__(self, phys: PhysicalMemory, name: str = "as"):

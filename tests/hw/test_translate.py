@@ -8,7 +8,10 @@ Two obligations from the design:
   at a time with everything *off*: same registers, rip, flags, mode,
   retired-step count, cycle total, per-tag ledger, event counters and
   memory image. Faults (including faults delivered mid-superblock) must
-  land on the same instruction with the same state.
+  land on the same instruction with the same state. A third arm runs
+  the cache on under `tests.reference.reference_paths()`, with the
+  loop form off, and must also match the cache-on arm's
+  translation-cache counters.
 
 * **Invalidation** — a cached translation must never outlive the bytes
   that justified it: PTE rewrites (mprotect-style downgrades, template
@@ -28,7 +31,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.hw import regs
+from repro.hw import cpu as cpu_module, regs
 from repro.hw.cpu import CpuHalt  # noqa: F401 - imported for doc cross-refs
 from repro.hw.errors import (
     ControlProtectionFault,
@@ -48,6 +51,7 @@ from repro.hw.testbench import (
     USER_CODE_VA,
     MicroMachine,
 )
+from tests.reference import reference_paths
 
 K = KERNEL_CODE_VA
 D = KERNEL_DATA_VA
@@ -90,28 +94,36 @@ def snapshot(m):
 
 
 def lockstep(setup, *, run=None, expect=None):
-    """Run ``setup`` on a cache-off and a cache-on machine and compare.
+    """Run ``setup`` on a cache-off and a cache-on machine and compare,
+    and on a cache-on machine under `reference_paths()`.
 
     ``run`` defaults to ``m.cpu.run()`` (to hlt, faults raised).
-    ``expect`` is an exception type both runs must raise.
-    Returns the (identical) snapshots' cache-on machine for extra asserts.
+    ``expect`` is an exception type every run must raise. All three
+    arms reach the same outcome and snapshot, and both cache-on arms
+    the same four translation-cache counters. Returns the cache-on
+    machine for extra asserts.
     """
-    run = run or (lambda m: m.cpu.run(deliver_faults=False))
-    results = []
-    for enabled in (False, True):
-        m = make_machine(enabled)
-        setup(m)
-        if expect is None:
-            steps = run(m)
-        else:
-            with pytest.raises(expect) as exc_info:
-                run(m)
-            steps = str(exc_info.value)
-        results.append((m, steps))
-    (off, off_steps), (on, on_steps) = results
-    assert off_steps == on_steps
-    assert snapshot(off) == snapshot(on)
+    off, off_steps = run_arm(False, setup, run, expect)
+    on, on_steps = run_arm(True, setup, run, expect)
+    with reference_paths():
+        ref, ref_steps = run_arm(True, setup, run, expect)
+    assert off_steps == on_steps == ref_steps
+    assert snapshot(off) == snapshot(on) == snapshot(ref)
+    assert on.cpu.tcache.stats() == ref.cpu.tcache.stats()
     return on
+
+
+def run_arm(enabled, setup, run=None, expect=None):
+    """One arm of :func:`lockstep`: the machine and its step count (or the
+    message of the ``expect`` exception it raised)."""
+    run = run or (lambda m: m.cpu.run(deliver_faults=False))
+    m = make_machine(enabled)
+    setup(m)
+    if expect is None:
+        return m, run(m)
+    with pytest.raises(expect) as exc_info:
+        run(m)
+    return m, str(exc_info.value)
 
 
 def load_at_k(program):
@@ -582,23 +594,18 @@ BUDGET_LOOP = [
 
 @pytest.mark.parametrize("budget", range(1, 15))
 def test_budget_runs_out_between_and_inside_chained_blocks(budget):
-    """max_steps lands on every block boundary and every interior slot."""
+    """max_steps lands on every block boundary and every interior slot,
+    every slot of the loop form's first, second and last pass among them;
+    the state there and after resuming to hlt matches the cache-off arm
+    and the reference arm."""
     def partial(m):
         with pytest.raises(SimulatorError):
             m.cpu.run(max_steps=budget)
-        return m.cpu.retired
+        assert m.cpu.retired == budget
+        return snapshot(m), m.cpu.run()
 
     on = lockstep(load_at_k(BUDGET_LOOP), run=partial)
-    assert on.cpu.retired == budget
-    snaps = []
-    for enabled in (False, True):
-        m = make_machine(enabled)
-        load_at_k(BUDGET_LOOP)(m)
-        with pytest.raises(SimulatorError):
-            m.cpu.run(max_steps=budget)
-        assert m.cpu.run() == 15 - budget
-        snaps.append(snapshot(m))
-    assert snaps[0] == snaps[1]
+    assert on.cpu.retired == 15 - budget
 
 
 @pytest.mark.parametrize("new_flags", ["retarget", "read_only"])
@@ -679,6 +686,168 @@ def test_data_page_fault_on_a_later_pass_delivered():
         m.cpu.rip = K
     on = lockstep(setup, run=lambda m: m.cpu.run(deliver_faults=True))
     assert on.cpu.regs["r15"] == 1 and on.cpu.regs["r8"] == 7
+
+
+# --------------------------------------------------------------------------- #
+# loop-form blocks: lockstep with the cache off and with the reference arm
+# --------------------------------------------------------------------------- #
+
+def test_which_blocks_take_the_loop_form():
+    loop = tuple(BUDGET_LOOP[2:5])
+    assert cpu_module._self_loop(at(2), loop)
+    assert "while True:" in cpu_module._emit_block(at(2), loop)[0]
+    # a jump to another start, or a handler in the block: one pass a call
+    assert not cpu_module._self_loop(at(0), tuple(BUDGET_LOOP[:5]))
+    assert not cpu_module._self_loop(at(0), (I("wrmsr"), I("jmp", imm=at(0))))
+    assert "while" not in cpu_module._emit_block(at(0),
+                                                 tuple(BUDGET_LOOP[:5]))[0]
+
+
+def fault_on_pass(k, access):
+    """A loop whose ``access`` through ``r9`` walks up 8 bytes a pass from
+    D's only page; pass ``k`` reaches the unmapped page above it."""
+    touch = (I("load", "rax", "r9") if access == "load"
+             else I("store", "r9", "rbx"))
+    return [
+        I("movi", "r8", imm=k + 2),
+        I("movi", "r9", imm=D + PAGE - 8 * (k - 1)),
+        touch,                               # 2: loop
+        I("add", "rbx", "r8"),
+        I("addi", "r9", imm=8),
+        I("addi", "r8", imm=NEG1),
+        I("jnz", imm=at(2)),
+        I("hlt"),
+    ]
+
+
+@pytest.mark.parametrize("access", ["load", "store"])
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_loop_form_data_fault_on_pass_k_raised(k, access):
+    def setup(m):
+        m.map_data(D)
+        m.load_code(K, fault_on_pass(k, access))
+        m.cpu.rip = K
+    on = lockstep(setup, expect=PageFault)
+    assert on.cpu.rip == at(2) and on.cpu.regs["r8"] == 3
+    assert on.cpu.retired == 2 + 5 * (k - 1) + 1
+
+
+@pytest.mark.parametrize("access", ["load", "store"])
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_loop_form_data_fault_on_pass_k_delivered(k, access):
+    def setup(m):
+        m.map_data(D)
+        m.load_code(HANDLER_VA, [I("addi", "r15", imm=1), I("hlt")])
+        m.install_idt({14: HANDLER_VA})
+        m.load_code(K, fault_on_pass(k, access))
+        m.cpu.rip = K
+    on = lockstep(setup,
+                            run=lambda m: m.cpu.run(deliver_faults=True))
+    assert on.cpu.regs["r15"] == 1 and on.cpu.regs["r8"] == 3
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_loop_form_store_into_its_own_code_page_on_pass_k(k):
+    """Pass k's store rewrites the loop's own first instruction.
+
+    ``r9`` walks up 8 bytes a pass from the page below the code page;
+    pass k stores ``movi rbx, 2``'s first 8 bytes over ``movi rbx, 1``,
+    so ``sb.fresh()`` fails mid-loop and the next pass must run the new
+    bytes. Pass k + 1 is the last.
+    """
+    w_va = 0x0050_0000
+    entry = w_va + 20 * INSTR_SIZE
+    patch = int.from_bytes(I("movi", "rbx", imm=2).encode()[:8], "little")
+
+    def setup(m):
+        m.map_data(w_va - PAGE)
+        fn = m.phys.alloc_frame("kernel")
+        m.phys.frame(fn).materialize()
+        m.aspace.map_page(w_va, fn, PTE_P | PTE_W, 0)
+        loop = [
+            I("movi", "rbx", imm=1),         # 0: patched on pass k
+            I("add", "rcx", "rbx"),
+            I("store", "r9", "r10"),
+            I("addi", "r9", imm=8),
+            I("addi", "r8", imm=NEG1),
+            I("jnz", imm=w_va),
+            I("hlt"),
+        ]
+        prologue = [
+            I("movi", "r8", imm=k + 1),
+            I("movi", "r9", imm=w_va - 8 * (k - 1)),
+            I("movi", "r10", imm=patch),
+            I("jmp", imm=w_va),
+        ]
+        m.write_phys(w_va, b"".join(i.encode() for i in loop))
+        m.write_phys(entry, b"".join(i.encode() for i in prologue))
+        m.cpu.rip = entry
+
+    on = lockstep(setup)
+    assert on.cpu.regs["rcx"] == k + 2
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_loop_form_page_straddling_load_on_pass_k(k):
+    """Pass k loads the word that straddles D's two pages."""
+    def setup(m):
+        m.map_data(D, pages=2)
+        m.write_phys(D + PAGE - 64, bytes(range(1, 129)))
+        m.load_code(K, [
+            I("movi", "r8", imm=k + 2),
+            I("movi", "r9", imm=D + PAGE - 4 - 8 * (k - 1)),
+            I("load", "rax", "r9"),          # 2: loop
+            I("add", "rbx", "rax"),
+            I("addi", "r9", imm=8),
+            I("addi", "r8", imm=NEG1),
+            I("jnz", imm=at(2)),
+            I("hlt"),
+        ])
+        m.cpu.rip = K
+    on = lockstep(setup)
+    assert on.cpu.regs["rbx"] != 0
+
+
+@pytest.mark.parametrize("zf", [False, True])
+@pytest.mark.parametrize("op", ["jz", "jnz"])
+def test_loop_form_carries_zf_across_passes(op, zf):
+    """No instruction in the loop sets ZF: the flag the prologue left
+    decides every pass, so the loop runs once or until the budget."""
+    program = [
+        I("movi", "rdx", imm=D),             # 0
+        I("cmpi", "rdx", imm=D if zf else 0),  # 1: ZF for the whole run
+        I("load", "rax", "rdx"),             # 2: loop
+        I("mov", "rbx", "rax"),
+        I("movi", "rcx", imm=7),
+        I("store", "rdx", "rcx", imm=8),
+        I(op, imm=at(2)),
+        I("hlt"),
+    ]
+
+    def capped(m):
+        try:
+            return m.cpu.run(max_steps=40)
+        except SimulatorError as exc:
+            return str(exc)
+
+    on = lockstep(load_at_k(program), run=capped)
+    assert on.cpu.zf is zf
+    assert on.cpu.retired == (40 if zf == (op == "jz") else 8)
+
+
+@pytest.mark.parametrize("budget", [4, 5, 6, 7, 100, 101, 102])
+def test_loop_form_jmp_self_loop_ends_in_livelock(budget):
+    program = [
+        I("movi", "rdx", imm=D),             # 0
+        I("addi", "rax", imm=1),             # 1: loop
+        I("store", "rdx", "rax"),            # 2
+        I("jmp", imm=at(1)),                 # 3
+    ]
+    on = lockstep(
+        load_at_k(program), run=lambda m: m.cpu.run(max_steps=budget),
+        expect=SimulatorError)
+    assert on.cpu.retired == budget
+    assert on.cpu.regs["rax"] == (budget - 1 + 2) // 3
 
 
 # --------------------------------------------------------------------------- #
@@ -823,6 +992,13 @@ def assemble_pages(pages):
 
 def run_random(enabled, pages):
     """Load both code pages writable, run, return the full outcome."""
+    m, result = random_machine(enabled, pages)
+    return result, m.cpu.retired, snapshot(m)
+
+
+def random_machine(enabled, pages):
+    """Load both code pages writable and run; returns the machine and the
+    steps run or the name of the exception that ended the run."""
     m = make_machine(enabled)
     m.map_data(D, pkey=1)
     m.map_data(D + PAGE, user=True)
@@ -839,16 +1015,34 @@ def run_random(enabled, pages):
         result = m.cpu.run(max_steps=PROP_STEPS, deliver_faults=False)
     except (HardwareFault, SimulatorError) as exc:
         result = type(exc).__name__
-    return result, m.cpu.retired, snapshot(m)
+    return m, result
 
 
-@settings(derandomize=True, max_examples=400, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
+#: one seeded corpus for both random-program properties
+CORPUS = settings(derandomize=True, max_examples=400, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow,
+                                         HealthCheck.data_too_large])
+
+
+@CORPUS
 @given(PROGRAM)
 def test_random_programs_run_in_lockstep(pages):
     """Cache on vs off: same result or fault type, count, rip and state."""
     assert run_random(True, pages) == run_random(False, pages)
+
+
+@CORPUS
+@given(PROGRAM)
+def test_random_programs_match_the_reference_arm(pages):
+    """Cache on, fast paths vs `reference_paths()`: the same outcome and
+    state, and the same four translation-cache counters."""
+    def outcome(m, result):
+        return result, m.cpu.retired, snapshot(m), m.cpu.tcache.stats()
+
+    fast = outcome(*random_machine(True, pages))
+    with reference_paths():
+        ref = outcome(*random_machine(True, pages))
+    assert fast == ref
 
 
 # --------------------------------------------------------------------------- #
@@ -943,6 +1137,67 @@ def test_cache_speeds_up_a_memory_loop_with_identical_state():
     assert speedup >= MEM_SPEED_FLOOR, (
         f"memory-loop speedup {speedup:.2f}x under the {MEM_SPEED_FLOOR}x "
         f"floor (off {off_host:.3f}s, on {on_host:.3f}s)")
+
+
+@pytest.mark.parametrize("program", [LOOP_PROGRAM, MEM_LOOP_PROGRAM],
+                         ids=["alu", "memory"])
+def test_speed_loops_match_the_reference_arm(program):
+    fast, fast_steps, _ = timed_loop(True, program)
+    with reference_paths():
+        ref, ref_steps, _ = timed_loop(True, program)
+    assert fast_steps == ref_steps
+    assert snapshot(fast) == snapshot(ref)
+    assert fast.cpu.tcache.stats() == ref.cpu.tcache.stats()
+
+
+def count_hot_block_calls(monkeypatch, program):
+    """Run ``program`` with the cache on, counting the bursts and the calls
+    of the function of the block at ``at(2)``; returns the machine, the
+    steps run, the burst count and the call count."""
+    calls = []
+    compile_block = cpu_module._compile_block
+
+    def compile_counted(sb):
+        fn = compile_block(sb)
+        if sb.start_va != at(2):
+            return fn
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+        sb.fn = counted
+        return counted
+
+    monkeypatch.setattr(cpu_module, "_compile_block", compile_counted)
+    m = make_machine(True)
+    m.map_data(D)
+    m.load_code(K, program)
+    m.cpu.rip = K
+    bursts = []
+    burst = m.cpu._translated_burst
+    m.cpu._translated_burst = lambda budget: bursts.append(budget) or \
+        burst(budget)
+    steps = m.cpu.run(max_steps=LOOPS * 12)
+    return m, steps, len(bursts), len(calls)
+
+
+def test_memory_loop_enters_its_hot_block_once_per_burst(monkeypatch):
+    """The loop form runs MEM_LOOP_PROGRAM's self-looping block (passes
+    2..LOOPS) in one call of its function, where the reference arm calls
+    it once a pass; the state matches the speed-floor test's cache-off
+    arm."""
+    on, steps, bursts, calls = count_hot_block_calls(monkeypatch,
+                                                     MEM_LOOP_PROGRAM)
+    # bursts: the prologue block, the loop, the hlt block
+    assert calls == 1 and bursts == 3
+    off, off_steps, _ = timed_loop(False, MEM_LOOP_PROGRAM)
+    assert steps == off_steps == 2 + 6 * LOOPS + 1
+    assert snapshot(on) == snapshot(off)
+    with reference_paths():
+        ref, _, ref_bursts, ref_calls = count_hot_block_calls(
+            monkeypatch, MEM_LOOP_PROGRAM)
+    assert ref_calls == LOOPS - 1 and ref_bursts == 3
+    assert snapshot(ref) == snapshot(off)
 
 
 # --------------------------------------------------------------------------- #

@@ -61,6 +61,54 @@ SMP_PLANES = {
     "sched": 3000, "scrub": 2760, "transition": 2455368, "verify": 4391,
 }
 
+#: :func:`repro.fleet.run_fleet` arguments of the CI autoscaling fleet
+#: (``python -m repro.fleet --workload helloworld --clients 6 --requests 2
+#: --cores 4 --pool 1 --autoscale --pool-max 4``); ``pool_config`` is
+#: ``PoolConfig(**AUTOSCALE_POOL)``
+AUTOSCALE_PARAMS = dict(workload="helloworld", clients=6, requests=2,
+                        pool_size=1, n_cpus=4)
+AUTOSCALE_POOL = dict(size=1, autoscale=True, max_size=4)
+
+#: ``FleetReport.digest()`` and ``pool_scaling`` of the autoscaling fleet
+AUTOSCALE_PINNED = \
+    "6a34c150304e1badac2cb29daa79d962d2b60c4dbb77b43083dddfb8545bcfef"
+AUTOSCALE_SCALING = {"grown": 3, "retired": 1, "peak": 4, "final": 3}
+
+#: ``SloConfig`` of the seeded SLO fleet: ``run_fleet(slo=SloConfig(
+#: **SLO_OBJECTIVES), anomaly=True, **SMP_PARAMS)``; 1-cycle objectives
+#: make every judged metric breach
+SLO_OBJECTIVES = dict(queue_wait_p95=1, service_p95=1, e2e_p99=1)
+
+#: ``report.slo`` of the seeded SLO fleet
+SLO_PINNED = {"samples": 16, "breaches": [
+    {"tenant": "tenant-0", "metric": "service", "quantile": "p95",
+     "observed": 1086271, "threshold": 1, "cycle": 414832226,
+     "trace_id": ""},
+    {"tenant": "tenant-1", "metric": "service", "quantile": "p95",
+     "observed": 1085585, "threshold": 1, "cycle": 415918570,
+     "trace_id": ""},
+]}
+
+#: ``report.anomaly`` of the seeded SLO fleet (homogeneous load: quiet)
+ANOMALY_PINNED = {"alerts": [], "armed": []}
+
+
+def _window(count, p50, p95):
+    return {"count": count, "p50": p50, "p95": p95, "p99": p95,
+            "window_cycles": 2_000_000, "windows": 4}
+
+
+#: ``metrics_snapshot(clock)["windowed"]`` of the seeded SLO fleet, in
+#: series order
+WINDOWED_PINNED = {"erebor_fleet_latency_cycles": {
+    "metric=queue_wait,tenant=tenant-0": _window(2, 0, 3211663),
+    "metric=queue_wait,tenant=tenant-1": _window(2, 0, 4397270),
+    "metric=service,tenant=tenant-0": _window(4, 1080043, 1086271),
+    "metric=service,tenant=tenant-1": _window(4, 1044590, 1085585),
+    "metric=e2e,tenant=tenant-0": _window(2, 3492608, 7743392),
+    "metric=e2e,tenant=tenant-1": _window(2, 4537363, 8829736),
+}}
+
 #: ``kernel_digest`` of the two ``python -m repro.analysis ... --self-check
 #: --json`` artifacts over the instrumented distribution kernel: the CFG
 #: pass (V0–V7) and the dataflow pass (V8–V10). A change here moves

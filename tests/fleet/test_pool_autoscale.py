@@ -6,6 +6,12 @@ queue pressure and that the whole thing stays deterministic.
 """
 
 from repro.fleet import run_fleet
+from repro.fleet.goldens import (
+    AUTOSCALE_PARAMS,
+    AUTOSCALE_PINNED,
+    AUTOSCALE_POOL,
+    AUTOSCALE_SCALING,
+)
 from repro.fleet.pool import PoolConfig, WarmPool
 
 
@@ -137,6 +143,13 @@ def test_pool_settles_at_min_size_when_demand_stops(system, template):
         pool.autoscale(queue_depth=0)
     assert len(pool.slots) == pool.min_size == 1
     assert pool.retired == 3
+
+
+def test_ci_autoscaling_fleet_matches_its_pins():
+    report, _ = run_fleet(pool_config=PoolConfig(**AUTOSCALE_POOL),
+                          **AUTOSCALE_PARAMS)
+    assert report.digest() == AUTOSCALE_PINNED
+    assert report.pool_scaling == AUTOSCALE_SCALING
 
 
 def test_autoscaling_runs_stay_deterministic():

@@ -16,8 +16,16 @@ from repro.core.mitigations import CACHE_FLUSH_CYCLES, MitigationConfig
 from repro.fleet import SloConfig, run_fleet
 from repro.fleet.__main__ import main as fleet_main
 from repro.fleet.admission import AdmissionConfig, TenantQuota
-from repro.fleet.goldens import SMP_PARAMS, SMP_PINNED
+from repro.fleet.goldens import (
+    ANOMALY_PINNED,
+    SLO_OBJECTIVES,
+    SLO_PINNED,
+    SMP_PARAMS,
+    SMP_PINNED,
+    WINDOWED_PINNED,
+)
 from repro.fleet.scheduler import AnomalyMonitor
+from repro.obs.metrics import metrics_snapshot
 from repro.vm import CvmMachine, MachineConfig, MIB
 
 
@@ -46,6 +54,16 @@ def test_tight_slo_breaches_and_fires_the_flight_recorder():
         "erebor_fleet_slo_breaches_total")
     assert total >= len(breaches)
     assert tenants <= {"tenant-0", "tenant-1"}
+
+
+def test_seeded_slo_fleet_matches_its_pins():
+    report, system = run_fleet(slo=SloConfig(**SLO_OBJECTIVES), anomaly=True,
+                               **SMP_PARAMS)
+    assert report.slo == SLO_PINNED
+    assert report.anomaly == ANOMALY_PINNED
+    windowed = metrics_snapshot(system.machine.clock)["windowed"]
+    # order too: the snapshot lists series as they were first observed
+    assert json.dumps(windowed) == json.dumps(WINDOWED_PINNED)
 
 
 def test_generous_slo_never_breaches():

@@ -24,7 +24,9 @@ from .emc import EmcCall, ENTRY_GATE_VA, MONITOR_DATA_VA, MONITOR_STACK_TOP
 # protection keys (monitor-owned assignment plan, §5.2)
 PKEY_DEFAULT = 0
 PKEY_MONITOR = 1      # monitor code/data/stacks: kernel has no access
-PKEY_PT = 2           # page-table pages: kernel may read, never write
+# page-table pages: reserved, but no PTE carries it yet; what keeps page
+# tables unwritable is NestedMmu refusing writable mappings of their frames
+PKEY_PT = 2
 PKEY_KTEXT = 3        # kernel text: write-protected (W^X)
 
 #: PKRS for the monitor (privileged virtual mode): everything accessible.

@@ -31,6 +31,8 @@ if TYPE_CHECKING:
 CACHE_FLUSH_CYCLES = 30_000
 #: throttle penalty applied when the exit budget is exhausted
 THROTTLE_STALL_CYCLES = 200_000
+#: seed of each engine's noise-injection RNG (deterministic padding)
+NOISE_SEED = 0x51DE
 
 
 @dataclass
@@ -41,7 +43,6 @@ class MitigationConfig:
     exit_rate_limit_per_sec: int | None = None
     quantize_output_cycles: int | None = None
     noise_injection_max_cycles: int = 0
-    seed: int = 0x51DE
 
 
 class SideChannelMitigations:
@@ -50,7 +51,7 @@ class SideChannelMitigations:
     def __init__(self, clock: CycleClock, config: MitigationConfig):
         self.clock = clock
         self.config = config
-        self._rng = random.Random(config.seed)
+        self._rng = random.Random(NOISE_SEED)
         self._window_start = clock.cycles
         self._window_exits = 0
         self.stats = {"flushes": 0, "throttles": 0, "quantized_waits": 0,

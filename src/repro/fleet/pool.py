@@ -12,11 +12,11 @@ watermark.
 With ``autoscale`` on, the pool additionally tracks offered load instead
 of staying fixed-size: queue pressure forks new slots *ahead* of demand
 (up to ``max_size``), and a pool that has been idle — more free slots
-than ``idle_watermark`` with an empty queue — for ``shrink_patience``
-consecutive scheduling rounds retires one free slot per round back down
-to ``min_size``, scrubbing it and returning its CMA frames to the
-monitor. The patience counter is the hysteresis: a single idle round
-between bursts never flaps the pool.
+than :data:`IDLE_WATERMARK` with an empty queue — for
+:data:`SHRINK_PATIENCE` consecutive scheduling rounds retires one free
+slot per round back down to ``size``, scrubbing it and returning its CMA
+frames to the monitor. The patience counter is the hysteresis: a single
+idle round between bursts never flaps the pool.
 """
 
 from __future__ import annotations
@@ -25,6 +25,12 @@ from dataclasses import dataclass
 
 from ..kernel.process import CowBacking
 from .template import FleetInstance, SandboxTemplate
+
+
+#: autoscale shrinks only when free slots exceed this with an empty queue
+IDLE_WATERMARK = 1
+#: consecutive idle rounds before one slot is retired (hysteresis)
+SHRINK_PATIENCE = 3
 
 
 class ScrubVerificationError(AssertionError):
@@ -36,16 +42,10 @@ class PoolConfig:
     size: int = 2
     #: refill forks are triggered when free slots drop below this
     low_watermark: int = 1
-    #: demand-driven grow/shrink (off: fixed-size, the historical shape)
+    #: demand-driven grow/shrink (off: fixed-size); ``size`` is the floor
     autoscale: bool = False
-    #: autoscale floor (defaults to ``size``)
-    min_size: int | None = None
     #: autoscale ceiling (defaults to ``size``; raise it to allow growth)
     max_size: int | None = None
-    #: shrink only when free slots exceed this with an empty queue
-    idle_watermark: int = 1
-    #: consecutive idle rounds before one slot is retired (hysteresis)
-    shrink_patience: int = 3
 
 
 @dataclass
@@ -77,11 +77,6 @@ class WarmPool:
         while len(self.slots) < self.config.size:
             self._fork_slot()
         self._gauges()
-
-    @property
-    def min_size(self) -> int:
-        return (self.config.min_size if self.config.min_size is not None
-                else self.config.size)
 
     @property
     def max_size(self) -> int:
@@ -130,7 +125,7 @@ class WarmPool:
         depth. Returns the number of slots forked (so the caller knows to
         re-drain its queue). Growth is immediate — every queued session
         is demand the pool can absorb up to ``max_size``; shrink waits
-        out ``shrink_patience`` idle rounds and then retires one slot per
+        out :data:`SHRINK_PATIENCE` idle rounds and then retires one slot per
         round, so a burst arriving mid-drain still finds warm capacity.
         """
         if not self.config.autoscale:
@@ -148,10 +143,10 @@ class WarmPool:
                                     forked=want, size=len(self.slots))
             self._gauges()
             return want
-        if queue_depth == 0 and free > self.config.idle_watermark:
+        if queue_depth == 0 and free > IDLE_WATERMARK:
             self._idle_rounds += 1
-            if (self._idle_rounds >= self.config.shrink_patience
-                    and len(self.slots) > self.min_size):
+            if (self._idle_rounds >= SHRINK_PATIENCE
+                    and len(self.slots) > self.config.size):
                 self._retire_one()
                 self._idle_rounds = 0
         else:

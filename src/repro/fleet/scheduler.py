@@ -32,7 +32,7 @@ from ..client import RemoteClient
 from ..core.boot import published_measurement
 from ..core.channel import SecureChannel, UntrustedProxy
 from ..core.mitigations import MitigationConfig
-from ..obs.metrics import EwmaDetector, WindowedHistogram
+from ..obs.metrics import EwmaDetector, WindowedHistogram, label_key
 from ..obs.reqtrace import mint_trace_id
 from .admission import AdmissionController, Decision
 from .pool import PoolSlot, WarmPool
@@ -113,13 +113,17 @@ class SloConfig:
 class SloMonitor:
     """Watches per-tenant latency percentiles; emits breach events.
 
-    Keeps its own deterministic :class:`WindowedHistogram` per
-    ``(tenant, metric)`` (and mirrors every sample into the metrics
-    registry's windowed series for export). The first breach of each
+    Keeps one deterministic :class:`WindowedHistogram` per ``(tenant,
+    metric)`` series, keyed by its label set. The same objects are the
+    metrics registry's ``erebor_fleet_latency_cycles`` windowed series:
+    the registry's snapshot reads them, so each sample is stored once,
+    and the decisions need no live registry. The first breach of each
     ``(tenant, metric)`` pair raises a trace event, bumps the breach
     counter, and fires the flight-recorder trigger; later samples keep
     counting but don't re-dump.
     """
+
+    SERIES = "erebor_fleet_latency_cycles"
 
     #: metric → (config attribute, quantile, label)
     RULES = {
@@ -128,36 +132,31 @@ class SloMonitor:
         "e2e": ("e2e_p99", 0.99, "p99"),
     }
 
-    #: sliding-window span and ring length of every latency histogram
-    WINDOW_CYCLES = 2_000_000
-    WINDOWS = 4
     #: quantiles are meaningless over a couple of samples; hold fire
     MIN_SAMPLES = 4
 
     def __init__(self, clock, config: SloConfig):
         self.clock = clock
         self.config = config
-        self.hists: dict[tuple[str, str], WindowedHistogram] = {}
+        #: label key (``metric=…,tenant=…``) → that series' histogram
+        self.hists: dict[str, WindowedHistogram] = {}
         self.breaches: list[dict] = []
-        self._breached: set[tuple[str, str]] = set()
+        self._breached: set[str] = set()
         self.samples = 0
-        clock.metrics.describe_window(
-            "erebor_fleet_latency_cycles",
-            "Per-tenant fleet latency (windowed, cycles)",
-            window_cycles=self.WINDOW_CYCLES, windows=self.WINDOWS)
+        metrics = clock.metrics
+        metrics.describe(self.SERIES,
+                         "Per-tenant fleet latency (windowed, cycles)")
+        if metrics.enabled:
+            metrics.windowed[self.SERIES] = self.hists
 
     def observe(self, tenant: str, metric: str, value: int) -> None:
         cycle = self.clock.cycles
         self.samples += 1
-        key = (tenant, metric)
+        key = label_key({"tenant": tenant, "metric": metric})
         hist = self.hists.get(key)
         if hist is None:
-            hist = self.hists[key] = WindowedHistogram(
-                self.WINDOW_CYCLES, self.WINDOWS)
+            hist = self.hists[key] = WindowedHistogram()
         hist.observe(value, cycle)
-        self.clock.metrics.observe_window(
-            "erebor_fleet_latency_cycles", value, cycle,
-            tenant=tenant, metric=metric)
         attr, q, label = self.RULES[metric]
         threshold = getattr(self.config, attr)
         if threshold is None or hist.count < self.MIN_SAMPLES:
@@ -205,11 +204,6 @@ class AnomalyMonitor:
     pays for a noisy neighbour.
     """
 
-    METRICS = ("exit_rate", "emc_rate")
-    #: EWMA smoothing, alert threshold (in deviations) and warm-up samples
-    ALPHA = 0.3
-    THRESHOLD = 3.0
-    MIN_SAMPLES = 4
     #: the knobs armed (per tenant, via the monitor's mitigation router)
     MITIGATION = MitigationConfig(flush_on_exit=True,
                                   exit_rate_limit_per_sec=2000)
@@ -226,8 +220,7 @@ class AnomalyMonitor:
             key = (tenant, metric)
             det = self.detectors.get(key)
             if det is None:
-                det = self.detectors[key] = EwmaDetector(
-                    self.ALPHA, self.THRESHOLD, self.MIN_SAMPLES)
+                det = self.detectors[key] = EwmaDetector()
             if det.update(value):
                 self._alert(tenant, metric, value, det)
 

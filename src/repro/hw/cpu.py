@@ -824,7 +824,7 @@ def _load_miss(cpu: Cpu, reads: dict, va: int) -> int:
     if va & (PAGE_SIZE - 1) > _LAST_U64:
         return int.from_bytes(cpu.mmu.checked_read(aspace, va, 8, ctx),
                               "little")
-    pa, _ = cpu.mmu.check(aspace, va, "read", ctx)
+    pa = cpu.mmu.check(aspace, va, "read", ctx)
     reads[va >> 12] = _memo_entry(cpu, aspace, va, pa)
     return cpu.phys.read_u64(pa)
 
@@ -844,7 +844,7 @@ def _store_miss(cpu: Cpu, sb, writes: dict, va: int, value: int) -> None:
         cpu.mmu.checked_write(aspace, va, (value & U64).to_bytes(8, "little"),
                               ctx)
         return
-    pa, _ = cpu.mmu.check(aspace, va, "write", ctx)
+    pa = cpu.mmu.check(aspace, va, "write", ctx)
     entry = _memo_entry(cpu, aspace, va, pa)
     writes[va >> 12] = entry + (sb.watches(entry[0]),)
     cpu.phys.write_u64(pa, value)

@@ -147,8 +147,8 @@ class Mmu:
     # ------------------------------------------------------------------ #
 
     def check(self, aspace: AddressSpace, va: int, access: str,
-              ctx: AccessContext) -> tuple[int, int]:
-        """Validate one access; return ``(pa, pte)`` or raise :class:`PageFault`."""
+              ctx: AccessContext) -> int:
+        """Validate one access; return its PA or raise :class:`PageFault`."""
         if access not in ("read", "write", "exec"):
             raise SimulatorError(f"bad access type {access!r}")
         user = ctx.mode == USER_MODE
@@ -176,7 +176,7 @@ class Mmu:
         new = pte | PTE_A | (PTE_D if access == "write" else 0)
         if new != pte:
             self.phys.write_u64(slot.pa, new)
-        return (hit_fn << 12) | (va & (PAGE_SIZE - 1)), pte
+        return (hit_fn << 12) | (va & (PAGE_SIZE - 1))
 
     def check_run(self, aspace: AddressSpace, va: int, end: int, stride: int,
                   access: str, ctx: AccessContext, visit) -> int:
@@ -320,7 +320,7 @@ class Mmu:
         """:meth:`read` without its MEM charge (the caller books it)."""
         out = bytearray()
         while size > 0:
-            pa, _ = self.check(aspace, va, "read", ctx)
+            pa = self.check(aspace, va, "read", ctx)
             chunk = min(size, PAGE_SIZE - (va & (PAGE_SIZE - 1)))
             out += self.phys.read(pa, chunk)
             va += chunk
@@ -332,25 +332,25 @@ class Mmu:
         """:meth:`write` without its MEM charge (the caller books it)."""
         off = 0
         while off < len(data):
-            pa, _ = self.check(aspace, va, "write", ctx)
+            pa = self.check(aspace, va, "write", ctx)
             chunk = min(len(data) - off, PAGE_SIZE - (va & (PAGE_SIZE - 1)))
             self.phys.write(pa, data[off:off + chunk])
             va += chunk
             off += chunk
 
     def fetch(self, aspace: AddressSpace, va: int, size: int, ctx: AccessContext) -> bytes:
-        pa, _ = self.check(aspace, va, "exec", ctx)
+        pa = self.check(aspace, va, "exec", ctx)
         first = PAGE_SIZE - (va & (PAGE_SIZE - 1))
         if first >= size:
             return self.phys.read(pa, size)
         # straddles a page: validate and translate the second page too —
         # adjacent virtual pages need not map adjacent frames
-        pa2, _ = self.check(aspace, va + first, "exec", ctx)
+        pa2 = self.check(aspace, va + first, "exec", ctx)
         return self.phys.read(pa, first) + self.phys.read(pa2, size - first)
 
     def read_u64(self, aspace: AddressSpace, va: int, ctx: AccessContext) -> int:
         if va & (PAGE_SIZE - 1) <= PAGE_SIZE - 8:
-            pa, _ = self.check(aspace, va, "read", ctx)
+            pa = self.check(aspace, va, "read", ctx)
             value = self.phys.read_u64(pa)
             self.clock.charge(Cost.MEM, "mem")
             return value
@@ -358,7 +358,7 @@ class Mmu:
 
     def write_u64(self, aspace: AddressSpace, va: int, value: int, ctx: AccessContext) -> None:
         if va & (PAGE_SIZE - 1) <= PAGE_SIZE - 8:
-            pa, _ = self.check(aspace, va, "write", ctx)
+            pa = self.check(aspace, va, "write", ctx)
             self.phys.write_u64(pa, value)
             self.clock.charge(Cost.MEM, "mem")
             return

@@ -7,10 +7,12 @@ The virtual address space is 39 bits (512 GiB), split x86-style into three
 
 Every table level is a real 4 KiB frame holding 512 8-byte entries, written
 through :class:`~repro.hw.memory.PhysicalMemory`. This matters for fidelity:
-Erebor's nested-kernel MMU protection write-protects *page-table pages*
-with a protection key, so PTEs must live in protectable memory — attacks
-that try to scribble a PTE through the kernel direct map hit the same PKS
-check as any other store.
+Erebor's nested-kernel MMU protection keeps the kernel from holding any
+writable mapping of a *page-table page* — ``NestedMmu.write_pte``
+(:mod:`repro.core.nested_mmu`) refuses every writable PTE that maps a
+page-table frame — so PTEs must live in real frames whose mappings the
+monitor can police: an attack that tries to scribble a PTE through a
+kernel mapping finds no writable alias to store through.
 
 PTE layout mirrors x86-64 where the paper depends on it:
 
@@ -97,8 +99,9 @@ class AddressSpace:
     kernel asks for goes through ``NestedMmu.write_pte``
     (:mod:`repro.core.nested_mmu`), which refuses any writable mapping
     of a page-table frame, so simulated code has no writable alias of a
-    table. The kernel's PKRS (``PKRS_KERNEL``) also write-disables
-    ``PKEY_PT``, the protection key reserved for page-table pages.
+    table. That refusal is the barrier: the kernel's PKRS
+    (``PKRS_KERNEL``) write-disables ``PKEY_PT``, the protection key
+    reserved for page-table pages, but no PTE carries that key yet.
     """
 
     def __init__(self, phys: PhysicalMemory, name: str = "as"):

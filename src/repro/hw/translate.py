@@ -158,7 +158,7 @@ class TranslationCache:
         if (rip & (PAGE_SIZE - 1)) > _LAST_SLOT:
             return None        # page-straddling fetch: interpreter owns it
         aspace = cpu.aspace
-        pa, _ = cpu.mmu.check(aspace, rip, "exec", cpu.access_ctx())
+        pa = cpu.mmu.check(aspace, rip, "exec", cpu.access_ctx())
         key = (aspace.root_fn, rip)
         sb = self.blocks.get(key)
         if sb is not None:

@@ -153,8 +153,7 @@ class FlightDump:
             "per_cpu": per_cpu,
             "ledger": dict(self.ledger),
             "utilization": utilization_timeline(
-                self.events_by_cpu, self.window_start, self.cycle,
-                buckets=TIMELINE_BUCKETS),
+                self.events_by_cpu, self.window_start, self.cycle),
             "traceEvents": self._chrome_events(),
         }
 
@@ -193,18 +192,17 @@ def flight_payload(recorder: FlightRecorder) -> dict:
 
 
 def utilization_timeline(events_by_cpu: dict[int, list[TraceEvent]],
-                         start: int, end: int, *,
-                         buckets: int = 20) -> dict:
-    """Per-CPU busy fraction over ``buckets`` equal slices of [start, end].
+                         start: int, end: int) -> dict:
+    """Per-CPU busy fraction over :data:`TIMELINE_BUCKETS` equal slices of
+    [start, end].
 
     Busy time is the interval *union* of span events per core (nested
     spans never double-count), clipped to the window. Serial-section
     records (cpu ``SERIAL_LANE``) are excluded: barrier work belongs to no
     single core.
     """
-    span = max(end - start, 1)
-    buckets = max(buckets, 1)
-    width = span / buckets
+    buckets = TIMELINE_BUCKETS
+    width = max(end - start, 1) / buckets
     timeline: dict[str, list[float]] = {}
     for cpu, events in sorted(events_by_cpu.items()):
         if cpu == SERIAL_LANE:

@@ -25,9 +25,16 @@ from bisect import bisect_left
 DEFAULT_BUCKETS = (250, 700, 1300, 2500, 5000, 10_000, 30_000,
                    100_000, 1_000_000)
 
-#: default sliding-window geometry for windowed histograms
-DEFAULT_WINDOW_CYCLES = 1_000_000
-DEFAULT_WINDOWS = 4
+#: sliding-window geometry of every :class:`WindowedHistogram`: frame
+#: span in cycles, and how many frames a percentile looks back over
+WINDOW_CYCLES = 2_000_000
+WINDOWS = 4
+
+#: :class:`EwmaDetector` smoothing, alert threshold (in deviations) and
+#: warm-up samples
+EWMA_ALPHA = 0.3
+EWMA_THRESHOLD = 3.0
+EWMA_MIN_SAMPLES = 4
 
 
 #: (label items, in call-site order) → canonical key. Bounded: label
@@ -235,50 +242,49 @@ def metrics_snapshot(clock) -> dict:
     return snap
 
 
+def _nearest_rank(values: list, q: float):
+    """The ``q`` quantile of sorted ``values`` by nearest rank (None if
+    empty)."""
+    if not values:
+        return None
+    return values[min(len(values) - 1, max(0, math.ceil(q * len(values)) - 1))]
+
+
 class WindowedHistogram:
     """Deterministic sliding-window value store keyed by *cycle* time.
 
     Frames align to absolute window boundaries — frame ``k`` covers
-    simulated cycles ``[k*W, (k+1)*W)`` — so rotation happens at exact
-    cycle boundaries and two seeded runs retain byte-identical windows.
-    Percentiles use the nearest-rank method over the values of the last
-    ``windows`` frames (integer inputs → integer outputs, no
-    interpolation drift).
+    simulated cycles ``[k*W, (k+1)*W)`` with ``W`` = :data:`WINDOW_CYCLES`
+    — so rotation happens at exact cycle boundaries and two seeded runs
+    retain byte-identical windows. Percentiles use the nearest-rank
+    method over the values of the last :data:`WINDOWS` frames (integer
+    inputs → integer outputs, no interpolation drift).
     """
 
-    __slots__ = ("window_cycles", "windows", "_frames")
+    __slots__ = ("_frames",)
 
-    def __init__(self, window_cycles: int = DEFAULT_WINDOW_CYCLES,
-                 windows: int = DEFAULT_WINDOWS):
-        if window_cycles <= 0 or windows <= 0:
-            raise ValueError("window_cycles and windows must be positive")
-        self.window_cycles = window_cycles
-        self.windows = windows
+    def __init__(self):
         #: frame index → values observed in that frame (insertion-ordered)
         self._frames: dict[int, list] = {}
 
     def observe(self, value, cycle: int) -> None:
-        frame = cycle // self.window_cycles
+        frame = cycle // WINDOW_CYCLES
         values = self._frames.get(frame)
         if values is None:
             values = self._frames[frame] = []
             # drop frames that slid out of the retention window
-            floor = frame - self.windows + 1
+            floor = frame - WINDOWS + 1
             for old in [f for f in self._frames if f < floor]:
                 del self._frames[old]
         values.append(value)
 
     def values(self, cycle: int | None = None) -> list:
         """Retained values; with ``cycle``, only frames still in-window."""
-        if cycle is None:
-            frames = sorted(self._frames)
-        else:
-            floor = cycle // self.window_cycles - self.windows + 1
-            frames = sorted(f for f in self._frames if f >= floor)
-        out: list = []
-        for f in frames:
-            out.extend(self._frames[f])
-        return out
+        frames = sorted(self._frames)
+        if cycle is not None:
+            floor = cycle // WINDOW_CYCLES - WINDOWS + 1
+            frames = [f for f in frames if f >= floor]
+        return [v for f in frames for v in self._frames[f]]
 
     @property
     def count(self) -> int:
@@ -286,49 +292,37 @@ class WindowedHistogram:
 
     def quantile(self, q: float, cycle: int | None = None):
         """Nearest-rank quantile of the retained values (None if empty)."""
-        values = sorted(self.values(cycle))
-        if not values:
-            return None
-        rank = min(len(values) - 1, max(0, math.ceil(q * len(values)) - 1))
-        return values[rank]
+        return _nearest_rank(sorted(self.values(cycle)), q)
 
     def quantiles(self, cycle: int | None = None) -> dict:
         """The p50/p95/p99 summary the SLO monitors and snapshots use."""
         values = sorted(self.values(cycle))
-        if not values:
-            return {"count": 0, "p50": None, "p95": None, "p99": None}
-        def rank(q):
-            return values[min(len(values) - 1,
-                              max(0, math.ceil(q * len(values)) - 1))]
-        return {"count": len(values), "p50": rank(0.50),
-                "p95": rank(0.95), "p99": rank(0.99)}
+        return {"count": len(values), "p50": _nearest_rank(values, 0.50),
+                "p95": _nearest_rank(values, 0.95),
+                "p99": _nearest_rank(values, 0.99)}
 
     def __repr__(self) -> str:
         return (f"WindowedHistogram({self.count} values over "
-                f"{len(self._frames)}/{self.windows} x "
-                f"{self.window_cycles}-cycle frames)")
+                f"{len(self._frames)}/{WINDOWS} x "
+                f"{WINDOW_CYCLES}-cycle frames)")
 
 
 class EwmaDetector:
     """One-sided EWMA baseline detector: flags samples far above trend.
 
-    Tracks an exponentially-weighted mean and variance; a sample is
-    anomalous when it exceeds ``mean + threshold * spread`` after at
-    least ``min_samples`` baseline observations, where spread is the
+    Tracks an exponentially-weighted mean and variance (smoothing
+    :data:`EWMA_ALPHA`); a sample is anomalous when it exceeds ``mean +``
+    :data:`EWMA_THRESHOLD` ``* spread`` after at least
+    :data:`EWMA_MIN_SAMPLES` baseline observations, where spread is the
     EWMA standard deviation floored at 5% of the mean (so a perfectly
     flat baseline still tolerates jitter). Anomalous samples are *not*
     absorbed into the baseline — an attacker cannot drag the trend up.
     Pure float arithmetic, no RNG: deterministic across reruns.
     """
 
-    __slots__ = ("alpha", "threshold", "min_samples", "mean", "var",
-                 "samples")
+    __slots__ = ("mean", "var", "samples")
 
-    def __init__(self, alpha: float = 0.3, threshold: float = 3.0,
-                 min_samples: int = 4):
-        self.alpha = alpha
-        self.threshold = threshold
-        self.min_samples = min_samples
+    def __init__(self):
         self.mean = 0.0
         self.var = 0.0
         self.samples = 0
@@ -339,8 +333,8 @@ class EwmaDetector:
 
     def update(self, value: float) -> bool:
         """Feed one sample; returns True when it is anomalous."""
-        if self.samples >= self.min_samples:
-            if value > self.mean + self.threshold * self.spread:
+        if self.samples >= EWMA_MIN_SAMPLES:
+            if value > self.mean + EWMA_THRESHOLD * self.spread:
                 return True
         self.samples += 1
         if self.samples == 1:
@@ -348,8 +342,8 @@ class EwmaDetector:
             self.var = 0.0
             return False
         delta = value - self.mean
-        self.mean += self.alpha * delta
-        self.var = (1 - self.alpha) * (self.var + self.alpha * delta * delta)
+        self.mean += EWMA_ALPHA * delta
+        self.var = (1 - EWMA_ALPHA) * (self.var + EWMA_ALPHA * delta * delta)
         return False
 
     def __repr__(self) -> str:
@@ -376,24 +370,11 @@ class NullMetrics:
     def observe(self, name: str, value: float, /, **labels) -> None:
         return None
 
-    def describe_window(self, name: str, help: str = "",
-                        window_cycles: int = DEFAULT_WINDOW_CYCLES,
-                        windows: int = DEFAULT_WINDOWS) -> None:
-        return None
-
-    def observe_window(self, name: str, value: float, cycle: int,
-                       /, **labels) -> None:
-        return None
-
     def exemplar(self, name: str, trace_id: str, /, **labels) -> None:
         return None
 
     def histogram_handle(self, name: str, /, **labels) -> _NullHandle:
         return NULL_HANDLE
-
-    def window_quantiles(self, name: str, /, cycle: int | None = None,
-                         **labels) -> dict:
-        return {}
 
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}
@@ -408,20 +389,21 @@ class MetricsRegistry(NullMetrics):
 
     enabled = True
     __slots__ = ("counters", "gauges", "histograms", "windowed",
-                 "exemplars", "_help", "_buckets", "_window_cfg")
+                 "exemplars", "_help", "_buckets")
 
     def __init__(self):
         self.counters: dict[str, dict[str, float]] = {}
         self.gauges: dict[str, dict[str, float]] = {}
         #: name → key → {"buckets": [..], "sum": s, "count": n}
         self.histograms: dict[str, dict[str, dict]] = {}
-        #: name → key → WindowedHistogram (cycle-time sliding windows)
+        #: name → key → WindowedHistogram (cycle-time sliding windows).
+        #: The owner of a windowed series (the fleet's SLO monitor) files
+        #: its own histograms here; the snapshot reads those objects.
         self.windowed: dict[str, dict[str, WindowedHistogram]] = {}
         #: name → key → last-seen request trace ID (OpenMetrics-style)
         self.exemplars: dict[str, dict[str, str]] = {}
         self._help: dict[str, str] = {}
         self._buckets: dict[str, tuple] = {}
-        self._window_cfg: dict[str, tuple[int, int]] = {}
 
     # -- registration ---------------------------------------------------- #
 
@@ -432,14 +414,6 @@ class MetricsRegistry(NullMetrics):
             self._help[name] = help
         if buckets is not None:
             self._buckets[name] = tuple(sorted(buckets))
-
-    def describe_window(self, name: str, help: str = "",
-                        window_cycles: int = DEFAULT_WINDOW_CYCLES,
-                        windows: int = DEFAULT_WINDOWS) -> None:
-        """Configure a windowed series' geometry (and optional help)."""
-        if help:
-            self._help[name] = help
-        self._window_cfg[name] = (window_cycles, windows)
 
     # -- writes ---------------------------------------------------------- #
 
@@ -452,33 +426,7 @@ class MetricsRegistry(NullMetrics):
         self.gauges.setdefault(name, {})[label_key(labels)] = value
 
     def observe(self, name: str, value: float, /, **labels) -> None:
-        bounds = self._buckets.get(name, DEFAULT_BUCKETS)
-        series = self.histograms.setdefault(name, {})
-        key = label_key(labels)
-        hist = series.get(key)
-        if hist is None:
-            hist = series[key] = {"bounds": list(bounds),
-                                  "buckets": [0] * len(bounds),
-                                  "sum": 0, "count": 0}
-        # first bound >= value (bounds are sorted: binary, not linear)
-        i = bisect_left(hist["bounds"], value)
-        if i < len(hist["buckets"]):
-            hist["buckets"][i] += 1
-        hist["sum"] += value
-        hist["count"] += 1
-
-    def observe_window(self, name: str, value: float, cycle: int,
-                       /, **labels) -> None:
-        """Observe into a cycle-time sliding-window histogram."""
-        series = self.windowed.setdefault(name, {})
-        key = label_key(labels)
-        hist = series.get(key)
-        if hist is None:
-            cfg = self._window_cfg.get(name,
-                                       (DEFAULT_WINDOW_CYCLES,
-                                        DEFAULT_WINDOWS))
-            hist = series[key] = WindowedHistogram(*cfg)
-        hist.observe(value, cycle)
+        self.histogram_handle(name, **labels).observe(value)
 
     def histogram_handle(self, name: str, /, **labels) -> HistogramHandle:
         """Resolve one histogram series to a reusable write handle.
@@ -511,14 +459,6 @@ class MetricsRegistry(NullMetrics):
 
     # -- reads ----------------------------------------------------------- #
 
-    def window_quantiles(self, name: str, /, cycle: int | None = None,
-                         **labels) -> dict:
-        """p50/p95/p99 summary of one windowed series ({} if absent)."""
-        hist = self.windowed.get(name, {}).get(label_key(labels))
-        if hist is None:
-            return {}
-        return hist.quantiles(cycle)
-
     def counter_value(self, name: str, /, **labels) -> float:
         return self.counters.get(name, {}).get(label_key(labels), 0)
 
@@ -529,14 +469,11 @@ class MetricsRegistry(NullMetrics):
 
     def snapshot(self) -> dict:
         """Deep-copied, JSON-able view of every series."""
-        windowed = {}
-        for name, series in self.windowed.items():
-            windowed[name] = {}
-            for key, hist in series.items():
-                summary = hist.quantiles()
-                summary["window_cycles"] = hist.window_cycles
-                summary["windows"] = hist.windows
-                windowed[name][key] = summary
+        windowed = {
+            name: {key: {**hist.quantiles(), "window_cycles": WINDOW_CYCLES,
+                         "windows": WINDOWS}
+                   for key, hist in series.items()}
+            for name, series in self.windowed.items() if series}
         return {
             "counters": {n: dict(s) for n, s in self.counters.items()},
             "gauges": {n: dict(s) for n, s in self.gauges.items()},

@@ -79,6 +79,22 @@ def validate_export(obj) -> list[str]:
             for name, by_label in series.items():
                 if not isinstance(by_label, dict):
                     errors.append(f"metrics.{section}.{name}: not a dict")
+        # windowed latency series are optional (only SLO runs have them)
+        windowed = metrics.get("windowed", {})
+        if not isinstance(windowed, dict):
+            errors.append("metrics.windowed: not a dict")
+            windowed = {}
+        for name, by_label in windowed.items():
+            if not isinstance(by_label, dict):
+                errors.append(f"metrics.windowed.{name}: not a dict")
+                continue
+            for key, summary in by_label.items():
+                where = f"metrics.windowed.{name}.{key}"
+                need(summary, "count", int, where)
+                for q in ("p50", "p95", "p99"):
+                    need(summary, q, (int, float, type(None)), where)
+                need(summary, "window_cycles", int, where)
+                need(summary, "windows", int, where)
 
     profile = need(obj, "profile", dict, "top")
     if profile is not None:

@@ -14,7 +14,7 @@ from repro.fleet.__main__ import main as fleet_main
 from repro.obs import install
 from repro.obs.harness import ObservedRun, export_bundle
 from repro.obs.metrics import metrics_snapshot
-from repro.obs.schema import check_export
+from repro.obs.schema import check_export, validate_export
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,27 @@ def test_fleet_cli_report_and_bundle(tmp_path, capsys):
     bundle = json.loads(bundle_out.read_text())
     check_export(bundle)
     assert bundle["meta"]["fleet"]["requests_served"] == 2
+
+
+def test_fleet_cli_slo_bundle_carries_checked_windowed_series(tmp_path):
+    out = tmp_path / "slo-bundle.json"
+    assert fleet_main(["--workload", "helloworld", "--clients", "2",
+                       "--requests", "2", "--scale", "1.0", "--slo",
+                       "--export", "bundle", "-o", str(out)]) == 0
+    bundle = json.loads(out.read_text())
+    check_export(bundle)
+    series = bundle["metrics"]["windowed"]["erebor_fleet_latency_cycles"]
+    assert series
+    for summary in series.values():
+        assert (summary["window_cycles"], summary["windows"]) == (2_000_000,
+                                                                  4)
+    # the schema checks each windowed summary's fields
+    key = next(iter(series))
+    del series[key]["windows"]
+    series[key]["count"] = "2"
+    errors = validate_export(bundle)
+    assert any("windows" in e for e in errors)
+    assert any(".count" in e for e in errors)
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,12 +12,16 @@ from repro.fleet.goldens import (
     AUTOSCALE_POOL,
     AUTOSCALE_SCALING,
 )
-from repro.fleet.pool import PoolConfig, WarmPool
+from repro.fleet.pool import (
+    IDLE_WATERMARK,
+    SHRINK_PATIENCE,
+    PoolConfig,
+    WarmPool,
+)
 
 
 def autoscale_pool(system, template, **kw):
-    defaults = dict(size=1, autoscale=True, min_size=1, max_size=4,
-                    idle_watermark=0, shrink_patience=2)
+    defaults = dict(size=1, autoscale=True, max_size=4)
     defaults.update(kw)
     return WarmPool(system, template, PoolConfig(**defaults))
 
@@ -45,13 +49,15 @@ def test_grow_is_capped_at_max_size(system, template):
 
 
 def test_shrink_waits_out_the_patience_counter(system, template):
+    assert (IDLE_WATERMARK, SHRINK_PATIENCE) == (1, 3)
     pool = autoscale_pool(system, template)
     pool.autoscale(queue_depth=4)                    # 1 free + 3 forked
     assert len(pool.slots) == 4
-    # idle round 1: over the watermark but patience not yet exhausted
+    # idle rounds 1-2: over the watermark but patience not yet exhausted
+    pool.autoscale(queue_depth=0)
     pool.autoscale(queue_depth=0)
     assert len(pool.slots) == 4
-    # idle round 2: retire one slot, counter resets
+    # idle round 3: retire one slot, counter resets
     pool.autoscale(queue_depth=0)
     assert len(pool.slots) == 3
     assert pool.retired == 1
@@ -68,13 +74,14 @@ def test_queue_pressure_resets_the_idle_counter(system, template):
     pool.autoscale(queue_depth=1)                    # burst: counter resets
     pool.slots[0].busy = pool.slots[1].busy = pool.slots[2].busy = False
     pool.autoscale(queue_depth=0)                    # idle round 1 again
+    pool.autoscale(queue_depth=0)                    # idle round 2
     assert len(pool.slots) == 3                      # hysteresis held
     pool.autoscale(queue_depth=0)
     assert len(pool.slots) == 2
 
 
 def test_shrink_never_drops_below_min_size(system, template):
-    pool = autoscale_pool(system, template, size=2, min_size=2, max_size=4)
+    pool = autoscale_pool(system, template, size=2)
     pool.autoscale(queue_depth=4)
     assert len(pool.slots) == 4
     for _ in range(20):
@@ -95,10 +102,8 @@ def test_retire_returns_cma_frames_to_the_monitor(system, template):
         slot.instance.runtime.touch_range(va, 4 * PAGE_SIZE, write=True)
         assert slot.instance.private_bytes > 0
     assert len(system.monitor._cma_pool) < free_before   # CoW took frames
-    pool.autoscale(queue_depth=0)
-    pool.autoscale(queue_depth=0)
-    pool.autoscale(queue_depth=0)
-    pool.autoscale(queue_depth=0)
+    for _ in range(2 * SHRINK_PATIENCE):             # one retire per 3
+        pool.autoscale(queue_depth=0)
     assert pool.retired == 2
     assert len(pool.slots) == 1
     assert len(system.monitor._cma_pool) == free_before  # frames came back
@@ -115,8 +120,7 @@ def test_autoscale_off_is_a_noop(system, template):
 # end-to-end: the scheduler drives autoscaling from real queue depth
 # --------------------------------------------------------------------------- #
 
-AUTOSCALE_CONFIG = PoolConfig(size=1, autoscale=True, min_size=1, max_size=4,
-                              idle_watermark=1, shrink_patience=2)
+AUTOSCALE_CONFIG = PoolConfig(size=1, autoscale=True, max_size=4)
 RUN_PARAMS = dict(workload="helloworld", clients=6, requests=6, pool_size=1,
                   tenants=6, seed=9, scale=1.0, n_cpus=4)
 
@@ -134,14 +138,13 @@ def test_fleet_grows_under_queue_pressure_and_shrinks_back():
 
 
 def test_pool_settles_at_min_size_when_demand_stops(system, template):
-    pool = autoscale_pool(system, template, idle_watermark=1,
-                          shrink_patience=2)
+    pool = autoscale_pool(system, template)
     pool.autoscale(queue_depth=4)                    # burst
     assert len(pool.slots) == 4
     # demand stops: hysteresis drains the pool back to the floor
     for _ in range(20):
         pool.autoscale(queue_depth=0)
-    assert len(pool.slots) == pool.min_size == 1
+    assert len(pool.slots) == pool.config.size == 1
     assert pool.retired == 3
 
 

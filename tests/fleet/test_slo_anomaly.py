@@ -24,8 +24,9 @@ from repro.fleet.goldens import (
     SMP_PINNED,
     WINDOWED_PINNED,
 )
-from repro.fleet.scheduler import AnomalyMonitor
-from repro.obs.metrics import metrics_snapshot
+from repro.fleet.scheduler import AnomalyMonitor, SloMonitor
+from repro.hw.cycles import CycleClock
+from repro.obs.metrics import MetricsRegistry, NULL_METRICS, metrics_snapshot
 from repro.vm import CvmMachine, MachineConfig, MIB
 
 
@@ -64,6 +65,29 @@ def test_seeded_slo_fleet_matches_its_pins():
     windowed = metrics_snapshot(system.machine.clock)["windowed"]
     # order too: the snapshot lists series as they were first observed
     assert json.dumps(windowed) == json.dumps(WINDOWED_PINNED)
+
+
+def test_each_latency_sample_is_stored_once():
+    clock = CycleClock()
+    clock.metrics = MetricsRegistry()
+    monitor = SloMonitor(clock, SloConfig(service_p95=10))
+    monitor.observe("tenant-0", "service", 5)
+    # the registry's windowed series IS the monitor's histogram map
+    assert clock.metrics.windowed[SloMonitor.SERIES] is monitor.hists
+    (key,) = monitor.hists
+    assert key == "metric=service,tenant=tenant-0"
+    snap = clock.metrics.snapshot()["windowed"][SloMonitor.SERIES]
+    assert snap[key]["count"] == 1
+
+
+def test_slo_decisions_need_no_live_registry():
+    clock = CycleClock()
+    assert clock.metrics is NULL_METRICS
+    monitor = SloMonitor(clock, SloConfig(service_p95=10))
+    for _ in range(SloMonitor.MIN_SAMPLES):
+        monitor.observe("tenant-0", "service", 100)
+    (breach,) = monitor.breaches
+    assert (breach["tenant"], breach["observed"]) == ("tenant-0", 100)
 
 
 def test_generous_slo_never_breaches():

@@ -1275,7 +1275,7 @@ class TestTlbInvalidation:
         self.m.aspace.set_pte(VA, pte & ~PTE_W)   # mprotect / template seal
         with pytest.raises(PageFault):
             self.check("write")
-        pa, _ = self.check("read")                # read-only still maps
+        pa = self.check("read")                # read-only still maps
         assert pa >> 12 == fn
 
     def test_clear_pte_unmaps(self):
@@ -1289,13 +1289,13 @@ class TestTlbInvalidation:
     def test_cow_frame_replacement_retargets(self):
         fn_a = self.map_rw()
         self.m.phys.write(fn_a << 12, b"A" * 8)
-        assert self.check("read")[0] >> 12 == fn_a
+        assert self.check("read") >> 12 == fn_a
         # CoW resolution: same VA, new frame, new contents
         fn_b = self.m.phys.alloc_frame("kernel")
         self.m.phys.frame(fn_b).materialize()
         self.m.phys.write(fn_b << 12, b"B" * 8)
         self.m.aspace.map_page(VA, fn_b, PTE_P | PTE_W, 0)
-        pa, _ = self.check("read")
+        pa = self.check("read")
         assert pa >> 12 == fn_b
         assert self.m.phys.read(pa, 8) == b"B" * 8
 
@@ -1309,7 +1309,7 @@ class TestTlbInvalidation:
         self.m.phys.frame(fn_new).materialize()
         self.m.phys.zero_frame(fn_new)            # pool scrub
         self.m.aspace.map_page(VA, fn_new, PTE_P | PTE_W, 0)
-        pa, _ = self.check("write")
+        pa = self.check("write")
         assert pa >> 12 == fn_new
         assert self.m.phys.frame(pa >> 12).owner == "tenant-2"
 
@@ -1330,7 +1330,7 @@ class TestTlbInvalidation:
         with pytest.raises(PageFault):
             self.check("write")                   # normal write now denied
         ss_ctx = AccessContext(shadow_stack_op=True)
-        pa, _ = self.mmu.check(self.m.aspace, VA, "write", ss_ctx)
+        pa = self.mmu.check(self.m.aspace, VA, "write", ss_ctx)
         assert pa >> 12 == fn
 
     def test_interior_entry_scribble_misses(self):

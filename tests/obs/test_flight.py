@@ -10,8 +10,8 @@ import json
 
 from repro.hw.cycles import SERIAL_LANE, CycleClock
 from repro.obs.export import chrome_trace, prometheus_text, trace_json
-from repro.obs.flight import (LOOKBACK_KCYCLES, MAX_DUMPS, FlightRecorder,
-                              utilization_timeline)
+from repro.obs.flight import (LOOKBACK_KCYCLES, MAX_DUMPS, TIMELINE_BUCKETS,
+                              FlightRecorder, utilization_timeline)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import check_flight_dump
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
@@ -222,12 +222,13 @@ def test_utilization_timeline_busy_fractions():
     serial = TraceEvent("s", "t", "span", begin=0, end=1000, depth=0,
                         path=("s",), cpu=None)
     timeline = utilization_timeline({0: [busy], 1: [idle_then_busy],
-                                     SERIAL_LANE: [serial]},
-                                    0, 1000, buckets=2)
-    assert timeline["cpus"]["0"] == [1.0, 0.0]
-    assert timeline["cpus"]["1"] == [0.0, 1.0]
+                                     SERIAL_LANE: [serial]}, 0, 1000)
+    half = TIMELINE_BUCKETS // 2
+    assert timeline["cpus"]["0"] == [1.0] * half + [0.0] * half
+    assert timeline["cpus"]["1"] == [0.0] * half + [1.0] * half
     assert str(SERIAL_LANE) not in timeline["cpus"]   # barrier work: no lane
-    assert timeline["bucket_cycles"] == 500.0
+    assert timeline["buckets"] == TIMELINE_BUCKETS == 20
+    assert timeline["bucket_cycles"] == 50.0
 
 
 def test_utilization_merges_nested_spans_without_double_count():
@@ -235,8 +236,9 @@ def test_utilization_merges_nested_spans_without_double_count():
                        path=("o",), cpu=0)
     inner = TraceEvent("i", "t", "span", begin=20, end=80, depth=1,
                        path=("o", "i"), cpu=0)
-    timeline = utilization_timeline({0: [outer, inner]}, 0, 100, buckets=1)
-    assert timeline["cpus"]["0"] == [1.0]        # union, not 1.6
+    timeline = utilization_timeline({0: [outer, inner]}, 0, 100)
+    # union, not 1.6 where the spans overlap
+    assert timeline["cpus"]["0"] == [1.0] * TIMELINE_BUCKETS
 
 
 # --------------------------------------------------------------------------- #

@@ -1,21 +1,24 @@
-"""Windowed percentiles (satellite d): determinism, rotation, no-op cost.
+"""Windowed percentiles: determinism, rotation, the registry's view.
 
 The SLO plane rests on :class:`~repro.obs.metrics.WindowedHistogram`
 being exactly reproducible — nearest-rank percentiles over cycle-aligned
-frames, integer in, integer out — and on the null registry's
-``observe_window`` costing nothing when observability is off.
+frames of the one fixed geometry (``WINDOWS`` frames of
+``WINDOW_CYCLES`` cycles), integer in, integer out.
 """
 
-import tracemalloc
-
-import pytest
-
 from repro.obs.metrics import (
+    EWMA_ALPHA,
+    EWMA_MIN_SAMPLES,
+    EWMA_THRESHOLD,
+    WINDOW_CYCLES,
+    WINDOWS,
     EwmaDetector,
     MetricsRegistry,
-    NULL_METRICS,
     WindowedHistogram,
 )
+
+#: one frame
+W = WINDOW_CYCLES
 
 
 # --------------------------------------------------------------------------- #
@@ -23,7 +26,7 @@ from repro.obs.metrics import (
 # --------------------------------------------------------------------------- #
 
 def test_percentiles_are_deterministic_nearest_rank():
-    hist = WindowedHistogram(window_cycles=1000, windows=4)
+    hist = WindowedHistogram()
     for i, v in enumerate(range(1, 101)):    # 1..100, one per cycle
         hist.observe(v, i)
     assert hist.quantile(0.50) == 50
@@ -38,7 +41,7 @@ def test_percentiles_are_deterministic_nearest_rank():
 
 
 def test_single_value_and_empty_edge_cases():
-    hist = WindowedHistogram(window_cycles=10, windows=2)
+    hist = WindowedHistogram()
     assert hist.quantile(0.99) is None
     assert hist.quantiles() == {"count": 0, "p50": None, "p95": None,
                                 "p99": None}
@@ -48,9 +51,9 @@ def test_single_value_and_empty_edge_cases():
 
 def test_identical_streams_produce_identical_summaries():
     def run():
-        hist = WindowedHistogram(window_cycles=500, windows=3)
-        for i in range(200):
-            hist.observe((i * 7919) % 1000, i * 13)
+        hist = WindowedHistogram()
+        for i in range(200):                 # ~6 frames: some rotate out
+            hist.observe((i * 7919) % 1000, i * 13 * W // 500)
         return hist.quantiles()
 
     assert run() == run()
@@ -61,33 +64,29 @@ def test_identical_streams_produce_identical_summaries():
 # --------------------------------------------------------------------------- #
 
 def test_frames_rotate_at_exact_cycle_boundaries():
-    hist = WindowedHistogram(window_cycles=1000, windows=2)
+    assert (WINDOW_CYCLES, WINDOWS) == (2_000_000, 4)
+    hist = WindowedHistogram()
     hist.observe(1, 0)
-    hist.observe(2, 999)        # same frame: [0, 1000)
+    hist.observe(2, W - 1)      # same frame: [0, W)
     assert hist.values() == [1, 2]
-    hist.observe(3, 1000)       # first cycle of frame 1 — a new frame,
+    hist.observe(3, W)          # first cycle of frame 1 — a new frame,
     assert hist.values() == [1, 2, 3]     # but frame 0 is still retained
-    hist.observe(4, 2000)       # frame 2: frame 0 slides out exactly now
-    assert hist.values() == [3, 4]
-    assert hist.count == 2
+    hist.observe(4, 3 * W)      # frame 3: the last frame that keeps 0
+    assert hist.values() == [1, 2, 3, 4]
+    hist.observe(5, 4 * W)      # frame 4: frame 0 slides out exactly now
+    assert hist.values() == [3, 4, 5]
+    assert hist.count == 3
 
 
 def test_values_view_filters_by_the_asking_cycle():
-    hist = WindowedHistogram(window_cycles=100, windows=2)
-    hist.observe(10, 50)                  # frame 0
-    hist.observe(20, 150)                 # frame 1
-    assert hist.values(cycle=199) == [10, 20]
-    # asked "as of" frame 2, frame 0 is out of window even though the
-    # store hasn't rotated yet (no observation landed in frame 2)
-    assert hist.values(cycle=200) == [20]
-    assert hist.quantile(0.5, cycle=200) == 20
-
-
-def test_rejects_nonpositive_geometry():
-    with pytest.raises(ValueError):
-        WindowedHistogram(window_cycles=0)
-    with pytest.raises(ValueError):
-        WindowedHistogram(windows=0)
+    hist = WindowedHistogram()
+    hist.observe(10, W // 2)              # frame 0
+    hist.observe(20, 3 * W + W // 2)      # frame 3
+    assert hist.values(cycle=4 * W - 1) == [10, 20]
+    # asked "as of" frame 4, frame 0 is out of window even though the
+    # store hasn't rotated yet (no observation landed in frame 4)
+    assert hist.values(cycle=4 * W) == [20]
+    assert hist.quantile(0.5, cycle=4 * W) == 20
 
 
 # --------------------------------------------------------------------------- #
@@ -96,19 +95,22 @@ def test_rejects_nonpositive_geometry():
 
 def test_registry_windowed_series_snapshot():
     registry = MetricsRegistry()
-    registry.describe_window("lat", "latency", window_cycles=1000, windows=2)
+    # a series' owner files its histograms; the snapshot reads them
+    lat = registry.windowed["lat"] = {"tenant=a": WindowedHistogram(),
+                                      "tenant=b": WindowedHistogram()}
+    registry.windowed["empty"] = {}
     for i, v in enumerate([10, 20, 30, 40]):
-        registry.observe_window("lat", v, i * 10, tenant="a")
-    registry.observe_window("lat", 99, 5, tenant="b")
-    assert registry.window_quantiles("lat", tenant="a")["p50"] == 20
+        lat["tenant=a"].observe(v, i * 10)
+    lat["tenant=b"].observe(99, 5)
     snap = registry.snapshot()
-    assert "windowed" in snap
+    assert list(snap["windowed"]) == ["lat"]    # no series, no section
     series = snap["windowed"]["lat"]
     assert series["tenant=a"]["count"] == 4
+    assert series["tenant=a"]["p50"] == 20
     assert series["tenant=b"]["p99"] == 99
     # each series is self-describing: its window geometry rides along
-    assert series["tenant=a"]["window_cycles"] == 1000
-    assert series["tenant=a"]["windows"] == 2
+    assert series["tenant=a"]["window_cycles"] == 2_000_000
+    assert series["tenant=a"]["windows"] == 4
 
 
 def test_plain_snapshot_shape_untouched_by_windowed_series():
@@ -120,35 +122,12 @@ def test_plain_snapshot_shape_untouched_by_windowed_series():
 
 
 # --------------------------------------------------------------------------- #
-# obs-off is free (satellite d: zero-allocation no-op)
-# --------------------------------------------------------------------------- #
-
-def test_null_observe_window_is_a_zero_allocation_noop():
-    assert NULL_METRICS.observe_window("x", 1, 0, tenant="t") is None
-    assert NULL_METRICS.window_quantiles("x", tenant="t") == {}
-    assert NULL_METRICS.describe_window("x", "help") is None
-
-    # nothing is retained *per call*: 10,000 no-op calls may leave at
-    # most a constant few-byte interpreter-specialization residue — had
-    # each call retained even its kwargs dict, this would read ~640 KB
-    def residue(calls: int) -> int:
-        tracemalloc.start()
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(calls):
-            NULL_METRICS.observe_window("x", 1, 0, tenant="t")
-        after = tracemalloc.get_traced_memory()[0]
-        tracemalloc.stop()
-        return after - before
-
-    assert max(residue(10), residue(10_000)) <= 64
-
-
-# --------------------------------------------------------------------------- #
 # the EWMA detector underneath the anomaly plane
 # --------------------------------------------------------------------------- #
 
 def test_ewma_flags_spikes_only_after_baseline():
-    det = EwmaDetector(alpha=0.3, threshold=3.0, min_samples=4)
+    assert (EWMA_ALPHA, EWMA_THRESHOLD, EWMA_MIN_SAMPLES) == (0.3, 3.0, 4)
+    det = EwmaDetector()
     assert not any(det.update(100) for _ in range(4))   # learning
     assert not det.update(101)                          # jitter tolerated
     assert det.update(1000)                             # 10x spike flags

@@ -123,6 +123,7 @@ class SloMonitor:
     counting but don't re-dump.
     """
 
+    #: the registry's name for the windowed latency series
     SERIES = "erebor_fleet_latency_cycles"
 
     #: metric → (config attribute, quantile, label)

@@ -32,6 +32,8 @@ simulator, so ``import repro`` on its own pulls in nothing.
 
 from __future__ import annotations
 
+from ._lazy import lazy_exports
+
 __version__ = "1.0.0"
 
 __all__ = [
@@ -59,17 +61,4 @@ _LAZY = {
 }
 
 
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)

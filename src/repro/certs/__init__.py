@@ -45,6 +45,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+from .._lazy import lazy_exports
+
 #: certificate document format tag (bump on breaking layout changes)
 CERT_FORMAT = "erebor-cert/1"
 
@@ -119,6 +121,22 @@ def serialize_certificate(cert: dict) -> str:
     return json.dumps(cert, indent=2, sort_keys=True) + "\n"
 
 
+def serialized_size(cert: dict) -> int:
+    """``len(serialize_certificate(cert))`` from the C encoder's one-line
+    form plus the indent: a non-empty container at depth d with n items
+    adds a newline and 2d+2 spaces per item, and 2d+1 before its close."""
+    size = len(json.dumps(cert, sort_keys=True, separators=(",", ": "))) + 1
+    stack = [(cert, 0)]
+    while stack:
+        node, depth = stack.pop()
+        items = node.values() if isinstance(node, dict) else node
+        if items:
+            size += len(items) * (2 * depth + 3) + 2 * depth + 1
+        stack.extend((item, depth + 1) for item in items
+                     if isinstance(item, (dict, list, tuple)))
+    return size
+
+
 def load_certificate(path) -> dict:
     with open(path) as fh:
         cert = json.load(fh)
@@ -146,22 +164,9 @@ __all__ = [
     "CertificateVerifier", "REFS_FORMAT", "REPORT_DATA_LEN",
     "REPORT_DATA_PREFIX", "TAMPERS", "VerifyResult", "bind_report_data",
     "body_digest", "canonical_json", "load_certificate", "published_refs",
-    "serialize_certificate", "sha256_hex", "tamper_certificate",
-    "verify_certificate", "write_certificates",
+    "serialize_certificate", "serialized_size", "sha256_hex",
+    "tamper_certificate", "verify_certificate", "write_certificates",
 ]
 
 
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)

@@ -8,6 +8,8 @@ hardware simulator behind :mod:`repro.core.boot`.
 
 from __future__ import annotations
 
+from .._lazy import lazy_exports
+
 __all__ = [
     "AUDIT_GENESIS", "AuditEvent", "BootVerificationError", "ChainVerdict",
     "ClientHello", "CommonRegion", "DEVICE_PATH",
@@ -68,17 +70,4 @@ _LAZY = {
 }
 
 
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)

@@ -30,15 +30,26 @@ def _subkeys(key: bytes) -> tuple[bytes, bytes]:
     return enc, mac
 
 
+_IPAD = bytes(x ^ 0x36 for x in range(256))   # HMAC pads (RFC 2104)
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
-    # one HMAC keyed with enc_key and fed the nonce; each block copies
-    # that state and adds only its 4-byte counter
-    keyed = hmac.new(enc_key, nonce, hashlib.sha256)
+    # HMAC-SHA256(enc_key, nonce ‖ counter) per block from sha256 pad
+    # states keyed once; each block copies both and adds its counter
+    if len(enc_key) > 64:
+        enc_key = hashlib.sha256(enc_key).digest()
+    key = enc_key.ljust(64, b"\0")
+    inner = hashlib.sha256(key.translate(_IPAD))
+    inner.update(nonce)
+    outer = hashlib.sha256(key.translate(_OPAD))
     blocks = []
     for counter in range((length + 31) // 32):
-        block = keyed.copy()
+        block = inner.copy()
         block.update(counter.to_bytes(4, "big"))
-        blocks.append(block.digest())
+        mac = outer.copy()
+        mac.update(block.digest())
+        blocks.append(mac.digest())
     return b"".join(blocks)[:length]
 
 

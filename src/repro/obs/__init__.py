@@ -54,6 +54,7 @@ anything heavier is loaded lazily via module ``__getattr__``.
 
 from __future__ import annotations
 
+from .._lazy import lazy_exports
 from .metrics import (
     DEFAULT_BUCKETS,
     EwmaDetector,
@@ -131,16 +132,7 @@ _LAZY = {
 }
 
 
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _LAZY)
 
 
 def install(clock, *, trace: bool = True, metrics: bool = True,

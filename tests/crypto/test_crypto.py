@@ -1,10 +1,12 @@
 """Unit + property tests for the crypto substrate."""
 
+import builtins
 import hashlib
+import hmac
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto import (
     AeadError,
@@ -22,13 +24,9 @@ from repro.crypto import (
     unpad_fixed,
     validate_public,
 )
-from repro.crypto.dh import (
-    COMB_ROWS,
-    COMB_WINDOW,
-    MODP_2048_P,
-    _comb_table,
-    fixed_base_pow,
-)
+from repro.crypto import dh
+from repro.crypto.aead import _keystream
+from repro.crypto.dh import MODP_2048_P, modexp
 
 KEY = b"k" * 32
 NONCE = b"n" * 12
@@ -58,46 +56,62 @@ def test_dh_rejects_degenerate_publics():
         validate_public(1)
 
 
-# the comb's digits over a 256-bit private exponent: 42 full 6-bit
-# windows and a 4-bit top window
-FULL = (1 << COMB_WINDOW) - 1
-ALTERNATING = sum(FULL << (COMB_WINDOW * i) for i in range(0, COMB_ROWS, 2))
+# named 256-bit exponents for the generator: the extremes, and runs of
+# six ones alternating with six zeros in both phases
+ALTERNATING = sum(0x3F << (6 * i) for i in range(0, 43, 2))
 EDGE_EXPONENTS = {
     "zero": 0,
     "one": 1,
-    "top-bit-only": 1 << 255,                # every other digit zero
+    "top-bit-only": 1 << 255,
     "all-ones": (1 << 256) - 1,
     "full-zero-alternating": ALTERNATING % (1 << 256),
-    "zero-full-alternating": (ALTERNATING << COMB_WINDOW) % (1 << 256),
-    "widest": (1 << (COMB_ROWS * COMB_WINDOW)) - 1,   # all 43 digits full
+    "zero-full-alternating": (ALTERNATING << 6) % (1 << 256),
+    "widest": (1 << 258) - 1,
 }
-
-
-def test_comb_table_rows_are_fixed_base_powers():
-    table = _comb_table()
-    assert len(table) == COMB_ROWS == 43
-    assert all(len(row) == 1 << COMB_WINDOW == 64 for row in table)
-    for i in (0, 1, 21, COMB_ROWS - 1):
-        for d in (0, 1, 2, FULL):
-            assert table[i][d] == pow(2, d << (COMB_WINDOW * i), MODP_2048_P)
 
 
 @pytest.mark.parametrize("exponent", list(EDGE_EXPONENTS.values()),
                          ids=list(EDGE_EXPONENTS))
-def test_comb_matches_pow_on_edge_windows(exponent):
-    assert fixed_base_pow(exponent) == pow(2, exponent, MODP_2048_P)
+def test_modexp_matches_pow_on_edge_exponents(exponent):
+    assert modexp(2, exponent) == pow(2, exponent, MODP_2048_P)
 
 
-@pytest.mark.parametrize("exponent", [-1, 1 << (COMB_ROWS * COMB_WINDOW)],
-                         ids=["negative", "one-bit-too-wide"])
-def test_comb_refuses_exponents_outside_its_rows(exponent):
-    with pytest.raises(ValueError):
-        fixed_base_pow(exponent)
+@pytest.mark.parametrize("base", [0, 1, 2, MODP_2048_P - 2, MODP_2048_P - 1,
+                                  MODP_2048_P, MODP_2048_P + 2],
+                         ids=["0", "1", "2", "p-2", "p-1", "p", "p+2"])
+@pytest.mark.parametrize("exponent", [0, 1, 2, (1 << 256) - 1],
+                         ids=["x0", "x1", "x2", "x-all-ones"])
+def test_modexp_matches_pow_on_edge_bases(base, exponent):
+    assert modexp(base, exponent) == pow(base, exponent, MODP_2048_P)
 
 
 @given(st.integers(0, (1 << 256) - 1))
-def test_property_comb_matches_pow(exponent):
-    assert fixed_base_pow(exponent) == pow(2, exponent, MODP_2048_P)
+def test_property_modexp_matches_pow_for_generator(exponent):
+    assert modexp(2, exponent) == pow(2, exponent, MODP_2048_P)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, (1 << 2048) - 1), st.integers(0, (1 << 256) - 1))
+def test_property_modexp_matches_pow(base, exponent):
+    assert modexp(base, exponent) == pow(base, exponent, MODP_2048_P)
+
+
+def test_modexp_runs_in_libcrypto_not_pow(monkeypatch):
+    """The handshake's exponentiations resolve in libcrypto here.
+
+    ``_hashlib`` links libcrypto on every supported CPython build; if it
+    stops reaching the BN functions, handshakes fail rather than
+    silently running ``pow``.
+    """
+    import _hashlib
+    lib, _ = dh._libcrypto()
+    assert lib._name == _hashlib.__file__
+    expected = pow(3, 1 << 255, MODP_2048_P)
+
+    def no_pow(*args):
+        raise AssertionError("modexp called pow")
+    monkeypatch.setattr(builtins, "pow", no_pow)
+    assert modexp(3, 1 << 255) == expected
 
 
 @given(st.integers(0, 2 ** 64))
@@ -181,6 +195,17 @@ def test_session_reorder_detected():
     r1, r2 = tx.seal(b"one"), tx.seal(b"two")
     with pytest.raises(AeadError):
         rx.open(r2)
+
+
+@pytest.mark.parametrize("key_len", [0, 32, 64, 65, 200])
+@pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1008, 1056])
+def test_keystream_is_the_hmac_counter_stream(key_len, length):
+    # keys longer than a sha256 block are hashed first, as in RFC 2104
+    key = bytes(i % 251 for i in range(key_len))
+    expected = b"".join(
+        hmac.new(key, NONCE + i.to_bytes(4, "big"), hashlib.sha256).digest()
+        for i in range((length + 31) // 32))[:length]
+    assert _keystream(key, NONCE, length) == expected
 
 
 #: sha256 of ``seal`` over a fixed key, nonce, AAD and plaintext pattern,

@@ -7,6 +7,7 @@ outside the ``_base_dict`` preimage); and a reused pool slot never leaks
 the previous tenant's secrets or evidence into the next certificate.
 """
 
+import hashlib
 import json
 
 from repro.certs import serialize_certificate
@@ -15,6 +16,7 @@ from repro.certs.verify import CertificateVerifier
 from repro.fleet import run_fleet
 from repro.fleet.goldens import SMP_PARAMS
 from repro.fleet.loadgen import FleetReport
+from tests.reference import reference_paths
 
 #: one slot + three clients: every session after the first runs in the
 #: *same* recycled sandbox — the C8 evidence-isolation shape
@@ -127,3 +129,26 @@ def test_issuance_metrics_count_certificates_and_bytes():
 def test_certs_field_defaults_keep_old_reports_loadable():
     """A FleetReport built without the new field still serializes."""
     assert FleetReport.__dataclass_fields__["certs"].default_factory is dict
+
+
+# --------------------------------------------------------------------------- #
+# reference twin
+# --------------------------------------------------------------------------- #
+
+def _certified_run_outputs():
+    report, system = run_fleet(certificates=True, **REUSE_PARAMS)
+    return (report.digest(), report.audit_head,
+            {name: serialize_certificate(cert)
+             for name, cert in system.fleet_certificates.items()},
+            # the host-visible wire carries both DH public values
+            hashlib.sha256(system.machine.vmm.observed_blob()).hexdigest())
+
+
+def test_certified_fleet_matches_its_reference_twin():
+    """Host fast paths on vs `reference_paths()`: the same report digest,
+    audit head, certificate bytes and host-visible wire."""
+    fast = _certified_run_outputs()
+    with reference_paths():
+        reference = _certified_run_outputs()
+    assert len(fast[2]) == 3
+    assert fast == reference

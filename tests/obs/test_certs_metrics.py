@@ -7,8 +7,10 @@ exists until issuance is armed, so plain runs export byte-identical
 metric snapshots, and a disabled registry never pays for a size.
 """
 
+from hypothesis import given, strategies as st
+
 import repro.certs.issue as issue_module
-from repro.certs import serialize_certificate
+from repro.certs import serialize_certificate, serialized_size
 from repro.certs.issue import CertificateIssuer
 from repro.fleet import run_fleet
 from repro.obs.metrics import NULL_METRICS
@@ -45,9 +47,25 @@ def test_series_stay_absent_when_issuance_is_off(monkeypatch):
     calls = []
     monkeypatch.setattr(issue_module, "serialize_certificate",
                         lambda cert: calls.append(cert) or "")
+    monkeypatch.setattr(issue_module, "serialized_size",
+                        lambda cert: calls.append(cert) or 0)
     issuer = CertificateIssuer(system, workload=PARAMS["workload"],
                                fleet_seed=PARAMS["seed"])
     certs = issuer.issue_all(system.fleet_scheduler.finished,
                              traces=report.traces)
     assert {name: c["body_sha256"] for name, c in certs.items()} == report.certs
     assert calls == []
+
+
+#: JSON documents shaped like certificates: nested objects and arrays,
+#: empty ones included, over non-ASCII text, ints, floats, bools and None
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=24)
+
+
+@given(st.dictionaries(st.text(), JSON_DOCS, max_size=5))
+def test_serialized_size_is_the_indented_length(doc):
+    assert serialized_size(doc) == len(serialize_certificate(doc))

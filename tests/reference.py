@@ -8,6 +8,9 @@ has no option for any of this. Each fast path that has an arm here:
 * **Loop-form superblocks** (`repro.hw.cpu._self_loop`): every block is
   emitted one pass per call, and the burst loop re-enters a
   self-looping block once per pass.
+* **Native handshake exponentiation** (`repro.crypto.dh.modexp`): both
+  exponentiations of a handshake run on the builtin
+  ``pow(base, exponent, MODP_2048_P)`` instead of libcrypto.
 
 Build the machines inside the ``with`` block: a superblock keeps the
 function it was first compiled to.
@@ -16,6 +19,7 @@ function it was first compiled to.
 from contextlib import contextmanager
 from unittest import mock
 
+from repro.crypto import dh
 from repro.hw import cpu
 
 
@@ -25,7 +29,9 @@ def reference_paths():
     cpu._BLOCK_FNS.clear()
     try:
         with mock.patch.object(cpu, "_self_loop", lambda start_va, instrs:
-                               False):
+                               False), \
+                mock.patch.object(dh, "modexp", lambda base, exponent:
+                                  pow(base, exponent, dh.MODP_2048_P)):
             yield
     finally:
         # compiled block functions of either arm never serve the other

@@ -15,11 +15,15 @@ measures); for a locked sandbox the monitor
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from ..hw.cycles import Cost
-from ..kernel.kernel import NO_FAULT_RUN, ExitPath, FaultRun
+from ..hw.memory import PAGE_SHIFT
+from ..hw.paging import make_pte
+from ..kernel.kernel import NO_FAULT_RUN, ExitPath, FaultRun, demand_flags
 from ..kernel.process import (
+    PROT_WRITE,
     CowBacking,
     SegmentationFault,
     Task,
@@ -126,7 +130,7 @@ class MonitorExitPath(ExitPath):
             return sandbox.resolve_cow_fault(vma, va, write)
         if write and not vma.prot & 0x2:
             return False      # real protection violation: let the OS kill it
-        from ..hw.paging import PTE_NX, PTE_P, PTE_U, PTE_W, make_pte
+        from ..hw.paging import PTE_NX, PTE_P, PTE_U, PTE_W
         page_va = va & ~0xFFF
         fn = vma.backing.frame_for(vma.page_index(va), self.monitor.phys,
                                    task.owner_tag)
@@ -272,6 +276,69 @@ class MonitorFaultRun(FaultRun):
             raise self._exits.monitor._deny(exc)
         self._faults = done + 1
         return pte
+
+    def span(self, va: int, count: int, stride: int, write: bool,
+             mem_pages: int, recheck,
+             held: bool) -> tuple[int, list[int]] | None:
+        """The span's leading faults at once: one VMA check, the frames
+        from ``Backing.frames_for``, the policy through
+        :meth:`NestedMmu.admit_run`, one ``fault_log`` extend. A backing
+        that allocates goes one page at a time, so no frame is allocated
+        for a page past the first one refused, and, without ``held``,
+        resolves only the first page, whose install builds the leaf
+        table before the next page allocates."""
+        vma = self._vma
+        if vma is None or not vma.start <= va < vma.start + vma.length:
+            vma = self._vma = self._task.find_vma(va)
+            self._takes = not self._exits._self_paged(self._sandbox, vma)
+        if (not self._takes or vma is None or not 0 <= vma.pkey <= 15
+                or write and not vma.prot & PROT_WRITE):
+            # the first page fails in fault() or is not the run's
+            return None
+        count = min(count, (vma.start + vma.length - 1 - va) // stride + 1)
+        task = self._task
+        aspace = task.aspace
+        vmmu = self._vmmu
+        phys = vmmu.phys
+        pte = make_pte(0, demand_flags(vma), vma.pkey)
+        backing = vma.backing
+        index = vma.page_index(va)
+        step = stride >> PAGE_SHIFT
+        if backing.allocates:
+            if not held:
+                count = 1
+            frames = []
+            while len(frames) < count:
+                page_va = va + len(frames) * stride
+                frame = backing.frames_for(index + len(frames) * step, 1,
+                                           step, phys, task.owner_tag)
+                if not vmmu.admit_run(aspace, page_va, stride, pte, frame):
+                    break
+                frames += frame
+                if not recheck(pte, frame):
+                    break
+        else:
+            frames = backing.frames_for(index, count, step, phys,
+                                        task.owner_tag)
+            frames = frames[:recheck(pte, frames) + 1]
+            frames = frames[:vmmu.admit_run(aspace, va, stride, pte, frames)]
+        done = len(frames)
+        if not done:
+            return pte, frames
+        if aspace.root_fn not in vmmu.registered_roots:
+            vmmu.register_aspace(aspace)
+        if self._faults:
+            self._mem_pages += mem_pages + done - 1
+        else:
+            if mem_pages:
+                # a new run: book the touches before it
+                self._clock.charge(mem_pages * Cost.MEM, "mem")
+            self._mem_pages += done - 1
+        self._kernel.fault_log.extend(zip(
+            repeat(task.pid), range(va, va + done * stride, stride),
+            repeat(write)))
+        self._faults += done
+        return pte, frames
 
     def flush(self) -> None:
         done = self._faults

@@ -23,13 +23,17 @@ enforces the mapping policies that make Erebor's claims hold:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
+from operator import itemgetter
 
 from ..hw.cycles import Cost, CycleClock
 from ..hw.memory import PAGE_SHIFT, PhysicalMemory, frame_runs
 from ..hw.paging import (
     HUGE_PAGE_FRAMES,
     HUGE_PAGE_SIZE,
+    PTE_FRAME_MASK,
     PTE_NX,
     PTE_P,
     PTE_PS,
@@ -39,8 +43,16 @@ from ..hw.paging import (
     make_pte,
     pte_frame,
     pte_pkey,
+    store_table_words,
+    table_words,
 )
 from .policy import PolicyViolation
+
+
+#: maps an entry's low byte to 1 when it is present and writable, and
+#: to the same byte with W cleared
+_SEALABLE = bytes(b & (PTE_P | PTE_W) == PTE_P | PTE_W for b in range(256))
+_CLEAR_W = bytes(b & ~PTE_W for b in range(256))
 
 
 @dataclass
@@ -190,6 +202,96 @@ class NestedMmu:
         self._validate_mapping(aspace, va, pte)
         self._record(aspace, va, pte_frame(pte))
 
+    def admit_run(self, aspace: AddressSpace, va: int, stride: int, pte: int,
+                  fns) -> int:
+        """:meth:`admit_page` for the pages ``va, va + stride, …`` (both
+        whole pages) mapping the frames ``fns`` in order, each with the
+        flags of ``pte`` (which carries no frame).
+
+        Admits the pages before the first one :meth:`admit_page` would
+        refuse, with the same effects in the same order, and returns how
+        many it admitted; the refused page is left to :meth:`admit_page`,
+        which refuses it. The owner rules are decided once per owner
+        extent the frames lie in; the frame-keyed rules (type flags,
+        templates, confinement) look only at the frames their tables
+        name.
+        """
+        n = len(fns)
+        if not n:
+            return 0
+        phys = self.phys
+        num_frames = phys.num_frames
+        if min(fns) < 0 or max(fns) >= num_frames:
+            # owner_of raises on a frame outside memory
+            n = next(i for i, fn in enumerate(fns)
+                     if not 0 <= fn < num_frames)
+            fns = fns[:n]
+            if not n:
+                return 0
+        writable = bool(pte & PTE_W)
+        wx = not pte & PTE_NX and not pte & PTE_U and writable
+        owner = phys.run_owner(min(fns), max(fns))
+        if owner is not None:
+            runs = [(0, n, owner)]
+        else:
+            runs = []
+            for i, o in enumerate(map(phys.owner_of, fns)):
+                if runs and runs[-1][2] == o:
+                    runs[-1][1] = i + 1
+                else:
+                    runs.append([i, i + 1, o])
+        regions = []
+        for a, b, o in runs:
+            region = (self.common_regions.get(o[7:])
+                      if o.startswith("common:") else None)
+            if (o == "monitor" or (writable if o == "ktext" else wx)
+                    or region is not None and writable
+                    and not region.writable):
+                n = a
+                break
+            if region is not None and region.writable:
+                regions.append((region, a, b))
+        if writable:
+            frames = phys.frames
+            refused = {fn for fn in frames.keys() & fns[:n]
+                       if frames[fn].is_page_table
+                       or frames[fn].is_shadow_stack}
+            refused.update(self.template_frames.keys() & fns[:n])
+            if refused:
+                n = next(i for i, fn in enumerate(fns) if fn in refused)
+        confined = self.confined_owner.keys() & fns[:n]
+        records: dict[int, tuple[int, int]] = {}
+        root = aspace.root_fn
+        if confined and len(confined) == n and len(
+                set(map(self.confined_owner.__getitem__, confined))) == 1 and (
+                    self.confined_mapping.keys().isdisjoint(confined)):
+            # n distinct frames of one sandbox, none mapped yet
+            expected = self.sandbox_aspace.get(self.confined_owner[fns[0]])
+            if expected is not None and root == expected.root_fn:
+                records = dict(zip(fns[:n], zip(
+                    repeat(root), range(va, va + n * stride, stride))))
+            else:
+                n = 0
+        elif confined:
+            for i in range(n):
+                fn = fns[i]
+                if fn not in confined:
+                    continue
+                expected = self.sandbox_aspace.get(self.confined_owner[fn])
+                mapping = (root, va + i * stride)
+                existing = records.get(fn) or self.confined_mapping.get(fn)
+                if (expected is None or root != expected.root_fn
+                        or existing is not None and existing != mapping):
+                    n = i
+                    break
+                records[fn] = mapping
+        for region, a, b in regions:
+            if a < n:
+                region.mappings.extend(zip(repeat(aspace), range(
+                    va + a * stride, va + min(b, n) * stride, stride)))
+        self.confined_mapping.update(records)
+        return n
+
     def _set_pte(self, aspace: AddressSpace, va: int, pte: int) -> None:
         aspace.set_pte(va, pte)
         self._record(aspace, va, pte_frame(pte))
@@ -321,7 +423,10 @@ class NestedMmu:
         native write costs booked as one charge.
 
         The sweep groups the recorded mappings by address space and leaf
-        table and walks each table once. It clears W only on entries that
+        table once and handles each table in one pass: its entries are
+        read in one slice, the owner test is made once for the frames
+        they map when those lie in one owner extent, and the cleared W
+        bits go back in one slice write. It clears W only on entries that
         are present, writable and still map a frame of this region: a VA
         unmapped from the region may map other memory by now. The record
         is dropped afterwards, since a sealed region refuses writable
@@ -330,32 +435,71 @@ class NestedMmu:
         region = self.common_regions[name]
         region.writable = False
         owner = f"common:{name}"
-        owner_of = self.phys.owner_of
-        num_frames = self.phys.num_frames
-        #: (root, 2 MiB region) → its leaf table (see :meth:`_leaf_table`)
-        tables: dict[tuple[int, int], tuple | None] = {}
+        spaces: dict[AddressSpace, list[int]] = {}
+        for aspace, group in groupby(region.mappings, key=itemgetter(0)):
+            spaces.setdefault(aspace, []).extend(map(itemgetter(1), group))
         rewritten = 0
-        for aspace, va in region.mappings:
-            key = (aspace.root_fn, va >> 21)
-            leaf = tables.get(key)
-            if leaf is None and key not in tables:
-                leaf = tables[key] = self._leaf_table(aspace, va)
-            if leaf is None:
-                continue
-            table, data, huge_off = leaf
-            off = (va >> 9) & 0xFF8 if huge_off is None else huge_off
-            # a duplicate mapping finds W already cleared
-            if data[off] & (PTE_P | PTE_W) != PTE_P | PTE_W:
-                continue
-            fn = pte_frame(int.from_bytes(data[off:off + 8], "little"))
-            if fn < num_frames and owner_of(fn) == owner:
-                data[off] &= ~PTE_W & 0xFF
-                table.version += 1
-                rewritten += 1
+        for aspace, vas in spaces.items():
+            vas.sort()
+            i = 0
+            while i < len(vas):
+                j = bisect_left(vas, ((vas[i] >> 21) + 1) << 21, i)
+                rewritten += self._seal_table(aspace, vas[i:j], owner)
+                i = j
         region.mappings.clear()
         if rewritten:
             self.clock.charge(rewritten * Cost.PTE_WRITE_NATIVE, "mmu_op")
         return rewritten
+
+    def _seal_table(self, aspace: AddressSpace, vas: list[int],
+                    owner: str) -> int:
+        """Clear W on the present, writable entries of the one leaf table
+        that maps ``vas`` whose frames ``owner`` owns; returns how many
+        (a VA recorded twice finds W already cleared)."""
+        leaf = self._leaf_table(aspace, vas[0])
+        if leaf is None:
+            return 0
+        table, data, huge_off = leaf
+        phys = self.phys
+        num_frames = phys.num_frames
+        if huge_off is not None:
+            pte = int.from_bytes(data[huge_off:huge_off + 8], "little")
+            fn = pte_frame(pte)
+            if (pte & (PTE_P | PTE_W) == PTE_P | PTE_W and fn < num_frames
+                    and phys.owner_of(fn) == owner):
+                data[huge_off] &= ~PTE_W & 0xFF
+                table.version += 1
+                return 1
+            return 0
+        first, last = (vas[0] >> 12) & 0x1FF, (vas[-1] >> 12) & 0x1FF
+        if len(set(vas)) == last - first + 1:
+            # every slot of first .. last, each recorded once or more
+            low = data[first * 8:last * 8 + 1:8]
+            if low.translate(_SEALABLE).count(1) == len(low):
+                fns = [(word & PTE_FRAME_MASK) >> 12 for word in
+                       table_words(data, first, len(low), 1)]
+                if (max(fns) < num_frames
+                        and phys.run_owner(min(fns), max(fns)) == owner):
+                    data[first * 8:last * 8 + 1:8] = low.translate(_CLEAR_W)
+                    table.version += len(low)
+                    return len(low)
+        words = table_words(data, 0, 512, 1)
+        hits = [slot for slot in {(va >> 12) & 0x1FF for va in vas}
+                if words[slot] & (PTE_P | PTE_W) == PTE_P | PTE_W]
+        if not hits:
+            return 0
+        fns = [(words[slot] & PTE_FRAME_MASK) >> 12 for slot in hits]
+        if not (max(fns) < num_frames
+                and phys.run_owner(min(fns), max(fns)) == owner):
+            hits = [slot for slot, fn in zip(hits, fns)
+                    if fn < num_frames and phys.owner_of(fn) == owner]
+            if not hits:
+                return 0
+        for slot in hits:
+            words[slot] &= ~PTE_W
+        store_table_words(data, 0, 1, words)
+        table.version += len(hits)
+        return len(hits)
 
     def seal_ranges(self, aspace: AddressSpace,
                     ranges: list[tuple[int, int]]) -> int:

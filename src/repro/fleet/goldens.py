@@ -4,8 +4,10 @@ plane totals, and the kernel verification pipeline's report digests.
 The one copy every test checks. A digest change means the cycle model or
 the commit order moved; a plane change names the plane a cycle moved
 into or out of; a machine-state change means page tables, owner tags or
-frame bytes came out different. Re-pin them together, here only (last re-pin: the
-boot-time CFG verifier's ``verify:cfg`` cycles moved total_cycles).
+frame bytes came out different; a wire change means the host saw other
+bytes (a handshake value or a sealed record). Re-pin them together, here
+only (last re-pin: the boot-time CFG verifier's ``verify:cfg`` cycles
+moved total_cycles).
 Also home to the seeded llama fleet the tests and benches run.
 """
 
@@ -27,6 +29,12 @@ LLAMA_PINNED = \
 #: PTEs, owner tags and non-zero frame bytes
 LLAMA_STATE_PINNED = \
     "cf82cf30ededdb1f6d19dad5a220752e6de3945016f1fbf66d7784c6f0e8bd2f"
+
+#: sha256 of ``system.machine.vmm.observed_blob()`` after
+#: ``run_fleet(**LLAMA_FLEET_PARAMS)``: every byte the host saw, the
+#: handshakes' public values included, which no report digest covers
+LLAMA_WIRE_PINNED = \
+    "41f615ba5bd88b237df66c20979fe1084d19c5a4b9ba2e259cc4e1d0a9519b1b"
 
 #: ``FleetReport.ledger["planes"]`` of ``run_fleet(**LLAMA_FLEET_PARAMS)``
 LLAMA_PLANES = {
@@ -51,6 +59,13 @@ SMP_PINNED = {
 #: ``run_fleet(n_cpus=2, **SMP_PARAMS)``
 SMP_STATE_PINNED = \
     "8ff6bfd37917da8a008252fd32beaca61766eaca62e1700efdc250ff30e52bce"
+
+#: ``n_cpus`` → the wire digest (as ``LLAMA_WIRE_PINNED``) of
+#: ``run_fleet(**SMP_PARAMS)``, the same at every pinned core count:
+#: placement moves no byte the host sees
+SMP_WIRE_PINNED = dict.fromkeys(
+    (1, 2, 4),
+    "9291951dede5cbfc68b0ac925f41975aaf734836f85478d70d791ccf915f6329")
 
 #: ``FleetReport.ledger["planes"]`` of ``run_fleet(**SMP_PARAMS)``, the
 #: same at every pinned core count: placement moves cycles between lanes,

@@ -166,6 +166,17 @@ class PhysicalMemory:
         self._check(fn)
         return FREE
 
+    def run_owner(self, lo: int, hi: int) -> str | None:
+        """The owner tag of every frame ``lo .. hi`` when they lie in one
+        extent or one free gap, else None. Both must be frames of this
+        memory."""
+        i = bisect_right(self._starts, lo) - 1
+        if i >= 0 and lo < self._stops[i]:
+            return self._owners[i] if hi < self._stops[i] else None
+        i += 1
+        gap_end = self._starts[i] if i < len(self._starts) else self.num_frames
+        return FREE if hi < gap_end else None
+
     def set_owner(self, start: int, stop: int, owner: str) -> None:
         """Tag frames ``start .. stop - 1`` with ``owner`` (``"free"``
         untags them) in one extent update."""

@@ -46,6 +46,8 @@ from .paging import (
     AddressSpace,
     pte_frame,
     pte_pkey,
+    store_table_words,
+    table_words,
 )
 
 #: the PTE bits a :meth:`Mmu.check_run` verdict reads: those
@@ -56,6 +58,8 @@ _HUGE = PTE_P | PTE_PS
 #: one little-endian page-table entry, and a table that holds no bytes
 _PTE = Struct("<Q")
 _EMPTY_TABLE = bytes(PAGE_SIZE)
+#: maps an entry's low byte to its P bit
+_PRESENT = bytes(b & PTE_P for b in range(256))
 
 USER_MODE = "user"
 KERNEL_MODE = "kernel"
@@ -121,6 +125,13 @@ def _denial(pte: int, hit_fn: int, phys: PhysicalMemory, access: str,
     return None
 
 
+def _spans(stride: int) -> bool:
+    """Whether :meth:`Mmu.check_run` reads pages ``stride`` bytes apart
+    as spans: their leaf slots must be evenly spaced, so the stride whole
+    pages. ``tests/reference.py`` turns both span paths off here."""
+    return not stride & (PAGE_SIZE - 1)
+
+
 class Mmu:
     """Translation + permission engine bound to one physical memory.
 
@@ -179,17 +190,40 @@ class Mmu:
         return (hit_fn << 12) | (va & (PAGE_SIZE - 1))
 
     def check_run(self, aspace: AddressSpace, va: int, end: int, stride: int,
-                  access: str, ctx: AccessContext, visit) -> int:
+                  access: str, ctx: AccessContext, visit, span) -> int:
         """Check the pages ``va, va + stride, …`` below ``end`` in order,
         walking each leaf table once.
 
-        The leaf-table pass reads each page's PTE from its table's live
-        bytes and passes every present 4 KiB page that :func:`_denial`
-        clears, setting the A/D bits :meth:`check` would set. Every other
-        page goes to ``visit(page_va, passed, missing, held)``, where
-        ``passed`` counts the pages passed since the previous visit.
-        ``visit`` returns the PTE a fault run resolved the page with, or
-        0 when it resolved none:
+        The leaf-table pass reads the slots of the pages in each table
+        from its live bytes and splits them into *spans*, maximal runs of
+        present or of missing slots:
+
+        * a present span whose entries carry the same flags, all inside
+          memory, is passed at once when :func:`_denial` clears them and
+          the access sets no A/D bit (with the frames' shadow-stack flag
+          where the access reads it);
+        * a missing span goes to ``span(first_va, count, passed,
+          recheck, held)``, the caller's fault run (see
+          :meth:`repro.kernel.kernel.FaultRun.span`), which returns the
+          validated PTEs of its leading pages as ``(flags, frames)``. The
+          pass writes them into the table in one slice, with the A/D bits
+          the re-check would set; ``recheck(pte, frames)`` tells the run
+          how many of ``frames``, mapped with ``pte``'s flags, the
+          re-check passes, and a PTE it refuses is installed as resolved
+          and re-checked by :meth:`check`, which raises. ``held`` is
+          False for the pages of a 2 MiB region with no leaf table yet
+          (one missing span), whose table the pass builds before it
+          writes them. The page after the returned ones, or every page
+          of a span the run declines (None), takes the per-page path;
+        * every other span — a huge (PS) leaf, mixed flags, an A/D update,
+          a frame outside memory — takes the per-page path.
+
+        ``passed`` counts the pages passed since the previous callback.
+        On the per-page path, the pass passes a present page
+        :func:`_denial` clears (setting the A/D bits :meth:`check`
+        would set) and hands every other page to ``visit(page_va,
+        passed, missing, held)``, which returns the PTE a fault run
+        resolved the page with, or 0 when it resolved none:
 
         * a not-present page arrives with ``missing`` True and raises no
           :class:`PageFault`. When the page has a leaf table, which the
@@ -205,11 +239,13 @@ class Mmu:
           :meth:`check`; ``visit`` returns 0 and the pass re-walks.
 
         A frame with no built :class:`~repro.hw.memory.Frame` has no
-        flags, so its verdict is memoized like any other. With the
-        paging-structure cache off (``PhysicalMemory.psc_enabled``, the
-        ``translation_cache=False`` configuration) every page is visited,
-        as the per-page reference. Returns the pages passed after the
-        last visit. Charges nothing: a walk costs zero cycles.
+        flags, so its verdict is memoized like any other. Nothing is
+        kept across calls: every call reads the live table bytes. With
+        the paging-structure cache off (``PhysicalMemory.psc_enabled``,
+        the ``translation_cache=False`` configuration) every page is
+        visited, as the per-page reference. Returns the pages passed
+        after the last callback. Charges nothing: a walk costs zero
+        cycles.
         """
         if not self.phys.psc_enabled:
             while va < end:
@@ -218,20 +254,58 @@ class Mmu:
             return 0
         phys = self.phys
         write_u64 = phys.write_u64
-        frame_of = phys.frames.get
+        frames = phys.frames
+        frame_of = frames.get
         read = _PTE.unpack_from
         write = _PTE.pack_into
         num_frames = phys.num_frames
         ad = PTE_A | (PTE_D if access == "write" else 0)
+        #: whether a verdict reads the frame's shadow-stack flag
+        shadow_read = access == "write" or ctx.shadow_stack_op
         #: memo over the bits a verdict reads (P, known set, stands in for
         #: the frame's shadow-stack flag): the A/D bits the access still
         #: sets, or -1 where the page takes the per-page path
         verdicts: dict[int, int] = {}
-        passed = seen = 0       # pages passed; those reported to a visit
+
+        def verdict(pte: int, fn: int, shadow: bool) -> int:
+            key = pte & _VERDICT_BITS | shadow
+            sets = verdicts.get(key)
+            if sets is None:
+                sets = verdicts[key] = (
+                    ad & ~pte if pte & _HUGE == PTE_P
+                    and _denial(pte, fn, phys, access, ctx) is None else -1)
+            return sets
+
+        def shadows(fns) -> set:
+            """The shadow-stack frames among ``fns``, where it matters."""
+            if not shadow_read:
+                return set()
+            return {fn for fn in frames.keys() & fns
+                    if frames[fn].is_shadow_stack}
+
+        def recheck(pte: int, fns) -> int:
+            """How many leading ``fns``, mapped with ``pte``'s flags, the
+            re-check passes (a frame outside memory fails it)."""
+            n = len(fns)
+            if n and (min(fns) < 0 or max(fns) >= num_frames):
+                n = next(i for i, fn in enumerate(fns)
+                         if not 0 <= fn < num_frames)
+            if not n:
+                return 0
+            shadow = shadows(fns[:n])
+            if not shadow:
+                return n if verdict(pte, fns[0], False) >= 0 else 0
+            return next((i for i, fn in enumerate(fns[:n])
+                         if verdict(pte, fn, fn in shadow) < 0), n)
+
+        passed = seen = 0       # pages passed; those reported to a callback
+        step = stride >> 12
+        #: pages below this take the per-page path
+        slow_end = va if _spans(stride) else end
         try:
             while va < end:
                 slot = aspace.leaf_slot(va)
-                if slot is None:
+                if slot is None and va < slow_end:
                     # no leaf table yet: the page is not present
                     installed = visit(va, passed - seen, True, False)
                     seen = passed
@@ -240,18 +314,103 @@ class Mmu:
                         passed += 1
                     va += stride
                     continue
-                table = phys.frame(slot.table_fn)
-                table_pa = slot.table_fn << 12
-                data = table.data or _EMPTY_TABLE
-                if read(data, slot.index << 3)[0] & _HUGE == _HUGE:
+                if slot is None:
+                    # no leaf table yet: a missing span, whose install
+                    # builds the table
+                    table = None
+                    data = _EMPTY_TABLE
+                else:
+                    table = phys.frame(slot.table_fn)
+                    table_pa = slot.table_fn << 12
+                    data = table.data or _EMPTY_TABLE
+                if (slot is not None
+                        and read(data, slot.index << 3)[0] & _HUGE == _HUGE):
                     # a huge leaf: the per-page path
                     visit(va, passed - seen, False, False)
                     seen = passed
                     va += stride
                     continue
                 limit = min(end, (va | (HUGE_PAGE_SIZE - 1)) + 1)
+                #: the slots of ``base`` .. ``limit`` as read at the first
+                #: span of this walk; a callback writes no slot of the
+                #: walk's table, and the pass writes only slots behind it
+                base = None
                 while va < limit:
                     off = (va >> 9) & 0xFF8
+                    if va >= slow_end:
+                        if base is None:
+                            base, base_off = va, off
+                            slots = (limit - va - 1) // stride + 1
+                            width = (slots - 1) * 8 * step + 1
+                            low = data[off:off + width:8 * step]
+                            present = low.translate(_PRESENT)
+                            high = words = None
+                        i = (va - base) // stride
+                        if not present[i]:
+                            j = present.find(1, i)
+                            count = (slots if j < 0 else j) - i
+                            resolved = span(va, count, passed - seen,
+                                            recheck, table is not None)
+                            if resolved is None:
+                                slow_end = va + count * stride
+                                continue
+                            pte, fns = resolved
+                            if fns:
+                                done = len(fns)
+                                word = pte | ad & ~pte
+                                values = [fn << 12 | word for fn in fns]
+                                refused = not recheck(pte, fns[-1:])
+                                if refused:
+                                    values[-1] = fns[-1] << 12 | pte
+                                if table is None:
+                                    table = phys.frame(aspace.leaf_slot(
+                                        va, create=True).table_fn)
+                                    table_pa = table.fn << 12
+                                # the live bytes: a handler may have
+                                # replaced the bytearray
+                                data = table.materialize()
+                                store_table_words(data, off >> 3, step, values)
+                                table.version += done
+                                seen = passed + done - 1
+                                passed += done - refused
+                                va += (done - 1) * stride
+                                if refused:
+                                    # the re-check, which raises as it would
+                                    self.check(aspace, va, access, ctx)
+                                    passed += 1
+                                va += stride
+                                if done < count:
+                                    slow_end = va + stride
+                            else:
+                                slow_end = va + stride
+                            continue
+                        j = present.find(0, i)
+                        j = slots if j < 0 else j
+                        lo = low[i]
+                        if high is None:
+                            high = data[base_off + 7:base_off + 7 + width:
+                                        8 * step]
+                            words = table_words(data, base_off >> 3, slots,
+                                                step)
+                        hi = high[i]
+                        if (not lo & PTE_PS
+                                and low.count(lo, i, j) == j - i
+                                and high.count(hi, i, j) == j - i
+                                and max(words[i:j]) - (hi << 56)
+                                < num_frames << 12):
+                            pte = words[i]
+                            fns = ([pte_frame(w) for w in words[i:j]]
+                                   if shadow_read else ())
+                            if (not shadows(fns)
+                                    and verdict(pte, pte_frame(pte),
+                                                False) == 0):
+                                passed += j - i
+                                va += (j - i) * stride
+                                continue
+                        slow_end = va + (j - i) * stride
+                        continue
+                    if table is None:
+                        break       # re-walk: the no-table path
                     pte = read(data, off)[0]
                     missing = not pte & PTE_P
                     if missing:
@@ -266,14 +425,8 @@ class Mmu:
                     if frame is None and fn >= num_frames:
                         sets = -1       # outside memory: check raises
                     else:
-                        key = pte & _VERDICT_BITS | (
-                            frame is not None and frame.is_shadow_stack)
-                        sets = verdicts.get(key)
-                        if sets is None:
-                            sets = verdicts[key] = (
-                                ad & ~pte if pte & _HUGE == PTE_P
-                                and _denial(pte, fn, phys, access,
-                                            ctx) is None else -1)
+                        sets = verdict(pte, fn, frame is not None
+                                       and frame.is_shadow_stack)
                     if sets < 0:
                         if missing:
                             # the install, then the re-check, which

@@ -24,7 +24,9 @@ PTE layout mirrors x86-64 where the paper depends on it:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from struct import pack, unpack
 
 from .errors import SimulatorError
 from .memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
@@ -54,6 +56,28 @@ VA_LIMIT = 1 << VA_BITS
 #: which must not invalidate the cached *walk* (the leaf bytes themselves
 #: are compared separately by whoever caches the translation).
 _PSC_AD_MASK = 0xFF & ~(PTE_A | PTE_D)
+
+
+#: a ``Q`` view of a table's bytes reads its little-endian entries right
+#: only on a little-endian host
+_LITTLE = sys.byteorder == "little"
+
+
+def table_words(data, first: int, count: int, step: int) -> list[int]:
+    """Entries ``first, first + step, …`` (``count`` of them) of the
+    page table whose bytes are ``data``, read in one slice."""
+    words = memoryview(data).cast("Q")[first:first + (count - 1) * step + 1:step]
+    if _LITTLE:
+        return words.tolist()
+    return list(unpack(f"<{count}Q", words.tobytes()))
+
+
+def store_table_words(data: bytearray, first: int, step: int,
+                      values: list[int]) -> None:
+    """Write ``values`` into entries ``first, first + step, …`` of the
+    page table whose bytes are ``data``, in one slice assignment."""
+    memoryview(data).cast("Q")[first:first + (len(values) - 1) * step + 1:step] = \
+        memoryview(pack(f"<{len(values)}Q", *values)).cast("Q")
 
 
 def make_pte(fn: int, flags: int, pkey: int = 0) -> int:

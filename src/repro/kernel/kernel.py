@@ -117,11 +117,45 @@ class FaultRun:
         """
         return 0
 
+    def span(self, va: int, count: int, stride: int, write: bool,
+             mem_pages: int, recheck,
+             held: bool) -> tuple[int, list[int]] | None:
+        """Resolve the faults on the ``count`` pages ``va, va + stride, …``
+        of one leaf table; returns their validated PTEs as ``(flags,
+        frames)``: the PTE they share, less its frame, and the frame of
+        each. The caller installs them: into the table it holds, or,
+        without ``held``, into the table it builds once they are
+        resolved, as the first page's install would.
+
+        Resolves the leading pages exactly as :meth:`fault` would one at a
+        time, and stops before the first page :meth:`fault` would not
+        resolve alone; the caller hands that page to :meth:`fault`. It
+        also stops after the first page ``recheck(pte, frames)`` (the
+        caller's re-check: how many of ``frames``, mapped with ``pte``'s
+        flags, it passes) refuses. ``mem_pages`` is as for
+        :meth:`fault`, and each later page of the span is one more
+        touch. Writes no PTE; returns None when the run declines the
+        span's first page, and then the caller hands :meth:`fault`
+        every page of it.
+        """
+        return None
+
     def flush(self) -> None:
         """Book every deferred charge (no-op on an empty run)."""
 
 
 NO_FAULT_RUN = FaultRun()
+
+
+def demand_flags(vma: Vma) -> int:
+    """The flag bits of the PTE an ordinary demand fault on ``vma``
+    installs (see :meth:`GuestKernel.fault_pte`)."""
+    flags = PTE_P | PTE_U
+    if vma.prot & PROT_WRITE:
+        flags |= PTE_W
+    if not vma.prot & PROT_EXEC:
+        flags |= PTE_NX
+    return flags
 
 
 class GuestKernel:
@@ -410,12 +444,7 @@ class GuestKernel:
             raise SegmentationFault(f"{task.name}: write to read-only {va:#x}")
         fn = vma.backing.frame_for(vma.page_index(va), self.phys,
                                    task.owner_tag)
-        flags = PTE_P | PTE_U
-        if vma.prot & PROT_WRITE:
-            flags |= PTE_W
-        if not vma.prot & PROT_EXEC:
-            flags |= PTE_NX
-        return make_pte(fn, flags, vma.pkey)
+        return make_pte(fn, demand_flags(vma), vma.pkey)
 
     def touch_pages(self, task: Task, va: int, length: int, *,
                     write: bool = False, stride: int = PAGE_SIZE) -> int:
@@ -475,9 +504,24 @@ class GuestKernel:
             pending = 1
             return 0
 
+        def span(first_va: int, count: int, passed: int, recheck,
+                 held: bool) -> tuple[int, list[int]] | None:
+            """A run of missing pages in one leaf table: the PTEs the
+            fault run resolved its leading pages with (see
+            :meth:`FaultRun.span`); the pass installs them."""
+            nonlocal pending, faults, run
+            if run is None:
+                run = self.exit_path.fault_run(task)
+            resolved = run.span(first_va, count, stride, write,
+                                pending + passed, recheck, held)
+            if resolved is not None and resolved[1]:
+                pending = 0
+                faults += len(resolved[1])
+            return resolved
+
         try:
             rest = mmu.check_run(aspace, va & ~(PAGE_SIZE - 1), va + length,
-                                 stride, access, ctx, visit)
+                                 stride, access, ctx, visit, span)
         finally:
             if run is not None:
                 run.flush()

@@ -42,13 +42,33 @@ class Backing:
     """Supplies physical frames for a VMA's pages."""
 
     pinned = False
+    #: whether :meth:`frame_for` may allocate a frame (and so must run
+    #: one page at a time, each page checked before the next allocates)
+    allocates = False
 
     def frame_for(self, page_index: int, phys: PhysicalMemory, owner: str) -> int:
         raise NotImplementedError
 
+    def frames_for(self, index: int, count: int, step: int,
+                   phys: PhysicalMemory, owner: str) -> list[int]:
+        """The frames of pages ``index, index + step, …`` (``count`` of
+        them): the same frames, in the same order, as one
+        :meth:`frame_for` call per page. The list stops before the first
+        page that has no frame (past the backing's end, or none left to
+        allocate), where :meth:`frame_for` raises."""
+        frames = []
+        try:
+            for page in range(index, index + count * step, step):
+                frames.append(self.frame_for(page, phys, owner))
+        except (IndexError, MemoryError):
+            pass
+        return frames
+
 
 class AnonBacking(Backing):
     """Demand-zero anonymous memory: allocate on first touch."""
+
+    allocates = True
 
     def __init__(self):
         self.frames: dict[int, int] = {}
@@ -68,6 +88,8 @@ class FileBacking(Backing):
         self.file = file
         self.offset = offset
 
+    allocates = True
+
     def frame_for(self, page_index, phys, owner):
         return self.file.page_cache_frame(
             (self.offset >> PAGE_SHIFT) + page_index, phys)
@@ -84,6 +106,9 @@ class PinnedBacking(Backing):
     def frame_for(self, page_index, phys, owner):
         return self.frames[page_index]
 
+    def frames_for(self, index, count, step, phys, owner):
+        return self.frames[index:index + count * step:step]
+
 
 class SharedBacking(Backing):
     """Frames shared read-only across address spaces (common memory)."""
@@ -93,6 +118,9 @@ class SharedBacking(Backing):
 
     def frame_for(self, page_index, phys, owner):
         return self.frames[page_index]
+
+    def frames_for(self, index, count, step, phys, owner):
+        return self.frames[index:index + count * step:step]
 
 
 class CowBacking(Backing):

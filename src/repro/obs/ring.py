@@ -49,9 +49,9 @@ class RingBuffer(Generic[T]):
         self._buf.append(item)
 
     def extend(self, items) -> None:
-        for item in items:
-            self.pushed += 1
-            self._buf.append(item)
+        items = list(items)
+        self.pushed += len(items)
+        self._buf.extend(items)
 
     def clear(self) -> None:
         self._buf.clear()

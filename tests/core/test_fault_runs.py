@@ -12,23 +12,40 @@ MMU's leaf-table pass (``Mmu.run_pages`` moved), and the reference twin
 not: the pass is what the twins compare against per-page checks.
 """
 
+from contextlib import nullcontext
+from unittest import mock
+
 import pytest
 
 from repro.core import EreborFeatures, erebor_boot
+from repro.core.exits import MonitorFaultRun
 from repro.core.policy import PolicyViolation
 from repro.hw.cycles import Cost
 from repro.hw.errors import PageFault
 from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE
 from repro.hw.mmu import USER_MODE, AccessContext
+from repro.hw.paging import (
+    HUGE_PAGE_FRAMES,
+    HUGE_PAGE_SIZE,
+    PTE_A,
+    PTE_NX,
+    PTE_PS,
+    PTE_U,
+    PTE_W,
+)
 from repro.kernel.process import (
     PROT_READ,
     PROT_WRITE,
     PinnedBacking,
     SegmentationFault,
 )
+from repro.fleet import run_fleet
+from repro.fleet.goldens import LLAMA_FLEET_PARAMS
 from repro.obs import install
 from repro.obs.export import chrome_trace, prometheus_text
 from repro.vm import CvmMachine, MachineConfig, MIB
+from tests.machine_state import machine_state_digest
+from tests.reference import reference_paths
 
 #: pages of the touched range, at every stride (at 256 KiB it reaches a
 #: 2 MiB region with no leaf table yet)
@@ -111,30 +128,181 @@ def touch_twins(setting, kind, *, write, stride):
     """Set up both twins identically; touch with and without runs.
 
     Each result is ``(faults, observed state, pages the leaf-table pass
-    resolved during the compared touch)``.
+    resolved during the compared touch)``; for a span edge (``EDGES``)
+    whose touch raises, ``faults`` is the exception's type and text.
     """
     results = []
     for touch in ("touch_pages", "reference"):
         system = boot(setting)
         kernel = system.kernel
         clock = system.machine.clock
-        task, vma = task_and_vma(system, kind, PAGES * stride)
-        for page in PRETOUCHED:
-            kernel.touch_pages(task, vma.start + page * stride, PAGE_SIZE)
+        if kind in EDGES:
+            task, start, length = EDGES[kind](system, stride)
+        else:
+            task, vma = task_and_vma(system, kind, PAGES * stride)
+            start, length = vma.start, vma.length
+            for page in PRETOUCHED:
+                kernel.touch_pages(task, start + page * stride, PAGE_SIZE)
         fn = (kernel.touch_pages if touch == "touch_pages"
               else lambda *a, **k: reference_touch(kernel, *a, **k))
         mmu = system.machine.cpu.mmu
         run_pages = mmu.run_pages
-        if setting == "on-cpu":
-            with clock.on_cpu(1):
-                faults = fn(task, vma.start, vma.length, write=write,
-                            stride=stride)
-        else:
-            faults = fn(task, vma.start, vma.length, write=write,
-                        stride=stride)
+        try:
+            if setting == "on-cpu":
+                with clock.on_cpu(1):
+                    faults = fn(task, start, length, write=write,
+                                stride=stride)
+            else:
+                faults = fn(task, start, length, write=write, stride=stride)
+        except (PolicyViolation, SegmentationFault, PageFault) as exc:
+            if kind not in EDGES:
+                raise
+            faults = (type(exc).__name__, str(exc))
         results.append((faults, observed(system, task),
                         mmu.run_pages - run_pages))
     return results
+
+
+# ---------------------------------------------------------------------- #
+# span edges: each builds a task and the range the compared touch covers
+# ---------------------------------------------------------------------- #
+
+def _pinned_task(system, pages, *, owner="tmp"):
+    """A native task and a writable VMA of ``pages`` pages over frames
+    tagged ``owner``."""
+    kernel = system.kernel
+    task = kernel.spawn("app")
+    frames = system.machine.phys.alloc_frames(pages, owner)
+    vma = kernel.mmap(task, pages * PAGE_SIZE, PROT_READ | PROT_WRITE,
+                      backing=PinnedBacking(frames))
+    return task, vma
+
+
+def _edge_vma_end(system, stride):
+    """Two adjacent VMAs, anonymous then pinned: a span runs past the
+    first one's end."""
+    kernel = system.kernel
+    task = kernel.spawn("app")
+    first = kernel.mmap(task, 10 * stride, PROT_READ | PROT_WRITE)
+    frames = system.machine.phys.alloc_frames(14 * stride // PAGE_SIZE, "tmp")
+    kernel.mmap(task, len(frames) * PAGE_SIZE, PROT_READ | PROT_WRITE,
+                backing=PinnedBacking(frames), fixed_va=first.end)
+    return task, first.start, PAGES * stride
+
+
+def _edge_pinned_vma_end(system, stride):
+    """Two adjacent pinned VMAs: a span runs past the first one's end."""
+    kernel = system.kernel
+    task, first = _pinned_task(system, 10 * stride // PAGE_SIZE)
+    frames = system.machine.phys.alloc_frames(14 * stride // PAGE_SIZE, "tmp")
+    kernel.mmap(task, len(frames) * PAGE_SIZE, PROT_READ | PROT_WRITE,
+                backing=PinnedBacking(frames), fixed_va=first.end)
+    return task, first.start, PAGES * stride
+
+
+def _edge_extent(system, stride):
+    """The VMA's frames change owner extent halfway through a span."""
+    task, vma = _pinned_task(system, PAGES * stride // PAGE_SIZE)
+    frames = vma.backing.frames
+    half = len(frames) // 2
+    system.machine.phys.set_owner(frames[half], frames[-1] + 1, "other")
+    return task, vma.start, vma.length
+
+
+def _edge_confined(system, stride):
+    """A sandbox's ordinary VMA with some of its frames confined to it."""
+    kernel = system.kernel
+    sandbox = system.monitor.create_sandbox("sb", confined_budget=MIB)
+    task = sandbox.task
+    frames = system.machine.phys.alloc_frames(PAGES * stride // PAGE_SIZE,
+                                              "tmp")
+    system.monitor.vmmu.declare_confined(
+        sandbox.sandbox_id, frames[5 * stride // PAGE_SIZE::3])
+    vma = kernel.mmap(task, len(frames) * PAGE_SIZE, PROT_READ | PROT_WRITE,
+                      backing=PinnedBacking(frames))
+    return task, vma.start, vma.length
+
+
+def _edge_denied(system, stride):
+    """The 6th page touched maps a sealed template frame."""
+    task, vma = _pinned_task(system, PAGES * stride // PAGE_SIZE)
+    golden = _template_frames(system, 1)[0]
+    frames = vma.backing.frames
+    frames[5 * stride // PAGE_SIZE:] = [golden] * (len(frames)
+                                                   - 5 * stride // PAGE_SIZE)
+    return task, vma.start, vma.length
+
+
+def _edge_segv(system, stride):
+    """The VMA ends at the 11th page touched, with nothing after it."""
+    task, vma = _pinned_task(system, 10 * stride // PAGE_SIZE)
+    return task, vma.start, PAGES * stride
+
+
+def _present(system, stride):
+    """A VMA whose touched pages are all present (one read touch)."""
+    task, vma = _pinned_task(system, PAGES * stride // PAGE_SIZE)
+    system.kernel.touch_pages(task, vma.start, vma.length, stride=stride)
+    return task, vma
+
+
+def _edge_no_accessed(system, stride):
+    """A present span whose 7th page lost its accessed bit."""
+    task, vma = _present(system, stride)
+    va = vma.start + 6 * stride
+    task.aspace.set_pte(va, task.aspace.get_pte(va) & ~PTE_A)
+    return task, vma.start, vma.length
+
+
+def _edge_shadow(system, stride):
+    """A present span whose 7th page maps a shadow-stack frame."""
+    task, vma = _present(system, stride)
+    fn = task.aspace.mapped_frame(vma.start + 6 * stride)
+    system.machine.phys.frame(fn).is_shadow_stack = True
+    return task, vma.start, vma.length
+
+
+def _edge_huge(system, stride):
+    """The range's middle 2 MiB region is one huge (PS) leaf."""
+    kernel = system.kernel
+    task = kernel.spawn("app")
+    start = task.mmap_range(HUGE_PAGE_SIZE)
+    start += -start % HUGE_PAGE_SIZE
+    length = max(PAGES * stride, 3 * HUGE_PAGE_SIZE)
+    pages = length // PAGE_SIZE
+    run = system.machine.phys.alloc_frames(pages + HUGE_PAGE_FRAMES, "tmp",
+                                           contiguous=True)
+    base = run[0] + -run[0] % HUGE_PAGE_FRAMES
+    kernel.mmap(task, length, PROT_READ | PROT_WRITE, fixed_va=start,
+                backing=PinnedBacking(list(range(base, base + pages))))
+    vmmu = system.monitor.vmmu
+    vmmu.register_aspace(task.aspace)
+    vmmu.write_huge_pte(task.aspace, start + HUGE_PAGE_SIZE,
+                        base + HUGE_PAGE_FRAMES, PTE_W | PTE_U | PTE_NX)
+    kernel.touch_pages(task, start, length, stride=stride)
+    return task, start, length
+
+
+def _edge_ps_slot(system, stride):
+    """A present span whose 7th leaf entry carries the PS bit."""
+    task, vma = _present(system, stride)
+    va = vma.start + 6 * stride
+    task.aspace.set_pte(va, task.aspace.get_pte(va) | PTE_PS)
+    return task, vma.start, vma.length
+
+
+EDGES = {
+    "vma-end": _edge_vma_end,
+    "pinned-vma-end": _edge_pinned_vma_end,
+    "extent": _edge_extent,
+    "confined": _edge_confined,
+    "denied": _edge_denied,
+    "segv": _edge_segv,
+    "no-accessed": _edge_no_accessed,
+    "shadow": _edge_shadow,
+    "huge-leaf": _edge_huge,
+    "ps-slot": _edge_ps_slot,
+}
 
 
 @pytest.mark.parametrize("setting", ["metrics", "bare", "flight",
@@ -151,6 +319,20 @@ def test_fault_run_matches_per_fault_handling(setting, stride, kind, write):
     # with the cache off every page takes the per-page path
     assert (passed > 0) == (setting != "cache-off") and ref_passed == 0
     assert list(burst) == list(reference) and "trace" in reference
+    for key in reference:
+        assert burst[key] == reference[key], key
+
+
+@pytest.mark.parametrize("stride",
+                         [PAGE_SIZE, 16 * PAGE_SIZE, 64 * PAGE_SIZE],
+                         ids=["4k", "64k", "256k"])
+@pytest.mark.parametrize("edge", sorted(EDGES))
+@pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
+def test_span_edge_matches_per_fault_handling(edge, stride, write):
+    (faults, burst, passed), (ref_faults, reference, ref_passed) = (
+        touch_twins("metrics", edge, write=write, stride=stride))
+    assert faults == ref_faults
+    assert passed > 0 and ref_passed == 0
     for key in reference:
         assert burst[key] == reference[key], key
 
@@ -262,5 +444,42 @@ def test_segfault_mid_run_matches_per_fault_handling(layout):
     burst, reference = segv_twins(layout)
     # the pages before the failing one stay mapped
     assert sum(1 for pte in burst["ptes"] if pte) == 6
+    for key in reference:
+        assert burst[key] == reference[key], key
+
+
+# ---------------------------------------------------------------------- #
+# the llama fleet, with and without spans
+# ---------------------------------------------------------------------- #
+
+def test_llama_fleet_matches_per_page_touches():
+    """A reduced llama fleet under ``reference_paths()``, where the pass
+    hands the fault run one page per call, and outside it, where spans
+    resolve most of its faults: every simulated outcome is the same."""
+    results = []
+    for arm in (nullcontext, reference_paths):
+        spans = []
+        span = MonitorFaultRun.span
+
+        def spy(self, *args):
+            resolved = span(self, *args)
+            spans.append(len(resolved[1]) if resolved else 0)
+            return resolved
+
+        with arm(), mock.patch.object(MonitorFaultRun, "span", spy):
+            report, system = run_fleet(**dict(LLAMA_FLEET_PARAMS, clients=2))
+        clock = system.machine.clock
+        fault_log = system.kernel.fault_log
+        results.append((sum(spans), {
+            "digest": report.digest(),
+            "state": machine_state_digest(system),
+            "tags": [(lane, list(tags.items()))
+                     for lane, tags in clock.tags_by_cpu.items()],
+            "events": [(lane, list(events.items()))
+                       for lane, events in clock.events_by_cpu.items()],
+            "fault_log": (list(fault_log), fault_log.dropped),
+        }))
+    (spanned, burst), (ref_spanned, reference) = results
+    assert spanned > 1000 and ref_spanned == 0
     for key in reference:
         assert burst[key] == reference[key], key

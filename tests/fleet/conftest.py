@@ -1,5 +1,6 @@
 """Shared fixtures for the fleet tests: a booted CVM + a sealed template,
-and the bare seeded llama fleet per core count with its machine state.
+and the bare seeded llama fleet per core count with its machine state
+and wire digest.
 
 ``helloworld`` (1 MiB heap, no common region) keeps captures cheap; the
 llama-shaped sharing numbers are pinned in ``benchmarks/bench_fleet.py``.
@@ -13,7 +14,7 @@ from repro.fleet import SandboxTemplate, run_fleet
 from repro.fleet.goldens import LLAMA_FLEET_PARAMS
 from repro.obs.metrics import MetricsRegistry
 from repro.vm import CvmMachine, MachineConfig, MIB
-from tests.machine_state import machine_state_digest
+from tests.machine_state import machine_state_digest, wire_digest
 
 
 def build_system(memory_bytes=512 * MIB, cma_bytes=128 * MIB, seed=2025):
@@ -35,8 +36,8 @@ def template(system):
 
 @pytest.fixture(scope="session")
 def llama_run():
-    """``n_cpus -> (FleetReport, machine-state digest)`` of the bare
-    seeded llama fleet.
+    """``n_cpus -> (FleetReport, machine-state digest, wire digest)`` of
+    the bare seeded llama fleet.
 
     Each core count runs once per session: the SMP scaling sweep, the
     pins and the feature A/B baseline share the 4-core run.
@@ -47,7 +48,8 @@ def llama_run():
         if n_cpus not in runs:
             report, system = run_fleet(
                 **dict(LLAMA_FLEET_PARAMS, n_cpus=n_cpus))
-            runs[n_cpus] = report, machine_state_digest(system)
+            runs[n_cpus] = (report, machine_state_digest(system),
+                            wire_digest(system))
         return runs[n_cpus]
 
     return run

@@ -18,6 +18,7 @@ from repro.fleet.goldens import (
     LLAMA_PINNED,
     LLAMA_PLANES,
     LLAMA_STATE_PINNED,
+    LLAMA_WIRE_PINNED,
     SMP_PARAMS,
 )
 from repro.hw.cycles import CycleClock
@@ -220,8 +221,10 @@ def test_llama_repeats_are_byte_identical(llama_report):
 
 
 def test_llama_fleet_matches_its_pins(llama_run):
-    report, state = llama_run(LLAMA_FLEET_PARAMS["n_cpus"])
+    report, state, wire = llama_run(LLAMA_FLEET_PARAMS["n_cpus"])
     assert report.digest() == LLAMA_PINNED
     assert report.ledger["planes"] == LLAMA_PLANES
     # page tables, owner tags and frame bytes: what the report leaves out
     assert state == LLAMA_STATE_PINNED
+    # every byte the host saw, the handshakes' public values included
+    assert wire == LLAMA_WIRE_PINNED

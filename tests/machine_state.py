@@ -65,3 +65,10 @@ def machine_state_digest(system) -> str:
             h.update(f"\nframe {fn} ".encode()
                      + hashlib.sha256(frame.data).digest())
     return h.hexdigest()
+
+
+def wire_digest(system) -> str:
+    """sha256 of every byte string the host saw (``observed_blob``): the
+    handshakes' public values and every sealed record, which a key
+    exchange that is wrong on both ends in the same way changes."""
+    return hashlib.sha256(system.machine.vmm.observed_blob()).hexdigest()

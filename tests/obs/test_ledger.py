@@ -19,6 +19,7 @@ from repro.fleet.goldens import (
     SMP_PINNED,
     SMP_PLANES,
     SMP_STATE_PINNED,
+    SMP_WIRE_PINNED,
 )
 from repro.fleet.loadgen import run_fleet
 from repro.hw.cycles import SERIAL_LANE, CycleClock
@@ -28,7 +29,7 @@ from repro.obs.ledger import (
     translation_summary,
     verify_conservation,
 )
-from tests.machine_state import machine_state_digest
+from tests.machine_state import machine_state_digest, wire_digest
 from repro.obs.schema import check_ledger
 
 # --------------------------------------------------------------------------- #
@@ -240,6 +241,8 @@ def test_pinned_digests_survive_ledger_capture(n_cpus):
     if n_cpus == 2:
         # page tables, owner tags and frame bytes: what the report leaves out
         assert machine_state_digest(system) == SMP_STATE_PINNED
+    # every byte the host saw, the handshakes' public values included
+    assert wire_digest(system) == SMP_WIRE_PINNED[n_cpus]
     # ledger and translation ride in to_dict() but not the preimage
     assert "ledger" not in report._base_dict()
     assert "translation" not in report._base_dict()

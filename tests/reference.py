@@ -11,6 +11,9 @@ has no option for any of this. Each fast path that has an arm here:
 * **Native handshake exponentiation** (`repro.crypto.dh.modexp`): both
   exponentiations of a handshake run on the builtin
   ``pow(base, exponent, MODP_2048_P)`` instead of libcrypto.
+* **Span touches** (`repro.hw.mmu._spans`): ``Mmu.check_run`` reads no
+  span, present or missing, so the leaf-table pass hands the fault run
+  one page per call.
 
 Build the machines inside the ``with`` block: a superblock keeps the
 function it was first compiled to.
@@ -20,7 +23,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 from repro.crypto import dh
-from repro.hw import cpu
+from repro.hw import cpu, mmu
 
 
 @contextmanager
@@ -31,7 +34,8 @@ def reference_paths():
         with mock.patch.object(cpu, "_self_loop", lambda start_va, instrs:
                                False), \
                 mock.patch.object(dh, "modexp", lambda base, exponent:
-                                  pow(base, exponent, dh.MODP_2048_P)):
+                                  pow(base, exponent, dh.MODP_2048_P)), \
+                mock.patch.object(mmu, "_spans", lambda stride: False):
             yield
     finally:
         # compiled block functions of either arm never serve the other

@@ -69,10 +69,12 @@ class MonitorExitPath(ExitPath):
                 clock.charge(count * Cost.UARCH_PER_SANDBOX_EXIT, "uarch")
             if self.monitor.mitigations is not None:
                 self.monitor.mitigations.on_sandbox_exit(sandbox)
-        name = _EXIT_EVENT_NAMES.get(cls)
-        if name is None:
-            name = _EXIT_EVENT_NAMES[cls] = f"exit:{cls}"
-        clock.tracer.event(name, "exit", sandboxed=sandbox is not None)
+        tracer = clock.tracer
+        if tracer.enabled:
+            name = _EXIT_EVENT_NAMES.get(cls)
+            if name is None:
+                name = _EXIT_EVENT_NAMES[cls] = f"exit:{cls}"
+            tracer.event(name, "exit", sandboxed=sandbox is not None)
 
     def _pagefault_exits(self, sandbox, count: int = 1) -> None:
         """Interpose ``count`` page-fault exits (see :meth:`_charge_exit`)."""
@@ -158,35 +160,43 @@ class MonitorExitPath(ExitPath):
             return NO_FAULT_RUN
         return MonitorFaultRun(self, task)
 
-    def on_interrupt(self, task: Task, vector: int) -> None:
+    def sees_each_exit(self) -> bool:
+        """§12 mitigations act on every sandbox exit as it happens."""
+        return self.monitor.mitigations is not None
+
+    def on_interrupt(self, task: Task, vector: int, count: int = 1) -> None:
         if not self._active:
             return
         sandbox = self._sandbox_of(task)
-        self._charge_exit("irq", sandbox)
-        self.clock.charge(Cost.INT_GATE_OVERHEAD, "int_gate")
+        self._charge_exit("irq", sandbox, count)
+        self.clock.charge(count * Cost.INT_GATE_OVERHEAD, "int_gate")
         if sandbox is not None and sandbox.locked:
             # save + mask the register file before the OS handler runs
-            self.clock.charge(Cost.SANDBOX_STATE_SAVE, "sandbox_state")
-            sandbox.note_masked_entry()
+            self.clock.charge(count * Cost.SANDBOX_STATE_SAVE,
+                              "sandbox_state")
+            sandbox.note_masked_entry(count)
 
-    def on_interrupt_return(self, task: Task, vector: int) -> None:
+    def on_interrupt_return(self, task: Task, vector: int,
+                            count: int = 1) -> None:
         if not self._active:
             return
         sandbox = self._sandbox_of(task)
         if sandbox is not None and sandbox.locked:
-            self.clock.charge(Cost.SANDBOX_STATE_RESTORE, "sandbox_state")
-            sandbox.note_masked_exit()
+            self.clock.charge(count * Cost.SANDBOX_STATE_RESTORE,
+                              "sandbox_state")
+            sandbox.note_masked_exit(count)
 
     def on_context_switch(self, prev: Task | None, nxt: Task) -> None:
         """Task switch: the monitor swaps the per-task kernel shadow stack
         (IA32_PL0_SSP is monitor-owned; the kernel cannot write it)."""
         self.monitor.sst_manager.switch(0, prev, nxt)
 
-    def on_ve(self, task: Task | None, reason: str = "") -> None:
+    def on_ve(self, task: Task | None, reason: str = "",
+              count: int = 1) -> None:
         if not self._active:
             return
         sandbox = self._sandbox_of(task)
-        self._charge_exit("ve", sandbox)
+        self._charge_exit("ve", sandbox, count)
         if sandbox is None or not sandbox.locked:
             return
         if reason == "cpuid":

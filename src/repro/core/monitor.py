@@ -638,6 +638,24 @@ class MonitorOps(PrivilegedOps):
             return None
         return self.monitor.tdx.guest_vmcall(subfn, payload)
 
+    def vmcall_burst(self, subfn, payload, count):
+        """``count`` hypercalls as one gate burst and one GHCI exit run.
+
+        Bit-exact with ``count`` sequential :meth:`vmcall` calls; an
+        operation the policy refuses goes through the single-call path,
+        so the denial charges what the first call would have charged.
+        """
+        monitor = self.monitor
+        try:
+            validate_ghci("vmcall_io")
+        except PolicyViolation:
+            self.vmcall(subfn, payload)     # denies
+            return
+        monitor.charge_emc_batch(Cost.VALIDATE_GHCI, kind="ghci",
+                                 count=count)
+        if monitor.tdx is not None:
+            monitor.tdx.guest_vmcall(subfn, payload, count)
+
     def tdreport(self, report_data):
         raise self.monitor._deny(PolicyViolation(
             "attestation reports are monitor-only (C5); the kernel cannot "

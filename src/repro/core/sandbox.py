@@ -97,11 +97,11 @@ class Sandbox:
     def is_template(self) -> bool:
         return self.state == "template"
 
-    def note_masked_entry(self) -> None:
-        self._masked_depth += 1
+    def note_masked_entry(self, count: int = 1) -> None:
+        self._masked_depth += count
 
-    def note_masked_exit(self) -> None:
-        self._masked_depth = max(0, self._masked_depth - 1)
+    def note_masked_exit(self, count: int = 1) -> None:
+        self._masked_depth = max(0, self._masked_depth - count)
 
     # ------------------------------------------------------------------ #
     # memory declaration (LibOS loader calls these via EMC)

@@ -250,9 +250,14 @@ class WarmPool:
             if isinstance(vma.backing, CowBacking):
                 scan.update(vma.backing.template_frames)
         phys = self.system.monitor.phys
-        for fn in sorted(scan):
-            frame = phys.peek(fn)
-            data = None if frame is None else frame.data
+        if scan and (min(scan) < 0 or max(scan) >= phys.num_frames):
+            # raises as peeking the first frame outside memory does
+            phys.peek(min(fn for fn in scan
+                          if not 0 <= fn < phys.num_frames))
+        # only a built frame can hold bytes: visit those, in frame order
+        frames = phys.frames
+        for fn in sorted(frames.keys() & scan):
+            data = frames[fn].data
             if data is None:
                 continue
             for pattern in patterns:

@@ -76,14 +76,26 @@ class ExitPath:
         """
         return False
 
-    def on_interrupt(self, task: Task, vector: int) -> None:
-        """An external interrupt preempted ``task``."""
+    def on_interrupt(self, task: Task, vector: int, count: int = 1) -> None:
+        """``count`` external interrupts back to back preempted ``task``
+        (a run of timer ticks books them at once)."""
 
-    def on_interrupt_return(self, task: Task, vector: int) -> None:
-        """The kernel finished handling an interrupt; ``task`` resumes."""
+    def on_interrupt_return(self, task: Task, vector: int,
+                            count: int = 1) -> None:
+        """The kernel finished handling ``count`` interrupts; ``task``
+        resumes."""
 
-    def on_ve(self, task: Task | None, reason: str = "") -> None:
-        """A virtualization exception fired."""
+    def on_ve(self, task: Task | None, reason: str = "",
+              count: int = 1) -> None:
+        """``count`` virtualization exceptions fired back to back. Only
+        the timer tick's ``wrmsr`` passes more than one: a reason the
+        monitor emulates or kills on comes one at a time."""
+
+    def sees_each_exit(self) -> bool:
+        """Whether something must see every exit as it happens, so the
+        kernel books no run of identical ones (see
+        :meth:`GuestKernel.tick_run_length`)."""
+        return False
 
     def on_context_switch(self, prev: Task | None, nxt: Task) -> None:
         """The scheduler is switching tasks (shadow-stack switch point)."""
@@ -261,27 +273,29 @@ class GuestKernel:
             task.remove_vma(vma)
         self.clock.count("task_reaped")
 
-    def runnable_tasks(self) -> list[Task]:
-        return [self.tasks[pid] for pid in self._run_queue
-                if self.tasks[pid].state == "runnable"]
-
     def _pick_next(self) -> None:
-        runnable = self.runnable_tasks()
-        if not runnable:
+        """Round-robin: rotate current to the back of the run queue and
+        switch to the first runnable task; a current task that is the
+        only runnable one keeps the CPU, and nothing rotates."""
+        current = self.current
+        tasks = self.tasks
+        queue = self._run_queue
+        for pid in queue:
+            nxt = tasks[pid]
+            if nxt is not current and nxt.state == "runnable":
+                break
+        else:
             return
-        if self.current in runnable and len(runnable) == 1:
-            return
-        # rotate
-        if self.current is not None and self.current.pid in self._run_queue:
-            self._run_queue.remove(self.current.pid)
-            self._run_queue.append(self.current.pid)
-        nxt = self.runnable_tasks()[0]
-        if nxt is not self.current:
-            self.clock.charge(Cost.CONTEXT_SWITCH, "sched")
-            self.clock.count("context_switch")
-            self.exit_path.on_context_switch(self.current, nxt)
-            self.ops.write_cr(3, nxt.aspace.root_fn)
-            self.current = nxt
+        # current moves behind every other task, so the first runnable
+        # task other than current is first after the rotation
+        if current is not None and current.pid in queue:
+            queue.remove(current.pid)
+            queue.append(current.pid)
+        self.clock.charge(Cost.CONTEXT_SWITCH, "sched")
+        self.clock.count("context_switch")
+        self.exit_path.on_context_switch(current, nxt)
+        self.ops.write_cr(3, nxt.aspace.root_fn)
+        self.current = nxt
         self._ticks_on_current = 0
 
     # ------------------------------------------------------------------ #
@@ -302,42 +316,74 @@ class GuestKernel:
         (zero or less: one is due already)."""
         return self._next_tick - self.clock.cycles
 
+    def tick_run_length(self) -> int:
+        """How many timer ticks may be booked at once from now: the ticks
+        left in the current task's timeslice, so a run ends at or before
+        the boundary where :meth:`_pick_next` runs. Exactly one while an
+        armed tracer, a tick hook or the exit path must see every tick,
+        and once :meth:`_pick_next` keeps a lone task without resetting
+        its count (every later tick reaches the boundary)."""
+        if (self.tick_hooks or self.clock.tracer.enabled
+                or self.exit_path.sees_each_exit()):
+            return 1
+        return max(TIMESLICE_TICKS - self._ticks_on_current, 1)
+
     def pump(self) -> None:
-        """Fire any timer ticks the clock has run past."""
-        while self.clock.cycles >= self._next_tick:
-            self._next_tick += self.tick_period
-            self._timer_tick()
+        """Fire any timer ticks the clock has run past, a run at a time.
 
-    def _timer_tick(self) -> None:
+        Every due tick fires, whatever the ticks before it cost, so a run
+        books ``min(due, run length)`` of them at once; the re-check
+        catches the ticks their own cost made due, as a tick-by-tick
+        loop would."""
+        clock = self.clock
+        period = self.tick_period
+        while clock.cycles >= self._next_tick:
+            count = min((clock.cycles - self._next_tick) // period + 1,
+                        self.tick_run_length())
+            self.book_ticks(count)
+
+    def book_ticks(self, count: int) -> None:
+        """Fire the next ``count`` timer ticks now, as one run of the
+        current task (at most :meth:`tick_run_length` of them)."""
+        self._next_tick += count * self.tick_period
+        self._timer_tick(count)
+
+    def _timer_tick(self, count: int = 1) -> None:
         with self.clock.tracer.span("irq:timer", "irq"):
-            self._timer_tick_body()
+            self._timer_tick_body(count)
 
-    def _timer_tick_body(self) -> None:
+    def _timer_tick_body(self, count: int) -> None:
+        """``count`` ticks of the current task, each step booked ``count``
+        times in the order one tick takes them; only the last can reach
+        the timeslice boundary."""
         task = self.current
-        self.clock.count("timer_interrupt")
-        self.clock.charge(Cost.EXC_DELIVERY, "irq")
+        clock = self.clock
+        clock.count("timer_interrupt", count)
+        clock.charge(count * Cost.EXC_DELIVERY, "irq")
         if task is not None:
-            self.exit_path.on_interrupt(task, TIMER_VECTOR)
-        self.clock.charge(Cost.TIMER_HANDLER_BASE, "irq")
+            self.exit_path.on_interrupt(task, TIMER_VECTOR, count)
+        clock.charge(count * Cost.TIMER_HANDLER_BASE, "irq")
         # reprogram the APIC timer: host-emulated MSR -> #VE + GHCI exit
-        self._host_emulated_msr_write(regs.IA32_APIC_TIMER, self._next_tick)
+        self._host_emulated_msr_write(regs.IA32_APIC_TIMER, count)
         for hook in self.tick_hooks:
             hook()
-        self._ticks_on_current += 1
+        self._ticks_on_current += count
         if self._ticks_on_current >= TIMESLICE_TICKS:
             self._pick_next()
-        self.clock.charge(Cost.IRET, "irq")
+        clock.charge(count * Cost.IRET, "irq")
         if task is not None:
-            self.exit_path.on_interrupt_return(task, TIMER_VECTOR)
+            self.exit_path.on_interrupt_return(task, TIMER_VECTOR, count)
 
-    def _host_emulated_msr_write(self, msr: int, value: int) -> None:
-        """A wrmsr the host must emulate: #VE, then a GHCI exit."""
-        self.clock.count(("ve", "wrmsr"))
-        self.clock.tracer.event("ve:wrmsr", "ve", msr=msr)
-        self.clock.charge(Cost.EXC_DELIVERY + Cost.IRET, "ve")
-        self.exit_path.on_ve(self.current, "wrmsr")
+    def _host_emulated_msr_write(self, msr: int, count: int) -> None:
+        """``count`` wrmsrs the host must emulate: each a #VE, then a GHCI
+        exit."""
+        clock = self.clock
+        clock.count(("ve", "wrmsr"), count)
+        clock.tracer.event("ve:wrmsr", "ve", msr=msr)
+        clock.charge(count * (Cost.EXC_DELIVERY + Cost.IRET), "ve")
+        self.exit_path.on_ve(self.current, "wrmsr", count)
         if self.tdx is not None:
-            self.ops.vmcall(VMCALL_IO, ("wrmsr", msr))
+            self.ops.vmcall_burst(VMCALL_IO, ("wrmsr", msr), count)
 
     # macro py-handlers (installed in the IDT; used when micro code faults)
     def _timer_py_handler(self, cpu, vector, fault) -> None:

@@ -73,6 +73,17 @@ class PrivilegedOps(ABC):
     def vmcall(self, subfn: int, payload: object = None) -> object:
         """Synchronous exit to the host VMM."""
 
+    def vmcall_burst(self, subfn: int, payload: object, count: int) -> None:
+        """``count`` identical :meth:`vmcall` exits issued back to back
+        (their answers unread).
+
+        Implementations may book them as one burst but must charge,
+        count and expose to the host exactly what ``count`` sequential
+        :meth:`vmcall` calls would. This default just loops.
+        """
+        for _ in range(count):
+            self.vmcall(subfn, payload)
+
     @abstractmethod
     def tdreport(self, report_data: bytes):
         """Request a signed attestation report."""
@@ -165,6 +176,11 @@ class NativeOps(PrivilegedOps):
         if self.tdx is None:
             raise RuntimeError("vmcall without a TDX module")
         return self.tdx.guest_vmcall(subfn, payload)
+
+    def vmcall_burst(self, subfn, payload, count):
+        if self.tdx is None:
+            raise RuntimeError("vmcall without a TDX module")
+        self.tdx.guest_vmcall(subfn, payload, count)
 
     def tdreport(self, report_data):
         if self.tdx is None:

@@ -56,14 +56,17 @@ class ThreadPool:
         """Run ``items`` units of work across the pool with barriers.
 
         Wall-clock compute is ``items * cycles_per_item / size`` (perfect
-        split model); each barrier is one :meth:`sync`. Compute and syncs
-        interleave chunk by chunk so timer ticks land realistically. The
-        chunks whose compute ends before the next tick are booked as one
-        batch: one compute :meth:`advance`, whose pump fires nothing, and
-        one :meth:`sync` — the clock ledgers, ``utime_cycles`` and
-        :class:`SyncStats` end where the chunk-by-chunk steps leave them.
-        The chunk that reaches the tick is a batch of one, the per-chunk
-        step itself.
+        split model); each barrier is one :meth:`sync`. The clock ledgers,
+        ``utime_cycles`` and :class:`SyncStats` end where stepping chunk
+        by chunk (``advance`` of one chunk's compute, whose pump fires
+        the ticks it reaches, then ``sync``) leaves them, but whole runs
+        of chunks are booked at once:
+
+        * the chunks that end before the next tick are one compute
+          :meth:`advance`, whose pump fires nothing, and one ``sync``;
+        * the chunk that reaches a tick steps alone. When its pump fires
+          one tick that leaves the timeslice open, what that tick cost
+          places the rest of the run, booked at once (:meth:`_tick_run`).
         """
         if items <= 0:
             return
@@ -71,18 +74,68 @@ class ThreadPool:
         wall = total // self.size
         syncs = max(items // max(sync_every, 1), 1)
         kernel = self.libos.kernel
+        clock = kernel.clock
         task = self.libos.task
         chunk = max(wall // syncs, 1)
         step = chunk + SPIN_SYNC_CYCLES * max(self.size - 1, 1)
         done = 0
         while done < syncs:
-            # chunk k from now ends at k * step + chunk: take every chunk
-            # that ends before the tick, or else the one that reaches it
-            before_tick = (kernel.cycles_to_tick() - chunk - 1) // step + 1
-            batch = max(1, min(syncs - done, before_tick))
-            kernel.advance(batch * chunk, task)
-            self.sync(batch)
-            done += batch
+            # chunk k from now ends at k * step + chunk
+            to_tick = kernel.cycles_to_tick()
+            before = min(syncs - done, (to_tick - chunk - 1) // step + 1)
+            if before > 0:
+                kernel.advance(before * chunk, task)
+                self.sync(before)
+                done += before
+                continue
+            run = kernel.tick_run_length()
+            start = clock.cycles
+            kernel.advance(chunk, task)
+            tick = clock.cycles - start - chunk
+            # ticks the pump fired: how far the next tick moved, in periods
+            fired = (kernel.cycles_to_tick() + tick + chunk
+                     - to_tick) // kernel.tick_period
+            self.sync()
+            done += 1
+            if run > 1 and fired == 1:
+                done += self._tick_run(syncs - done, chunk, step, tick)
         remainder = wall - chunk * syncs
         if remainder > 0:
             kernel.advance(remainder, task)
+
+    def _tick_run(self, chunks: int, chunk: int, step: int,
+                  tick: int) -> int:
+        """Book the rest of the current tick run over the next ``chunks``
+        chunks at once; returns how many chunks it booked.
+
+        ``tick`` is what the run's first tick cost, and every tick of the
+        run but its last (which may reach :meth:`GuestKernel._pick_next`)
+        costs the same, being the same count-aware booking of the same
+        task. Chunk ``i`` from now ends with the clock at ``now + i * step
+        + chunk`` plus the ticks fired before it, so the ``j``-th tick
+        of the run fires in the first chunk where that reaches the tick
+        ``j`` periods on. The plan stops before a tick that becomes due
+        inside the previous one: the booking's ``advance`` ends on that
+        chunk's pump, which fires it exactly as the chunk's own pump
+        would, along with anything the last tick made due.
+        """
+        kernel = self.libos.kernel
+        period = kernel.tick_period
+        # the clock at chunk 0's pump, less the next tick
+        lead = chunk - kernel.cycles_to_tick()
+        last = -1
+        ticks = 0
+        for j in range(kernel.tick_run_length()):
+            i = max(0, -((lead + j * (tick - period)) // step))
+            if i >= chunks or i <= last:
+                break
+            last = i
+            ticks += 1
+        if not ticks:
+            return 0
+        kernel.book_ticks(ticks)
+        if last:
+            self.sync(last)
+        kernel.advance((last + 1) * chunk, self.libos.task)
+        self.sync()
+        return last + 1

@@ -124,13 +124,20 @@ class TdxModule:
             self.clock.count(("tdcall", "mapgpa"))
             self._map_gpa(fn_start, count, shared)
 
-    def guest_vmcall(self, subfn: int, payload: object = None) -> object:
-        """Generic GHCI hypercall: exit to the VMM and return its answer."""
-        with self.clock.tracer.span("tdcall:vmcall", "tdx", subfn=subfn):
-            self.clock.charge(Cost.TDCALL_ROUND_TRIP, "tdcall")
-            self.clock.count(("tdcall", "vmcall"))
-            self.clock.count("vm_exit")
-            result = self.vmm.handle_vmcall(subfn, payload)
+    def guest_vmcall(self, subfn: int, payload: object = None,
+                     count: int = 1) -> object:
+        """Generic GHCI hypercall: exit to the VMM and return its answer.
+
+        ``count`` identical hypercalls back to back are booked as one:
+        ``count`` tdcall round trips and exits, and the host sees each
+        (one observation apiece, in order); the answer is the last one's.
+        """
+        clock = self.clock
+        with clock.tracer.span("tdcall:vmcall", "tdx", subfn=subfn):
+            clock.charge(count * Cost.TDCALL_ROUND_TRIP, "tdcall")
+            clock.count(("tdcall", "vmcall"), count)
+            clock.count("vm_exit", count)
+            result = self.vmm.handle_vmcall(subfn, payload, count)
         return result
 
     def guest_tdreport(self, report_data: bytes) -> "TdReport":

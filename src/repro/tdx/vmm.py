@@ -14,10 +14,12 @@ security tests assert client secrets never show up there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 from ..hw.cycles import Cost, CycleClock
 from ..hw.memory import PAGE_SIZE, PhysicalMemory
+from .module import VMCALL_CPUID, VMCALL_GETQUOTE, VMCALL_HLT, VMCALL_IO
 
 
 class PrivateMemoryError(Exception):
@@ -75,9 +77,10 @@ class HostVmm:
     # synchronous exit handling (GHCI service side)
     # ------------------------------------------------------------------ #
 
-    def handle_vmcall(self, subfn: int, payload: object) -> object:
-        from .module import VMCALL_CPUID, VMCALL_GETQUOTE, VMCALL_HLT, VMCALL_IO
-        self.observe("vmcall", (subfn, payload))
+    def handle_vmcall(self, subfn: int, payload: object,
+                      count: int = 1) -> object:
+        """Serve ``count`` identical hypercalls (one observation each)."""
+        self.observations.extend(repeat(("vmcall", (subfn, payload)), count))
         if subfn == VMCALL_CPUID:
             return self.cpuid_table
         if subfn == VMCALL_HLT:

@@ -13,6 +13,9 @@ directly:
 
 Frame lists are hashed in ascending order, so the digest does not depend
 on the order in which frames were first touched.
+
+:func:`clock_state` collects what a run leaves on the clock, the host and
+the kernel's tasks, for twins that compare two runs field by field.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import hashlib
 
 from repro.hw.memory import PAGE_SIZE
 from repro.hw.paging import ENTRIES_PER_TABLE, PTE_P, PTE_PS, pte_frame
+from repro.obs.export import chrome_trace, prometheus_text
 
 _ZERO = bytes(PAGE_SIZE)
 
@@ -72,3 +76,25 @@ def wire_digest(system) -> str:
     handshakes' public values and every sealed record, which a key
     exchange that is wrong on both ends in the same way changes."""
     return hashlib.sha256(system.machine.vmm.observed_blob()).hexdigest()
+
+
+def clock_state(machine, kernel) -> dict:
+    """What a run leaves on ``machine``'s clock, its host and ``kernel``'s
+    tasks: both clock ledgers in insertion order, ``per_cpu``, every host
+    observation, each task's ``utime_cycles``, the Prometheus text and,
+    with a tracer armed, the Chrome trace."""
+    clock = machine.clock
+    return {
+        "tags": [(lane, list(tags.items()))
+                 for lane, tags in clock.tags_by_cpu.items()],
+        "events": [(lane, list(events.items()))
+                   for lane, events in clock.events_by_cpu.items()],
+        "per_cpu": list(clock.per_cpu),
+        "cycles": clock.cycles,
+        "observations": list(machine.vmm.observations),
+        "utime": {pid: task.utime_cycles
+                  for pid, task in kernel.tasks.items()},
+        "prometheus": prometheus_text(clock),
+        "trace": (chrome_trace(clock.tracer) if clock.tracer.enabled
+                  else None),
+    }

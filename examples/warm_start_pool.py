@@ -14,7 +14,7 @@ plaintext record.
 Run:  python examples/warm_start_pool.py
 """
 
-from repro.fleet import PoolConfig, SandboxTemplate, WarmPool, run_fleet
+from repro.fleet import PoolConfig, SandboxTemplate, WarmPool, build_fleet
 from repro.vm import MIB
 
 CLIENTS = 6
@@ -22,10 +22,11 @@ POOL = 2
 
 
 def main() -> None:
-    report, system = run_fleet(workload="helloworld", clients=CLIENTS,
-                               requests=1, pool_size=POOL, tenants=2,
-                               seed=42, scale=1.0,
-                               memory_bytes=512 * MIB, cma_bytes=64 * MIB)
+    fleet = build_fleet(workload="helloworld", clients=CLIENTS, requests=1,
+                        pool_size=POOL, tenants=2, seed=42, scale=1.0,
+                        memory_bytes=512 * MIB, cma_bytes=64 * MIB)
+    fleet.scheduler.run(fleet.sessions)
+    report, system = fleet.report(), fleet.system
 
     ms = 2.1e6   # simulated cycles per millisecond at 2.1 GHz
     print(f"cold boot+init: {report.cold_start_cycles / ms:.2f} ms "
@@ -52,12 +53,9 @@ def main() -> None:
     assert report.fork_speedup() >= 5
     assert report.warm_speedup() >= 5
 
-    # and the untrusted world never saw a record in the clear: replay the
-    # fleet's sessions and check every client secret against the NIC log
-    from repro.fleet import LoadGenerator
-    secrets = [s.secret for s in
-               LoadGenerator(clients=CLIENTS, requests=1, seed=42,
-                             tenants=2).sessions()]
+    # and the untrusted world never saw a record in the clear: check every
+    # client secret against the NIC log
+    secrets = [s.secret for s in fleet.sessions]
     print("host ever saw a record:",
           any(s in system.machine.vmm.observed_blob() for s in secrets))
     assert not any(s in system.machine.vmm.observed_blob() for s in secrets)

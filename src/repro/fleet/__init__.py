@@ -14,9 +14,11 @@ clients; this package is that serving layer:
   tenant quotas (sessions, confined bytes, EMC per request), a bounded
   wait queue, deterministic admit/queue/reject decisions and post-hoc
   EMC eviction, driving real attested secure-channel sessions.
-* :mod:`repro.fleet.loadgen` — a seeded load generator and
-  :func:`run_fleet`, the one-call fleet benchmark behind
-  ``python -m repro.fleet`` and ``benchmarks/bench_fleet.py``.
+* :mod:`repro.fleet.loadgen` — a seeded load generator,
+  :func:`build_fleet` (one composed :class:`Fleet` to drive step by step)
+  and :func:`run_fleet`, the one-call fleet benchmark behind
+  ``benchmarks/bench_fleet.py``; ``python -m repro.fleet`` drives a
+  :class:`Fleet`.
 
 Everything is deterministic: same seed, byte-identical report.
 """
@@ -29,7 +31,13 @@ from .admission import (
     Decision,
     TenantQuota,
 )
-from .loadgen import FleetReport, LoadGenerator, run_fleet
+from .loadgen import (
+    Fleet,
+    FleetReport,
+    LoadGenerator,
+    build_fleet,
+    run_fleet,
+)
 from .pool import PoolConfig, PoolSlot, ScrubVerificationError, WarmPool
 from .scheduler import (
     AnomalyMonitor,
@@ -46,6 +54,7 @@ __all__ = [
     "AnomalyMonitor",
     "ClientSession",
     "Decision",
+    "Fleet",
     "FleetInstance",
     "FleetReport",
     "FleetScheduler",
@@ -59,5 +68,6 @@ __all__ = [
     "TemplateVma",
     "TenantQuota",
     "WarmPool",
+    "build_fleet",
     "run_fleet",
 ]

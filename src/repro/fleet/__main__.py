@@ -29,10 +29,11 @@ the run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
-from .loadgen import run_fleet
+from .loadgen import build_fleet
 
 EXPORTS = ("report", "bundle")
 
@@ -149,48 +150,43 @@ def main(argv: list[str] | None = None) -> int:
 
     want_trace = any(flag is not None for flag in
                      (args.trace_request, args.trace_out, args.trace_digests))
-    state: dict = {}
+    instrument = None
+    if args.export_format == "bundle" or want_trace:
+        from ..obs import install
+        from ..obs.trace import DEFAULT_CAPACITY, REQUEST_TRACE_CAPACITY
 
-    def execute():
-        """One instrumented (or plain) fleet run; fills ``state``."""
-        if args.export_format == "bundle" or want_trace:
-            from ..obs import install
-            from ..obs.trace import DEFAULT_CAPACITY, REQUEST_TRACE_CAPACITY
+        capacity = REQUEST_TRACE_CAPACITY if want_trace else DEFAULT_CAPACITY
 
-            capacity = (REQUEST_TRACE_CAPACITY if want_trace
-                        else DEFAULT_CAPACITY)
+        def instrument(machine) -> None:
+            tracer, _registry = install(machine.clock, capacity=capacity,
+                                        flight=bool(args.flight_dump))
+            tracer.span("run:fleet", "run",
+                        workload=args.workload).__enter__()
 
-            def instrument(machine) -> None:
-                tracer, _registry = install(machine.clock, capacity=capacity,
-                                            flight=bool(args.flight_dump))
-                tracer.span("run:fleet", "run",
-                            workload=args.workload).__enter__()
-                state.update(tracer=tracer, clock=machine.clock)
-
-            report, system = run_fleet(instrument=instrument, **run_kwargs)
-            state["tracer"].finish()
-        else:
-            report, system = run_fleet(**run_kwargs)
-            state["clock"] = system.machine.clock
-        state["system"] = system
-        return report
-
+    profiler = contextlib.nullcontext()
     if args.hostprof:
-        from ..obs.hostprof import profile_fleet
-        report, profiler = profile_fleet(execute)
+        from ..obs.hostprof import HostProfiler
+        profiler = HostProfiler()
+    with profiler:
+        fleet = build_fleet(instrument=instrument, **run_kwargs)
+        fleet.scheduler.run(fleet.sessions)
+        report = fleet.report()
+        clock = fleet.machine.clock
+        if instrument is not None:
+            clock.tracer.finish()
+    if args.hostprof:
+        profiler.calibrate()
         with open(args.hostprof, "w") as fh:
             json.dump(profiler.report(), fh, indent=2)
             fh.write("\n")
         print(profiler.render_table(), file=sys.stderr)
         print(f"hostprof -> {args.hostprof}", file=sys.stderr)
-    else:
-        report = execute()
 
-    _write_flight(args, state["clock"].tracer)
+    _write_flight(args, clock.tracer)
 
     if args.cert_dir is not None:
         from ..certs.issue import write_certificates
-        write_certificates(state["system"].fleet_certificates, args.cert_dir)
+        write_certificates(fleet.certificates, args.cert_dir)
         print(f"certificates: {len(report.certs)} issued -> {args.cert_dir} "
               f"(verify: python -m repro.certs verify --dir {args.cert_dir})",
               file=sys.stderr)
@@ -198,8 +194,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.export_format == "bundle":
         from ..obs.harness import ObservedRun, export_bundle
         from ..obs.schema import check_export
-        run = ObservedRun(args.workload, "fleet", state["tracer"], None,
-                          state["clock"], state["system"].machine)
+        run = ObservedRun(args.workload, "fleet", clock.tracer, None, clock,
+                          fleet.machine)
         bundle = export_bundle(run)
         bundle["meta"]["fleet"] = report.to_dict()
         check_export(bundle)                    # self-validate before emit
@@ -210,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     trace_text = None
     if want_trace:
         from ..obs.reqtrace import RequestTraceIndex
-        tracer = state["tracer"]
+        tracer = clock.tracer
         if tracer.dropped:
             print(f"warning: trace ring dropped {tracer.dropped} events; "
                   "trees may read incomplete", file=sys.stderr)

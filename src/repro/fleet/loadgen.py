@@ -6,11 +6,12 @@ two runs with the same parameters produce byte-identical
 :class:`FleetReport` JSON — the property the determinism tests and the CI
 smoke job pin with a digest comparison.
 
-:func:`run_fleet` is the whole §9.2 story in one call: boot a CVM, cold
-boot + seal a template, stand up a warm pool, push N attested clients ×
-M requests through admission and the scheduler, and account cold vs fork
-vs warm start cycles and per-client marginal memory against the
-unikernel-per-client baseline.
+:func:`build_fleet` composes the §9.2 story: boot a CVM, cold boot +
+seal a template, stand up a warm pool, and seed N attested clients × M
+requests behind admission and the scheduler. :meth:`Fleet.report`
+accounts cold vs fork vs warm start cycles and per-client marginal
+memory against the unikernel-per-client baseline; :func:`run_fleet`
+does both in one call.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 from ..apps.base import workload as make_workload
 from ..baselines.unikernel import UNIKERNEL_BASE_BYTES, unikernel_footprint
-from ..core.boot import erebor_boot
+from ..core.boot import EreborSystem, erebor_boot
 from ..hw.cycles import CPU_FREQ_HZ
 from ..obs.trace import REQUEST_TRACE_CAPACITY, Tracer, gc_batched_recording
 from ..vm import CvmMachine, MachineConfig, MIB
@@ -121,26 +123,12 @@ class FleetReport:
     ledger: dict = field(default_factory=dict)
 
     @property
-    def translation(self) -> dict:
-        """Translation-cache effectiveness (superblock counters and
-        coverage) from the ledger: host-plane counters, never digested."""
-        return self.ledger.get("translation", {})
-
-    @property
     def throughput_rps(self) -> float:
         """Requests per simulated wall-clock second (SMP-aware)."""
         wall = self.serve_wall_cycles or self.serve_cycles
         if wall <= 0:
             return 0.0
         return self.requests_served / (wall / CPU_FREQ_HZ)
-
-    @property
-    def requests_per_wall_kcycle(self) -> float:
-        """Throughput in requests per 1000 wall cycles (scaling metric)."""
-        wall = self.serve_wall_cycles or self.serve_cycles
-        if wall <= 0:
-            return 0.0
-        return 1000.0 * self.requests_served / wall
 
     @property
     def memory_reduction(self) -> float:
@@ -225,17 +213,137 @@ class FleetReport:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
-              requests: int = 2, pool_size: int = 2, tenants: int = 2,
-              seed: int = 2025, scale: float = 0.1, n_cpus: int = 1,
-              admission: AdmissionConfig | None = None,
-              pool_config: PoolConfig | None = None,
-              memory_bytes: int = 768 * MIB, cma_bytes: int = 256 * MIB,
-              instrument=None, slo=None, anomaly: bool = False,
-              flight: bool = False, certificates: bool = False,
-              features=None, static_budget_admission: bool = False
-              ) -> tuple[FleetReport, object]:
-    """Run one multi-tenant fleet; returns ``(report, system)``.
+@dataclass
+class Fleet:
+    """A booted fleet that has served nothing yet: drive ``scheduler``
+    (``submit`` / ``step`` / ``run``) with ``sessions``, then call
+    :meth:`report` once."""
+
+    machine: CvmMachine
+    system: EreborSystem
+    template: SandboxTemplate
+    pool: WarmPool
+    scheduler: FleetScheduler
+    sessions: list[ClientSession]
+    #: the spec the report restates (``pool_size``: before autoscaling)
+    workload: str
+    clients: int
+    requests: int
+    pool_size: int
+    tenants: int
+    seed: int
+    scale: float
+    certify: bool
+    #: serve-window start marks
+    serve_t0: int
+    wall_t0: int
+    busy_t0: list[int]
+    sb_t0: int
+    #: the open :class:`gc_batched_recording` region (capture to drain)
+    recording: ExitStack = field(repr=False)
+    #: session name → certificate, issued by :meth:`report` if ``certify``
+    certificates: dict = field(default_factory=dict)
+
+    def report(self) -> FleetReport:
+        """Close the drain, build the report and issue the certificates."""
+        machine, system, pool, scheduler = (
+            self.machine, self.system, self.pool, self.scheduler)
+        clock = machine.clock
+        # rejects whatever is still queued and sets the final gauges; after
+        # a full run(sessions) it changes nothing
+        finished = scheduler.run([])
+        serve_cycles = clock.cycles - self.serve_t0
+        serve_wall_cycles = clock.wall_cycles - self.wall_t0
+        # host-plane cache statistics: exported as metrics only, never
+        # part of the report digest preimage
+        sb_exec = machine.cpu.tcache.sb_exec
+        if sb_exec > self.sb_t0:
+            clock.metrics.inc("erebor_sim_superblock_exec_total",
+                              sb_exec - self.sb_t0)
+        core_busy = [clock.cpu_busy(c) - self.busy_t0[c]
+                     for c in range(scheduler.n_cpus)]
+        self.recording.close()
+
+        usage = system.monitor.phys.usage_by_owner()
+        template_bytes = sum(v for k, v in usage.items()
+                             if k.startswith("template:"))
+        common_bytes = sum(v for k, v in usage.items()
+                           if k.startswith("common:"))
+        peaks = [s.private_bytes_peak for s in finished
+                 if s.outcome == "completed"]
+        marginal_mean = int(sum(peaks) / len(peaks)) if peaks else 0
+        marginal_max = max(peaks, default=0)
+        # steady-state fleet: one shared guest image, one template, one
+        # common copy, plus a private delta per concurrently-live instance
+        fleet_bytes = (UNIKERNEL_BASE_BYTES + template_bytes + common_bytes
+                       + self.pool_size * marginal_mean)
+        unikernel_bytes = unikernel_footprint(self.pool_size,
+                                              self.template.confined_bytes,
+                                              common_bytes)
+
+        outcomes: dict[str, int] = {}
+        for s in finished:
+            outcomes[s.outcome] = outcomes.get(s.outcome, 0) + 1
+        report = FleetReport(
+            workload=self.workload, clients=self.clients,
+            requests_per_client=self.requests, pool_size=self.pool_size,
+            tenants=self.tenants, seed=self.seed, scale=self.scale,
+            cold_start_cycles=self.template.cold_start_cycles,
+            fork_start_cycles=list(pool.fork_cycles),
+            warm_start_cycles=list(pool.warm_reset_cycles),
+            counts=dict(scheduler.counts), outcomes=outcomes,
+            requests_served=scheduler.requests_served,
+            serve_cycles=serve_cycles, total_cycles=clock.cycles,
+            cow_breaks=clock.events.get("cow_break", 0),
+            scrub_verifications=pool.scrub_verifications,
+            template_bytes=template_bytes, common_bytes=common_bytes,
+            marginal_bytes_mean=marginal_mean,
+            marginal_bytes_max=marginal_max,
+            fleet_bytes=fleet_bytes, unikernel_bytes=unikernel_bytes,
+            sessions=[s.summary() for s in finished],
+            n_cpus=scheduler.n_cpus, serve_wall_cycles=serve_wall_cycles,
+            core_busy_cycles=core_busy,
+            pool_scaling={"grown": pool.grown, "retired": pool.retired,
+                          "peak": pool.peak_size, "final": len(pool.slots)},
+            audit_head=system.monitor.audit_head,
+            audit_events=system.monitor.audit_seq,
+            slo=scheduler.slo.summary() if scheduler.slo else {},
+            anomaly=scheduler.anomaly.summary() if scheduler.anomaly else {},
+            # every submitted session minted an ID (even rejected ones), so
+            # each report row resolves to its causal span tree by name
+            traces={s.name: s.trace_id for s in finished if s.trace_id},
+        )
+        recorder = clock.tracer
+        if getattr(recorder, "dumps", None) is not None:
+            report.flight = {"triggers": recorder.triggers,
+                             "dumps": len(recorder.dumps)}
+        # plane-attribution budget (translation-cache effectiveness
+        # included): read-only on the clock/counters, outside the digest
+        # preimage
+        from ..obs.ledger import capture_ledger
+        report.ledger = capture_ledger(clock, machine)
+        if self.certify:
+            from ..certs.issue import CertificateIssuer
+            issuer = CertificateIssuer(system, workload=self.workload,
+                                       fleet_seed=self.seed)
+            self.certificates = issuer.issue_all(finished,
+                                                 traces=report.traces)
+            report.certs = {name: cert["body_sha256"]
+                            for name, cert in self.certificates.items()}
+        return report
+
+
+def build_fleet(*, workload: str = "llama.cpp", clients: int = 4,
+                requests: int = 2, pool_size: int = 2, tenants: int = 2,
+                seed: int = 2025, scale: float = 0.1, n_cpus: int = 1,
+                admission: AdmissionConfig | None = None,
+                pool_config: PoolConfig | None = None,
+                memory_bytes: int = 768 * MIB, cma_bytes: int = 256 * MIB,
+                instrument=None, slo=None, anomaly: bool = False,
+                flight: bool = False, certificates: bool = False,
+                features=None, static_budget_admission: bool = False
+                ) -> Fleet:
+    """Compose one multi-tenant fleet on a freshly booted CVM; serve nothing.
 
     ``instrument`` is called with the freshly built machine before any
     cycle is charged (the ``repro.obs`` attach point). ``n_cpus`` spreads
@@ -250,9 +358,10 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     on any trigger. All three read the cycle clock but never charge it,
     so enabling them cannot move a seeded digest.
 
-    ``certificates`` issues one :mod:`repro.certs` execution certificate
-    per admitted session after the fleet drains (arming a request tracer
-    if none is installed) into ``system.fleet_certificates``;
+    ``certificates`` makes :meth:`Fleet.report` issue one
+    :mod:`repro.certs` execution certificate per admitted session after
+    the fleet drains (arming a request tracer here if none is installed)
+    into ``fleet.certificates``;
     :func:`~repro.certs.issue.write_certificates` puts the batch on disk
     for offline verification. Issuance charges zero simulated cycles, so
     seeded report digests are identical with it on or off.
@@ -289,109 +398,40 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
         clock.tracer = Tracer(clock, capacity=REQUEST_TRACE_CAPACITY)
 
     # an armed recorder retains one tuple per record; batch the host
-    # collector for the duration so it doesn't rescan the ring hundreds
+    # collector until the drain so it doesn't rescan the ring hundreds
     # of times (host-only tuning — no simulated state is touched)
-    with gc_batched_recording(clock.tracer.enabled):
+    with ExitStack() as recording:
+        recording.enter_context(gc_batched_recording(clock.tracer.enabled))
         work = make_workload(workload, seed=seed, scale=scale)
         template = SandboxTemplate.capture(system, work)
         pool = WarmPool(system, template,
                         pool_config or PoolConfig(size=pool_size))
-        pool_size = len(pool.slots)
         config = admission or AdmissionConfig(queue_depth=clients)
         if static_budget_admission:
-            report = system.monitor.kernel_dataflow_report
-            if report is None:
+            proof = system.monitor.kernel_dataflow_report
+            if proof is None:
                 raise ValueError(
                     "static_budget_admission requires a dataflow-verified "
                     "boot (EreborFeatures.dataflow_verifier)")
-            config = replace(config, static_budget=report.budget)
+            config = replace(config, static_budget=proof.budget)
         scheduler = FleetScheduler(system, pool, work,
                                    AdmissionController(config), n_cpus=n_cpus,
                                    slo=slo, anomaly=anomaly)
         sessions = LoadGenerator(clients=clients, requests=requests,
                                  seed=seed, tenants=tenants).sessions()
+        return Fleet(
+            machine=machine, system=system, template=template, pool=pool,
+            scheduler=scheduler, sessions=sessions, workload=workload,
+            clients=clients, requests=requests, pool_size=len(pool.slots),
+            tenants=tenants, seed=seed, scale=scale, certify=certificates,
+            serve_t0=clock.cycles, wall_t0=clock.wall_cycles,
+            busy_t0=[clock.cpu_busy(c) for c in range(scheduler.n_cpus)],
+            sb_t0=machine.cpu.tcache.sb_exec,
+            recording=recording.pop_all())
 
-        serve_t0 = clock.cycles
-        wall_t0 = clock.wall_cycles
-        busy_t0 = [clock.cpu_busy(c) for c in range(scheduler.n_cpus)]
-        cpu0 = machine.cpu
-        sb_t0 = cpu0.tcache.sb_exec
-        finished = scheduler.run(sessions)
-        serve_cycles = clock.cycles - serve_t0
-        serve_wall_cycles = clock.wall_cycles - wall_t0
-        # host-plane cache statistics: exported as metrics only, never
-        # part of the report digest preimage
-        if cpu0.tcache.sb_exec > sb_t0:
-            clock.metrics.inc("erebor_sim_superblock_exec_total",
-                              cpu0.tcache.sb_exec - sb_t0)
-        core_busy = [clock.cpu_busy(c) - busy_t0[c]
-                     for c in range(scheduler.n_cpus)]
 
-    usage = system.monitor.phys.usage_by_owner()
-    template_bytes = sum(v for k, v in usage.items()
-                         if k.startswith("template:"))
-    common_bytes = sum(v for k, v in usage.items()
-                       if k.startswith("common:"))
-    peaks = [s.private_bytes_peak for s in finished
-             if s.outcome == "completed"]
-    marginal_mean = int(sum(peaks) / len(peaks)) if peaks else 0
-    marginal_max = max(peaks, default=0)
-    # steady-state fleet: one shared guest image, one template, one common
-    # copy, plus a private delta per concurrently-live instance
-    fleet_bytes = (UNIKERNEL_BASE_BYTES + template_bytes + common_bytes
-                   + pool_size * marginal_mean)
-    unikernel_bytes = unikernel_footprint(pool_size,
-                                          template.confined_bytes,
-                                          common_bytes)
-
-    outcomes: dict[str, int] = {}
-    for s in finished:
-        outcomes[s.outcome] = outcomes.get(s.outcome, 0) + 1
-    report = FleetReport(
-        workload=workload, clients=clients, requests_per_client=requests,
-        pool_size=pool_size, tenants=tenants, seed=seed, scale=scale,
-        cold_start_cycles=template.cold_start_cycles,
-        fork_start_cycles=list(pool.fork_cycles),
-        warm_start_cycles=list(pool.warm_reset_cycles),
-        counts=dict(scheduler.counts), outcomes=outcomes,
-        requests_served=scheduler.requests_served,
-        serve_cycles=serve_cycles, total_cycles=clock.cycles,
-        cow_breaks=clock.events.get("cow_break", 0),
-        scrub_verifications=pool.scrub_verifications,
-        template_bytes=template_bytes, common_bytes=common_bytes,
-        marginal_bytes_mean=marginal_mean, marginal_bytes_max=marginal_max,
-        fleet_bytes=fleet_bytes, unikernel_bytes=unikernel_bytes,
-        sessions=[s.summary() for s in finished],
-        n_cpus=scheduler.n_cpus, serve_wall_cycles=serve_wall_cycles,
-        core_busy_cycles=core_busy,
-        pool_scaling={"grown": pool.grown, "retired": pool.retired,
-                      "peak": pool.peak_size, "final": len(pool.slots)},
-        audit_head=system.monitor.audit_head,
-        audit_events=system.monitor.audit_seq,
-        slo=scheduler.slo.summary() if scheduler.slo else {},
-        anomaly=scheduler.anomaly.summary() if scheduler.anomaly else {},
-        # every submitted session minted an ID (even rejected ones), so
-        # each report row resolves to its causal span tree by name
-        traces={s.name: s.trace_id for s in finished if s.trace_id},
-    )
-    recorder = clock.tracer
-    if getattr(recorder, "dumps", None) is not None:
-        report.flight = {"triggers": recorder.triggers,
-                         "dumps": len(recorder.dumps)}
-    # plane-attribution budget (translation-cache effectiveness included):
-    # read-only on the clock/counters, outside the digest preimage
-    from ..obs.ledger import capture_ledger
-    report.ledger = capture_ledger(clock, machine)
-    if certificates:
-        from ..certs.issue import CertificateIssuer
-        issuer = CertificateIssuer(system, workload=workload,
-                                   fleet_seed=seed)
-        certs = issuer.issue_all(finished, traces=report.traces)
-        report.certs = {name: cert["body_sha256"]
-                        for name, cert in certs.items()}
-        system.fleet_certificates = certs
-    # postmortem handles: callers holding the system can inspect the
-    # drained pool's slots (scrub state) and the admission decision log
-    system.fleet_pool = pool
-    system.fleet_scheduler = scheduler
-    return report, system
+def run_fleet(**kwargs) -> tuple[FleetReport, EreborSystem]:
+    """Build, serve and report one fleet; returns ``(report, system)``."""
+    fleet = build_fleet(**kwargs)
+    fleet.scheduler.run(fleet.sessions)
+    return fleet.report(), fleet.system

@@ -88,8 +88,8 @@ __all__ = [
     "SPAN", "TraceEvent", "Tracer", "WindowedHistogram",
     "capture_ledger", "chrome_trace", "check_chrome_trace",
     "check_diff_report", "check_export", "check_flight_dump",
-    "check_hostprof_report", "check_ledger", "check_request_trace",
-    "collapsed_stacks", "diff_any", "diff_bundles", "diff_digest_maps",
+    "check_hostprof_report", "check_ledger", "collapsed_stacks",
+    "diff_any", "diff_bundles", "diff_digest_maps",
     "gate_report", "hotspots", "install", "label_key", "ledger_counters",
     "metrics_snapshot", "mint_trace_id", "parse_label_key",
     "profile_fleet", "profile_report", "prometheus_text", "run_observed",
@@ -111,7 +111,6 @@ _LAZY = {
     "check_export": ("schema", "check_export"),
     "check_chrome_trace": ("schema", "check_chrome_trace"),
     "check_flight_dump": ("schema", "check_flight_dump"),
-    "check_request_trace": ("schema", "check_request_trace"),
     "check_hostprof_report": ("schema", "check_hostprof_report"),
     "run_observed": ("harness", "run_observed"),
     "FlightDump": ("flight", "FlightDump"),

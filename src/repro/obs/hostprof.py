@@ -353,7 +353,7 @@ class _Scope:
 def profile_fleet(run, *, subsystems=SUBSYSTEMS):
     """Run ``run()`` under an attached profiler; returns (result, profiler).
 
-    Convenience for the benchmark and the fleet CLI: patches the
+    Convenience for ``python -m repro.obs`` and the tests: patches the
     subsystem table, opens the window exactly around the call, and
     detaches before returning — the interpreter is back to its
     unpatched self when this returns.

@@ -315,52 +315,6 @@ def check_flight_dump(obj) -> None:
                          + "\n  ".join(errors))
 
 
-def validate_request_trace(obj) -> list[str]:
-    """Structural check of one rebuilt causal span tree (a list of root
-    nodes as produced by ``SpanNode.to_dict``)."""
-    errors: list[str] = []
-    if not isinstance(obj, list):
-        return [f"request trace: expected list of roots, "
-                f"got {type(obj).__name__}"]
-
-    def walk(node, where):
-        if not isinstance(node, dict):
-            errors.append(f"{where}: not a dict")
-            return
-        for key, types in (("name", str), ("kind", str), ("begin", int),
-                           ("end", int), ("args", dict),
-                           ("children", list)):
-            if key not in node:
-                errors.append(f"{where}: missing key {key!r}")
-            elif not isinstance(node[key], types):
-                errors.append(f"{where}.{key}: expected {types.__name__}, "
-                              f"got {type(node[key]).__name__}")
-        if isinstance(node.get("begin"), int) \
-                and isinstance(node.get("end"), int):
-            if node["end"] < node["begin"]:
-                errors.append(f"{where}: end < begin")
-            for i, child in enumerate(node.get("children") or []):
-                walk(child, f"{where}.children[{i}]")
-                if (isinstance(child, dict)
-                        and isinstance(child.get("begin"), int)
-                        and isinstance(child.get("end"), int)
-                        and not (node["begin"] <= child["begin"]
-                                 and child["end"] <= node["end"])):
-                    errors.append(f"{where}.children[{i}]: not contained "
-                                  "in parent interval")
-
-    for i, root in enumerate(obj):
-        walk(root, f"roots[{i}]")
-    return errors
-
-
-def check_request_trace(obj) -> None:
-    errors = validate_request_trace(obj)
-    if errors:
-        raise ValueError("request trace failed schema check:\n  "
-                         + "\n  ".join(errors))
-
-
 def validate_hostprof_report(obj) -> list[str]:
     """Structural check of a host-time attribution report
     (``HostProfiler.report()``)."""

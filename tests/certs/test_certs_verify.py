@@ -24,7 +24,7 @@ from repro.certs.__main__ import main as certs_main
 from repro.certs.issue import published_refs, write_certificates
 from repro.certs.tamper import TAMPERS, tamper_certificate
 from repro.certs.verify import CertificateVerifier, verify_certificate
-from repro.fleet import run_fleet
+from repro.fleet import build_fleet
 from repro.fleet.admission import AdmissionConfig, TenantQuota
 
 PARAMS = dict(workload="helloworld", clients=3, requests=2, pool_size=1,
@@ -40,9 +40,10 @@ SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 @pytest.fixture(scope="module")
 def batch(tmp_path_factory):
-    report, system = run_fleet(admission=VIOLATING, certificates=True,
-                               **PARAMS)
-    certs = system.fleet_certificates
+    fleet = build_fleet(admission=VIOLATING, certificates=True, **PARAMS)
+    fleet.scheduler.run(fleet.sessions)
+    report = fleet.report()
+    certs = fleet.certificates
     cert_dir = tmp_path_factory.mktemp("certs")
     write_certificates(certs, cert_dir)
     return report, certs, cert_dir

@@ -1,13 +1,17 @@
 """Admission control, scheduling, quotas, eviction, and determinism."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro.core.boot import EreborSystem
 from repro.fleet import (
     AdmissionConfig,
     AdmissionController,
     TenantQuota,
     run_fleet,
 )
+from repro.fleet.goldens import SMP_PARAMS
 
 MIB = 1024 * 1024
 
@@ -180,3 +184,10 @@ def test_two_seeded_repeats_are_byte_identical():
 
 def test_different_seed_changes_the_run():
     assert fleet(seed=77).digest() != fleet(seed=78).digest()
+
+
+def test_run_fleet_leaves_only_the_booted_systems_fields():
+    # the live pool, scheduler and certificates belong to the Fleet that
+    # build_fleet returns, never to attributes bolted onto the system
+    _report, system = run_fleet(certificates=True, **SMP_PARAMS)
+    assert set(vars(system)) == {f.name for f in fields(EreborSystem)}

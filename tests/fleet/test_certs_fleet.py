@@ -13,7 +13,7 @@ import json
 from repro.certs import serialize_certificate
 from repro.certs.issue import write_certificates
 from repro.certs.verify import CertificateVerifier
-from repro.fleet import run_fleet
+from repro.fleet import build_fleet, run_fleet
 from repro.fleet.goldens import SMP_PARAMS
 from repro.fleet.loadgen import FleetReport
 from tests.reference import reference_paths
@@ -24,6 +24,13 @@ REUSE_PARAMS = dict(workload="helloworld", clients=3, requests=2,
                     pool_size=1, tenants=3, seed=11, scale=1.0)
 
 
+def certified(params):
+    """``(report, fleet)`` of one seeded certificate-issuing run."""
+    fleet = build_fleet(certificates=True, **params)
+    fleet.scheduler.run(fleet.sessions)
+    return fleet.report(), fleet
+
+
 # --------------------------------------------------------------------------- #
 # determinism
 # --------------------------------------------------------------------------- #
@@ -32,9 +39,9 @@ def test_seeded_reruns_issue_byte_identical_certificates(tmp_path):
     dirs = []
     for i in range(2):
         out = tmp_path / f"run{i}"
-        report, system = run_fleet(certificates=True, **SMP_PARAMS)
+        report, fleet = certified(SMP_PARAMS)
         assert len(report.certs) == 4
-        write_certificates(system.fleet_certificates, out)
+        write_certificates(fleet.certificates, out)
         dirs.append(out)
     first = sorted(dirs[0].iterdir())
     second = sorted(dirs[1].iterdir())
@@ -58,8 +65,8 @@ def test_issuance_cannot_move_the_seeded_report_digest():
 
 
 def test_report_certs_map_matches_the_issued_bodies():
-    report, system = run_fleet(certificates=True, **SMP_PARAMS)
-    certs = system.fleet_certificates
+    report, fleet = certified(SMP_PARAMS)
+    certs = fleet.certificates
     assert report.certs == {n: c["body_sha256"] for n, c in certs.items()}
     roundtrip = json.loads(report.to_json())
     assert roundtrip["certs"] == report.certs
@@ -70,10 +77,10 @@ def test_report_certs_map_matches_the_issued_bodies():
 # --------------------------------------------------------------------------- #
 
 def test_slot_reuse_never_leaks_the_previous_tenants_evidence():
-    report, system = run_fleet(certificates=True, **REUSE_PARAMS)
+    report, fleet = certified(REUSE_PARAMS)
     assert report.outcomes == {"completed": 3}
-    certs = system.fleet_certificates
-    sessions = {s.name: s for s in system.fleet_scheduler.finished}
+    certs = fleet.certificates
+    sessions = {s.name: s for s in fleet.scheduler.finished}
     # all three sessions really did share one recycled sandbox
     sandbox_ids = {c["body"]["session"]["sandbox_id"]
                    for c in certs.values()}
@@ -97,8 +104,8 @@ def test_slot_reuse_never_leaks_the_previous_tenants_evidence():
 
 
 def test_audit_windows_are_anchored_per_session():
-    _, system = run_fleet(certificates=True, **REUSE_PARAMS)
-    for cert in system.fleet_certificates.values():
+    _, fleet = certified(REUSE_PARAMS)
+    for cert in fleet.certificates.values():
         audit = cert["body"]["audit"]
         segment = cert["attachments"]["audit_segment"]
         assert audit["seq_start"] == segment[0]["seq"]
@@ -136,12 +143,12 @@ def test_certs_field_defaults_keep_old_reports_loadable():
 # --------------------------------------------------------------------------- #
 
 def _certified_run_outputs():
-    report, system = run_fleet(certificates=True, **REUSE_PARAMS)
+    report, fleet = certified(REUSE_PARAMS)
     return (report.digest(), report.audit_head,
             {name: serialize_certificate(cert)
-             for name, cert in system.fleet_certificates.items()},
+             for name, cert in fleet.certificates.items()},
             # the host-visible wire carries both DH public values
-            hashlib.sha256(system.machine.vmm.observed_blob()).hexdigest())
+            hashlib.sha256(fleet.machine.vmm.observed_blob()).hexdigest())
 
 
 def test_certified_fleet_matches_its_reference_twin():

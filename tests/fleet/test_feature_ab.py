@@ -14,7 +14,7 @@ import pytest
 
 from repro.certs.verify import CertificateVerifier
 from repro.core.monitor import EreborFeatures
-from repro.fleet import SloConfig, run_fleet
+from repro.fleet import SloConfig, build_fleet, run_fleet
 from repro.fleet.goldens import (
     LLAMA_FLEET_PARAMS,
     SMP_PARAMS,
@@ -47,16 +47,19 @@ def certified():
     """One certificate-issuing run per translation-cache arm."""
     arms = {}
     for enabled in (False, True):
-        report, system = run_fleet(features=cache(enabled),
-                                   certificates=True, **LLAMA_FLEET_PARAMS)
-        index = RequestTraceIndex.from_tracer(system.machine.clock.tracer,
+        fleet = build_fleet(features=cache(enabled), certificates=True,
+                            **LLAMA_FLEET_PARAMS)
+        fleet.scheduler.run(fleet.sessions)
+        report = fleet.report()
+        machine = fleet.machine
+        index = RequestTraceIndex.from_tracer(machine.clock.tracer,
                                               names=report.traces)
         arms[enabled] = {
             "report": report,
-            "certificates": system.fleet_certificates,
+            "certificates": fleet.certificates,
             "trace_digests": index.digests(),
-            "run_pages": system.machine.cpu.mmu.run_pages,
-            "sb_exec": system.machine.cpu.tcache.sb_exec,
+            "run_pages": machine.cpu.mmu.run_pages,
+            "sb_exec": machine.cpu.tcache.sb_exec,
         }
     return arms
 

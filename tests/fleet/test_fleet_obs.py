@@ -20,18 +20,16 @@ from repro.obs.schema import check_export, validate_export
 @pytest.fixture(scope="module")
 def observed_fleet():
     """One traced helloworld fleet: 3 clients over 1 slot (forces reuse)."""
-    state: dict = {}
-
     def instrument(machine):
-        tracer, registry = install(machine.clock)
+        tracer, _registry = install(machine.clock)
         tracer.span("run:fleet", cat="run", workload="helloworld").__enter__()
-        state.update(tracer=tracer, registry=registry, clock=machine.clock)
 
-    report, _system = run_fleet(workload="helloworld", clients=3, requests=2,
-                                pool_size=1, tenants=3, seed=11, scale=1.0,
-                                instrument=instrument)
-    state["tracer"].finish()
-    return report, state["tracer"], state["registry"], state["clock"]
+    report, system = run_fleet(workload="helloworld", clients=3, requests=2,
+                               pool_size=1, tenants=3, seed=11, scale=1.0,
+                               instrument=instrument)
+    clock = system.machine.clock
+    clock.tracer.finish()
+    return report, clock.tracer, clock.metrics, clock
 
 
 def test_fleet_metrics_surface(observed_fleet):

@@ -13,8 +13,7 @@ import pytest
 
 from repro.core.channel import trace_aad
 from repro.crypto import SealedSession
-from repro.fleet import SandboxTemplate, WarmPool, run_fleet
-from repro.fleet.loadgen import LoadGenerator
+from repro.fleet import SandboxTemplate, WarmPool, build_fleet
 from repro.fleet.pool import PoolConfig
 from repro.fleet.scheduler import SloConfig
 from repro.obs import install
@@ -25,23 +24,22 @@ EIGHT_TENANT = dict(workload="helloworld", clients=8, requests=2,
 
 
 def traced_fleet(slo=None, **params):
-    """One fleet run with the tracer armed; returns (report, tracer)."""
-    state: dict = {}
-
-    def instrument(machine):
-        tracer, _registry = install(machine.clock, capacity=1 << 19)
-        state.update(tracer=tracer)
-
-    report, system = run_fleet(instrument=instrument, slo=slo, **params)
-    state["tracer"].finish()
-    return report, state["tracer"], system
+    """One fleet run with the tracer armed; returns (report, tracer, fleet)."""
+    fleet = build_fleet(
+        instrument=lambda machine: install(machine.clock, capacity=1 << 19),
+        slo=slo, **params)
+    fleet.scheduler.run(fleet.sessions)
+    report = fleet.report()
+    tracer = fleet.machine.clock.tracer
+    tracer.finish()
+    return report, tracer, fleet
 
 
 @pytest.fixture(scope="module")
 def eight_tenant():
-    report, tracer, system = traced_fleet(**EIGHT_TENANT)
+    report, tracer, fleet = traced_fleet(**EIGHT_TENANT)
     index = RequestTraceIndex.from_tracer(tracer, names=report.traces)
-    return report, tracer, system, index
+    return report, tracer, fleet, index
 
 
 # --------------------------------------------------------------------------- #
@@ -49,7 +47,7 @@ def eight_tenant():
 # --------------------------------------------------------------------------- #
 
 def test_every_session_has_a_complete_causal_tree(eight_tenant):
-    report, tracer, _system, index = eight_tenant
+    report, tracer, _fleet, index = eight_tenant
     assert tracer.dropped == 0
     assert len(report.traces) == EIGHT_TENANT["clients"]
     for name, trace_id in report.traces.items():
@@ -58,19 +56,15 @@ def test_every_session_has_a_complete_causal_tree(eight_tenant):
 
 
 def test_trace_ids_are_minted_deterministically(eight_tenant):
-    # IDs are pure functions of (session seed, session name): rebuilding
-    # the seeded client population recovers the exact IDs the run minted
-    report, _tracer, _system, _index = eight_tenant
-    population = LoadGenerator(clients=EIGHT_TENANT["clients"],
-                               requests=EIGHT_TENANT["requests"],
-                               seed=EIGHT_TENANT["seed"],
-                               tenants=EIGHT_TENANT["tenants"]).sessions()
+    # IDs are pure functions of (session seed, session name): the seeded
+    # client population alone recovers the exact IDs the run minted
+    report, _tracer, fleet, _index = eight_tenant
     assert report.traces == {
-        s.name: mint_trace_id(s.seed, s.name) for s in population}
+        s.name: mint_trace_id(s.seed, s.name) for s in fleet.sessions}
 
 
 def test_trace_ids_ride_outside_the_digest_preimage(eight_tenant):
-    report, _tracer, _system, _index = eight_tenant
+    report, _tracer, _fleet, _index = eight_tenant
     assert "traces" in report.to_dict()
     assert "traces" not in report._base_dict()
     for session in report.sessions:
@@ -82,7 +76,7 @@ def test_trace_ids_ride_outside_the_digest_preimage(eight_tenant):
 # --------------------------------------------------------------------------- #
 
 def test_no_cross_tenant_trace_leakage(eight_tenant):
-    report, _tracer, _system, index = eight_tenant
+    report, _tracer, _fleet, index = eight_tenant
     tenant_of = {s["name"]: s["tenant"] for s in report.sessions}
     for name, trace_id in report.traces.items():
         for event in index.events(trace_id):
@@ -99,8 +93,8 @@ def test_no_cross_tenant_trace_leakage(eight_tenant):
 def test_trace_context_never_survives_pool_reuse(eight_tenant):
     # 8 sessions over 4 slots forces reuse: after the fleet drains, every
     # slot's sandbox must have been scrubbed back to a contextless state
-    _report, _tracer, system, _index = eight_tenant
-    for slot in system.fleet_pool.slots:
+    _report, _tracer, fleet, _index = eight_tenant
+    for slot in fleet.pool.slots:
         assert slot.instance.sandbox.trace_context is None
 
 
@@ -126,7 +120,7 @@ def test_seeded_reruns_produce_byte_identical_tree_digests():
     params = dict(EIGHT_TENANT, clients=4, tenants=4, pool_size=2)
 
     def digests():
-        report, tracer, _system = traced_fleet(**params)
+        report, tracer, _fleet = traced_fleet(**params)
         index = RequestTraceIndex.from_tracer(tracer, names=report.traces)
         return json.dumps(index.digests(), sort_keys=True).encode()
 
@@ -141,7 +135,7 @@ def test_slo_breach_names_the_offending_trace():
     # few tenants so the per-(tenant, metric) histograms reach
     # min_samples and 1-cycle objectives actually breach
     slo = SloConfig(queue_wait_p95=1, service_p95=1, e2e_p99=1)
-    report, tracer, _system = traced_fleet(
+    report, tracer, _fleet = traced_fleet(
         slo=slo, workload="helloworld", clients=4, requests=2,
         pool_size=2, tenants=2, seed=7, scale=1.0)
     breaches = report.slo["breaches"]
@@ -183,8 +177,8 @@ def test_untraced_aad_is_byte_compatible():
 # --------------------------------------------------------------------------- #
 
 def test_admission_log_joins_against_the_trace_index(eight_tenant):
-    report, _tracer, system, _index = eight_tenant
-    log = system.fleet_scheduler.controller.log
+    report, _tracer, fleet, _index = eight_tenant
+    log = fleet.scheduler.controller.log
     assert len(log) >= EIGHT_TENANT["clients"]
     ids = set(report.traces.values())
     for _tenant, action, _reason, trace_id in log:

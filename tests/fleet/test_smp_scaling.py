@@ -154,7 +154,7 @@ def test_four_cores_triple_single_core_throughput():
     r4, _ = run_fleet(n_cpus=4, **SCALE_PARAMS)
     speedup = r1.serve_wall_cycles / r4.serve_wall_cycles
     assert speedup >= 3.0
-    assert r4.requests_per_wall_kcycle >= 3.0 * r1.requests_per_wall_kcycle
+    assert r4.throughput_rps >= 3.0 * r1.throughput_rps
 
 
 def test_core_busy_cycles_reported_and_balanced():

@@ -13,6 +13,7 @@ from repro.fleet import (
     AdmissionConfig,
     AdmissionController,
     TenantQuota,
+    build_fleet,
     run_fleet,
 )
 
@@ -102,12 +103,13 @@ def test_static_budget_admission_leaves_the_callers_config_alone():
     # the proof goes into a copy: a later run with the same config must
     # not clamp quotas it was never asked to clamp
     admission = AdmissionConfig()
-    _, system = run_fleet(workload="helloworld", clients=2, requests=1,
-                          seed=11, admission=admission,
-                          static_budget_admission=True)
+    fleet = build_fleet(workload="helloworld", clients=2, requests=1,
+                        seed=11, admission=admission,
+                        static_budget_admission=True)
     assert admission.static_budget is None
-    used = system.fleet_scheduler.controller.config
-    assert used.static_budget is system.monitor.kernel_dataflow_report.budget
+    used = fleet.scheduler.controller.config
+    proof = fleet.system.monitor.kernel_dataflow_report.budget
+    assert used.static_budget is proof
 
 
 def test_tight_budget_evicts_deterministically():

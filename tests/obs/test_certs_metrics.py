@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import repro.certs.issue as issue_module
 from repro.certs import serialize_certificate, serialized_size
 from repro.certs.issue import CertificateIssuer
-from repro.fleet import run_fleet
+from repro.fleet import build_fleet, run_fleet
 from repro.obs.metrics import NULL_METRICS
 
 PARAMS = dict(workload="helloworld", clients=2, requests=1, pool_size=1,
@@ -20,8 +20,10 @@ PARAMS = dict(workload="helloworld", clients=2, requests=1, pool_size=1,
 
 
 def test_issuance_ticks_both_series_with_exact_values():
-    report, system = run_fleet(certificates=True, **PARAMS)
-    registry = system.machine.clock.metrics
+    fleet = build_fleet(certificates=True, **PARAMS)
+    fleet.scheduler.run(fleet.sessions)
+    report = fleet.report()
+    registry = fleet.machine.clock.metrics
     assert registry.counter_total("erebor_certs_issued_total") == 2
     for tenant in ("tenant-0", "tenant-1"):
         assert registry.counter_value("erebor_certs_issued_total",
@@ -30,7 +32,7 @@ def test_issuance_ticks_both_series_with_exact_values():
     assert hist["count"] == 2
     # the observed sizes are exactly the on-disk serializations
     expected = sum(len(serialize_certificate(c))
-                   for c in system.fleet_certificates.values())
+                   for c in fleet.certificates.values())
     assert hist["sum"] == expected
     assert report.certs and len(report.certs) == 2
 
@@ -42,16 +44,18 @@ def test_series_stay_absent_when_issuance_is_off(monkeypatch):
     assert "erebor_certs_bytes" not in registry.histograms
 
     # issuing against a disabled registry never serializes a certificate
-    report, system = run_fleet(certificates=True, **PARAMS)
-    system.machine.clock.metrics = NULL_METRICS
+    fleet = build_fleet(certificates=True, **PARAMS)
+    fleet.scheduler.run(fleet.sessions)
+    report = fleet.report()
+    fleet.machine.clock.metrics = NULL_METRICS
     calls = []
     monkeypatch.setattr(issue_module, "serialize_certificate",
                         lambda cert: calls.append(cert) or "")
     monkeypatch.setattr(issue_module, "serialized_size",
                         lambda cert: calls.append(cert) or 0)
-    issuer = CertificateIssuer(system, workload=PARAMS["workload"],
+    issuer = CertificateIssuer(fleet.system, workload=PARAMS["workload"],
                                fleet_seed=PARAMS["seed"])
-    certs = issuer.issue_all(system.fleet_scheduler.finished,
+    certs = issuer.issue_all(fleet.scheduler.finished,
                              traces=report.traces)
     assert {name: c["body_sha256"] for name, c in certs.items()} == report.certs
     assert calls == []

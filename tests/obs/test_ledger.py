@@ -21,8 +21,9 @@ from repro.fleet.goldens import (
     SMP_STATE_PINNED,
     SMP_WIRE_PINNED,
 )
-from repro.fleet.loadgen import run_fleet
+from repro.fleet.loadgen import build_fleet, run_fleet
 from repro.hw.cycles import SERIAL_LANE, CycleClock
+from repro.obs.export import prometheus_text
 from repro.obs.ledger import (
     TAG_PLANES,
     capture_ledger,
@@ -231,9 +232,31 @@ def test_fleet_ledger_conserves_with_all_obs_planes_armed(n_cpus):
     assert ledger["obs_cycles"] == 0
 
 
-@pytest.mark.parametrize("n_cpus", sorted(SMP_PINNED))
-def test_pinned_digests_survive_ledger_capture(n_cpus):
-    report, system = run_fleet(n_cpus=n_cpus, **SMP_PARAMS)
+def stepped_fleet(**kwargs):
+    """``run_fleet(**kwargs)`` driven one scheduler round at a time."""
+    fleet = build_fleet(**kwargs)
+    for session in fleet.sessions:
+        fleet.scheduler.submit(session)
+    while fleet.scheduler.active:
+        fleet.scheduler.step()
+    return fleet.report(), fleet.system
+
+
+@pytest.mark.parametrize("n_cpus,stepped", [
+    *(pytest.param(n, False, id=str(n)) for n in sorted(SMP_PINNED)),
+    *(pytest.param(n, True, id=f"stepped-{n}") for n in sorted(SMP_PINNED)),
+])
+def test_pinned_digests_survive_ledger_capture(n_cpus, stepped):
+    drive = stepped_fleet if stepped else run_fleet
+    report, system = drive(n_cpus=n_cpus, **SMP_PARAMS)
+    if stepped:
+        # report() closes the drain the same way after single steps as
+        # after run_fleet's whole run(sessions): one audit chain and one
+        # Prometheus text
+        whole, whole_system = run_fleet(n_cpus=n_cpus, **SMP_PARAMS)
+        assert report.audit_head == whole.audit_head
+        assert (prometheus_text(system.machine.clock)
+                == prometheus_text(whole_system.machine.clock))
     assert report.ledger and report.ledger["conservation"]["ok"]
     assert report.digest() == SMP_PINNED[n_cpus]
     # the simulated-drift pin: a cycle that moves plane fails here by name
@@ -251,7 +274,7 @@ def test_pinned_digests_survive_ledger_capture(n_cpus):
 
 def test_translation_summary_surfaces_in_fleet_report():
     report, system = run_fleet(n_cpus=2, **SMP_PARAMS)
-    summary = report.translation
+    summary = report.ledger["translation"]
     assert summary == {**system.machine.cpu.tcache.stats(),
                        "superblock_coverage": summary["superblock_coverage"]}
     assert report.to_dict()["ledger"]["translation"] == summary

@@ -140,10 +140,10 @@ class WorkloadRunner:
                 kernel.ops.mmu_housekeeping(profile.bg_mmu_ops_per_tick)
             if profile.bg_copy_ops_per_tick:
                 # one gate burst for the tick's copies (bit-exact with
-                # the per-call loop; see MonitorOps.user_copy_burst)
-                kernel.ops.user_copy_burst(PAGE_SIZE,
-                                           profile.bg_copy_ops_per_tick,
-                                           to_user=True, task=system_task)
+                # the per-call loop)
+                kernel.ops.user_copy(PAGE_SIZE, to_user=True,
+                                     task=system_task,
+                                     count=profile.bg_copy_ops_per_tick)
             # clock-hand reclaim over the app's streaming grid: pages the
             # app will definitely re-touch, so evictions become refaults
             for vma in common_vmas:

@@ -128,7 +128,7 @@ def erebor_boot(machine: CvmMachine, *,
             machine.tdx.finalize()
     monitor = EreborMonitor(machine, features, cma_bytes=cma_bytes)
     # host-plane fast paths (superblock dispatch; the paging-structure
-    # cache and the MMU's leaf-table pass): simulated ledgers are
+    # cache and the MMU's span walk): simulated ledgers are
     # byte-identical on or off; the toggle exists for the lockstep
     # oracle tests and A/B speed benchmarks
     fast = monitor.features.translation_cache

@@ -216,9 +216,7 @@ class MonitorFaultRun(FaultRun):
     on the OS path (not copy-on-write, not secure-paged), and keeps each
     per-page step with a state effect, in order: the ``fault_log``
     record, the VMA bound check and PTE (:meth:`GuestKernel.fault_pte`),
-    and the validated install (:meth:`NestedMmu.map_page`; without
-    ``install``, :meth:`NestedMmu.admit_page`, and the caller writes the
-    PTE into the leaf table it holds). The constant
+    and the validated install (:meth:`NestedMmu.map_page`). The constant
     per-fault costs — exception delivery, handler and iret, the exit
     interposition, and three EMC round trips with their native PTE
     writes — are deferred and booked as ``n`` times each by the same
@@ -248,14 +246,13 @@ class MonitorFaultRun(FaultRun):
         self._vma = None
         self._takes = False
 
-    def fault(self, va: int, write: bool, mem_pages: int,
-              install: bool) -> int:
+    def fault(self, va: int, write: bool, mem_pages: int) -> bool:
         vma = self._vma
         if vma is None or not vma.start <= va < vma.start + vma.length:
             vma = self._vma = self._task.find_vma(va)
             self._takes = not self._exits._self_paged(self._sandbox, vma)
         if not self._takes:
-            return 0
+            return False
         if self._faults:
             self._mem_pages += mem_pages
         elif mem_pages:
@@ -276,16 +273,13 @@ class MonitorFaultRun(FaultRun):
         if aspace.root_fn not in vmmu.registered_roots:
             vmmu.register_aspace(aspace)
         try:
-            if install:
-                vmmu.map_page(aspace, va, pte)
-            else:
-                vmmu.admit_page(aspace, va, pte)
+            vmmu.map_page(aspace, va, pte)
         except PolicyViolation as exc:
             # denied inside its WRITE_PTE EMC: no PTE write, no iret
             self._book(done + 1, irets=done, emcs=3 * done + 1)
             raise self._exits.monitor._deny(exc)
         self._faults = done + 1
-        return pte
+        return True
 
     def span(self, va: int, count: int, stride: int, write: bool,
              mem_pages: int, recheck,

@@ -71,7 +71,7 @@ class EreborFeatures:
 
     ``translation_cache`` gates the host-plane fast paths only (superblock
     dispatch, :mod:`repro.hw.translate`; the paging-structure cache and
-    the MMU's leaf-table pass, ``PhysicalMemory.psc_enabled``): simulated
+    the MMU's span walk, ``PhysicalMemory.psc_enabled``): simulated
     cycle ledgers, digests and certificates are byte-identical either
     way; off exists for lockstep oracle tests and A/B speed benchmarks.
     """
@@ -628,33 +628,20 @@ class MonitorOps(PrivilegedOps):
         if self.monitor.tdx is not None:
             self.monitor.tdx.guest_map_gpa(fn_start, count, shared=shared)
 
-    def vmcall(self, subfn, payload=None):
-        self.monitor.charge_emc(Cost.VALIDATE_GHCI, kind="ghci")
-        try:
-            validate_ghci("vmcall_io")
-        except PolicyViolation as exc:
-            raise self.monitor._deny(exc)
-        if self.monitor.tdx is None:
-            return None
-        return self.monitor.tdx.guest_vmcall(subfn, payload)
-
-    def vmcall_burst(self, subfn, payload, count):
-        """``count`` hypercalls as one gate burst and one GHCI exit run.
-
-        Bit-exact with ``count`` sequential :meth:`vmcall` calls; an
-        operation the policy refuses goes through the single-call path,
-        so the denial charges what the first call would have charged.
-        """
+    def vmcall(self, subfn, payload=None, count=1):
+        """``count`` hypercalls as one gate burst and one GHCI exit run."""
         monitor = self.monitor
         try:
             validate_ghci("vmcall_io")
-        except PolicyViolation:
-            self.vmcall(subfn, payload)     # denies
-            return
+        except PolicyViolation as exc:
+            # the first call's gate, then its denial
+            monitor.charge_emc(Cost.VALIDATE_GHCI, kind="ghci")
+            raise monitor._deny(exc)
         monitor.charge_emc_batch(Cost.VALIDATE_GHCI, kind="ghci",
                                  count=count)
-        if monitor.tdx is not None:
-            monitor.tdx.guest_vmcall(subfn, payload, count)
+        if monitor.tdx is None:
+            return None
+        return monitor.tdx.guest_vmcall(subfn, payload, count)
 
     def tdreport(self, report_data):
         raise self.monitor._deny(PolicyViolation(
@@ -674,50 +661,28 @@ class MonitorOps(PrivilegedOps):
 
     # --- SMAP user copy -------------------------------------------------------
 
-    def user_copy(self, nbytes, *, to_user, task=None):
+    def user_copy(self, nbytes, *, to_user, task=None, count=1):
+        """``count`` same-sized user copies as one gate burst."""
         pages = max(pages_for(nbytes), 1)
-        if not self.monitor.features.mmu_isolation:
-            self.clock.charge(Cost.STAC_CLAC_NATIVE
-                              + pages * Cost.COPY_PER_PAGE_NATIVE, "user_copy")
-            self.clock.count("user_copy")
-            return
-        self.monitor.charge_emc(Cost.VALIDATE_SMAP, kind="smap")
-        kernel = self.monitor.kernel
-        if task is None:
-            task = kernel.current if kernel else None
-        if (task is not None and task.kind == "sandbox"
-                and task.sandbox is not None and task.sandbox.locked):
-            raise self.monitor._deny(PolicyViolation(
-                f"kernel user-copy into locked sandbox "
-                f"{task.sandbox.sandbox_id} refused (C6)"))
-        self.clock.charge(Cost.STAC_CLAC_NATIVE
-                          + pages * Cost.USER_COPY_PER_PAGE, "user_copy")
-        self.clock.count("user_copy")
-
-    def user_copy_burst(self, nbytes, count, *, to_user, task=None):
-        """``count`` same-sized user copies dispatched as one gate burst.
-
-        Bit-exact with ``count`` sequential :meth:`user_copy` calls for
-        admissible targets; a locked-sandbox target is delegated to the
-        single-copy path so the C6 denial charges exactly what the first
-        call of the unbatched sequence would have charged.
-        """
-        pages = max(pages_for(nbytes), 1)
-        if not self.monitor.features.mmu_isolation:
+        monitor = self.monitor
+        if not monitor.features.mmu_isolation:
             self.clock.charge(count * (Cost.STAC_CLAC_NATIVE
                               + pages * Cost.COPY_PER_PAGE_NATIVE),
                               "user_copy")
             self.clock.count("user_copy", count)
             return
-        kernel = self.monitor.kernel
+        kernel = monitor.kernel
         if task is None:
             task = kernel.current if kernel else None
         if (task is not None and task.kind == "sandbox"
                 and task.sandbox is not None and task.sandbox.locked):
-            self.user_copy(nbytes, to_user=to_user, task=task)  # denies
-            return
-        self.monitor.charge_emc_batch(Cost.VALIDATE_SMAP, kind="smap",
-                                      count=count)
+            # the first copy's gate, then its denial
+            monitor.charge_emc(Cost.VALIDATE_SMAP, kind="smap")
+            raise monitor._deny(PolicyViolation(
+                f"kernel user-copy into locked sandbox "
+                f"{task.sandbox.sandbox_id} refused (C6)"))
+        monitor.charge_emc_batch(Cost.VALIDATE_SMAP, kind="smap",
+                                 count=count)
         self.clock.charge(count * (Cost.STAC_CLAC_NATIVE
                           + pages * Cost.USER_COPY_PER_PAGE), "user_copy")
         self.clock.count("user_copy", count)

@@ -191,26 +191,19 @@ class NestedMmu:
         writes of its whole run at once.
         """
         self._validate_mapping(aspace, va, pte)
-        aspace.set_pte(va, pte)
-        self._record(aspace, va, pte_frame(pte))
-
-    def admit_page(self, aspace: AddressSpace, va: int, pte: int) -> None:
-        """:meth:`map_page` without the install: the policy checks and
-        the single-mapping record, in the same order. The caller writes
-        ``pte`` into the leaf table it holds (see
-        :meth:`repro.hw.mmu.Mmu.check_run`)."""
-        self._validate_mapping(aspace, va, pte)
-        self._record(aspace, va, pte_frame(pte))
+        self._set_pte(aspace, va, pte)
 
     def admit_run(self, aspace: AddressSpace, va: int, stride: int, pte: int,
                   fns) -> int:
-        """:meth:`admit_page` for the pages ``va, va + stride, …`` (both
+        """:meth:`map_page`'s policy checks and single-mapping records,
+        without the install, for the pages ``va, va + stride, …`` (both
         whole pages) mapping the frames ``fns`` in order, each with the
-        flags of ``pte`` (which carries no frame).
+        flags of ``pte`` (which carries no frame). The caller writes the
+        PTEs into the leaf table (see :meth:`repro.hw.mmu.Mmu.check_run`).
 
-        Admits the pages before the first one :meth:`admit_page` would
+        Admits the pages before the first one :meth:`map_page` would
         refuse, with the same effects in the same order, and returns how
-        many it admitted; the refused page is left to :meth:`admit_page`,
+        many it admitted; the refused page is left to :meth:`map_page`,
         which refuses it. The owner rules are decided once per owner
         extent the frames lie in; the frame-keyed rules (type flags,
         templates, confinement) look only at the frames their tables

@@ -129,7 +129,7 @@ class PhysicalMemory:
         self._freed: list[int] = []
         #: gates the paging-structure cache of every AddressSpace over this
         #: memory (host-plane walk memoization; see AddressSpace.leaf_slot)
-        #: and Mmu.check_run's leaf-table pass. Cleared by boot when
+        #: and Mmu.check_run's spans. Cleared by boot when
         #: EreborFeatures.translation_cache is off so the cache-off
         #: configuration interprets every walk and checks every page alone.
         self.psc_enabled = True

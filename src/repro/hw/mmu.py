@@ -36,7 +36,6 @@ from .paging import (
     HUGE_PAGE_SIZE,
     PTE_A,
     PTE_D,
-    PTE_FRAME_MASK,
     PTE_NX,
     PTE_P,
     PTE_PKEY_MASK,
@@ -50,10 +49,10 @@ from .paging import (
     table_words,
 )
 
-#: the PTE bits a :meth:`Mmu.check_run` verdict reads: those
-#: :func:`_denial` reads, PS, and the A/D bits the access may set
-_VERDICT_BITS = PTE_W | PTE_U | PTE_NX | PTE_PKEY_MASK | PTE_PS | PTE_A | PTE_D
-#: P and PS both set: a huge leaf, which takes the per-page path
+#: the PTE bits :func:`_denial` reads, over which :meth:`Mmu.check_run`
+#: memoizes its verdicts
+_VERDICT_BITS = PTE_W | PTE_U | PTE_NX | PTE_PKEY_MASK
+#: P and PS both set: a huge leaf, which :meth:`Mmu.check_run` visits
 _HUGE = PTE_P | PTE_PS
 #: one little-endian page-table entry, and a table that holds no bytes
 _PTE = Struct("<Q")
@@ -149,8 +148,8 @@ class Mmu:
     def __init__(self, phys: PhysicalMemory, clock: CycleClock):
         self.phys = phys
         self.clock = clock
-        #: pages :meth:`check_run`'s leaf-table pass passed (host plane:
-        #: pages it resolved without the caller's per-page path)
+        #: pages :meth:`check_run` passed as spans (host plane: pages it
+        #: resolved without the caller's per-page ``visit``)
         self.run_pages = 0
 
     # ------------------------------------------------------------------ #
@@ -194,9 +193,9 @@ class Mmu:
         """Check the pages ``va, va + stride, …`` below ``end`` in order,
         walking each leaf table once.
 
-        The leaf-table pass reads the slots of the pages in each table
-        from its live bytes and splits them into *spans*, maximal runs of
-        present or of missing slots:
+        The walk reads the slots of the pages in each leaf table from its
+        live bytes in one slice and splits them into *spans*, maximal runs
+        of present or of missing slots:
 
         * a present span whose entries carry the same flags, all inside
           memory, is passed at once when :func:`_denial` clears them and
@@ -206,75 +205,47 @@ class Mmu:
           recheck, held)``, the caller's fault run (see
           :meth:`repro.kernel.kernel.FaultRun.span`), which returns the
           validated PTEs of its leading pages as ``(flags, frames)``. The
-          pass writes them into the table in one slice, with the A/D bits
+          walk writes them into the table in one slice, with the A/D bits
           the re-check would set; ``recheck(pte, frames)`` tells the run
           how many of ``frames``, mapped with ``pte``'s flags, the
           re-check passes, and a PTE it refuses is installed as resolved
           and re-checked by :meth:`check`, which raises. ``held`` is
           False for the pages of a 2 MiB region with no leaf table yet
-          (one missing span), whose table the pass builds before it
-          writes them. The page after the returned ones, or every page
-          of a span the run declines (None), takes the per-page path;
-        * every other span — a huge (PS) leaf, mixed flags, an A/D update,
-          a frame outside memory — takes the per-page path.
+          (one missing span), whose table the walk builds before it
+          writes them.
+
+        Every other page goes to ``visit(page_va, passed)``, the caller's
+        per-page :meth:`check` and fault: each page of a span the run
+        declines (None), the page after the ones it returns, a huge (PS)
+        leaf, a present span with mixed flags, a frame outside memory, a
+        denial or an A/D update, and every page of a stride that is not
+        whole pages. With the paging-structure cache off
+        (``PhysicalMemory.psc_enabled``, the ``translation_cache=False``
+        configuration) every page is visited, as the per-page reference.
 
         ``passed`` counts the pages passed since the previous callback.
-        On the per-page path, the pass passes a present page
-        :func:`_denial` clears (setting the A/D bits :meth:`check`
-        would set) and hands every other page to ``visit(page_va,
-        passed, missing, held)``, which returns the PTE a fault run
-        resolved the page with, or 0 when it resolved none:
-
-        * a not-present page arrives with ``missing`` True and raises no
-          :class:`PageFault`. When the page has a leaf table, which the
-          pass holds, ``held`` is True: the fault run only validates the
-          PTE, and the pass writes it into the table with the A/D bits
-          the re-check would set, in one write. Without a table the
-          fault run installs the page itself and the pass makes the
-          re-check's A/D update. Either way, a PTE that breaks a rule
-          gets the re-check, :meth:`check`, which raises; the page
-          counts as passed;
-        * anything else — a huge (PS) leaf, a permission fault, a missing
-          page ``visit`` handled itself — is the caller's per-page
-          :meth:`check`; ``visit`` returns 0 and the pass re-walks.
-
-        A frame with no built :class:`~repro.hw.memory.Frame` has no
-        flags, so its verdict is memoized like any other. Nothing is
-        kept across calls: every call reads the live table bytes. With
-        the paging-structure cache off (``PhysicalMemory.psc_enabled``,
-        the ``translation_cache=False`` configuration) every page is
-        visited, as the per-page reference. Returns the pages passed
-        after the last callback. Charges nothing: a walk costs zero
-        cycles.
+        Nothing is kept across calls: every walk reads the live table
+        bytes. Returns the pages passed after the last callback. Charges
+        nothing: a walk costs zero cycles.
         """
-        if not self.phys.psc_enabled:
-            while va < end:
-                visit(va, 0, False, False)
-                va += stride
-            return 0
         phys = self.phys
-        write_u64 = phys.write_u64
         frames = phys.frames
-        frame_of = frames.get
         read = _PTE.unpack_from
-        write = _PTE.pack_into
         num_frames = phys.num_frames
         ad = PTE_A | (PTE_D if access == "write" else 0)
         #: whether a verdict reads the frame's shadow-stack flag
         shadow_read = access == "write" or ctx.shadow_stack_op
-        #: memo over the bits a verdict reads (P, known set, stands in for
-        #: the frame's shadow-stack flag): the A/D bits the access still
-        #: sets, or -1 where the page takes the per-page path
-        verdicts: dict[int, int] = {}
+        #: whether :func:`_denial` clears a PTE, memoized over the bits it
+        #: reads (P, known set, stands in for the frame's shadow-stack flag)
+        verdicts: dict[int, bool] = {}
 
-        def verdict(pte: int, fn: int, shadow: bool) -> int:
+        def clears(pte: int, fn: int, shadow: bool) -> bool:
             key = pte & _VERDICT_BITS | shadow
-            sets = verdicts.get(key)
-            if sets is None:
-                sets = verdicts[key] = (
-                    ad & ~pte if pte & _HUGE == PTE_P
-                    and _denial(pte, fn, phys, access, ctx) is None else -1)
-            return sets
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = _denial(pte, fn, phys, access,
+                                             ctx) is None
+            return ok
 
         def shadows(fns) -> set:
             """The shadow-stack frames among ``fns``, where it matters."""
@@ -294,163 +265,106 @@ class Mmu:
                 return 0
             shadow = shadows(fns[:n])
             if not shadow:
-                return n if verdict(pte, fns[0], False) >= 0 else 0
+                return n if clears(pte, fns[0], False) else 0
             return next((i for i, fn in enumerate(fns[:n])
-                         if verdict(pte, fn, fn in shadow) < 0), n)
+                         if not clears(pte, fn, fn in shadow)), n)
 
         passed = seen = 0       # pages passed; those reported to a callback
         step = stride >> 12
-        #: pages below this take the per-page path
-        slow_end = va if _spans(stride) else end
+        #: pages below this go to ``visit``
+        slow_end = va if phys.psc_enabled and _spans(stride) else end
         try:
             while va < end:
-                slot = aspace.leaf_slot(va)
-                if slot is None and va < slow_end:
-                    # no leaf table yet: the page is not present
-                    installed = visit(va, passed - seen, True, False)
+                if va < slow_end:
+                    visit(va, passed - seen)
                     seen = passed
-                    if installed:
-                        self.check(aspace, va, access, ctx)
-                        passed += 1
                     va += stride
                     continue
+                slot = aspace.leaf_slot(va)
                 if slot is None:
-                    # no leaf table yet: a missing span, whose install
+                    # no leaf table yet: one missing span, whose install
                     # builds the table
                     table = None
                     data = _EMPTY_TABLE
                 else:
                     table = phys.frame(slot.table_fn)
-                    table_pa = slot.table_fn << 12
                     data = table.data or _EMPTY_TABLE
-                if (slot is not None
-                        and read(data, slot.index << 3)[0] & _HUGE == _HUGE):
-                    # a huge leaf: the per-page path
-                    visit(va, passed - seen, False, False)
-                    seen = passed
-                    va += stride
-                    continue
-                limit = min(end, (va | (HUGE_PAGE_SIZE - 1)) + 1)
-                #: the slots of ``base`` .. ``limit`` as read at the first
-                #: span of this walk; a callback writes no slot of the
-                #: walk's table, and the pass writes only slots behind it
-                base = None
-                while va < limit:
-                    off = (va >> 9) & 0xFF8
-                    if va >= slow_end:
-                        if base is None:
-                            base, base_off = va, off
-                            slots = (limit - va - 1) // stride + 1
-                            width = (slots - 1) * 8 * step + 1
-                            low = data[off:off + width:8 * step]
-                            present = low.translate(_PRESENT)
-                            high = words = None
-                        i = (va - base) // stride
-                        if not present[i]:
-                            j = present.find(1, i)
-                            count = (slots if j < 0 else j) - i
-                            resolved = span(va, count, passed - seen,
-                                            recheck, table is not None)
-                            if resolved is None:
-                                slow_end = va + count * stride
-                                continue
-                            pte, fns = resolved
-                            if fns:
-                                done = len(fns)
-                                word = pte | ad & ~pte
-                                values = [fn << 12 | word for fn in fns]
-                                refused = not recheck(pte, fns[-1:])
-                                if refused:
-                                    values[-1] = fns[-1] << 12 | pte
-                                if table is None:
-                                    table = phys.frame(aspace.leaf_slot(
-                                        va, create=True).table_fn)
-                                    table_pa = table.fn << 12
-                                # the live bytes: a handler may have
-                                # replaced the bytearray
-                                data = table.materialize()
-                                store_table_words(data, off >> 3, step, values)
-                                table.version += done
-                                seen = passed + done - 1
-                                passed += done - refused
-                                va += (done - 1) * stride
-                                if refused:
-                                    # the re-check, which raises as it would
-                                    self.check(aspace, va, access, ctx)
-                                    passed += 1
-                                va += stride
-                                if done < count:
-                                    slow_end = va + stride
-                            else:
-                                slow_end = va + stride
-                            continue
-                        j = present.find(0, i)
-                        j = slots if j < 0 else j
-                        lo = low[i]
-                        if high is None:
-                            high = data[base_off + 7:base_off + 7 + width:
-                                        8 * step]
-                            words = table_words(data, base_off >> 3, slots,
-                                                step)
-                        hi = high[i]
-                        if (not lo & PTE_PS
-                                and low.count(lo, i, j) == j - i
-                                and high.count(hi, i, j) == j - i
-                                and max(words[i:j]) - (hi << 56)
-                                < num_frames << 12):
-                            pte = words[i]
-                            fns = ([pte_frame(w) for w in words[i:j]]
-                                   if shadow_read else ())
-                            if (not shadows(fns)
-                                    and verdict(pte, pte_frame(pte),
-                                                False) == 0):
-                                passed += j - i
-                                va += (j - i) * stride
-                                continue
-                        slow_end = va + (j - i) * stride
+                    if read(data, slot.index << 3)[0] & _HUGE == _HUGE:
+                        slow_end = va + stride      # a huge leaf
                         continue
-                    if table is None:
-                        break       # re-walk: the no-table path
-                    pte = read(data, off)[0]
-                    missing = not pte & PTE_P
-                    if missing:
-                        # validated by the fault run; the pass installs it
-                        pte = visit(va, passed - seen, True, True)
-                        seen = passed
-                        if not pte:
-                            va += stride
-                            break
-                    fn = (pte & PTE_FRAME_MASK) >> 12
-                    frame = frame_of(fn)
-                    if frame is None and fn >= num_frames:
-                        sets = -1       # outside memory: check raises
-                    else:
-                        sets = verdict(pte, fn, frame is not None
-                                       and frame.is_shadow_stack)
-                    if sets < 0:
-                        if missing:
-                            # the install, then the re-check, which
-                            # raises as it would
-                            write(table.materialize(), off, pte)
-                            table.version += 1
+                #: the slots of ``base`` .. ``limit`` as read now; a span
+                #: callback writes no slot of the table, the walk writes
+                #: only slots behind it, and a visit ends the walk
+                base, base_off = va, (va >> 9) & 0xFF8
+                limit = min(end, (va | (HUGE_PAGE_SIZE - 1)) + 1)
+                slots = (limit - va - 1) // stride + 1
+                width = (slots - 1) * 8 * step + 1
+                low = data[base_off:base_off + width:8 * step]
+                present = low.translate(_PRESENT)
+                high = words = None
+                while slow_end <= va < limit:
+                    i = (va - base) // stride
+                    if not present[i]:
+                        j = present.find(1, i)
+                        count = (slots if j < 0 else j) - i
+                        resolved = span(va, count, passed - seen,
+                                        recheck, table is not None)
+                        if resolved is None:
+                            slow_end = va + count * stride
+                            continue
+                        pte, fns = resolved
+                        if not fns:
+                            slow_end = va + stride
+                            continue
+                        done = len(fns)
+                        word = pte | ad & ~pte
+                        values = [fn << 12 | word for fn in fns]
+                        refused = not recheck(pte, fns[-1:])
+                        if refused:
+                            values[-1] = fns[-1] << 12 | pte
+                        if table is None:
+                            table = phys.frame(aspace.leaf_slot(
+                                va, create=True).table_fn)
+                        # the live bytes: a handler may have replaced
+                        # the bytearray
+                        data = table.materialize()
+                        store_table_words(data, (va >> 12) & 0x1FF, step,
+                                          values)
+                        table.version += done
+                        seen = passed + done - 1
+                        passed += done - refused
+                        va += (done - 1) * stride
+                        if refused:
+                            # the re-check, which raises as it would
                             self.check(aspace, va, access, ctx)
                             passed += 1
-                        else:
-                            visit(va, passed - seen, False, False)
-                            seen = passed
                         va += stride
-                        break
-                    if missing:
-                        # the install with the re-check's A/D bits, in one
-                        # write to the live bytes (a handler may replace
-                        # the bytearray)
-                        data = table.materialize()
-                        write(data, off, pte | sets)
-                        table.version += 1
-                    elif sets:
-                        write_u64(table_pa + off, pte | sets)
-                    passed += 1
-                    va += stride
+                        if done < count:
+                            slow_end = va + stride
+                        continue
+                    j = present.find(0, i)
+                    j = slots if j < 0 else j
+                    lo = low[i]
+                    if high is None:
+                        high = data[base_off + 7:base_off + 7 + width:
+                                    8 * step]
+                        words = table_words(data, base_off >> 3, slots,
+                                            step)
+                    hi = high[i]
+                    if (not lo & PTE_PS and lo & ad == ad
+                            and low.count(lo, i, j) == j - i
+                            and high.count(hi, i, j) == j - i
+                            and max(words[i:j]) - (hi << 56)
+                            < num_frames << 12):
+                        pte = words[i]
+                        fns = ([pte_frame(w) for w in words[i:j]]
+                               if shadow_read else ())
+                        if not shadows(fns) and clears(pte, pte_frame(pte),
+                                                       False):
+                            passed += j - i
+                            va += (j - i) * stride
+                            continue
+                    slow_end = va + (j - i) * stride
         finally:
             self.run_pages += passed
         return passed - seen

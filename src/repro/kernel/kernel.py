@@ -110,7 +110,7 @@ class ExitPath:
 class FaultRun:
     """Resolves a run of demand faults inside one ``touch_pages`` call.
 
-    :meth:`fault` either declines a fault (returns 0, nothing done)
+    :meth:`fault` either declines a fault (returns False, nothing done)
     or resolves it exactly as :meth:`GuestKernel.handle_page_fault`
     would, deferring its clock charges; :meth:`flush` books what is
     deferred. ``touch_pages`` flushes before anything can observe the
@@ -118,16 +118,15 @@ class FaultRun:
     form declines every fault.
     """
 
-    def fault(self, va: int, write: bool, mem_pages: int,
-              install: bool) -> int:
-        """Resolve the fault on page ``va``; returns its validated PTE.
+    def fault(self, va: int, write: bool, mem_pages: int) -> bool:
+        """Resolve the fault on page ``va`` and install its validated
+        PTE; returns whether the run took it.
 
         ``mem_pages`` is the count of page touches since the previous
         fault whose MEM charges the caller deferred; a run that takes the
-        fault books them too. Without ``install`` the run writes no PTE:
-        the caller holds the leaf table and writes the returned one.
+        fault books them too.
         """
-        return 0
+        return False
 
     def span(self, va: int, count: int, stride: int, write: bool,
              mem_pages: int, recheck,
@@ -383,7 +382,7 @@ class GuestKernel:
         clock.charge(count * (Cost.EXC_DELIVERY + Cost.IRET), "ve")
         self.exit_path.on_ve(self.current, "wrmsr", count)
         if self.tdx is not None:
-            self.ops.vmcall_burst(VMCALL_IO, ("wrmsr", msr), count)
+            self.ops.vmcall(VMCALL_IO, ("wrmsr", msr), count)
 
     # macro py-handlers (installed in the IDT; used when micro code faults)
     def _timer_py_handler(self, cpu, vector, fault) -> None:
@@ -516,45 +515,34 @@ class GuestKernel:
         faults = 0
         run = None
 
-        def visit(page_va: int, passed: int, missing: bool,
-                  held: bool) -> int:
-            """One page the MMU's leaf-table pass leaves to this loop;
-            for a missing page, the PTE the fault run resolved it with
-            (installed, or left to the pass when it ``held`` the leaf
-            table), and the pass counts the touch as passed."""
+        def visit(page_va: int, passed: int) -> None:
+            """One page the MMU leaves to this loop: the check, and on a
+            fault the fault run or else the handler, then the re-check."""
             nonlocal pending, faults, run
             pending += passed
-            if not missing:
-                try:
-                    check(aspace, page_va, access, ctx)
-                except PageFault:
-                    pass
-                else:
-                    pending += 1
-                    return 0
+            try:
+                check(aspace, page_va, access, ctx)
+            except PageFault:
+                pass
+            else:
+                pending += 1
+                return
             if run is None:
                 run = self.exit_path.fault_run(task)
             faults += 1
-            pte = run.fault(page_va, write, pending, not held)
-            if pte:
-                pending = 0
-                if missing:
-                    return pte
-            else:
+            if not run.fault(page_va, write, pending):
                 run.flush()
                 if pending:
                     clock.charge(pending * Cost.MEM, "mem")
                 self.handle_page_fault(task, page_va, write)
-                pending = 0
             check(aspace, page_va, access, ctx)
             pending = 1
-            return 0
 
         def span(first_va: int, count: int, passed: int, recheck,
                  held: bool) -> tuple[int, list[int]] | None:
             """A run of missing pages in one leaf table: the PTEs the
             fault run resolved its leading pages with (see
-            :meth:`FaultRun.span`); the pass installs them."""
+            :meth:`FaultRun.span`); the MMU installs them."""
             nonlocal pending, faults, run
             if run is None:
                 run = self.exit_path.fault_run(task)

@@ -70,19 +70,15 @@ class PrivilegedOps(ABC):
         """Convert guest-physical frames between private and shared."""
 
     @abstractmethod
-    def vmcall(self, subfn: int, payload: object = None) -> object:
-        """Synchronous exit to the host VMM."""
+    def vmcall(self, subfn: int, payload: object = None,
+               count: int = 1) -> object:
+        """Synchronous exit to the host VMM; returns its answer.
 
-    def vmcall_burst(self, subfn: int, payload: object, count: int) -> None:
-        """``count`` identical :meth:`vmcall` exits issued back to back
-        (their answers unread).
-
-        Implementations may book them as one burst but must charge,
-        count and expose to the host exactly what ``count`` sequential
-        :meth:`vmcall` calls would. This default just loops.
+        ``count`` identical exits issued back to back charge, count and
+        expose to the host exactly what ``count`` calls with ``count=1``
+        would, and return the last answer; a refused one charges what
+        the first of them would.
         """
-        for _ in range(count):
-            self.vmcall(subfn, payload)
 
     @abstractmethod
     def tdreport(self, report_data: bytes):
@@ -91,24 +87,16 @@ class PrivilegedOps(ABC):
     # --- SMAP user copy ----------------------------------------------------
 
     @abstractmethod
-    def user_copy(self, nbytes: int, *, to_user: bool, task=None) -> None:
+    def user_copy(self, nbytes: int, *, to_user: bool, task=None,
+                  count: int = 1) -> None:
         """Model a copy_{from,to}_user of ``nbytes`` (stac/copy/clac).
 
         ``task`` identifies whose user memory is touched (defaults to the
         current task); Erebor's monitor refuses copies targeting a locked
-        sandbox.
+        sandbox. ``count`` same-sized copies issued back to back charge
+        exactly what ``count`` calls with ``count=1`` would; a refused one
+        charges what the first of them would.
         """
-
-    def user_copy_burst(self, nbytes: int, count: int, *, to_user: bool,
-                        task=None) -> None:
-        """Model ``count`` same-sized user copies issued back to back.
-
-        Implementations may batch the privilege crossings (one gate span
-        per burst) but must charge exactly what ``count`` sequential
-        :meth:`user_copy` calls would charge. This default just loops.
-        """
-        for _ in range(count):
-            self.user_copy(nbytes, to_user=to_user, task=task)
 
     def mmu_housekeeping(self, n: int) -> None:
         """Model ``n`` ancillary MMU updates (A/D bits, TLB bookkeeping).
@@ -172,29 +160,17 @@ class NativeOps(PrivilegedOps):
             return
         self.tdx.guest_map_gpa(fn_start, count, shared=shared)
 
-    def vmcall(self, subfn, payload=None):
+    def vmcall(self, subfn, payload=None, count=1):
         if self.tdx is None:
             raise RuntimeError("vmcall without a TDX module")
-        return self.tdx.guest_vmcall(subfn, payload)
-
-    def vmcall_burst(self, subfn, payload, count):
-        if self.tdx is None:
-            raise RuntimeError("vmcall without a TDX module")
-        self.tdx.guest_vmcall(subfn, payload, count)
+        return self.tdx.guest_vmcall(subfn, payload, count)
 
     def tdreport(self, report_data):
         if self.tdx is None:
             raise RuntimeError("tdreport without a TDX module")
         return self.tdx.guest_tdreport(report_data)
 
-    def user_copy(self, nbytes, *, to_user, task=None):
-        from ..hw.memory import pages_for
-        pages = max(pages_for(nbytes), 1)
-        self.clock.charge(Cost.STAC_CLAC_NATIVE
-                          + pages * Cost.COPY_PER_PAGE_NATIVE, "user_copy")
-        self.clock.count("user_copy")
-
-    def user_copy_burst(self, nbytes, count, *, to_user, task=None):
+    def user_copy(self, nbytes, *, to_user, task=None, count=1):
         from ..hw.memory import pages_for
         pages = max(pages_for(nbytes), 1)
         self.clock.charge(count * (Cost.STAC_CLAC_NATIVE

@@ -84,8 +84,8 @@ def test_translation_cache_changes_no_simulated_output(certified):
     assert on["report"].certs
     assert on["trace_digests"] == off["trace_digests"]
     assert on["trace_digests"]
-    # the cache-on arm passed pages through the MMU's leaf-table pass; the
-    # off arm checked every page alone and used neither cache
+    # the cache-on arm passed pages as spans in the MMU's walk; the off
+    # arm checked every page alone and used neither cache
     assert on["run_pages"] > 0
     assert off["run_pages"] == 0
     assert off["sb_exec"] == 0

@@ -9,9 +9,12 @@ directly:
 * every present leaf PTE of every address space the monitor registered,
   read through ``phys.read_u64`` only, so hashing builds no frame;
 * ``usage_by_owner()``, and the frames ``owned_by`` each owner tag;
-* the sha256 of every frame whose bytes are not all zero.
+* the sha256 of every frame whose bytes are not all zero;
+* the monitor's C6 registries: ``vmmu.confined_owner`` (frame to
+  sandbox) and ``vmmu.confined_mapping`` (frame to its single mapping),
+  so a fast path that skips a confined frame's record fails the digest.
 
-Frame lists are hashed in ascending order, so the digest does not depend
+Frame lists and registries are hashed in ascending order, so the digest does not depend
 on the order in which frames were first touched.
 
 :func:`clock_state` collects what a run leaves on the clock, the host and
@@ -52,7 +55,8 @@ def _present_leaves(phys, root_fn: int):
 
 
 def machine_state_digest(system) -> str:
-    """sha256 over the PTEs, owner tags and frame bytes of ``system``."""
+    """sha256 over the PTEs, owner tags, frame bytes and confined-frame
+    registries of ``system``."""
     monitor = system.monitor
     phys = monitor.phys
     h = hashlib.sha256()
@@ -68,6 +72,11 @@ def machine_state_digest(system) -> str:
         if frame.data is not None and frame.data != _ZERO:
             h.update(f"\nframe {fn} ".encode()
                      + hashlib.sha256(frame.data).digest())
+    vmmu = monitor.vmmu
+    for fn, sandbox_id in sorted(vmmu.confined_owner.items()):
+        h.update(f"\nconfined {fn} {sandbox_id}".encode())
+    for fn, (root, va) in sorted(vmmu.confined_mapping.items()):
+        h.update(f"\nmapped {fn} {root} {va:x}".encode())
     return h.hexdigest()
 
 

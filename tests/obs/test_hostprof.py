@@ -7,7 +7,9 @@ self-time conservation, explicit-window coverage, calibrated probe cost,
 and clean attach/detach (the interpreter is unpatched afterwards).
 """
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -183,10 +185,26 @@ def test_profile_fleet_attributes_most_of_a_real_run():
     assert run.result is not None
 
 
-def test_subsystem_table_targets_exist():
+def _perfbench_table(monkeypatch):
+    """``perfbench/layers.py``'s wrapper table, imported as the benchmark
+    runs it: with ``perfbench/`` on the path (both modules leave
+    ``sys.modules`` again after the test)."""
     import importlib
-    for _label, module_name, qualname in SUBSYSTEMS:
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[2]
+                                    / "perfbench"))
+    for name in ("layers", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    return importlib.import_module("layers").TABLE
+
+
+def test_subsystem_table_targets_exist(monkeypatch):
+    """Every entry point the host profiler and the benchmark's per-layer
+    table wrap by name still exists, so a rename or deletion fails here."""
+    import importlib
+    table = _perfbench_table(monkeypatch)
+    assert table
+    for _label, module_name, qualname in SUBSYSTEMS + table:
         obj = importlib.import_module(module_name)
         for part in qualname.split("."):
             obj = getattr(obj, part)
-        assert callable(obj)
+        assert callable(obj), (module_name, qualname)

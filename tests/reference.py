@@ -12,8 +12,8 @@ has no option for any of this. Each fast path that has an arm here:
   exponentiations of a handshake run on the builtin
   ``pow(base, exponent, MODP_2048_P)`` instead of libcrypto.
 * **Span touches** (`repro.hw.mmu._spans`): ``Mmu.check_run`` reads no
-  span, present or missing, so the leaf-table pass hands the fault run
-  one page per call.
+  span, present or missing, so every page goes to the caller's
+  per-page ``visit``: its check, then one fault at a time.
 * **Tick runs** (`GuestKernel.tick_run_length`, `ThreadPool.parallel_for`):
   the run length is 1, so ``pump`` books one timer tick at a time, and
   ``parallel_for`` steps chunk by chunk (:func:`reference_parallel_for`),

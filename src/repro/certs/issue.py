@@ -2,7 +2,7 @@
 
 Runs fleet-side (it holds the booted system), but charges **zero**
 simulated cycles: every piece of evidence already exists by the time a
-session closes — the scheduler recorded the audit-chain anchors and the
+session closes — the scheduler held the session's audit window and the
 scrub record at release, the tracer ring holds the request's span tree,
 and the TDX measurement registers were extended at boot. Issuance reads
 them and signs directly through the platform authority (the
@@ -29,10 +29,12 @@ The evidence DAG one certificate commits to::
 
 from __future__ import annotations
 
+import copy
+import json
 from pathlib import Path
 
 from ..core.audit import AUDIT_GENESIS
-from ..obs.reqtrace import RequestTraceIndex, tree_digest_of
+from ..obs.reqtrace import RequestTraceIndex
 from ..tdx.attestation import KERNEL_CFG_RTMR_INDEX, TdReport
 from . import (
     CERT_FORMAT,
@@ -99,6 +101,9 @@ class CertificateIssuer:
                 "kernel-digest",
                 "certificates require a CFG-verified boot "
                 "(EreborFeatures.cfg_verifier was off)")
+        #: the ``kernel`` section: boot-time evidence, the same for every
+        #: certificate, so its digests are computed once per issuer
+        self._kernel = self._kernel_body()
 
     # ------------------------------------------------------------------ #
     # evidence snapshots
@@ -132,16 +137,24 @@ class CertificateIssuer:
             }
         return body
 
-    def _audit_segment(self, session) -> list:
+    @staticmethod
+    def _audit_segment(session) -> list:
         """The session's contiguous slice of the monitor's audit chain.
 
-        The scheduler recorded ``audit_seq_start`` at submission and
-        ``audit_seq_end`` + the committed head at close; the ring drops
-        oldest-first, so whatever survives of the range is a contiguous
-        suffix ending at the committed head.
+        The scheduler opened the window at ``audit_seq_start`` when it
+        bound the session to a slot and held its events at close
+        (``session.audit_window``), so issuance reads no ring. The last
+        held event is the committed head the segment ends at. A window
+        the ring evicted part of before close is refused.
         """
-        lo, hi = session.audit_seq_start, session.audit_seq_end
-        return [e for e in self.monitor.audit_log if lo <= e.seq < hi]
+        segment = session.audit_window
+        if not segment or segment[0].seq != session.audit_seq_start:
+            raise CertificateError(
+                "audit-evidence",
+                f"audit ring no longer held session {session.name!r}'s "
+                "whole segment at close (raise "
+                "EreborMonitor.AUDIT_LOG_CAPACITY)")
+        return segment
 
     def issue(self, session, index: RequestTraceIndex) -> dict:
         if session.outcome not in CERTIFIABLE_OUTCOMES:
@@ -150,11 +163,6 @@ class CertificateIssuer:
                 f"session {session.name!r} outcome {session.outcome!r} "
                 "is not certifiable")
         segment = self._audit_segment(session)
-        if not segment:
-            raise CertificateError(
-                "audit-evidence",
-                f"audit ring no longer holds session {session.name!r}'s "
-                "segment (raise EreborMonitor.AUDIT_LOG_CAPACITY)")
         scrub_record = session.scrub_record
         if not scrub_record:
             raise CertificateError(
@@ -164,13 +172,15 @@ class CertificateIssuer:
 
         trace_id = session.trace_id
         if trace_id in index.by_trace:
-            # roundtrip through the canonical serialization so the digest
-            # is computed over exactly what the certificate file carries
-            import json as _json
-            tree = _json.loads(canonical_json(index.tree_payload(trace_id)))
+            # the digest is over the one canonical serialization the
+            # attachment is loaded back from: exactly what the
+            # certificate file carries (tree_digest_of's bytes)
+            text = canonical_json(index.tree_payload(trace_id))
+            tree = json.loads(text)
+            tree_digest = sha256_hex(text) if tree else ""
             complete = index.complete(trace_id)
         else:
-            tree, complete = [], False
+            tree, tree_digest, complete = [], "", False
         measurement = self.machine.tdx.measurement
 
         body = {
@@ -190,12 +200,12 @@ class CertificateIssuer:
                 "rtmrs": {str(i): measurement.rtmrs[i].hex()
                           for i in _NAMED_RTMRS},
             },
-            "kernel": self._kernel_body(),
+            "kernel": copy.deepcopy(self._kernel),
             "audit": {
                 "seq_start": segment[0].seq,
-                "seq_end": session.audit_seq_end,
+                "seq_end": segment[-1].seq + 1,
                 "segment_prev": segment[0].prev,
-                "committed_head": session.audit_head_end,
+                "committed_head": segment[-1].digest,
                 "events": len(segment),
                 "genesis": AUDIT_GENESIS,
             },
@@ -204,7 +214,7 @@ class CertificateIssuer:
             },
             "trace": {
                 "trace_id": trace_id,
-                "tree_digest": tree_digest_of(tree) if tree else "",
+                "tree_digest": tree_digest,
                 "events": _count_nodes(tree),
                 "complete": complete,
             },

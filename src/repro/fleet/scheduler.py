@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from ..client import RemoteClient
 from ..core.boot import published_measurement
@@ -73,12 +74,16 @@ class ClientSession:
     #: ``trace_id``, none of these enter :meth:`summary`: certificates
     #: ride outside the report digest preimage.
     sandbox_id: int = -1
-    #: monitor audit-chain window covering the session's lifetime
-    #: (``[seq_start, seq_end)``; start is snapshotted at submission,
-    #: end + committed head at slot release, after the scrub audit)
+    #: first seq of the session's audit window: snapshotted when the
+    #: session is bound to a slot, before ``pool.acquire()``, so the
+    #: window opens with the slot's own fork/lock events and no event of
+    #: a session served while this one queued falls inside it
     audit_seq_start: int = 0
-    audit_seq_end: int = 0
-    audit_head_end: str = ""
+    #: the window's events, ``[audit_seq_start, seq_end)``, held at slot
+    #: release (after the scrub audit) from the ring's tail; its last
+    #: event carries ``seq_end - 1`` and the committed head. Shorter than
+    #: the window when the ring evicted part of it before close
+    audit_window: list = field(default_factory=list)
     #: the pool's C8 scrub record returned by ``WarmPool.release``
     scrub_record: dict | None = None
 
@@ -314,7 +319,6 @@ class FleetScheduler:
         request.
         """
         session.submit_cycle = self.clock.cycles
-        session.audit_seq_start = self.monitor.audit_seq
         if not session.trace_id:
             session.trace_id = mint_trace_id(session.seed, session.name)
         with self.clock.tracer.bind(session.trace_id):
@@ -369,6 +373,7 @@ class FleetScheduler:
             self._start_bound(session)
 
     def _start_bound(self, session: ClientSession) -> None:
+        session.audit_seq_start = self.monitor.audit_seq
         slot = self.pool.acquire()
         assert slot is not None, "admission admitted with no free slot"
         core = self._place()
@@ -538,16 +543,19 @@ class FleetScheduler:
         self._drain_queue()
 
     def _seal_evidence(self, session: ClientSession, record: dict) -> None:
-        """Snapshot the closing session's certificate evidence anchors.
+        """Hold the closing session's certificate evidence.
 
-        Taken right after the slot released — the scrub's own audit
-        event has committed, so ``audit_head_end`` covers the full
-        admit → … → scrub (or kill) arc and the audit window
-        ``[audit_seq_start, audit_seq_end)`` is closed.
+        Taken right after the slot released: the scrub's own audit event
+        has committed, so the window ``[audit_seq_start, audit_seq)``
+        covers the full admit → … → scrub (or kill) arc and is closed.
+        Its events are the newest ``audit_seq - audit_seq_start`` in the
+        ring, read off the tail in O(window); a window the ring already
+        evicted part of is held short, and issuance refuses it.
         """
         session.scrub_record = record
-        session.audit_seq_end = self.monitor.audit_seq
-        session.audit_head_end = self.monitor.audit_head
+        count = self.monitor.audit_seq - session.audit_seq_start
+        session.audit_window = list(
+            islice(reversed(self.monitor.audit_log), count))[::-1]
 
     def _drain_queue(self) -> None:
         """FIFO re-admission after slots free up: one single-pass sweep.

@@ -40,7 +40,7 @@ from repro.kernel.process import (
     PinnedBacking,
     SegmentationFault,
 )
-from repro.fleet import run_fleet
+from repro.fleet import build_fleet
 from repro.fleet.goldens import LLAMA_FLEET_PARAMS
 from repro.obs import install
 from repro.obs.export import chrome_trace, prometheus_text
@@ -505,7 +505,12 @@ def test_segfault_mid_run_matches_per_fault_handling(layout):
 def test_llama_fleet_matches_per_page_touches():
     """A reduced llama fleet under ``reference_paths()``, where the pass
     hands the fault run one page per call, and outside it, where spans
-    resolve most of its faults: every simulated outcome is the same."""
+    resolve most of its faults: every simulated outcome is the same.
+
+    The machine state is compared after every scheduling step too, while
+    sandboxes are live and their confined frames recorded: at the end of
+    the run the confined registries are empty again, so only a live
+    digest sees a span that skipped a frame's record."""
     results = []
     for arm in (nullcontext, reference_paths):
         spans = []
@@ -517,11 +522,21 @@ def test_llama_fleet_matches_per_page_touches():
             return resolved
 
         with arm(), mock.patch.object(MonitorFaultRun, "span", spy):
-            report, system = run_fleet(**dict(LLAMA_FLEET_PARAMS, clients=2))
+            fleet = build_fleet(**dict(LLAMA_FLEET_PARAMS, clients=2))
+            system, scheduler = fleet.system, fleet.scheduler
+            confined = system.monitor.vmmu.confined_mapping
+            for session in fleet.sessions:
+                scheduler.submit(session)
+            live = []
+            while scheduler.active:
+                scheduler.step()
+                live.append((len(confined), machine_state_digest(system)))
+            report = fleet.report()
         clock = system.machine.clock
         fault_log = system.kernel.fault_log
         results.append((sum(spans), {
             "digest": report.digest(),
+            "live_states": live,
             "state": machine_state_digest(system),
             "tags": [(lane, list(tags.items()))
                      for lane, tags in clock.tags_by_cpu.items()],
@@ -531,6 +546,8 @@ def test_llama_fleet_matches_per_page_touches():
         }))
     (spanned, burst), (ref_spanned, reference) = results
     assert spanned > 1000 and ref_spanned == 0
+    # the first step's digest covers live confined records
+    assert reference["live_states"][0][0] > 0
     for key in reference:
         assert burst[key] == reference[key], key
 

@@ -10,9 +10,12 @@ the previous tenant's secrets or evidence into the next certificate.
 import hashlib
 import json
 
-from repro.certs import serialize_certificate
-from repro.certs.issue import write_certificates
+import pytest
+
+from repro.certs import CertificateError, serialize_certificate
+from repro.certs.issue import published_refs, write_certificates
 from repro.certs.verify import CertificateVerifier
+from repro.core.monitor import EreborMonitor
 from repro.fleet import build_fleet, run_fleet
 from repro.fleet.goldens import SMP_PARAMS
 from repro.fleet.loadgen import FleetReport
@@ -112,6 +115,69 @@ def test_audit_windows_are_anchored_per_session():
         assert audit["seq_end"] - 1 == segment[-1]["seq"]
         assert audit["committed_head"] == segment[-1]["digest"]
         assert audit["segment_prev"] == segment[0]["prev"]
+
+
+@pytest.mark.parametrize("params", [REUSE_PARAMS, SMP_PARAMS],
+                         ids=["reuse", "smp"])
+def test_audit_windows_open_at_binding(params):
+    """A window opens when its session is bound to a slot: it holds the
+    session's own admit once, its own scrub once, and nothing of a
+    session that closed before this one was bound, not even the scrub
+    of the same recycled sandbox."""
+    _, fleet = certified(params)
+    finished = fleet.scheduler.finished
+    closed_at = {s.name: s.audit_window[-1].seq for s in finished}
+    for session in finished:
+        segment = fleet.certificates[session.name][
+            "attachments"]["audit_segment"]
+        assert segment[0]["seq"] == session.audit_seq_start
+        own = f"session {session.name} "
+        assert [e["kind"] for e in segment
+                if own in e["detail"]].count("admit") == 1
+        sandbox = f"sandbox #{session.sandbox_id} "
+        assert [e for e in segment if e["kind"] == "scrub"
+                and sandbox in e["detail"]] == segment[-1:]
+        earlier = [f"session {t.name} " for t in finished
+                   if closed_at[t.name] < session.audit_seq_start]
+        assert not [e for e in segment for needle in earlier
+                    if needle in e["detail"]]
+    if params is REUSE_PARAMS:
+        # one slot: every session after the first was bound after its
+        # predecessor closed
+        assert all(closed_at[a.name] < b.audit_seq_start
+                   for a, b in zip(finished, finished[1:]))
+
+
+def test_ring_pressure_leaves_every_session_issuable(monkeypatch):
+    """A ring far smaller than the fleet's audit chain: each window is
+    held when its session closes, so every session still issues and
+    every certificate verifies offline."""
+    monkeypatch.setattr(EreborMonitor, "AUDIT_LOG_CAPACITY", 32)
+    report, fleet = certified(dict(
+        workload="helloworld", clients=12, requests=1, pool_size=1,
+        tenants=2, seed=7, scale=1.0))
+    assert report.outcomes == {"completed": 12}
+    assert fleet.system.monitor.audit_log.dropped > 0
+    certs = fleet.certificates
+    assert sorted(certs) == sorted(f"client-{i}" for i in range(12))
+    verifier = CertificateVerifier(refs=published_refs())
+    for name, cert in certs.items():
+        result = verifier.verify(cert)
+        assert result.ok, f"{name}: [{result.code}] {result.detail}"
+
+
+def test_a_window_the_ring_evicted_is_refused(monkeypatch):
+    """A session whose own window outgrew the ring before close has no
+    whole segment to certify: issuance refuses it with
+    ``audit-evidence``."""
+    monkeypatch.setattr(EreborMonitor, "AUDIT_LOG_CAPACITY", 4)
+    fleet = build_fleet(certificates=True, **dict(REUSE_PARAMS, clients=1))
+    fleet.scheduler.run(fleet.sessions)
+    session = fleet.scheduler.finished[0]
+    assert session.audit_window[0].seq > session.audit_seq_start
+    with pytest.raises(CertificateError) as exc:
+        fleet.report()
+    assert exc.value.code == "audit-evidence"
 
 
 # --------------------------------------------------------------------------- #

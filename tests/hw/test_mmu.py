@@ -201,3 +201,68 @@ def test_cross_page_write_checks_both_pages(rig):
     map_kernel(phys, aspace, va=KERN_VA + PAGE_SIZE, flags=PTE_P)
     with pytest.raises(PageFault):
         mmu.write(aspace, KERN_VA + PAGE_SIZE - 2, b"abcd", kctx())
+
+
+# --------------------------------------------------------------------------- #
+# check_run: a span whose last frame the re-check refuses
+# --------------------------------------------------------------------------- #
+
+#: pages of the missing span; its last frame is a shadow-stack frame
+SPAN_PAGES = 3
+SPAN_FLAGS = PTE_P | PTE_W | PTE_U | PTE_NX
+
+
+def _span_rig(held):
+    """A fresh rig and the span's frames; with ``held``, the leaf table
+    already exists (a page mapped past the span)."""
+    phys = PhysicalMemory(64 * 1024 * 1024)
+    mmu, aspace = Mmu(phys, CycleClock()), AddressSpace(phys)
+    fns = [phys.alloc_frame("user") for _ in range(SPAN_PAGES)]
+    phys.frame(fns[-1]).is_shadow_stack = True
+    if held:
+        map_user(phys, aspace, va=USER_VA + 8 * PAGE_SIZE)
+    return phys, mmu, aspace, fns
+
+
+def _span_ptes(aspace):
+    return [aspace.get_pte(USER_VA + i * PAGE_SIZE)
+            for i in range(SPAN_PAGES + 1)]
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["new-table", "held"])
+def test_check_run_span_refused_by_recheck_raises_as_check(held):
+    """A fault run hands back a span whose last frame maps a shadow-stack
+    frame writable: the walk installs it as resolved and its re-check
+    raises exactly as per-page ``check`` does after the same installs."""
+    _, mmu, aspace, fns = _span_rig(held)
+    calls = []
+
+    def span(va, count, passed, recheck, table_held):
+        calls.append((va, count, passed, table_held))
+        passed_frames = recheck(SPAN_FLAGS, fns)
+        assert passed_frames == SPAN_PAGES - 1
+        # the fault run returns the pages it admitted and the refused one
+        return SPAN_FLAGS, fns[:passed_frames + 1]
+
+    def visit(va, passed):
+        raise AssertionError(f"page {va:#x} visited")
+
+    with pytest.raises(PageFault) as spanned:
+        mmu.check_run(aspace, USER_VA, USER_VA + SPAN_PAGES * PAGE_SIZE,
+                      PAGE_SIZE, "write", uctx(), visit, span)
+    assert calls == [(USER_VA, SPAN_PAGES, 0, held)]
+    assert mmu.run_pages == SPAN_PAGES - 1
+
+    _, ref_mmu, ref_aspace, ref_fns = _span_rig(held)
+    assert ref_fns == fns
+    with pytest.raises(PageFault) as checked:
+        for i, fn in enumerate(fns):
+            va = USER_VA + i * PAGE_SIZE
+            ref_aspace.map_page(va, fn, SPAN_FLAGS)
+            ref_mmu.check(ref_aspace, va, "write", uctx())
+    assert str(spanned.value) == str(checked.value)
+    assert vars(spanned.value) == vars(checked.value)
+    assert _span_ptes(aspace) == _span_ptes(ref_aspace)
+    ptes = _span_ptes(aspace)
+    assert all(pte & PTE_A and pte & PTE_D for pte in ptes[:-2])
+    assert not ptes[-2] & (PTE_A | PTE_D) and not ptes[-1]

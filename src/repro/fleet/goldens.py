@@ -109,8 +109,7 @@ ANOMALY_PINNED = {"alerts": [], "armed": []}
 
 
 def _window(count, p50, p95):
-    return {"count": count, "p50": p50, "p95": p95, "p99": p95,
-            "window_cycles": 2_000_000, "windows": 4}
+    return {"count": count, "p50": p50, "p95": p95, "p99": p95}
 
 
 #: ``metrics_snapshot(clock)["windowed"]`` of the seeded SLO fleet, in

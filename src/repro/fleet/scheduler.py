@@ -105,9 +105,10 @@ class SloConfig:
     """Per-tenant latency objectives in simulated cycles (None = no SLO).
 
     ``queue_wait`` and ``service`` are judged at p95, ``e2e`` (submit to
-    finish, queue included) at p99, each over a cycle-time sliding
-    window, so a transient spike inside one window can breach while a
-    long-gone cold start cannot.
+    finish, queue included) at p99, each over the series' last
+    :data:`~repro.obs.metrics.WINDOW_SAMPLES` samples, so a cold start
+    ages out once that many requests have followed it, however long
+    each request runs.
     """
 
     queue_wait_p95: int | None = None
@@ -118,11 +119,12 @@ class SloConfig:
 class SloMonitor:
     """Watches per-tenant latency percentiles; emits breach events.
 
-    Keeps one deterministic :class:`WindowedHistogram` per ``(tenant,
-    metric)`` series, keyed by its label set. The same objects are the
-    metrics registry's ``erebor_fleet_latency_cycles`` windowed series:
-    the registry's snapshot reads them, so each sample is stored once,
-    and the decisions need no live registry. The first breach of each
+    Keeps one deterministic :class:`WindowedHistogram` (the series'
+    last samples) per ``(tenant, metric)`` series, keyed by its label
+    set. The same objects are the metrics registry's
+    ``erebor_fleet_latency_cycles`` windowed series: the registry's
+    snapshot reads them, so each sample is stored once, and the
+    decisions need no live registry. The first breach of each
     ``(tenant, metric)`` pair raises a trace event, bumps the breach
     counter, and fires the flight-recorder trigger; later samples keep
     counting but don't re-dump.
@@ -156,18 +158,17 @@ class SloMonitor:
             metrics.windowed[self.SERIES] = self.hists
 
     def observe(self, tenant: str, metric: str, value: int) -> None:
-        cycle = self.clock.cycles
         self.samples += 1
         key = label_key({"tenant": tenant, "metric": metric})
         hist = self.hists.get(key)
         if hist is None:
             hist = self.hists[key] = WindowedHistogram()
-        hist.observe(value, cycle)
+        hist.observe(value)
         attr, q, label = self.RULES[metric]
         threshold = getattr(self.config, attr)
         if threshold is None or hist.count < self.MIN_SAMPLES:
             return
-        observed = hist.quantile(q, cycle)
+        observed = hist.quantile(q)
         if observed is None or observed <= threshold:
             return
         self.clock.metrics.inc("erebor_fleet_slo_breaches_total",
@@ -182,7 +183,7 @@ class SloMonitor:
         self._breached.add(key)
         breach = {"tenant": tenant, "metric": metric, "quantile": label,
                   "observed": observed, "threshold": threshold,
-                  "cycle": cycle, "trace_id": trace_id}
+                  "cycle": self.clock.cycles, "trace_id": trace_id}
         self.breaches.append(breach)
         self.clock.tracer.event("slo:breach", "slo", tenant=tenant,
                                 metric=metric, quantile=label,

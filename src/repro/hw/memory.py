@@ -31,14 +31,6 @@ PAGE_SHIFT = 12
 FREE = "free"
 
 
-def page_align_down(addr: int) -> int:
-    return addr & ~(PAGE_SIZE - 1)
-
-
-def page_align_up(addr: int) -> int:
-    return (addr + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
-
-
 def pages_for(nbytes: int) -> int:
     """Number of 4 KiB pages needed to hold ``nbytes``."""
     return (nbytes + PAGE_SIZE - 1) // PAGE_SIZE

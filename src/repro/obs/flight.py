@@ -127,9 +127,6 @@ class FlightDump:
     #: plane-attribution budget snapshot at freeze time (repro.obs.ledger)
     ledger: dict = field(default_factory=dict)
 
-    def event_count(self) -> int:
-        return sum(len(v) for v in self.events_by_cpu.values())
-
     def to_dict(self) -> dict:
         per_cpu = {
             "serial" if cpu == SERIAL_LANE else str(cpu):

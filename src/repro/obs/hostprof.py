@@ -41,8 +41,6 @@ Honest accounting rules:
 from __future__ import annotations
 
 import importlib
-import json
-from pathlib import Path
 from time import perf_counter  # D1-exempt: host attribution is the product
 
 #: label → (module, qualified attribute) patch table. Labels repeat when
@@ -318,11 +316,6 @@ class HostProfiler:
             if us > 0:
                 lines.append(f"{';'.join(path)} {us}")
         return "\n".join(lines)
-
-    def write_report(self, path: str | Path) -> dict:
-        payload = self.report()
-        Path(path).write_text(json.dumps(payload, indent=2))
-        return payload
 
     def __repr__(self) -> str:
         return (f"HostProfiler({len(self.totals)} subsystems, "

@@ -20,15 +20,15 @@ from __future__ import annotations
 import copy
 import math
 from bisect import bisect_left
+from collections import deque
 
 #: default histogram bucket upper bounds (simulated cycles)
 DEFAULT_BUCKETS = (250, 700, 1300, 2500, 5000, 10_000, 30_000,
                    100_000, 1_000_000)
 
-#: sliding-window geometry of every :class:`WindowedHistogram`: frame
-#: span in cycles, and how many frames a percentile looks back over
-WINDOW_CYCLES = 2_000_000
-WINDOWS = 4
+#: how many of its latest samples a :class:`WindowedHistogram` keeps:
+#: nearest-rank p99 needs more than 100 before it differs from the max
+WINDOW_SAMPLES = 128
 
 #: :class:`EwmaDetector` smoothing, alert threshold (in deviations) and
 #: warm-up samples
@@ -251,60 +251,39 @@ def _nearest_rank(values: list, q: float):
 
 
 class WindowedHistogram:
-    """Deterministic sliding-window value store keyed by *cycle* time.
+    """Deterministic sliding-window value store over the last
+    :data:`WINDOW_SAMPLES` samples of its series.
 
-    Frames align to absolute window boundaries — frame ``k`` covers
-    simulated cycles ``[k*W, (k+1)*W)`` with ``W`` = :data:`WINDOW_CYCLES`
-    — so rotation happens at exact cycle boundaries and two seeded runs
-    retain byte-identical windows. Percentiles use the nearest-rank
-    method over the values of the last :data:`WINDOWS` frames (integer
-    inputs → integer outputs, no interpolation drift).
+    Counted in samples, the window fills on every workload, however
+    long each request runs. Percentiles use the nearest-rank method (integer inputs → integer
+    outputs, no interpolation drift).
     """
 
-    __slots__ = ("_frames",)
+    __slots__ = ("_values",)
 
     def __init__(self):
-        #: frame index → values observed in that frame (insertion-ordered)
-        self._frames: dict[int, list] = {}
+        self._values: deque = deque(maxlen=WINDOW_SAMPLES)
 
-    def observe(self, value, cycle: int) -> None:
-        frame = cycle // WINDOW_CYCLES
-        values = self._frames.get(frame)
-        if values is None:
-            values = self._frames[frame] = []
-            # drop frames that slid out of the retention window
-            floor = frame - WINDOWS + 1
-            for old in [f for f in self._frames if f < floor]:
-                del self._frames[old]
-        values.append(value)
-
-    def values(self, cycle: int | None = None) -> list:
-        """Retained values; with ``cycle``, only frames still in-window."""
-        frames = sorted(self._frames)
-        if cycle is not None:
-            floor = cycle // WINDOW_CYCLES - WINDOWS + 1
-            frames = [f for f in frames if f >= floor]
-        return [v for f in frames for v in self._frames[f]]
+    def observe(self, value) -> None:
+        self._values.append(value)
 
     @property
     def count(self) -> int:
-        return sum(len(v) for v in self._frames.values())
+        return len(self._values)
 
-    def quantile(self, q: float, cycle: int | None = None):
+    def quantile(self, q: float):
         """Nearest-rank quantile of the retained values (None if empty)."""
-        return _nearest_rank(sorted(self.values(cycle)), q)
+        return _nearest_rank(sorted(self._values), q)
 
-    def quantiles(self, cycle: int | None = None) -> dict:
+    def quantiles(self) -> dict:
         """The p50/p95/p99 summary the SLO monitors and snapshots use."""
-        values = sorted(self.values(cycle))
+        values = sorted(self._values)
         return {"count": len(values), "p50": _nearest_rank(values, 0.50),
                 "p95": _nearest_rank(values, 0.95),
                 "p99": _nearest_rank(values, 0.99)}
 
     def __repr__(self) -> str:
-        return (f"WindowedHistogram({self.count} values over "
-                f"{len(self._frames)}/{WINDOWS} x "
-                f"{WINDOW_CYCLES}-cycle frames)")
+        return f"WindowedHistogram({self.count}/{WINDOW_SAMPLES} values)"
 
 
 class EwmaDetector:
@@ -396,7 +375,7 @@ class MetricsRegistry(NullMetrics):
         self.gauges: dict[str, dict[str, float]] = {}
         #: name → key → {"buckets": [..], "sum": s, "count": n}
         self.histograms: dict[str, dict[str, dict]] = {}
-        #: name → key → WindowedHistogram (cycle-time sliding windows).
+        #: name → key → WindowedHistogram (last-samples windows).
         #: The owner of a windowed series (the fleet's SLO monitor) files
         #: its own histograms here; the snapshot reads those objects.
         self.windowed: dict[str, dict[str, WindowedHistogram]] = {}
@@ -470,9 +449,7 @@ class MetricsRegistry(NullMetrics):
     def snapshot(self) -> dict:
         """Deep-copied, JSON-able view of every series."""
         windowed = {
-            name: {key: {**hist.quantiles(), "window_cycles": WINDOW_CYCLES,
-                         "windows": WINDOWS}
-                   for key, hist in series.items()}
+            name: {key: hist.quantiles() for key, hist in series.items()}
             for name, series in self.windowed.items() if series}
         return {
             "counters": {n: dict(s) for n, s in self.counters.items()},

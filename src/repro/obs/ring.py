@@ -61,9 +61,6 @@ class RingBuffer(Generic[T]):
     def dropped(self) -> int:
         return self.pushed - len(self._buf)
 
-    def to_list(self) -> list[T]:
-        return list(self._buf)
-
     def __len__(self) -> int:
         return len(self._buf)
 

@@ -93,8 +93,6 @@ def validate_export(obj) -> list[str]:
                 need(summary, "count", int, where)
                 for q in ("p50", "p95", "p99"):
                     need(summary, q, (int, float, type(None)), where)
-                need(summary, "window_cycles", int, where)
-                need(summary, "windows", int, where)
 
     profile = need(obj, "profile", dict, "top")
     if profile is not None:

@@ -98,6 +98,30 @@ def test_generous_slo_never_breaches():
     assert report.slo["samples"] > 0           # the plane did observe
 
 
+#: a 4-session llama.cpp fleet: each request runs ~164M cycles, so a
+#: window counted in cycles would hold one sample per series
+LLAMA_SLO_PARAMS = dict(workload="llama.cpp", clients=4, requests=1,
+                        tenants=1, pool_size=2, n_cpus=2, scale=0.1,
+                        seed=2025, flight=True)
+
+
+def test_slo_plane_judges_a_llama_fleet():
+    report, system = run_fleet(slo=SloConfig(service_p95=20_000_000),
+                               **LLAMA_SLO_PARAMS)
+    (breach,) = report.slo["breaches"]
+    assert (breach["tenant"], breach["metric"]) == ("tenant-0", "service")
+    assert breach["observed"] > breach["threshold"] == 20_000_000
+    # the exemplar names one served request's causal span tree
+    assert breach["trace_id"] in report.traces.values()
+    (dump,) = system.machine.clock.tracer.dumps
+    assert (dump.reason, dump.trace_id) == ("slo_breach", breach["trace_id"])
+    # the plane only reads the clock: a generous objective moves nothing
+    quiet, _ = run_fleet(slo=SloConfig(service_p95=10**12),
+                         **LLAMA_SLO_PARAMS)
+    assert quiet.slo["breaches"] == []
+    assert quiet.digest() == report.digest()
+
+
 def test_slo_summary_rides_in_report_only_when_enabled():
     plain, _ = run_fleet(**SMP_PARAMS)
     armed, _ = run_fleet(slo=SloConfig(service_p95=1), **SMP_PARAMS)

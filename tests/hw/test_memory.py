@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.memory import PAGE_SIZE, PhysicalMemory, page_align_down, page_align_up, pages_for
+from repro.hw.memory import PAGE_SIZE, PhysicalMemory, pages_for
 
 
 @pytest.fixture
@@ -11,9 +11,6 @@ def phys():
 
 
 def test_alignment_helpers():
-    assert page_align_down(0x1234) == 0x1000
-    assert page_align_up(0x1234) == 0x2000
-    assert page_align_up(0x1000) == 0x1000
     assert pages_for(1) == 1
     assert pages_for(PAGE_SIZE) == 1
     assert pages_for(PAGE_SIZE + 1) == 2

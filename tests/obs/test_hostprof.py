@@ -155,10 +155,11 @@ def test_render_table_and_collapsed_stacks():
         assert int(us) > 0
 
 
-def test_write_report_roundtrip(tmp_path):
+def test_report_json_roundtrip(tmp_path):
     import json
     path = tmp_path / "hostprof.json"
-    payload = _profiled_run().write_report(path)
+    payload = _profiled_run().report()
+    path.write_text(json.dumps(payload, indent=2))
     assert json.loads(path.read_text()) == payload
 
 

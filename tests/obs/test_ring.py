@@ -28,7 +28,7 @@ def test_indexing_and_slices():
     assert ring[-1] == 40
     assert ring[-2:] == [30, 40]
     assert ring[1:] == [30, 40]
-    assert ring.to_list() == [20, 30, 40]
+    assert list(ring) == [20, 30, 40]
 
 
 def test_index_out_of_range():

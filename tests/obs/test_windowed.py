@@ -1,24 +1,20 @@
-"""Windowed percentiles: determinism, rotation, the registry's view.
+"""Windowed percentiles: determinism, eviction, the registry's view.
 
 The SLO plane rests on :class:`~repro.obs.metrics.WindowedHistogram`
-being exactly reproducible — nearest-rank percentiles over cycle-aligned
-frames of the one fixed geometry (``WINDOWS`` frames of
-``WINDOW_CYCLES`` cycles), integer in, integer out.
+being exactly reproducible — nearest-rank percentiles over the last
+:data:`~repro.obs.metrics.WINDOW_SAMPLES` samples of a series, integer
+in, integer out.
 """
 
 from repro.obs.metrics import (
     EWMA_ALPHA,
     EWMA_MIN_SAMPLES,
     EWMA_THRESHOLD,
-    WINDOW_CYCLES,
-    WINDOWS,
+    WINDOW_SAMPLES,
     EwmaDetector,
     MetricsRegistry,
     WindowedHistogram,
 )
-
-#: one frame
-W = WINDOW_CYCLES
 
 
 # --------------------------------------------------------------------------- #
@@ -27,8 +23,8 @@ W = WINDOW_CYCLES
 
 def test_percentiles_are_deterministic_nearest_rank():
     hist = WindowedHistogram()
-    for i, v in enumerate(range(1, 101)):    # 1..100, one per cycle
-        hist.observe(v, i)
+    for v in range(1, 101):                  # 1..100
+        hist.observe(v)
     assert hist.quantile(0.50) == 50
     assert hist.quantile(0.95) == 95
     assert hist.quantile(0.99) == 99
@@ -45,48 +41,45 @@ def test_single_value_and_empty_edge_cases():
     assert hist.quantile(0.99) is None
     assert hist.quantiles() == {"count": 0, "p50": None, "p95": None,
                                 "p99": None}
-    hist.observe(42, 0)
+    hist.observe(42)
     assert hist.quantile(0.5) == hist.quantile(0.99) == 42
 
 
 def test_identical_streams_produce_identical_summaries():
     def run():
         hist = WindowedHistogram()
-        for i in range(200):                 # ~6 frames: some rotate out
-            hist.observe((i * 7919) % 1000, i * 13 * W // 500)
+        for i in range(200):                 # more than a window: evicts
+            hist.observe((i * 7919) % 1000)
         return hist.quantiles()
 
     assert run() == run()
 
 
 # --------------------------------------------------------------------------- #
-# rotation at exact cycle boundaries
+# the window: the last WINDOW_SAMPLES samples
 # --------------------------------------------------------------------------- #
 
-def test_frames_rotate_at_exact_cycle_boundaries():
-    assert (WINDOW_CYCLES, WINDOWS) == (2_000_000, 4)
+def test_the_sample_past_a_full_window_evicts_the_oldest():
+    assert WINDOW_SAMPLES == 128
     hist = WindowedHistogram()
-    hist.observe(1, 0)
-    hist.observe(2, W - 1)      # same frame: [0, W)
-    assert hist.values() == [1, 2]
-    hist.observe(3, W)          # first cycle of frame 1 — a new frame,
-    assert hist.values() == [1, 2, 3]     # but frame 0 is still retained
-    hist.observe(4, 3 * W)      # frame 3: the last frame that keeps 0
-    assert hist.values() == [1, 2, 3, 4]
-    hist.observe(5, 4 * W)      # frame 4: frame 0 slides out exactly now
-    assert hist.values() == [3, 4, 5]
-    assert hist.count == 3
+    hist.observe(10**9)                      # the oldest: a cold start
+    for _ in range(WINDOW_SAMPLES - 1):
+        hist.observe(1)
+    assert hist.count == WINDOW_SAMPLES
+    assert hist.quantile(1.0) == 10**9       # still in the window
+    hist.observe(1)                          # sample 129
+    assert hist.count == WINDOW_SAMPLES
+    assert hist.quantile(1.0) == 1           # the cold start aged out
 
 
-def test_values_view_filters_by_the_asking_cycle():
+def test_p99_over_a_full_window_is_not_the_max():
     hist = WindowedHistogram()
-    hist.observe(10, W // 2)              # frame 0
-    hist.observe(20, 3 * W + W // 2)      # frame 3
-    assert hist.values(cycle=4 * W - 1) == [10, 20]
-    # asked "as of" frame 4, frame 0 is out of window even though the
-    # store hasn't rotated yet (no observation landed in frame 4)
-    assert hist.values(cycle=4 * W) == [20]
-    assert hist.quantile(0.5, cycle=4 * W) == 20
+    for v in range(1, WINDOW_SAMPLES + 1):   # 1..128
+        hist.observe(v)
+    # nearest rank: ceil(0.99 * 128) = 127th of 128
+    assert hist.quantiles() == {"count": 128, "p50": 64, "p95": 122,
+                                "p99": 127}
+    assert hist.quantile(0.99) < hist.quantile(1.0) == WINDOW_SAMPLES
 
 
 # --------------------------------------------------------------------------- #
@@ -99,18 +92,15 @@ def test_registry_windowed_series_snapshot():
     lat = registry.windowed["lat"] = {"tenant=a": WindowedHistogram(),
                                       "tenant=b": WindowedHistogram()}
     registry.windowed["empty"] = {}
-    for i, v in enumerate([10, 20, 30, 40]):
-        lat["tenant=a"].observe(v, i * 10)
-    lat["tenant=b"].observe(99, 5)
+    for v in [10, 20, 30, 40]:
+        lat["tenant=a"].observe(v)
+    lat["tenant=b"].observe(99)
     snap = registry.snapshot()
     assert list(snap["windowed"]) == ["lat"]    # no series, no section
     series = snap["windowed"]["lat"]
-    assert series["tenant=a"]["count"] == 4
-    assert series["tenant=a"]["p50"] == 20
+    assert series["tenant=a"] == {"count": 4, "p50": 20, "p95": 40,
+                                  "p99": 40}
     assert series["tenant=b"]["p99"] == 99
-    # each series is self-describing: its window geometry rides along
-    assert series["tenant=a"]["window_cycles"] == 2_000_000
-    assert series["tenant=a"]["windows"] == 4
 
 
 def test_plain_snapshot_shape_untouched_by_windowed_series():

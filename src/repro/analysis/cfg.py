@@ -102,21 +102,6 @@ class ControlFlowGraph:
     def aligned(self, va: int) -> bool:
         return (va - self.section_va) % INSTR_SIZE == 0
 
-    def reachable_from(self, entry: int) -> set[int]:
-        """Block VAs reachable from ``entry`` along recovered edges."""
-        out: dict[int, list[int]] = {}
-        for e in self.edges:
-            out.setdefault(e.src, []).append(e.dst)
-        seen: set[int] = set()
-        work = [entry] if entry in self.blocks else []
-        while work:
-            va = work.pop()
-            if va in seen:
-                continue
-            seen.add(va)
-            work.extend(d for d in out.get(va, ()) if d in self.blocks)
-        return seen
-
 
 class CfgDecodeError(InvalidOpcode):
     """The section is not a clean aligned instruction stream."""

@@ -65,11 +65,6 @@ class RunResult:
             return 0.0
         return self.events.get(event, 0) / self.run_seconds
 
-    @property
-    def total_exit_rate(self) -> float:
-        return (self.rate("page_fault") + self.rate("timer_interrupt")
-                + self.rate("ve"))
-
 
 class WorkloadRunner:
     """Builds a machine per run and drives one client session."""

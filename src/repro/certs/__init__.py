@@ -113,28 +113,12 @@ def bind_report_data(body_sha256: str) -> bytes:
 
 
 def serialize_certificate(cert: dict) -> str:
-    """Byte-stable file form: sorted keys, indent 2, trailing newline.
+    """Byte-stable file form: :func:`canonical_json` plus a newline.
 
     Two seeded fleet runs must write byte-identical certificate files —
     the CI job diffs them — so the on-disk form is pinned here.
     """
-    return json.dumps(cert, indent=2, sort_keys=True) + "\n"
-
-
-def serialized_size(cert: dict) -> int:
-    """``len(serialize_certificate(cert))`` from the C encoder's one-line
-    form plus the indent: a non-empty container at depth d with n items
-    adds a newline and 2d+2 spaces per item, and 2d+1 before its close."""
-    size = len(json.dumps(cert, sort_keys=True, separators=(",", ": "))) + 1
-    stack = [(cert, 0)]
-    while stack:
-        node, depth = stack.pop()
-        items = node.values() if isinstance(node, dict) else node
-        if items:
-            size += len(items) * (2 * depth + 3) + 2 * depth + 1
-        stack.extend((item, depth + 1) for item in items
-                     if isinstance(item, (dict, list, tuple)))
-    return size
+    return canonical_json(cert) + "\n"
 
 
 def load_certificate(path) -> dict:
@@ -164,7 +148,7 @@ __all__ = [
     "CertificateVerifier", "REFS_FORMAT", "REPORT_DATA_LEN",
     "REPORT_DATA_PREFIX", "TAMPERS", "VerifyResult", "bind_report_data",
     "body_digest", "canonical_json", "load_certificate", "published_refs",
-    "serialize_certificate", "serialized_size", "sha256_hex",
+    "serialize_certificate", "sha256_hex",
     "tamper_certificate", "verify_certificate", "write_certificates",
 ]
 

@@ -44,7 +44,6 @@ from . import (
     body_digest,
     canonical_json,
     serialize_certificate,
-    serialized_size,
     sha256_hex,
 )
 from .verify import CERTIFIABLE_OUTCOMES
@@ -261,7 +260,8 @@ class CertificateIssuer:
             if metrics.enabled:   # sizing is a JSON encode
                 metrics.inc("erebor_certs_issued_total",
                             tenant=session.tenant)
-                metrics.observe("erebor_certs_bytes", serialized_size(cert))
+                metrics.observe("erebor_certs_bytes",
+                                len(serialize_certificate(cert)))
         return certs
 
 

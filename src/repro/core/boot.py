@@ -127,15 +127,6 @@ def erebor_boot(machine: CvmMachine, *,
             machine.tdx.build_load("erebor-monitor", monitor_binary())
             machine.tdx.finalize()
     monitor = EreborMonitor(machine, features, cma_bytes=cma_bytes)
-    # host-plane fast paths (superblock dispatch; the paging-structure
-    # cache and the MMU's span walk): simulated ledgers are
-    # byte-identical on or off; the toggle exists for the lockstep
-    # oracle tests and A/B speed benchmarks
-    fast = monitor.features.translation_cache
-    machine.cpu.tcache.enabled = fast
-    machine.phys.psc_enabled = fast
-    if not fast:
-        machine.cpu.tcache.flush()
     monitor.install()
 
     # --- stage 2: verify + load the kernel ------------------------------

@@ -68,12 +68,6 @@ class EreborFeatures:
     ``dataflow_verifier`` gates the stage-3 abstract-interpretation plane
     (:mod:`repro.analysis.absint`, checks V8–V10) layered on the CFG
     pass; it is inert unless ``cfg_verifier`` is also on.
-
-    ``translation_cache`` gates the host-plane fast paths only (superblock
-    dispatch, :mod:`repro.hw.translate`; the paging-structure cache and
-    the MMU's span walk, ``PhysicalMemory.psc_enabled``): simulated
-    cycle ledgers, digests and certificates are byte-identical either
-    way; off exists for lockstep oracle tests and A/B speed benchmarks.
     """
 
     mmu_isolation: bool = True
@@ -81,7 +75,6 @@ class EreborFeatures:
     uarch_model: bool = True
     cfg_verifier: bool = True
     dataflow_verifier: bool = True
-    translation_cache: bool = True
 
 
 class MonitorStats:
@@ -465,9 +458,6 @@ class EreborMonitor:
 
     def return_cma_frames(self, frames: list[int]) -> None:
         self._cma_pool.give(frames)
-
-    def shared_io_window(self) -> list[int]:
-        return list(self._shared_io)
 
     # ------------------------------------------------------------------ #
     # sandbox facade (implementation in sandbox.py / channel.py)

@@ -366,10 +366,9 @@ def build_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     for offline verification. Issuance charges zero simulated cycles, so
     seeded report digests are identical with it on or off.
 
-    ``features`` (:class:`~repro.core.monitor.EreborFeatures`) is passed
-    through to :func:`~repro.core.boot.erebor_boot` — e.g.
-    ``translation_cache=False`` runs the fully interpreted simulator for
-    A/B digest checks.
+    ``features`` (:class:`~repro.core.monitor.EreborFeatures`, the §9
+    ablation switches) is passed through to
+    :func:`~repro.core.boot.erebor_boot`.
 
     ``static_budget_admission`` plugs the boot-time V10
     :class:`~repro.analysis.absint.StaticBudget` into a copy of the

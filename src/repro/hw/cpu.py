@@ -259,11 +259,11 @@ class Cpu:
         return instr
 
     def _step_counted(self) -> int:
-        """One interpreted step inside a translated burst.
+        """One interpreted :meth:`step` inside a translated burst.
 
-        Mirrors the single-step loop's fault contract: on any hardware
-        fault the retired count includes the faulting attempt and ``rip``
-        is left at the faulting instruction for delivery.
+        On a halt or any hardware fault the retired count includes the
+        attempt, and a fault leaves ``rip`` at the faulting instruction
+        for delivery.
         """
         va = self.rip
         self._burst_retired = 0
@@ -362,39 +362,23 @@ class Cpu:
         """
         steps = 0
         self._halted = False
-        translated = self.tcache.enabled
         try:
             with self.clock.on_cpu(self.cpu_id):
                 while not self._halted and steps < max_steps:
-                    if translated:
-                        try:
-                            steps += self._translated_burst(max_steps - steps)
-                        except CpuHalt:
-                            self._halted = True
-                            steps += self._burst_retired
-                        except HardwareFault as fault:
-                            steps += self._burst_retired
-                            if not deliver_faults:
-                                raise
-                            # rip already points at the faulting instruction
-                            self.deliver(fault.vector, fault=fault)
-                        except SimulatorError:
-                            steps += self._burst_retired
-                            raise
-                        continue
-                    start_rip = self.rip
                     try:
-                        self.step()
+                        steps += self._translated_burst(max_steps - steps)
                     except CpuHalt:
                         self._halted = True
+                        steps += self._burst_retired
                     except HardwareFault as fault:
-                        self.rip = start_rip  # fault rip points at the faulting instr
-                        steps += 1
+                        steps += self._burst_retired
                         if not deliver_faults:
                             raise
+                        # rip already points at the faulting instruction
                         self.deliver(fault.vector, fault=fault)
-                        continue
-                    steps += 1
+                    except SimulatorError:
+                        steps += self._burst_retired
+                        raise
         finally:
             self.retired = steps
         if steps >= max_steps and not self._halted:

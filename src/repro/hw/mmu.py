@@ -219,9 +219,8 @@ class Mmu:
         declines (None), the page after the ones it returns, a huge (PS)
         leaf, a present span with mixed flags, a frame outside memory, a
         denial or an A/D update, and every page of a stride that is not
-        whole pages. With the paging-structure cache off
-        (``PhysicalMemory.psc_enabled``, the ``translation_cache=False``
-        configuration) every page is visited, as the per-page reference.
+        whole pages. When ``_spans`` declines the stride, every page is
+        visited, as the per-page reference.
 
         ``passed`` counts the pages passed since the previous callback.
         Nothing is kept across calls: every walk reads the live table
@@ -272,7 +271,7 @@ class Mmu:
         passed = seen = 0       # pages passed; those reported to a callback
         step = stride >> 12
         #: pages below this go to ``visit``
-        slow_end = va if phys.psc_enabled and _spans(stride) else end
+        slow_end = va if _spans(stride) else end
         try:
             while va < end:
                 if va < slow_end:

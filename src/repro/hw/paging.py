@@ -182,7 +182,7 @@ class AddressSpace:
         the hit is exact whatever happened to frames in between.
         """
         key = va >> 21
-        e = self._psc.get(key) if self.phys.psc_enabled else None
+        e = self._psc.get(key)
         if e is not None:
             huge, tab_fn, rf, e2_off, e2_img, lf, e1_off, e1_head, e1_tail = e
             rd = rf.data
@@ -328,25 +328,3 @@ class AddressSpace:
     def mapped_frame(self, va: int) -> int | None:
         hit = self.translate(va)
         return None if hit is None else hit[0] >> PAGE_SHIFT
-
-    def mapped_ranges(self) -> list[tuple[int, int]]:
-        """Enumerate ``(va, pte)`` for every present leaf (test/debug helper)."""
-        out = []
-        for i2 in range(ENTRIES_PER_TABLE):
-            e2 = self._table_entry(self.root_fn, i2)
-            if not e2 & PTE_P:
-                continue
-            fn1 = pte_frame(e2)
-            for i1 in range(ENTRIES_PER_TABLE):
-                e1 = self._table_entry(fn1, i1)
-                if not e1 & PTE_P:
-                    continue
-                fn0 = pte_frame(e1)
-                data = self.phys.frame(fn0).data
-                if data is None:
-                    continue
-                for i0 in range(ENTRIES_PER_TABLE):
-                    pte = int.from_bytes(data[i0 * 8:i0 * 8 + 8], "little")
-                    if pte & PTE_P:
-                        out.append(((i2 << 30) | (i1 << 21) | (i0 << 12), pte))
-        return out

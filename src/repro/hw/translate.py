@@ -118,7 +118,6 @@ class TranslationCache:
 
     def __init__(self, cpu: Cpu):
         self.cpu = cpu
-        self.enabled = True
         #: ``(root_fn, block_start_va)`` → block; read directly by the
         #: burst loop to chain blocks without a new ``acquire``
         self.blocks: dict[tuple[int, int], Superblock] = {}
@@ -137,9 +136,6 @@ class TranslationCache:
         """Host-plane counters, JSON-able (never in a digest preimage)."""
         return {"sb_exec": self.sb_exec, "sb_builds": self.sb_builds,
                 "sb_hits": self.sb_hits, "sb_cycles": self.sb_cycles}
-
-    def flush(self) -> None:
-        self.blocks.clear()
 
     # ------------------------------------------------------------------ #
     # acquisition

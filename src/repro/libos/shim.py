@@ -61,10 +61,6 @@ class SyscallShim:
             if name.startswith("sys_"):
                 self._table[name[4:]] = getattr(self, name)
 
-    @property
-    def supported(self) -> list[str]:
-        return sorted(self._table)
-
     def call(self, name: str, *args, **kwargs):
         handler = self._table.get(name)
         if handler is None:

@@ -443,10 +443,6 @@ class Tracer(NullTracer):
     def dropped(self) -> int:
         return self.events.dropped
 
-    @property
-    def open_depth(self) -> int:
-        return len(self._stack)
-
     def total_attributed(self) -> int:
         """Sum of folded self-cycles == total cycles under closed roots."""
         total = sum(self._fold_serial.values())

@@ -115,7 +115,7 @@ def test_reachability():
         I("nop"),
         I("ret"),
     ]), VA)
-    reachable = cfg.reachable_from(VA)
-    assert VA in reachable
-    assert VA + 2 * INSTR_SIZE in reachable
-    assert VA + INSTR_SIZE not in reachable
+    # the jmp's one successor is its target; no edge reaches the nop
+    assert [(e.src, e.dst) for e in cfg.edges if e.src == VA] == [
+        (VA, VA + 2 * INSTR_SIZE)]
+    assert all(e.dst != VA + INSTR_SIZE for e in cfg.edges)

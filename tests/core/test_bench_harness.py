@@ -44,7 +44,6 @@ def test_run_result_rates():
     runner = WorkloadRunner(scale=1.0)
     r = runner.run("helloworld", "erebor")
     assert r.rate("emc") == r.events["emc"] / r.run_seconds
-    assert r.total_exit_rate >= r.rate("timer_interrupt")
 
 
 # --- lmbench ------------------------------------------------------------------

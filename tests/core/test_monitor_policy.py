@@ -131,7 +131,7 @@ def test_mapgpa_outside_io_window_denied(system):
 
 
 def test_mapgpa_inside_io_window_allowed(system):
-    window = system.monitor.shared_io_window()
+    window = sorted(system.machine.phys.owned_by("shm-io"))
     system.monitor.ops.map_gpa(window[0], 2, shared=True)
     assert system.machine.tdx.is_shared(window[0])
 

@@ -32,6 +32,7 @@ from repro.hw.paging import (
 )
 from repro.kernel.process import PROT_READ, PROT_WRITE
 from repro.vm import CvmMachine, MachineConfig, MIB
+from tests.machine_state import present_leaves
 
 RW = PTE_P | PTE_W | PTE_U | PTE_NX
 RO = PTE_P | PTE_U | PTE_NX
@@ -118,7 +119,8 @@ def build(layout):
 
 def state(phys, clock, vmmu, spaces):
     return {
-        "ptes": [aspace.mapped_ranges() for aspace in spaces],
+        "ptes": [list(present_leaves(phys, aspace.root_fn))
+                 for aspace in spaces],
         "huge": spaces[0].get_pte(4 * HUGE_PAGE_SIZE),
         "tags": [(lane, list(tags.items()))
                  for lane, tags in clock.tags_by_cpu.items()],
@@ -207,8 +209,10 @@ def test_template_seal_sweep_matches_per_page_reference():
                                                             ranges)
     frames = system.monitor.seal_as_template(sandbox, "golden")
     assert frames == twin.monitor.seal_as_template(twin_sandbox, "golden")
-    assert (sandbox.task.aspace.mapped_ranges()
-            == twin_sandbox.task.aspace.mapped_ranges())
+    assert (list(present_leaves(system.machine.phys,
+                                sandbox.task.aspace.root_fn))
+            == list(present_leaves(twin.machine.phys,
+                                   twin_sandbox.task.aspace.root_fn)))
     clock, twin_clock = system.machine.clock, twin.machine.clock
     for ledger in ("tags_by_cpu", "events_by_cpu"):
         assert ([(lane, list(tags.items()))

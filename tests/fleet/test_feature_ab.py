@@ -1,28 +1,39 @@
 """Feature A/B on the seeded llama fleet: host-side features move no cycle.
 
-The translation cache, execution certificates and the armed obs plane
+The host fast paths, execution certificates and the armed obs plane
 (flight recorder + SLO histograms + anomaly detectors) only ever spend
 host time. Each A/B pair below runs the same seed with the feature on
 and off and requires the simulated outputs to be byte-identical: the
 report digest and the serve wall cycles, and with certificates on both
 sides, the certificate bodies and request trace-tree digests too. The
-armed run doubles as the host-profiler run, which must attribute at
-least ``MIN_HOSTPROF_COVERAGE`` of its window to named subsystems.
+fast paths are turned off by ``tests.reference.reference_paths()``,
+whose twin also compares the machine state, the host-visible wire and
+the plane totals. The armed run doubles as the host-profiler run, which
+must attribute at least ``MIN_HOSTPROF_COVERAGE`` of its window to named
+subsystems.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
 from repro.certs.verify import CertificateVerifier
-from repro.core.monitor import EreborFeatures
 from repro.fleet import SloConfig, build_fleet, run_fleet
 from repro.fleet.goldens import (
     LLAMA_FLEET_PARAMS,
+    LLAMA_PINNED,
+    LLAMA_PLANES,
+    LLAMA_STATE_PINNED,
+    LLAMA_WIRE_PINNED,
     SMP_PARAMS,
     SMP_PINNED,
     SMP_PLANES,
 )
 from repro.obs.hostprof import profile_fleet
 from repro.obs.reqtrace import RequestTraceIndex
+from tests.machine_state import machine_state_digest, wire_digest
+from tests.reference import reference_paths
+from tests.ticks import tick_runs
 
 #: floor on the armed run's host window the profiler must attribute
 MIN_HOSTPROF_COVERAGE = 0.90
@@ -33,10 +44,6 @@ ARMED_PARAMS = dict(flight=True,
                     anomaly=True)
 
 
-def cache(enabled):
-    return EreborFeatures(translation_cache=enabled)
-
-
 @pytest.fixture(scope="module")
 def bare(llama_report):
     return llama_report(LLAMA_FLEET_PARAMS["n_cpus"])
@@ -44,20 +51,25 @@ def bare(llama_report):
 
 @pytest.fixture(scope="module")
 def certified():
-    """One certificate-issuing run per translation-cache arm."""
+    """One certificate-issuing run on the host fast paths ("fast") and
+    one under `reference_paths()` ("reference")."""
     arms = {}
-    for enabled in (False, True):
-        fleet = build_fleet(features=cache(enabled), certificates=True,
-                            **LLAMA_FLEET_PARAMS)
-        fleet.scheduler.run(fleet.sessions)
-        report = fleet.report()
+    for name, arm in (("fast", nullcontext), ("reference", reference_paths)):
+        ticks = []
+        with arm(), tick_runs(ticks):
+            fleet = build_fleet(certificates=True, **LLAMA_FLEET_PARAMS)
+            fleet.scheduler.run(fleet.sessions)
+            report = fleet.report()
         machine = fleet.machine
         index = RequestTraceIndex.from_tracer(machine.clock.tracer,
                                               names=report.traces)
-        arms[enabled] = {
+        arms[name] = {
             "report": report,
             "certificates": fleet.certificates,
             "trace_digests": index.digests(),
+            "state": machine_state_digest(fleet.system),
+            "wire": wire_digest(fleet.system),
+            "ticks": ticks,
             "run_pages": machine.cpu.mmu.run_pages,
             "sb_exec": machine.cpu.tcache.sb_exec,
         }
@@ -74,33 +86,39 @@ def armed():
             "profiler": profiler}
 
 
-def test_translation_cache_changes_no_simulated_output(certified):
-    on, off = certified[True], certified[False]
-    assert on["report"].digest() == off["report"].digest()
-    assert (on["report"].serve_wall_cycles
-            == off["report"].serve_wall_cycles)
-    assert on["report"].total_cycles == off["report"].total_cycles
-    assert on["report"].certs == off["report"].certs
-    assert on["report"].certs
-    assert on["trace_digests"] == off["trace_digests"]
-    assert on["trace_digests"]
-    # the cache-on arm passed pages as spans in the MMU's walk; the off
-    # arm checked every page alone and used neither cache
-    assert on["run_pages"] > 0
-    assert off["run_pages"] == 0
-    assert off["sb_exec"] == 0
+def test_host_fast_paths_change_no_simulated_output(certified):
+    fast, ref = certified["fast"], certified["reference"]
+    assert fast["report"].digest() == ref["report"].digest() == LLAMA_PINNED
+    assert (fast["report"].serve_wall_cycles
+            == ref["report"].serve_wall_cycles)
+    assert fast["report"].total_cycles == ref["report"].total_cycles
+    assert fast["report"].certs == ref["report"].certs
+    assert fast["report"].certs
+    assert fast["trace_digests"] == ref["trace_digests"]
+    assert fast["trace_digests"]
+    assert fast["state"] == ref["state"] == LLAMA_STATE_PINNED
+    assert fast["wire"] == ref["wire"] == LLAMA_WIRE_PINNED
+    assert (fast["report"].ledger["planes"] == ref["report"].ledger["planes"]
+            == LLAMA_PLANES)
+    # the fast arm passed pages as spans in the MMU's walk; the reference
+    # arm checked every page alone, ran no superblock and booked every
+    # timer tick alone
+    assert fast["run_pages"] > 0
+    assert ref["run_pages"] == 0
+    assert ref["sb_exec"] == 0
+    assert ref["ticks"] and set(ref["ticks"]) == {1}
 
 
 @pytest.mark.parametrize("n_cpus", sorted(SMP_PINNED))
 def test_pinned_smp_fleet_is_identical_with_the_cache_off(n_cpus):
-    report, _ = run_fleet(features=cache(False), n_cpus=n_cpus,
-                          **SMP_PARAMS)
+    with reference_paths():
+        report, _ = run_fleet(n_cpus=n_cpus, **SMP_PARAMS)
     assert report.digest() == SMP_PINNED[n_cpus]
     assert report.ledger["planes"] == SMP_PLANES
 
 
 def test_certificates_cost_zero_cycles_and_verify_offline(bare, certified):
-    on = certified[True]
+    on = certified["fast"]
     assert on["report"].digest() == bare.digest()
     certificates = on["certificates"]
     assert len(certificates) == LLAMA_FLEET_PARAMS["clients"]

@@ -5,6 +5,7 @@ import pytest
 from repro.hw.errors import SimulatorError
 from repro.hw.memory import PAGE_SIZE, PhysicalMemory
 from repro.hw.paging import (
+    HUGE_PAGE_FRAMES,
     PTE_NX,
     PTE_P,
     PTE_U,
@@ -15,6 +16,7 @@ from repro.hw.paging import (
     pte_pkey,
     va_indices,
 )
+from tests.machine_state import present_leaves
 
 
 @pytest.fixture
@@ -101,10 +103,20 @@ def test_leaf_slot_physical_location_is_real(phys, aspace):
     assert not pte & PTE_W
 
 
-def test_mapped_ranges_enumerates(phys, aspace):
+def test_present_leaves_enumerates(phys, aspace):
     fns = [phys.alloc_frame("d") for _ in range(3)]
     for i, fn in enumerate(fns):
         aspace.map_page(0x40_0000 + i * PAGE_SIZE, fn, PTE_P | PTE_NX)
-    ranges = aspace.mapped_ranges()
+    ranges = list(present_leaves(phys, aspace.root_fn))
     assert len(ranges) == 3
     assert [va for va, _ in ranges] == [0x40_0000, 0x40_1000, 0x40_2000]
+
+
+def test_present_leaves_reads_a_huge_leaf_not_its_data(phys, aspace):
+    """A 2 MiB mapping is one leaf, its PS entry: the first word of the
+    data it maps is not read as a PTE, even when it looks like one."""
+    fn = HUGE_PAGE_FRAMES            # frame 0x200, 2 MiB-aligned
+    aspace.map_huge_page(0x80_0000, fn, PTE_W)
+    phys.write_u64(fn * PAGE_SIZE, 0x5001)
+    assert list(present_leaves(phys, aspace.root_fn)) == [
+        (0x80_0000, 0x200083)]

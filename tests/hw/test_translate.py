@@ -3,14 +3,15 @@
 Two obligations from the design:
 
 * **Lockstep oracle equivalence** — for every ISA opcode, a program run
-  with the translation cache and paging-structure cache *on* must be
-  observationally identical to the same program interpreted one `step()`
-  at a time with everything *off*: same registers, rip, flags, mode,
+  on the host fast paths (superblocks, their loop form and the
+  paging-structure cache) must be observationally identical to the same
+  program run under `tests.reference.reference_paths()`, where every
+  instruction goes through `step()` and every walk misses the
+  paging-structure cache: same registers, rip, flags, mode,
   retired-step count, cycle total, per-tag ledger, event counters and
   memory image. Faults (including faults delivered mid-superblock) must
-  land on the same instruction with the same state. A third arm runs
-  the cache on under `tests.reference.reference_paths()`, with the
-  loop form off, and must also match the cache-on arm's
+  land on the same instruction with the same state. A third arm turns
+  only the loop form off and must also match the fast arm's
   translation-cache counters.
 
 * **Invalidation** — a cached translation must never outlive the bytes
@@ -20,13 +21,14 @@ Two obligations from the design:
   flag flips and code-byte writes must all miss or fault exactly as a
   fresh page walk would.
 
-* **Speed** — on the CPU-bound path the cache targets, the cache-on arm
-  must be at least ``SPEED_FLOOR`` times faster than the fully
-  interpreted arm (``MEM_SPEED_FLOOR`` on a load/ALU/store loop), with
-  an identical machine state.
+* **Speed** — on the CPU-bound path the cache targets, the fast arm
+  must be at least ``SPEED_FLOOR`` times faster than the reference arm
+  (``MEM_SPEED_FLOOR`` on a load/ALU/store loop), with an identical
+  machine state.
 """
 
 import time
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -43,7 +45,13 @@ from repro.hw.errors import (
 )
 from repro.hw.isa import INSTR_SIZE, OPCODES, SENSITIVE_OPS, I
 from repro.hw.mmu import AccessContext, USER_MODE
-from repro.hw.paging import PTE_FRAME_MASK, PTE_NX, PTE_P, PTE_W
+from repro.hw.paging import (
+    PTE_FRAME_MASK,
+    PTE_NX,
+    PTE_P,
+    PTE_W,
+    AddressSpace,
+)
 from repro.hw.testbench import (
     IDT_VA,
     KERNEL_CODE_VA,
@@ -63,13 +71,6 @@ NEG1 = (1 << 64) - 1
 def at(i):
     """VA of instruction index ``i`` in a program loaded at K."""
     return K + i * INSTR_SIZE
-
-
-def make_machine(enabled, **kw):
-    m = MicroMachine(**kw)
-    m.cpu.tcache.enabled = enabled
-    m.phys.psc_enabled = enabled
-    return m
 
 
 def snapshot(m):
@@ -94,30 +95,34 @@ def snapshot(m):
 
 
 def lockstep(setup, *, run=None, expect=None):
-    """Run ``setup`` on a cache-off and a cache-on machine and compare,
-    and on a cache-on machine under `reference_paths()`.
+    """Run ``setup`` on the fast paths, under `reference_paths()` and
+    under `reference_paths("loop_form")`, and compare.
 
     ``run`` defaults to ``m.cpu.run()`` (to hlt, faults raised).
     ``expect`` is an exception type every run must raise. All three
-    arms reach the same outcome and snapshot, and both cache-on arms
-    the same four translation-cache counters. Returns the cache-on
-    machine for extra asserts.
+    arms reach the same outcome and snapshot; the reference arm retires
+    nothing from a superblock, and the loop-form arm matches the fast
+    arm's four translation-cache counters (the ledger carves
+    ``exec.superblock`` from ``sb_cycles``). Returns the fast machine
+    for extra asserts.
     """
-    off, off_steps = run_arm(False, setup, run, expect)
-    on, on_steps = run_arm(True, setup, run, expect)
+    on, on_steps = run_arm(setup, run, expect)
     with reference_paths():
-        ref, ref_steps = run_arm(True, setup, run, expect)
-    assert off_steps == on_steps == ref_steps
-    assert snapshot(off) == snapshot(on) == snapshot(ref)
-    assert on.cpu.tcache.stats() == ref.cpu.tcache.stats()
+        ref, ref_steps = run_arm(setup, run, expect)
+    with reference_paths("loop_form"):
+        loop, loop_steps = run_arm(setup, run, expect)
+    assert ref_steps == on_steps == loop_steps
+    assert snapshot(ref) == snapshot(on) == snapshot(loop)
+    assert ref.cpu.tcache.sb_exec == 0
+    assert on.cpu.tcache.stats() == loop.cpu.tcache.stats()
     return on
 
 
-def run_arm(enabled, setup, run=None, expect=None):
+def run_arm(setup, run=None, expect=None):
     """One arm of :func:`lockstep`: the machine and its step count (or the
     message of the ``expect`` exception it raised)."""
     run = run or (lambda m: m.cpu.run(deliver_faults=False))
-    m = make_machine(enabled)
+    m = MicroMachine()
     setup(m)
     if expect is None:
         return m, run(m)
@@ -413,7 +418,8 @@ def test_lockstep_ibt_violation():
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 4])
 def test_budget_tail_bisects_block(budget):
-    """run(max_steps=k) inside a block retires exactly k steps on both."""
+    """run(max_steps=k) inside a block retires exactly k steps on every
+    arm."""
     program = PROGRAMS["alu"]
 
     def partial(m):
@@ -425,12 +431,13 @@ def test_budget_tail_bisects_block(budget):
     assert on.cpu.rip == at(budget)
     # and resuming finishes identically (re-entry mid-block)
     snaps = []
-    for enabled in (False, True):
-        m = make_machine(enabled)
-        load_at_k(program)(m)
-        with pytest.raises(SimulatorError):
-            m.cpu.run(max_steps=budget)
-        m.cpu.run()
+    for arm in (reference_paths, nullcontext):
+        with arm():
+            m = MicroMachine()
+            load_at_k(program)(m)
+            with pytest.raises(SimulatorError):
+                m.cpu.run(max_steps=budget)
+            m.cpu.run()
         snaps.append(snapshot(m))
     assert snaps[0] == snaps[1]
 
@@ -596,8 +603,8 @@ BUDGET_LOOP = [
 def test_budget_runs_out_between_and_inside_chained_blocks(budget):
     """max_steps lands on every block boundary and every interior slot,
     every slot of the loop form's first, second and last pass among them;
-    the state there and after resuming to hlt matches the cache-off arm
-    and the reference arm."""
+    the state there and after resuming to hlt matches the reference arm
+    and the loop-form arm."""
     def partial(m):
         with pytest.raises(SimulatorError):
             m.cpu.run(max_steps=budget)
@@ -689,7 +696,7 @@ def test_data_page_fault_on_a_later_pass_delivered():
 
 
 # --------------------------------------------------------------------------- #
-# loop-form blocks: lockstep with the cache off and with the reference arm
+# loop-form blocks: lockstep with every fast path off and the loop form off
 # --------------------------------------------------------------------------- #
 
 def test_which_blocks_take_the_loop_form():
@@ -990,16 +997,16 @@ def assemble_pages(pages):
     return codes
 
 
-def run_random(enabled, pages):
+def run_random(pages):
     """Load both code pages writable, run, return the full outcome."""
-    m, result = random_machine(enabled, pages)
+    m, result = random_machine(pages)
     return result, m.cpu.retired, snapshot(m)
 
 
-def random_machine(enabled, pages):
+def random_machine(pages):
     """Load both code pages writable and run; returns the machine and the
     steps run or the name of the exception that ended the run."""
-    m = make_machine(enabled)
+    m = MicroMachine()
     m.map_data(D, pkey=1)
     m.map_data(D + PAGE, user=True)
     m.cpu.msrs[regs.IA32_GS_BASE] = D + 8
@@ -1027,21 +1034,25 @@ CORPUS = settings(derandomize=True, max_examples=400, deadline=None,
 @CORPUS
 @given(PROGRAM)
 def test_random_programs_run_in_lockstep(pages):
-    """Cache on vs off: same result or fault type, count, rip and state."""
-    assert run_random(True, pages) == run_random(False, pages)
+    """Fast paths vs `reference_paths()`: same result or fault type,
+    count, rip and state."""
+    fast = run_random(pages)
+    with reference_paths():
+        ref = run_random(pages)
+    assert fast == ref
 
 
 @CORPUS
 @given(PROGRAM)
 def test_random_programs_match_the_reference_arm(pages):
-    """Cache on, fast paths vs `reference_paths()`: the same outcome and
-    state, and the same four translation-cache counters."""
+    """Fast paths vs the loop form off: the same outcome and state, and
+    the same four translation-cache counters."""
     def outcome(m, result):
         return result, m.cpu.retired, snapshot(m), m.cpu.tcache.stats()
 
-    fast = outcome(*random_machine(True, pages))
-    with reference_paths():
-        ref = outcome(*random_machine(True, pages))
+    fast = outcome(*random_machine(pages))
+    with reference_paths("loop_form"):
+        ref = outcome(*random_machine(pages))
     assert fast == ref
 
 
@@ -1049,10 +1060,12 @@ def test_random_programs_match_the_reference_arm(pages):
 # speed: the cache pays for itself on a CPU-bound loop
 # --------------------------------------------------------------------------- #
 
-#: floor on the cache-on speedup (~11x measured on a shared 2-vCPU host)
+#: floor on the fast arm's speedup over `reference_paths()` (~11x
+#: measured on a shared 2-vCPU host)
 SPEED_FLOOR = 5.0
 
-#: alternating off/on timing rounds; each arm keeps its fastest round
+#: alternating reference/fast timing rounds; each arm keeps its fastest
+#: round
 SPEED_ROUNDS = 3
 
 LOOPS = 20_000
@@ -1073,7 +1086,7 @@ LOOP_PROGRAM = [
 ]
 
 
-#: floor on the cache-on speedup of a load/ALU/store loop, where every
+#: floor on the fast arm's speedup of a load/ALU/store loop, where every
 #: pass also pays two data accesses (~10x measured on a shared 2-vCPU host)
 MEM_SPEED_FLOOR = 6.0
 
@@ -1090,9 +1103,9 @@ MEM_LOOP_PROGRAM = [
 ]
 
 
-def timed_loop(enabled, program=LOOP_PROGRAM):
+def timed_loop(program=LOOP_PROGRAM):
     """One run of ``program``; returns (machine, steps, host seconds)."""
-    m = make_machine(enabled)
+    m = MicroMachine()
     m.map_data(D)
     m.load_code(K, program)
     m.cpu.rip = K
@@ -1102,14 +1115,17 @@ def timed_loop(enabled, program=LOOP_PROGRAM):
 
 
 def best_of_alternating(program):
-    """Min-of-``SPEED_ROUNDS`` host time per arm, off/on alternating."""
+    """Min-of-``SPEED_ROUNDS`` host time per arm, reference and fast
+    alternating; returns the reference arm's best run, then the fast
+    arm's."""
     best = {}
     for _ in range(SPEED_ROUNDS):
-        for enabled in (False, True):
-            run = timed_loop(enabled, program)
-            if enabled not in best or run[2] < best[enabled][2]:
-                best[enabled] = run
-    return best[False], best[True]
+        for arm in (reference_paths, nullcontext):
+            with arm():
+                run = timed_loop(program)
+            if arm not in best or run[2] < best[arm][2]:
+                best[arm] = run
+    return best[reference_paths], best[nullcontext]
 
 
 def test_cache_speeds_up_a_cpu_bound_loop_with_identical_state():
@@ -1142,16 +1158,16 @@ def test_cache_speeds_up_a_memory_loop_with_identical_state():
 @pytest.mark.parametrize("program", [LOOP_PROGRAM, MEM_LOOP_PROGRAM],
                          ids=["alu", "memory"])
 def test_speed_loops_match_the_reference_arm(program):
-    fast, fast_steps, _ = timed_loop(True, program)
-    with reference_paths():
-        ref, ref_steps, _ = timed_loop(True, program)
+    fast, fast_steps, _ = timed_loop(program)
+    with reference_paths("loop_form"):
+        ref, ref_steps, _ = timed_loop(program)
     assert fast_steps == ref_steps
     assert snapshot(fast) == snapshot(ref)
     assert fast.cpu.tcache.stats() == ref.cpu.tcache.stats()
 
 
 def count_hot_block_calls(monkeypatch, program):
-    """Run ``program`` with the cache on, counting the bursts and the calls
+    """Run ``program``, counting the bursts and the calls
     of the function of the block at ``at(2)``; returns the machine, the
     steps run, the burst count and the call count."""
     calls = []
@@ -1169,7 +1185,7 @@ def count_hot_block_calls(monkeypatch, program):
         return counted
 
     monkeypatch.setattr(cpu_module, "_compile_block", compile_counted)
-    m = make_machine(True)
+    m = MicroMachine()
     m.map_data(D)
     m.load_code(K, program)
     m.cpu.rip = K
@@ -1184,16 +1200,17 @@ def count_hot_block_calls(monkeypatch, program):
 def test_memory_loop_enters_its_hot_block_once_per_burst(monkeypatch):
     """The loop form runs MEM_LOOP_PROGRAM's self-looping block (passes
     2..LOOPS) in one call of its function, where the reference arm calls
-    it once a pass; the state matches the speed-floor test's cache-off
-    arm."""
+    it once a pass with the loop form off; the state matches the
+    speed-floor test's reference arm."""
     on, steps, bursts, calls = count_hot_block_calls(monkeypatch,
                                                      MEM_LOOP_PROGRAM)
     # bursts: the prologue block, the loop, the hlt block
     assert calls == 1 and bursts == 3
-    off, off_steps, _ = timed_loop(False, MEM_LOOP_PROGRAM)
+    with reference_paths():
+        off, off_steps, _ = timed_loop(MEM_LOOP_PROGRAM)
     assert steps == off_steps == 2 + 6 * LOOPS + 1
     assert snapshot(on) == snapshot(off)
-    with reference_paths():
+    with reference_paths("loop_form"):
         ref, _, ref_bursts, ref_calls = count_hot_block_calls(
             monkeypatch, MEM_LOOP_PROGRAM)
     assert ref_calls == LOOPS - 1 and ref_bursts == 3
@@ -1205,15 +1222,37 @@ def test_memory_loop_enters_its_hot_block_once_per_burst(monkeypatch):
 # --------------------------------------------------------------------------- #
 
 def test_disabled_cache_retires_nothing_from_blocks():
-    m = make_machine(False)
-    m.load_code(K, PROGRAMS["back_loop"])
-    m.cpu.rip = K
-    m.cpu.run()
-    assert m.cpu.tcache.sb_exec == 0
+    with reference_paths("superblocks"):
+        m = MicroMachine()
+        m.load_code(K, PROGRAMS["back_loop"])
+        m.cpu.rip = K
+        m.cpu.run()
+    assert set(m.cpu.tcache.stats().values()) == {0}
+
+
+def test_reference_psc_arm_walks_every_lookup(monkeypatch):
+    """With the paging-structure cache on, a repeated check hits the
+    walk its mapping cached; under its reference arm each check walks
+    the tables again and refills the cache."""
+    fills = []
+    fill = AddressSpace._fill_psc
+    monkeypatch.setattr(AddressSpace, "_fill_psc",
+                        lambda aspace, key, *walk: fills.append(key)
+                        or fill(aspace, key, *walk))
+    counts = []
+    for arm in (nullcontext, lambda: reference_paths("psc")):
+        m = MicroMachine()
+        m.map_data(D)
+        fills.clear()
+        with arm():
+            for _ in range(3):
+                m.cpu.mmu.check(m.aspace, D, "read", AccessContext())
+        counts.append(len(fills))
+    assert counts == [0, 3]
 
 
 def test_code_byte_write_invalidates_block():
-    m = make_machine(True)
+    m = MicroMachine()
     m.load_code(K, [I("movi", "rax", imm=1), I("hlt")])
     m.cpu.rip = K
     m.cpu.run()
@@ -1226,7 +1265,7 @@ def test_code_byte_write_invalidates_block():
 
 
 def test_code_page_remap_invalidates_block():
-    m = make_machine(True)
+    m = MicroMachine()
     m.load_code(K, [I("movi", "rax", imm=1), I("hlt")])
     m.cpu.rip = K
     m.cpu.run()
@@ -1254,7 +1293,7 @@ class TestTlbInvalidation:
     cache on."""
 
     def setup_method(self):
-        self.m = make_machine(True)
+        self.m = MicroMachine()
         self.mmu = self.m.cpu.mmu
         self.ctx = AccessContext()
 

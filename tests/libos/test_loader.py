@@ -1,8 +1,10 @@
 """Program loader tests: real code running inside the sandbox boundary."""
 
+from contextlib import nullcontext
+
 import pytest
 
-from repro.core import EreborFeatures, PolicyViolation, erebor_boot
+from repro.core import PolicyViolation, erebor_boot
 from repro.hw import regs
 from repro.hw.errors import GeneralProtectionFault, PageFault
 from repro.hw.isa import I
@@ -17,6 +19,7 @@ from repro.libos.loader import (
     run_program,
 )
 from repro.vm import CvmMachine, MachineConfig, MIB
+from tests.reference import reference_paths
 
 RESULT_VA = PROG_DATA_VA  # programs write their result at .data start
 
@@ -63,7 +66,8 @@ def test_program_executes_and_writes_result(rig):
 
 
 def test_run_program_returns_the_retired_count_on_both_paths():
-    """The clean ``hlt`` exit returns the hand count, cache on or off."""
+    """The clean ``hlt`` exit returns the hand count, on the host fast
+    paths and under ``reference_paths()``."""
     words = 3
     counter = build_user_program([
         I("movi", "rcx", imm=words),        # 1
@@ -73,17 +77,20 @@ def test_run_program_returns_the_retired_count_on_both_paths():
         I("jnz", imm=PROG_CODE_VA + 2 * 12),
         I("hlt"),                           # 1: the exit trap counts
     ], data=b"\x00" * 64)
-    counts = []
-    for fast in (False, True):
-        machine = CvmMachine(MachineConfig(memory_bytes=512 * MIB))
-        system = erebor_boot(machine, cma_bytes=64 * MIB,
-                             features=EreborFeatures(translation_cache=fast))
-        libos = LibOs.boot_sandboxed(
-            system, Manifest(name="count", heap_bytes=1 * MIB),
-            confined_budget=8 * MIB)
-        counts.append(run_program(libos, load_program(libos, counter),
-                                  max_steps=1_000))
+    counts, sb_exec = [], []
+    for arm in (reference_paths, nullcontext):
+        with arm():
+            machine = CvmMachine(MachineConfig(memory_bytes=512 * MIB))
+            system = erebor_boot(machine, cma_bytes=64 * MIB)
+            libos = LibOs.boot_sandboxed(
+                system, Manifest(name="count", heap_bytes=1 * MIB),
+                confined_budget=8 * MIB)
+            counts.append(run_program(libos, load_program(libos, counter),
+                                      max_steps=1_000))
+        sb_exec.append(machine.cpu.tcache.sb_exec)
     assert counts == [2 + 3 * words + 1] * 2
+    # the reference arm retired every instruction through Cpu.step
+    assert sb_exec[0] == 0 < sb_exec[1]
 
 
 def test_program_cannot_write_its_own_code(rig):

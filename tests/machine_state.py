@@ -32,8 +32,9 @@ from repro.obs.export import chrome_trace, prometheus_text
 _ZERO = bytes(PAGE_SIZE)
 
 
-def _present_leaves(phys, root_fn: int):
-    """``(va, pte)`` of every present leaf under ``root_fn``, in VA order."""
+def present_leaves(phys, root_fn: int):
+    """``(va, pte)`` of every present leaf under ``root_fn``, in VA order;
+    a 2 MiB mapping yields its one PS entry."""
     read = phys.read_u64
     for i2 in range(ENTRIES_PER_TABLE):
         e2 = read((root_fn << 12) + i2 * 8)
@@ -62,7 +63,7 @@ def machine_state_digest(system) -> str:
     h = hashlib.sha256()
     for root in sorted(monitor.vmmu.registered_roots):
         h.update(f"root {root}\n".encode())
-        for va, pte in _present_leaves(phys, root):
+        for va, pte in present_leaves(phys, root):
             h.update(f"{va:x} {pte:x}\n".encode())
     usage = phys.usage_by_owner()
     for tag in sorted(usage):

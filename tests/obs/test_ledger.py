@@ -31,6 +31,7 @@ from repro.obs.ledger import (
     verify_conservation,
 )
 from tests.machine_state import machine_state_digest, wire_digest
+from tests.reference import reference_paths
 from repro.obs.schema import check_ledger
 
 # --------------------------------------------------------------------------- #
@@ -191,13 +192,13 @@ def test_superblock_carve_moves_cycles_within_the_exec_plane():
 def test_interpreted_run_has_zero_superblock_plane():
     from repro.hw.testbench import KERNEL_CODE_VA, MicroMachine
     from repro.hw.isa import I
-    m = MicroMachine()
-    m.cpu.tcache.enabled = False
     body = [I("movi", "rax", imm=0)] + [I("addi", "rax", imm=1)] * 30 \
         + [I("hlt")]
-    m.load_code(KERNEL_CODE_VA, body)
-    m.cpu.rip = KERNEL_CODE_VA
-    m.cpu.run(deliver_faults=False)
+    with reference_paths("superblocks"):
+        m = MicroMachine()
+        m.load_code(KERNEL_CODE_VA, body)
+        m.cpu.rip = KERNEL_CODE_VA
+        m.cpu.run(deliver_faults=False)
     ledger = capture_ledger(m.clock, m)
     planes = ledger["lanes"]["cpu0"]["planes"]
     assert "exec.superblock" not in planes

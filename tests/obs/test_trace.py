@@ -59,9 +59,9 @@ def test_finish_closes_open_spans():
     tracer.span("a").__enter__()
     tracer.span("b").__enter__()
     clock.charge(50)
-    assert tracer.open_depth == 2
+    assert tracer.total_attributed() == 0     # no root has closed yet
     tracer.finish()
-    assert tracer.open_depth == 0
+    assert tracer.folded[("a", "b")] == 50
     assert tracer.total_attributed() == 50
 
 

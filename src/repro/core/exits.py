@@ -22,14 +22,8 @@ from ..hw.cycles import Cost
 from ..hw.memory import PAGE_SHIFT
 from ..hw.paging import make_pte
 from ..kernel.kernel import NO_FAULT_RUN, ExitPath, FaultRun, demand_flags
-from ..kernel.process import (
-    PROT_WRITE,
-    CowBacking,
-    SegmentationFault,
-    Task,
-    sandbox_owner,
-)
-from .policy import PolicyViolation, SandboxViolation
+from ..kernel.process import PROT_WRITE, CowBacking, Task, sandbox_owner
+from .policy import SandboxViolation
 
 if TYPE_CHECKING:
     from .monitor import EreborMonitor
@@ -210,25 +204,24 @@ class MonitorExitPath(ExitPath):
 
 
 class MonitorFaultRun(FaultRun):
-    """One pass over a run of ordinary demand faults of one task.
+    """One pass over the missing spans of one task's ``touch_pages`` call.
 
-    Takes every fault :meth:`GuestKernel.handle_page_fault` would resolve
-    on the OS path (not copy-on-write, not secure-paged), and keeps each
-    per-page step with a state effect, in order: the ``fault_log``
-    record, the VMA bound check and PTE (:meth:`GuestKernel.fault_pte`),
-    and the validated install (:meth:`NestedMmu.map_page`). The constant
-    per-fault costs — exception delivery, handler and iret, the exit
-    interposition, and three EMC round trips with their native PTE
-    writes — are deferred and booked as ``n`` times each by the same
-    charging code a single fault uses, in the order it first charges
-    them, so the clock's ledgers keep their insertion order.
-
-    A fault that fails books its partial charges with the run before the
-    denial or ``SegmentationFault``; pages installed before it stay.
+    Takes the leading pages of a span :meth:`GuestKernel.handle_page_fault`
+    would resolve on the OS path (not copy-on-write, not secure-paged),
+    and keeps each per-page step with a state effect, in order: the
+    ``fault_log`` record, the VMA bound check and demand PTE, and the
+    validated admission (:meth:`NestedMmu.admit_run`; the MMU writes the
+    PTEs). The constant per-fault costs — exception delivery, handler and
+    iret, the exit interposition, and three EMC round trips with their
+    native PTE writes — are deferred, and :meth:`flush` books them ``n``
+    times each by the same charging code a single fault uses, in the
+    order it first charges them, so the clock's ledgers keep their
+    insertion order. A page the run does not take, failing ones
+    included, goes to the handler after the run is flushed.
     """
 
     __slots__ = ("_exits", "_clock", "_kernel", "_vmmu", "_task", "_owner",
-                 "_sandbox", "_faults", "_mem_pages", "_vma", "_takes")
+                 "_sandbox", "_faults", "_mem_pages")
 
     def __init__(self, exits: MonitorExitPath, task: Task):
         monitor = exits.monitor
@@ -241,45 +234,6 @@ class MonitorFaultRun(FaultRun):
         self._owner = sandbox_owner(task)
         self._faults = 0
         self._mem_pages = 0
-        #: the VMA of the latest fault, and whether the run takes its
-        #: faults (one lookup per VMA, not per fault)
-        self._vma = None
-        self._takes = False
-
-    def fault(self, va: int, write: bool, mem_pages: int) -> bool:
-        vma = self._vma
-        if vma is None or not vma.start <= va < vma.start + vma.length:
-            vma = self._vma = self._task.find_vma(va)
-            self._takes = not self._exits._self_paged(self._sandbox, vma)
-        if not self._takes:
-            return False
-        if self._faults:
-            self._mem_pages += mem_pages
-        elif mem_pages:
-            # a new run: book the touches before it
-            self._clock.charge(mem_pages * Cost.MEM, "mem")
-        kernel = self._kernel
-        task = self._task
-        kernel.fault_log.append((task.pid, va, write))
-        done = self._faults
-        try:
-            pte = kernel.fault_pte(task, vma, va, write)
-        except SegmentationFault:
-            # the handler irets into the signal; no PTE was written
-            self._book(done + 1, irets=done + 1, emcs=3 * done)
-            raise
-        aspace = task.aspace
-        vmmu = self._vmmu
-        if aspace.root_fn not in vmmu.registered_roots:
-            vmmu.register_aspace(aspace)
-        try:
-            vmmu.map_page(aspace, va, pte)
-        except PolicyViolation as exc:
-            # denied inside its WRITE_PTE EMC: no PTE write, no iret
-            self._book(done + 1, irets=done, emcs=3 * done + 1)
-            raise self._exits.monitor._deny(exc)
-        self._faults = done + 1
-        return True
 
     def span(self, va: int, count: int, stride: int, write: bool,
              mem_pages: int, recheck,
@@ -291,16 +245,14 @@ class MonitorFaultRun(FaultRun):
         for a page past the first one refused, and, without ``held``,
         resolves only the first page, whose install builds the leaf
         table before the next page allocates."""
-        vma = self._vma
-        if vma is None or not vma.start <= va < vma.start + vma.length:
-            vma = self._vma = self._task.find_vma(va)
-            self._takes = not self._exits._self_paged(self._sandbox, vma)
-        if (not self._takes or vma is None or not 0 <= vma.pkey <= 15
+        task = self._task
+        vma = task.find_vma(va)
+        if (vma is None or self._exits._self_paged(self._sandbox, vma)
+                or not 0 <= vma.pkey <= 15
                 or write and not vma.prot & PROT_WRITE):
-            # the first page fails in fault() or is not the run's
+            # the first page fails in the handler or is not the run's
             return None
         count = min(count, (vma.start + vma.length - 1 - va) // stride + 1)
-        task = self._task
         aspace = task.aspace
         vmmu = self._vmmu
         phys = vmmu.phys
@@ -345,27 +297,22 @@ class MonitorFaultRun(FaultRun):
         return pte, frames
 
     def flush(self) -> None:
-        done = self._faults
-        if done:
-            self._book(done, irets=done, emcs=3 * done)
-
-    def _book(self, entries: int, *, irets: int, emcs: int) -> None:
-        """Charge ``entries`` fault entries with ``irets`` returns and
-        ``emcs`` MMU EMCs, the three native PTE writes of each completed
-        fault, and the MEM touches between the faults; empties the run."""
+        """Book the run's ``n`` faults, each with its iret, three MMU EMCs
+        and their native PTE writes, and the MEM touches between them;
+        empties the run."""
+        n = self._faults
+        if not n:
+            return
         clock = self._clock
-        ptes = 3 * self._faults
-        clock.count(("page_fault", self._owner), entries)
-        clock.charge(entries * (Cost.EXC_DELIVERY + Cost.PF_HANDLER_BASE)
-                     + irets * Cost.IRET, "pagefault")
+        clock.count(("page_fault", self._owner), n)
+        clock.charge(n * (Cost.EXC_DELIVERY + Cost.PF_HANDLER_BASE
+                          + Cost.IRET), "pagefault")
         exits = self._exits
-        exits._pagefault_exits(self._sandbox, entries)
-        if emcs:
-            exits.monitor.charge_emc_batch(Cost.VALIDATE_MMU, kind="mmu",
-                                           count=emcs)
-        if ptes:
-            clock.charge(ptes * Cost.PTE_WRITE_NATIVE, "mmu_op")
-            clock.count("pte_write", ptes)
+        exits._pagefault_exits(self._sandbox, n)
+        exits.monitor.charge_emc_batch(Cost.VALIDATE_MMU, kind="mmu",
+                                       count=3 * n)
+        clock.charge(3 * n * Cost.PTE_WRITE_NATIVE, "mmu_op")
+        clock.count("pte_write", 3 * n)
         if self._mem_pages:
             clock.charge(self._mem_pages * Cost.MEM, "mem")
             self._mem_pages = 0

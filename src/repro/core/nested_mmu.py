@@ -23,13 +23,11 @@ enforces the mapping policies that make Erebor's claims hold:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
-from operator import itemgetter
+from itertools import repeat
 
 from ..hw.cycles import Cost, CycleClock
-from ..hw.memory import PAGE_SHIFT, PhysicalMemory, frame_runs
+from ..hw.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory, frame_runs
 from ..hw.paging import (
     HUGE_PAGE_FRAMES,
     HUGE_PAGE_SIZE,
@@ -63,9 +61,11 @@ class CommonRegion:
     frames: list[int]
     writable: bool = True                 # initialization window open?
     initializer: int | None = None        # sandbox id that may populate it
-    #: (aspace, va) of every mapping made while the region was
-    #: writable, for write-revocation at lock
-    mappings: list[tuple[AddressSpace, int]] = field(default_factory=list)
+    #: every mapping made while the region was writable, for
+    #: write-revocation at lock, as runs ``(aspace, first_va, stride,
+    #: count)`` inside one leaf table each
+    mappings: list[tuple[AddressSpace, int, int, int]] = field(
+        default_factory=list)
 
     @property
     def size(self) -> int:
@@ -183,31 +183,22 @@ class NestedMmu:
                 self.confined_mapping.pop(pte_frame(old), None)
             aspace.clear_pte(va)
 
-    def map_page(self, aspace: AddressSpace, va: int, pte: int) -> None:
-        """Validate and install one present PTE without booking its write.
-
-        The policy checks and the install of :meth:`write_pte`; a fault
-        run (:class:`repro.core.exits.MonitorFaultRun`) books the PTE
-        writes of its whole run at once.
-        """
-        self._validate_mapping(aspace, va, pte)
-        self._set_pte(aspace, va, pte)
-
     def admit_run(self, aspace: AddressSpace, va: int, stride: int, pte: int,
                   fns) -> int:
-        """:meth:`map_page`'s policy checks and single-mapping records,
+        """:meth:`write_pte`'s policy checks and single-mapping records,
         without the install, for the pages ``va, va + stride, …`` (both
-        whole pages) mapping the frames ``fns`` in order, each with the
-        flags of ``pte`` (which carries no frame). The caller writes the
-        PTEs into the leaf table (see :meth:`repro.hw.mmu.Mmu.check_run`).
+        whole pages, in one leaf table) mapping the frames ``fns`` in
+        order, each with the flags of ``pte`` (which carries no frame).
+        The caller writes the PTEs into the leaf table (see
+        :meth:`repro.hw.mmu.Mmu.check_run`).
 
-        Admits the pages before the first one :meth:`map_page` would
+        Admits the pages before the first one :meth:`write_pte` would
         refuse, with the same effects in the same order, and returns how
-        many it admitted; the refused page is left to :meth:`map_page`,
-        which refuses it. The owner rules are decided once per owner
-        extent the frames lie in; the frame-keyed rules (type flags,
-        templates, confinement) look only at the frames their tables
-        name.
+        many it admitted; the refused page is left to the per-fault
+        handler, whose :meth:`write_pte` refuses it. The owner rules are
+        decided once per owner extent the frames lie in; the frame-keyed
+        rules (type flags, templates, confinement) look only at the
+        frames their tables name.
         """
         n = len(fns)
         if not n:
@@ -280,8 +271,8 @@ class NestedMmu:
                 records[fn] = mapping
         for region, a, b in regions:
             if a < n:
-                region.mappings.extend(zip(repeat(aspace), range(
-                    va + a * stride, va + min(b, n) * stride, stride)))
+                region.mappings.append(
+                    (aspace, va + a * stride, stride, min(b, n) - a))
         self.confined_mapping.update(records)
         return n
 
@@ -350,7 +341,7 @@ class NestedMmu:
         if region is not None and region.writable and pte & PTE_P:
             # a sealed region refuses writable mappings, so the
             # read-only ones made after the seal need no revocation
-            region.mappings.append((aspace, va & ~0xFFF))
+            region.mappings.append((aspace, va & ~0xFFF, PAGE_SIZE, 1))
 
     # ------------------------------------------------------------------ #
     # huge pages and forced splitting (paper §7 future work)
@@ -415,40 +406,32 @@ class NestedMmu:
         sweep (the paper's batched-MMU-update optimization), with per-PTE
         native write costs booked as one charge.
 
-        The sweep groups the recorded mappings by address space and leaf
-        table once and handles each table in one pass: its entries are
-        read in one slice, the owner test is made once for the frames
-        they map when those lie in one owner extent, and the cleared W
-        bits go back in one slice write. It clears W only on entries that
-        are present, writable and still map a frame of this region: a VA
-        unmapped from the region may map other memory by now. The record
-        is dropped afterwards, since a sealed region refuses writable
-        mappings and so records none.
+        The sweep handles each recorded run in one pass over its leaf
+        table: its entries are read in one slice, the owner test is made
+        once for the frames they map when those lie in one owner extent,
+        and the cleared W bits go back in one slice write. It clears W
+        only on entries that are present, writable and still map a frame
+        of this region: a VA unmapped from the region may map other
+        memory by now. The record is dropped afterwards, since a sealed
+        region refuses writable mappings and so records none.
         """
         region = self.common_regions[name]
         region.writable = False
         owner = f"common:{name}"
-        spaces: dict[AddressSpace, list[int]] = {}
-        for aspace, group in groupby(region.mappings, key=itemgetter(0)):
-            spaces.setdefault(aspace, []).extend(map(itemgetter(1), group))
         rewritten = 0
-        for aspace, vas in spaces.items():
-            vas.sort()
-            i = 0
-            while i < len(vas):
-                j = bisect_left(vas, ((vas[i] >> 21) + 1) << 21, i)
-                rewritten += self._seal_table(aspace, vas[i:j], owner)
-                i = j
+        for aspace, va, stride, count in region.mappings:
+            rewritten += self._seal_table(
+                aspace, range(va, va + count * stride, stride), owner)
         region.mappings.clear()
         if rewritten:
             self.clock.charge(rewritten * Cost.PTE_WRITE_NATIVE, "mmu_op")
         return rewritten
 
-    def _seal_table(self, aspace: AddressSpace, vas: list[int],
+    def _seal_table(self, aspace: AddressSpace, vas: range,
                     owner: str) -> int:
-        """Clear W on the present, writable entries of the one leaf table
-        that maps ``vas`` whose frames ``owner`` owns; returns how many
-        (a VA recorded twice finds W already cleared)."""
+        """Clear W on the present, writable entries that map ``vas``, a
+        run inside one leaf table, whose frames ``owner`` owns; returns
+        how many (a VA recorded twice finds W already cleared)."""
         leaf = self._leaf_table(aspace, vas[0])
         if leaf is None:
             return 0
@@ -464,33 +447,34 @@ class NestedMmu:
                 table.version += 1
                 return 1
             return 0
-        first, last = (vas[0] >> 12) & 0x1FF, (vas[-1] >> 12) & 0x1FF
-        if len(set(vas)) == last - first + 1:
-            # every slot of first .. last, each recorded once or more
-            low = data[first * 8:last * 8 + 1:8]
-            if low.translate(_SEALABLE).count(1) == len(low):
-                fns = [(word & PTE_FRAME_MASK) >> 12 for word in
-                       table_words(data, first, len(low), 1)]
-                if (max(fns) < num_frames
-                        and phys.run_owner(min(fns), max(fns)) == owner):
-                    data[first * 8:last * 8 + 1:8] = low.translate(_CLEAR_W)
-                    table.version += len(low)
-                    return len(low)
-        words = table_words(data, 0, 512, 1)
-        hits = [slot for slot in {(va >> 12) & 0x1FF for va in vas}
-                if words[slot] & (PTE_P | PTE_W) == PTE_P | PTE_W]
+        first, step = (vas[0] >> 12) & 0x1FF, vas.step >> 12
+        entries = slice(first * 8, first * 8 + (len(vas) - 1) * step * 8 + 1,
+                        step * 8)
+        low = data[entries]
+        if low.translate(_SEALABLE).count(1) == len(low):
+            # every entry of the run: one owner test, one slice write
+            fns = [(word & PTE_FRAME_MASK) >> 12 for word in
+                   table_words(data, first, len(low), step)]
+            if (max(fns) < num_frames
+                    and phys.run_owner(min(fns), max(fns)) == owner):
+                data[entries] = low.translate(_CLEAR_W)
+                table.version += len(low)
+                return len(low)
+        words = table_words(data, first, len(low), step)
+        hits = [i for i, word in enumerate(words)
+                if word & (PTE_P | PTE_W) == PTE_P | PTE_W]
         if not hits:
             return 0
-        fns = [(words[slot] & PTE_FRAME_MASK) >> 12 for slot in hits]
+        fns = [(words[i] & PTE_FRAME_MASK) >> 12 for i in hits]
         if not (max(fns) < num_frames
                 and phys.run_owner(min(fns), max(fns)) == owner):
-            hits = [slot for slot, fn in zip(hits, fns)
+            hits = [i for i, fn in zip(hits, fns)
                     if fn < num_frames and phys.owner_of(fn) == owner]
             if not hits:
                 return 0
-        for slot in hits:
-            words[slot] &= ~PTE_W
-        store_table_words(data, 0, 1, words)
+        for i in hits:
+            words[i] &= ~PTE_W
+        store_table_words(data, first, step, words)
         table.version += len(hits)
         return len(hits)
 

@@ -108,25 +108,15 @@ class ExitPath:
 
 
 class FaultRun:
-    """Resolves a run of demand faults inside one ``touch_pages`` call.
+    """Resolves runs of missing pages inside one ``touch_pages`` call.
 
-    :meth:`fault` either declines a fault (returns False, nothing done)
-    or resolves it exactly as :meth:`GuestKernel.handle_page_fault`
-    would, deferring its clock charges; :meth:`flush` books what is
-    deferred. ``touch_pages`` flushes before anything can observe the
-    clock, so the ledger is the one per-fault handling leaves. This base
-    form declines every fault.
+    :meth:`span` resolves the leading pages of a missing span exactly as
+    :meth:`GuestKernel.handle_page_fault` would one at a time, deferring
+    their clock charges; :meth:`flush` books what is deferred. Every
+    other fault goes to the handler, after the caller flushes the run,
+    so the ledger is the one per-fault handling leaves. This base form
+    declines every span.
     """
-
-    def fault(self, va: int, write: bool, mem_pages: int) -> bool:
-        """Resolve the fault on page ``va`` and install its validated
-        PTE; returns whether the run took it.
-
-        ``mem_pages`` is the count of page touches since the previous
-        fault whose MEM charges the caller deferred; a run that takes the
-        fault books them too.
-        """
-        return False
 
     def span(self, va: int, count: int, stride: int, write: bool,
              mem_pages: int, recheck,
@@ -138,16 +128,17 @@ class FaultRun:
         without ``held``, into the table it builds once they are
         resolved, as the first page's install would.
 
-        Resolves the leading pages exactly as :meth:`fault` would one at a
-        time, and stops before the first page :meth:`fault` would not
-        resolve alone; the caller hands that page to :meth:`fault`. It
-        also stops after the first page ``recheck(pte, frames)`` (the
-        caller's re-check: how many of ``frames``, mapped with ``pte``'s
-        flags, it passes) refuses. ``mem_pages`` is as for
-        :meth:`fault`, and each later page of the span is one more
-        touch. Writes no PTE; returns None when the run declines the
-        span's first page, and then the caller hands :meth:`fault`
-        every page of it.
+        Stops before the first page the handler would not resolve as an
+        ordinary demand fault, or whose install the policy refuses; the
+        caller hands that page to the per-fault handler. It also stops
+        after the first page ``recheck(pte, frames)`` (the caller's
+        re-check: how many of ``frames``, mapped with ``pte``'s flags, it
+        passes) refuses. ``mem_pages`` is the count of page touches since
+        the previous fault whose MEM charges the caller deferred; the run
+        books them with its faults, and each later page of the span is
+        one more touch. Writes no PTE; returns None when the run declines
+        the span's first page, and then the caller hands every page of it
+        to the handler.
         """
         return None
 
@@ -160,7 +151,7 @@ NO_FAULT_RUN = FaultRun()
 
 def demand_flags(vma: Vma) -> int:
     """The flag bits of the PTE an ordinary demand fault on ``vma``
-    installs (see :meth:`GuestKernel.fault_pte`)."""
+    installs (see :meth:`GuestKernel.handle_page_fault`)."""
     flags = PTE_P | PTE_U
     if vma.prot & PROT_WRITE:
         flags |= PTE_W
@@ -465,31 +456,19 @@ class GuestKernel:
         self.fault_log.append((task.pid, va, write))
         self.clock.charge(Cost.PF_HANDLER_BASE, "pagefault")
         self.exit_path.on_pagefault(task, va, write)
-        try:
-            pte = self.fault_pte(task, vma, va, write)
-        except SegmentationFault:
+        if vma is None or write and not vma.prot & PROT_WRITE:
+            # the handler irets into the signal; no PTE is written
             self.clock.charge(Cost.IRET, "pagefault")
-            raise
-        self.ops.write_pte(task.aspace, va & ~(PAGE_SIZE - 1), pte)
+            raise SegmentationFault(
+                f"{task.name}: no VMA for {va:#x}" if vma is None
+                else f"{task.name}: write to read-only {va:#x}")
+        fn = vma.backing.frame_for(vma.page_index(va), self.phys,
+                                   task.owner_tag)
+        self.ops.write_pte(task.aspace, va & ~(PAGE_SIZE - 1),
+                           make_pte(fn, demand_flags(vma), vma.pkey))
         # ancillary MMU updates on the fault path (A/D bits, upper levels)
         self.ops.mmu_housekeeping(2)
         self.clock.charge(Cost.IRET, "pagefault")
-
-    def fault_pte(self, task: Task, vma: Vma | None, va: int,
-                  write: bool) -> int:
-        """The PTE an ordinary demand fault on ``va`` installs.
-
-        Raises :class:`SegmentationFault` outside any VMA or on a write
-        to a read-only one. The one page resolution both the fault
-        handler and a :class:`FaultRun` use.
-        """
-        if vma is None:
-            raise SegmentationFault(f"{task.name}: no VMA for {va:#x}")
-        if write and not vma.prot & PROT_WRITE:
-            raise SegmentationFault(f"{task.name}: write to read-only {va:#x}")
-        fn = vma.backing.frame_for(vma.page_index(va), self.phys,
-                                   task.owner_tag)
-        return make_pte(fn, demand_flags(vma), vma.pkey)
 
     def touch_pages(self, task: Task, va: int, length: int, *,
                     write: bool = False, stride: int = PAGE_SIZE) -> int:
@@ -506,7 +485,7 @@ class GuestKernel:
         aspace = task.aspace
         check = mmu.check
         # Per-page MEM charges are accumulated, and the exit path's fault
-        # run defers the charges of the faults it resolves; both are
+        # run defers the charges of the spans it resolves; both are
         # flushed before any point that can observe the clock (the fault
         # handler, a denial, the final pump), so the cycle value at every
         # observation — and the resulting ledger — is identical to
@@ -517,8 +496,8 @@ class GuestKernel:
 
         def visit(page_va: int, passed: int) -> None:
             """One page the MMU leaves to this loop: the check, and on a
-            fault the fault run or else the handler, then the re-check."""
-            nonlocal pending, faults, run
+            fault the handler, then the re-check."""
+            nonlocal pending, faults
             pending += passed
             try:
                 check(aspace, page_va, access, ctx)
@@ -527,14 +506,12 @@ class GuestKernel:
             else:
                 pending += 1
                 return
-            if run is None:
-                run = self.exit_path.fault_run(task)
             faults += 1
-            if not run.fault(page_va, write, pending):
+            if run is not None:
                 run.flush()
-                if pending:
-                    clock.charge(pending * Cost.MEM, "mem")
-                self.handle_page_fault(task, page_va, write)
+            if pending:
+                clock.charge(pending * Cost.MEM, "mem")
+            self.handle_page_fault(task, page_va, write)
             check(aspace, page_va, access, ctx)
             pending = 1
 

@@ -2,8 +2,9 @@
 
 Every test drives twin machines through the same setup, then touches the
 same range: one twin with ``GuestKernel.touch_pages`` (the monitor's fault
-run), the other with :func:`reference_touch`, which takes each fault alone
-through ``handle_page_fault`` and charges each page as it is touched. All
+run resolves missing spans, the handler every other fault), the other
+with :func:`reference_touch`, which takes each fault alone through
+``handle_page_fault`` and charges each page as it is touched. All
 simulated state must come out identical, down to the insertion order of
 the clock's ledgers: cycles per lane and tag, events, the Prometheus text,
 the fault log, every PTE, the confined-mapping registry, the audit chain
@@ -34,6 +35,7 @@ from repro.hw.paging import (
     PTE_U,
     PTE_W,
 )
+from repro.kernel.kernel import GuestKernel
 from repro.kernel.process import (
     PROT_READ,
     PROT_WRITE,
@@ -350,7 +352,9 @@ EDGES = {
 @pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
 def test_fault_run_matches_per_fault_handling(setting, stride, kind, write):
     # cache-off: every walk misses the paging-structure cache and
-    # check_run reads no span, on both twins
+    # check_run reads no span, so touch_pages hands every fault to the
+    # handler too; the twins still compare its visit loop and deferred
+    # MEM charges with reference_touch's per-page ones
     with (reference_paths("psc", "spans") if setting == "cache-off"
           else nullcontext()):
         (faults, burst, passed), (ref_faults, reference, ref_passed) = (
@@ -506,9 +510,10 @@ def test_segfault_mid_run_matches_per_fault_handling(layout):
 # ---------------------------------------------------------------------- #
 
 def test_llama_fleet_matches_per_page_touches():
-    """A reduced llama fleet under ``reference_paths()``, where the pass
-    hands the fault run one page per call, and outside it, where spans
-    resolve most of its faults: every simulated outcome is the same.
+    """A reduced llama fleet under ``reference_paths()``, where no span is
+    read and the per-fault handler takes every demand fault, and outside
+    it, where spans resolve most of its faults: every simulated outcome
+    is the same.
 
     The machine state is compared after every scheduling step too, while
     sandboxes are live and their confined frames recorded: at the end of
@@ -517,14 +522,22 @@ def test_llama_fleet_matches_per_page_touches():
     results = []
     for arm in (nullcontext, reference_paths):
         spans = []
+        handled = []
         span = MonitorFaultRun.span
+        handle = GuestKernel.handle_page_fault
 
         def spy(self, *args):
             resolved = span(self, *args)
             spans.append(len(resolved[1]) if resolved else 0)
             return resolved
 
-        with arm(), mock.patch.object(MonitorFaultRun, "span", spy):
+        def handler_spy(self, *args):
+            handled.append(args[1])
+            return handle(self, *args)
+
+        with arm(), mock.patch.object(MonitorFaultRun, "span", spy), \
+                mock.patch.object(GuestKernel, "handle_page_fault",
+                                  handler_spy):
             fleet = build_fleet(**dict(LLAMA_FLEET_PARAMS, clients=2))
             system, scheduler = fleet.system, fleet.scheduler
             confined = system.monitor.vmmu.confined_mapping
@@ -537,7 +550,8 @@ def test_llama_fleet_matches_per_page_touches():
             report = fleet.report()
         clock = system.machine.clock
         fault_log = system.kernel.fault_log
-        results.append((sum(spans), {
+        results.append((sum(spans), len(handled), clock.events["page_fault"],
+                        {
             "digest": report.digest(),
             "live_states": live,
             "state": machine_state_digest(system),
@@ -547,8 +561,13 @@ def test_llama_fleet_matches_per_page_touches():
                        for lane, events in clock.events_by_cpu.items()],
             "fault_log": (list(fault_log), fault_log.dropped),
         }))
-    (spanned, burst), (ref_spanned, reference) = results
+    ((spanned, handled, faults, burst),
+     (ref_spanned, ref_handled, ref_faults, reference)) = results
     assert spanned > 1000 and ref_spanned == 0
+    # the reference arm takes every demand fault through the handler; the
+    # fast arm leaves it only the faults no span resolves
+    assert faults == ref_faults == ref_handled
+    assert handled + spanned == faults and handled * 100 < faults
     # the first step's digest covers live confined records
     assert reference["live_states"][0][0] > 0
     for key in reference:

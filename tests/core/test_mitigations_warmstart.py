@@ -1,5 +1,7 @@
 """§12 mitigation engine + §9.2 warm-start reuse tests."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.client import RemoteClient
@@ -9,6 +11,7 @@ from repro.core.mitigations import (
     CACHE_FLUSH_CYCLES,
     MitigationConfig,
     SideChannelMitigations,
+    TenantMitigationRouter,
     THROTTLE_STALL_CYCLES,
 )
 from repro.hw.cycles import CycleClock
@@ -82,6 +85,22 @@ def test_quantized_release_hides_processing_time():
         clock.charge(work)
         releases.append(engine.on_output_release() % interval)
     assert releases == [0, 0]
+
+
+def test_router_quantizes_only_the_armed_tenants_release():
+    """An armed tenant's release waits for the interval boundary; an
+    unarmed one, with no default engine, releases at once."""
+    interval = 1_000_000
+    clock = CycleClock()
+    router = TenantMitigationRouter(clock)
+    router.arm("noisy", MitigationConfig(quantize_output_cycles=interval))
+    clock.charge(123)
+    quiet = router.on_output_release(SimpleNamespace(tenant="quiet"))
+    assert quiet == clock.cycles == 123
+    assert router.on_output_release(SimpleNamespace(tenant="noisy")) \
+        == clock.cycles == interval
+    assert clock.by_tag["mitigation_quantize"] == interval - 123
+    assert router.stats["per_tenant"]["noisy"]["quantized_waits"] == 1
 
 
 def test_noise_injection_charges_bounded_noise():

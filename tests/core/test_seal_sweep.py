@@ -1,9 +1,9 @@
 """The seal sweeps: one pass per leaf table.
 
-:meth:`NestedMmu.seal_common_region` walks each leaf table its recorded
-mappings sit in once. Twin rigs record the same mappings; one seals with
-the sweep, the other with :func:`reference_seal`, which reads and rewrites
-one PTE at a time. Every PTE, the return count and the clock's ledgers in
+:meth:`NestedMmu.seal_common_region` sweeps each recorded run of
+mappings in one pass over its leaf table. Twin rigs record the same
+mappings; one seals with the sweep, the other with :func:`reference_seal`,
+which reads and rewrites one PTE at a time. Every PTE, the return count and the clock's ledgers in
 insertion order must match, and every table the sweep rewrote must show a
 moved ``Frame.version``.
 
@@ -44,7 +44,7 @@ def reference_seal(vmmu, name):
     region.writable = False
     rewritten = 0
     seen = set()
-    for aspace, va in region.mappings:
+    for aspace, va in recorded_vas(region):
         if (aspace.root_fn, va) in seen:
             continue
         seen.add((aspace.root_fn, va))
@@ -56,6 +56,12 @@ def reference_seal(vmmu, name):
             rewritten += 1
     region.mappings.clear()
     return rewritten
+
+
+def recorded_vas(region):
+    """Every ``(aspace, va)`` the region's recorded runs name, in order."""
+    return [(aspace, va) for aspace, first, stride, count in region.mappings
+            for va in range(first, first + count * stride, stride)]
 
 
 def per_page_seal(vmmu, aspace, ranges):
@@ -101,18 +107,31 @@ def build(layout):
             va = (i + 1) * HUGE_PAGE_SIZE * 8 + (page % 2) * HUGE_PAGE_SIZE \
                 + page * PAGE_SIZE
             vmmu.write_pte(aspace, va, make_pte(fn, flags))
+    region = vmmu.common_regions["db"]
+    if layout == "strided":
+        # the same mappings recorded as strided runs only: each address
+        # space's even pages, then its odd ones
+        region.mappings[:] = [
+            (aspace, (i + 1) * HUGE_PAGE_SIZE * 8
+             + odd * (HUGE_PAGE_SIZE + PAGE_SIZE), 2 * PAGE_SIZE,
+             len(frames) // 2)
+            for i, aspace in enumerate(spaces) for odd in (0, 1)]
     if layout == "mixed":
-        region = vmmu.common_regions["db"]
         # duplicates: the same mapping recorded twice (in another order)
         region.mappings.extend(reversed(region.mappings[:5]))
+        # and each address space's even pages once more, first, as one
+        # strided run
+        region.mappings[:0] = [(aspace, (i + 1) * HUGE_PAGE_SIZE * 8,
+                                2 * PAGE_SIZE, len(frames) // 2)
+                               for i, aspace in enumerate(spaces)]
         # not present: unmapped after the recording
-        vmmu.write_pte(spaces[0], region.mappings[1][1], 0)
+        vmmu.write_pte(spaces[0], region.mappings[4][1], 0)
         # already read-only
-        vmmu.write_pte(spaces[1], region.mappings[14][1],
+        vmmu.write_pte(spaces[1], region.mappings[17][1],
                        make_pte(frames[2], RO))
         # remapped to memory that is not the region's
         other = phys.alloc_frame("sandbox:3")
-        vmmu.write_pte(spaces[2], region.mappings[26][1],
+        vmmu.write_pte(spaces[2], region.mappings[29][1],
                        make_pte(other, RW))
     return phys, clock, vmmu, spaces
 
@@ -127,16 +146,17 @@ def state(phys, clock, vmmu, spaces):
         "events": [(lane, list(events.items()))
                    for lane, events in clock.events_by_cpu.items()],
         "cycles": clock.cycles,
-        "mappings": [(aspace.name, va) for aspace, va
+        "mappings": [(aspace.name, *run) for aspace, *run
                      in vmmu.common_regions["db"].mappings],
     }
 
 
-@pytest.mark.parametrize("layout", ["mixed", "read-only", "huge"])
+@pytest.mark.parametrize("layout", ["mixed", "strided", "read-only",
+                                    "huge"])
 def test_seal_sweep_matches_per_pte_reference(layout):
     rig = build(layout)
     phys, clock, vmmu, spaces = rig
-    recorded = list(vmmu.common_regions["db"].mappings)
+    recorded = recorded_vas(vmmu.common_regions["db"])
     before = [(aspace.get_pte(va),
                phys.frame(aspace.leaf_slot(va).table_fn).version)
               for aspace, va in recorded]
@@ -149,7 +169,8 @@ def test_seal_sweep_matches_per_pte_reference(layout):
     assert swept == expected
     assert state(*rig) == state(*twin)
     assert list(clock.tags_by_cpu.get(1, {})) == (["mmu_op"] if swept else [])
-    assert swept == {"mixed": 33, "read-only": 0, "huge": 2}[layout]
+    assert swept == {"mixed": 33, "strided": 36, "read-only": 0,
+                     "huge": 2}[layout]
     # every table holding a rewritten PTE moved its version
     for (aspace, va), (pte, version) in zip(recorded, before):
         if aspace.get_pte(va) != pte:

@@ -70,3 +70,12 @@ def test_dup_bad_fd(kernel):
     task = kernel.spawn("t")
     with pytest.raises(FsError):
         kernel.syscall(task, "dup", 99)
+
+
+def test_unlink_removes_the_file(kernel):
+    task = kernel.spawn("app")
+    kernel.vfs.create("/tmp/scratch", b"data")
+    assert kernel.syscall(task, "unlink", "/tmp/scratch") == 0
+    assert not kernel.vfs.exists("/tmp/scratch")
+    with pytest.raises(FsError):
+        kernel.syscall(task, "unlink", "/tmp/scratch")
